@@ -1031,7 +1031,6 @@ class AeonG:
             "operators": self.operators.stats.as_dict(),
             "observability": self.observability.self_metrics(),
             "caches": {
-                "payloads": len(self.history._payload_cache),
                 "objects": len(self.history._object_cache),
                 "mentions": len(self.history._mention_cache),
             },

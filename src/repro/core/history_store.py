@@ -90,6 +90,7 @@ class ReadMetrics:
         "reconstructions_avoided",
         "preload_batches",
         "preload_objects",
+        "preload_backoffs",
     )
 
     def __init__(self) -> None:
@@ -145,13 +146,10 @@ class HistoricalStore:
         # this to skip the KV store entirely for never-migrated objects
         # (the overwhelmingly common case in a mostly-static graph).
         self._known: dict[str, set[int]] = {"vertex": set(), "edge": set()}
-        # History records are immutable once written, so decoded
-        # payloads can be cached by key.  Consumers must not mutate the
-        # cached dicts (reconstruction only reads them).
-        self._payload_cache: dict[bytes, dict] = {}
         # Lazily built per-object record lists (the "block cache"):
         # (segment, kind, gid) -> [(tt_start, tt_end, payload)] sorted
-        # ascending by tt_end.
+        # ascending by tt_end.  History records are immutable once
+        # written; consumers must not mutate the decoded dicts.
         self._object_cache: dict[tuple[bytes, bytes, int], list] = {}
         # gid -> (labels mentioned in diffs, {prop: [values in diffs]});
         # the scan's O(1) pruning structure (see vertex_mentions).
@@ -180,35 +178,30 @@ class HistoricalStore:
         # (segment, kind) -> {gid: [(tt_start, tt_end)] ascending by
         # tt_end}: the key index, built from one key-only scan at open
         # and appended to by staging (records arrive in commit order).
-        # Serves anchor seeks, newest-record lookups, gid enumeration
+        # Serves absence checks, newest-record lookups, gid enumeration
         # and preload sizing without touching the KV store.  ``None``
         # means dropped by invalidation; rebuilt lazily.
         self._gid_index: Optional[
             dict[tuple[bytes, bytes], dict[int, list[tuple[int, int]]]]
         ] = None
-        # object_kind -> memoized sorted known-gid list (scan order).
-        self._known_sorted: dict[str, Optional[list[int]]] = {
-            "vertex": None,
-            "edge": None,
-        }
+        # The index's range side: ``(segment, kind)`` -> ascending gids
+        # of that per-gid mapping, object_kind -> ascending known gids.
+        # Derived state: staging a *new* gid pops the affected entries
+        # (O(1)), every epoch bump and discard_known() drops them, and
+        # _sorted_gids() re-sorts on the next read — so the gids in a
+        # range are two bisects away, never a pass over the mapping.
+        self._sorted: dict[object, list[int]] = {}
         if len(self.kv) > 0:
             self._rebuild_index()
         else:
             self._gid_index = {}
 
-    _PAYLOAD_CACHE_LIMIT = 200_000
-
-    def _decode_cached(self, key: bytes, value: bytes) -> dict:
-        payload = self._payload_cache.get(key)
-        if payload is None:
-            payload, checksummed = decode_record_payload(value)
-            if checksummed:
-                self.checksums_verified += 1
-            else:
-                self.legacy_records += 1
-            if len(self._payload_cache) >= self._PAYLOAD_CACHE_LIMIT:
-                self._payload_cache.clear()
-            self._payload_cache[key] = payload
+    def _decode(self, value: bytes) -> dict:
+        payload, checksummed = decode_record_payload(value)
+        if checksummed:
+            self.checksums_verified += 1
+        else:
+            self.legacy_records += 1
         return payload
 
     def _rebuild_index(self) -> None:
@@ -228,7 +221,7 @@ class HistoricalStore:
             )
         self._known = known
         self._gid_index = index
-        self._known_sorted = {"vertex": None, "edge": None}
+        self._sorted.clear()
 
     def _ensure_index(
         self,
@@ -242,12 +235,25 @@ class HistoricalStore:
     ) -> None:
         if self._gid_index is not None:
             per_gid = self._gid_index.setdefault((segment, kind), {})
-            per_gid.setdefault(gid, []).append((tt_start, tt_end))
+            rows = per_gid.get(gid)
+            if rows is None:
+                rows = per_gid[gid] = []
+                self._sorted.pop((segment, kind), None)
+            rows.append((tt_start, tt_end))
+
+    def _sorted_gids(self, key, source: Iterable[int]) -> list[int]:
+        """Memoized ``sorted(source)``: ``key`` is the ``(segment,
+        kind)`` of a per-gid mapping or the object kind of a
+        known-object set.  Treat the list as read-only."""
+        cached = self._sorted.get(key)
+        if cached is None:
+            cached = self._sorted[key] = sorted(source)
+        return cached
 
     def _bump_epoch(self) -> None:
         self._epoch += 1
         self._reconstruction_cache.clear()
-        self._known_sorted = {"vertex": None, "edge": None}
+        self._sorted.clear()
 
     @property
     def epoch(self) -> int:
@@ -261,17 +267,13 @@ class HistoricalStore:
     def sorted_known_gids(self, object_kind: str) -> list[int]:
         """Memoized ascending list of :meth:`known_gids` (treat as
         read-only — scans iterate it on every unindexed query)."""
-        cached = self._known_sorted.get(object_kind)
-        if cached is None:
-            cached = sorted(self._known[object_kind])
-            self._known_sorted[object_kind] = cached
-        return cached
+        return self._sorted_gids(object_kind, self._known[object_kind])
 
     def discard_known(self, object_kind: str, gid: int) -> None:
         """Drop one gid from the known-object set (used by integrity
         repairs after they empty an object's record set)."""
         self._known[object_kind].discard(gid)
-        self._known_sorted[object_kind] = None
+        self._sorted.pop(object_kind, None)
         self._reconstruction_cache.pop((object_kind, gid), None)
 
     # -- write side (used by Migrate) ------------------------------------
@@ -289,7 +291,7 @@ class HistoricalStore:
         kind = "edge" if draft.segment == history_keys.SEGMENT_EDGE else "vertex"
         if draft.gid not in self._known[kind]:
             self._known[kind].add(draft.gid)
-            self._known_sorted[kind] = None
+            self._sorted.pop(kind, None)
         self._index_append(
             draft.segment,
             history_keys.KIND_DELTA,
@@ -737,7 +739,7 @@ class HistoricalStore:
             for key, value in self.kv.scan_prefix(prefix):
                 decoded = history_keys.decode_key(key)
                 try:
-                    payload = self._decode_cached(key, value)
+                    payload = self._decode(value)
                 except IntegrityError as exc:
                     # Defer the failure: keys are still sound, so reads
                     # that never replay through this record may proceed.
@@ -796,12 +798,8 @@ class HistoricalStore:
         per_gid = self._ensure_index().get((segment, kind)) or {}
         low_gid, high_gid = wanted[0], wanted[-1]
         goal = sum(len(per_gid.get(gid, ())) for gid in wanted)
-        span = sum(
-            len(rows)
-            for gid, rows in per_gid.items()
-            if low_gid <= gid <= high_gid
-        )
-        if span > 4 * goal + 16:
+        if self._span_exceeds(segment, kind, low_gid, high_gid, 4 * goal + 16):
+            self.read_metrics.preload_backoffs += 1
             return 0
         start = history_keys.object_prefix(segment, kind, low_gid)
         stop = history_keys.object_prefix(segment, kind, high_gid) + b"\xff" * 17
@@ -812,7 +810,7 @@ class HistoricalStore:
             if decoded.gid not in wanted_set:
                 continue
             try:
-                payload = self._decode_cached(key, value)
+                payload = self._decode(value)
             except IntegrityError as exc:
                 payload = _CorruptPayload(key, exc)
             rows[decoded.gid].append(
@@ -823,6 +821,21 @@ class HistoricalStore:
         self.read_metrics.preload_batches += 1
         self.read_metrics.preload_objects += len(wanted)
         return len(wanted)
+
+    def _span_exceeds(
+        self, segment: bytes, kind: bytes, low_gid: int, high_gid: int, limit: int
+    ) -> bool:
+        """Whether gids in ``[low_gid, high_gid]`` hold more than
+        ``limit`` index rows.  Two bisects bound the gids in range;
+        each holds at least one row, so more than ``limit`` gids settle
+        it unsummed — O(log N + limit) however large the store."""
+        per_gid = self._ensure_index().get((segment, kind)) or {}
+        gids = self._sorted_gids((segment, kind), per_gid)
+        start = bisect.bisect_left(gids, low_gid)
+        stop = bisect.bisect_right(gids, high_gid, lo=start)
+        if stop - start > limit:
+            return True
+        return sum(len(per_gid.get(gid, ())) for gid in gids[start:stop]) > limit
 
     def _seek_anchor(self, segment: bytes, gid: int, t: int):
         """First anchor of ``gid`` with ``tt_end > t`` (nearest newer)."""
@@ -879,9 +892,8 @@ class HistoricalStore:
             if object_kind == "vertex"
             else history_keys.SEGMENT_EDGE
         )
-        per_gid = self._ensure_index().get((segment, history_keys.KIND_DELTA))
-        if per_gid:
-            yield from sorted(per_gid)
+        key = (segment, history_keys.KIND_DELTA)
+        yield from self._sorted_gids(key, self._ensure_index().get(key, ()))
 
     def content_payloads(self, object_kind: str, gid: int) -> list[dict]:
         """Every content-record payload of one object (cached).
@@ -958,7 +970,6 @@ class HistoricalStore:
         that rewrite records in place — both mean anything memoized
         about the record set may be wrong.
         """
-        self._payload_cache.clear()
         self._object_cache.clear()
         self._mention_cache.clear()
         self._gid_index = None

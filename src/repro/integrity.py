@@ -44,6 +44,7 @@ breaker) or degrade to current-only results, per the engine's
 
 from __future__ import annotations
 
+import bisect
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -352,15 +353,15 @@ class Scrubber:
             for kind in ("vertex", "edge"):
                 if len(targets) >= budget:
                     break
-                known = sorted(self.history.known_gids(kind))
+                known = self.history.sorted_known_gids(kind)
                 if not known:
                     continue
-                pending = [g for g in known if g > self._cursor[kind]]
-                take = pending[: budget - len(targets)]
+                start = bisect.bisect_right(known, self._cursor[kind])
+                take = known[start : start + budget - len(targets)]
                 targets.extend((kind, g) for g in take)
                 if take:
                     self._cursor[kind] = take[-1]
-                if len(take) == len(pending):
+                if start + len(take) == len(known):
                     # the cursor wrapped: one full cycle over this kind
                     self._cursor[kind] = -1
                     self.cycles[kind] += 1
@@ -383,7 +384,7 @@ class Scrubber:
             with self._lock:
                 self._dirty.clear()
             for kind in ("vertex", "edge"):
-                for gid in sorted(self.history.known_gids(kind)):
+                for gid in self.history.sorted_known_gids(kind):
                     self._scrub_object(kind, gid, report)
             self.full_passes += 1
             self._absorb(report)

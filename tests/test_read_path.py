@@ -13,15 +13,19 @@ scan.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from io import StringIO
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import AeonG, IntegrityError, TemporalCondition
 from repro.cli import run as cli_run
 from repro.common.timeutil import MAX_TIMESTAMP
 from repro.core import keys as hk
+from repro.core.deltas import RecordDraft
+from repro.core.history_store import HistoricalStore
 from repro.faults import FAILPOINTS, corrupt_bytes
 from repro.kvstore import KVStore, WriteBatch
 
@@ -358,11 +362,13 @@ class TestReadMetrics:
             "reconstructions_avoided",
             "preload_batches",
             "preload_objects",
+            "preload_backoffs",
             "epoch",
             "cache_entries",
             "cache_capacity",
         }
         assert all(isinstance(value, int) for value in report.values())
+        assert "aeong_read_path_preload_backoffs" in db.metrics_text()
 
     def test_cli_metrics_section_and_unknown_section(self):
         db, a, _b, _e = _history_rich_db()
@@ -628,3 +634,250 @@ class TestKnownGidMemoization:
         db.history.discard_known("vertex", a)
         assert not db.history.has_history("vertex", a)
         assert a not in set(db.history.sorted_known_gids("vertex"))
+
+
+# -- the range-addressable key index and the preload density guard -------------
+
+
+def _stage_rows(store, rows, first_tt=0):
+    """Stage ``rows`` (``{(segment, gid): record count}``) into a fresh
+    batch; record ``i`` of an object covers ``[first_tt + i, first_tt +
+    i + 1)``.  The caller installs the batch."""
+    batch = WriteBatch()
+    for (segment, gid), count in sorted(rows.items()):
+        for i in range(count):
+            store.stage_record(
+                batch,
+                RecordDraft(segment, gid, first_tt + i, first_tt + i + 1, {"p": {"x": i}}),
+            )
+    return batch
+
+
+def _assert_enumerators_sorted(store):
+    """The memoized gid lists equal a fresh sort of their sources."""
+    for kind, segment in (("vertex", hk.SEGMENT_VERTEX), ("edge", hk.SEGMENT_EDGE)):
+        assert store.sorted_known_gids(kind) == sorted(store.known_gids(kind))
+        per_gid = store._ensure_index().get((segment, hk.KIND_DELTA), {})
+        assert list(store.iter_gids(kind)) == sorted(per_gid)
+
+
+def _reference_declines(store, segment, gids):
+    """The seed's density guard restated by brute force over the KV
+    store itself (one pass over every key, no index): ``True`` = back
+    off, ``False`` = batch, ``None`` = the guard is never reached."""
+    kind = hk.KIND_DELTA
+    wanted = sorted(
+        gid for gid in gids if (segment, kind, gid) not in store._object_cache
+    )
+    if len(wanted) < 2:
+        return None
+    rows: dict[int, int] = {}
+    for key, _value in store.kv.scan_all():
+        decoded = hk.decode_key(key)
+        if (decoded.segment, decoded.kind) == (segment, kind):
+            rows[decoded.gid] = rows.get(decoded.gid, 0) + 1
+    goal = sum(rows.get(gid, 0) for gid in wanted)
+    span = sum(n for gid, n in rows.items() if wanted[0] <= gid <= wanted[-1])
+    return span > 4 * goal + 16
+
+
+def _assert_guard_matches_reference(store, candidate_sets):
+    for object_kind, segments in (
+        ("vertex", (hk.SEGMENT_VERTEX, hk.SEGMENT_TOPOLOGY)),
+        ("edge", (hk.SEGMENT_EDGE,)),
+    ):
+        for candidates in candidate_sets:
+            # every check starts cold, or one accepted batch would keep
+            # its objects out of all later guard calls
+            store._object_cache.clear()
+            known = candidates & store.known_gids(object_kind)
+            expected = [_reference_declines(store, seg, known) for seg in segments]
+            before = store.read_path_metrics()
+            store.preload_objects(object_kind, candidates)
+            after = store.read_path_metrics()
+            assert (
+                after["preload_backoffs"] - before["preload_backoffs"]
+                == expected.count(True)
+            ), (object_kind, sorted(candidates))
+            assert (
+                after["preload_batches"] - before["preload_batches"]
+                == expected.count(False)
+            ), (object_kind, sorted(candidates))
+
+
+_SEGMENTS = st.sampled_from([hk.SEGMENT_VERTEX, hk.SEGMENT_TOPOLOGY, hk.SEGMENT_EDGE])
+_ROWS = st.dictionaries(
+    st.tuples(_SEGMENTS, st.integers(0, 300)), st.integers(1, 6), max_size=80
+)
+# half the candidate sets are scattered over the keyspace (the guard
+# declines), half sit in a narrow gid window (the guard batches)
+_CANDIDATES = st.lists(
+    st.one_of(
+        st.sets(st.integers(0, 320), max_size=10),
+        st.integers(0, 300).flatmap(
+            lambda low: st.sets(st.integers(low, low + 12), max_size=8)
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _boundary_rows(extra):
+    """Edge gids 0 and 100 wanted (goal 2, limit 24) around ``extra``
+    single-row bystanders: 22 of them put the span exactly at the limit."""
+    return {(hk.SEGMENT_EDGE, gid): 1 for gid in (0, 100, *range(1, 1 + extra))}
+
+
+class TestPreloadGuardIndex:
+    @example(  # span == limit batches; one staged bystander later declines
+        initial=_boundary_rows(22),
+        later={(hk.SEGMENT_EDGE, 50): 1},
+        candidate_sets=[{0, 100}],
+        cutoff=0,
+        victim=7,
+    )
+    @example(  # span == limit + 1 declines until prune() thins the range
+        initial=_boundary_rows(23),
+        later={(hk.SEGMENT_EDGE, 0): 2, (hk.SEGMENT_EDGE, 100): 2},
+        candidate_sets=[{0, 100}],
+        cutoff=1,
+        victim=0,
+    )
+    @given(
+        initial=_ROWS,
+        later=_ROWS,
+        candidate_sets=_CANDIDATES,
+        cutoff=st.integers(0, 8),
+        victim=st.integers(0, 300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_guard_decision_equals_bruteforce_reference(
+        self, initial, later, candidate_sets, cutoff, victim
+    ):
+        store = HistoricalStore()
+        store.commit_batch(_stage_rows(store, initial))
+        _assert_guard_matches_reference(store, candidate_sets)
+        _assert_enumerators_sorted(store)  # memoizes every list
+        # new gids and longer row lists arrive through staging, which
+        # must leave the memoized lists fresh even before the install
+        batch = _stage_rows(store, later, first_tt=6)
+        _assert_enumerators_sorted(store)
+        store.commit_batch(batch)
+        _assert_guard_matches_reference(store, candidate_sets)
+        store.prune(cutoff)
+        _assert_guard_matches_reference(store, candidate_sets)
+        store.invalidate_caches()
+        _assert_guard_matches_reference(store, candidate_sets)
+        for kind in ("vertex", "edge"):
+            known = store.sorted_known_gids(kind)
+            if known:
+                store.discard_known(kind, known[victim % len(known)])
+        _assert_guard_matches_reference(store, candidate_sets)
+        _assert_enumerators_sorted(store)
+
+    def test_sparse_expand_never_walks_the_per_gid_index(self):
+        """An expand over four neighbours scattered across a 20k-object
+        store must size its preload from the sorted gid lists — the
+        per-gid mappings refuse every form of iteration."""
+        db = AeonG(anchor_interval=3, gc_interval_transactions=0)
+        with db.transaction() as txn:
+            filler = [
+                db.create_vertex(txn, labels=["F"], properties={"i": i})
+                for i in range(20_000)
+            ]
+        with db.transaction() as txn:
+            for gid in filler:
+                db.set_vertex_property(txn, gid, "i", -1)
+        hubs = (filler[10_000], filler[10_001])
+        spokes = [filler[i] for i in (100, 5_000, 15_000, 19_900)]
+        with db.transaction() as txn:
+            edges = [
+                db.create_edge(txn, hub, spoke, "LIKES", properties={"w": 0})
+                for hub in hubs
+                for spoke in spokes
+            ]
+        with db.transaction() as txn:
+            for edge in edges:
+                db.set_edge_property(txn, edge, "w", 1)
+        db.collect_garbage()
+        assert len(db.history.known_gids("vertex")) >= 20_000
+
+        def expand_all(hub):
+            cond = TemporalCondition.between(0, db.now())
+            with db.transaction() as txn:
+                return sorted(
+                    (_esig(e), _vsig(v))
+                    for vertex in db.vertex_versions(txn, hub, cond)
+                    for e, v in db.expand(txn, vertex, cond, "both")
+                )
+
+        # the first expand after a change may sort each mapping once
+        warm = expand_all(hubs[0])
+        assert len(warm) >= len(spokes)
+
+        class NoWalk(dict):
+            def _refuse(self, *_args):
+                raise AssertionError("store-wide walk of the per-gid index")
+
+            __iter__ = items = values = keys = _refuse
+
+        index = db.history._gid_index
+        for key in list(index):
+            index[key] = NoWalk(index[key])
+        db.history._object_cache.clear()
+        db.history._reconstruction_cache.clear()
+        before = db.history.read_path_metrics()
+        cold = expand_all(hubs[1])
+        after = db.history.read_path_metrics()
+        assert [pair[1] for pair in cold] == [pair[1] for pair in warm]
+        # the scattered neighbours were declined (vertex segment) and the
+        # adjacent edge gids batched, both without touching the mappings
+        assert after["preload_backoffs"] > before["preload_backoffs"]
+        assert after["preload_batches"] > before["preload_batches"]
+
+    def test_hub_expand_counters_and_answers_are_pinned(self):
+        """Same decisions, less work: the KV traffic, preload counters
+        and every expand answer of the hub fixture, as measured before
+        the guard was rewritten."""
+        db, hub = _hub_db()
+        db.history.invalidate_caches()
+        kv = db.history.kv.stats
+        seeks, range_scans = kv.seeks, kv.range_scans
+        answers = []
+        for t in range(db.now() + 1):
+            cond = TemporalCondition.as_of(t)
+            with db.transaction() as txn:
+                vertex = next(iter(db.vertex_versions(txn, hub, cond)), None)
+                answers.append(
+                    None
+                    if vertex is None
+                    else sorted(
+                        (_esig(e), _vsig(v))
+                        for e, v in db.expand(txn, vertex, cond, "both")
+                    )
+                )
+        cond = TemporalCondition.between(0, db.now())
+        with db.transaction() as txn:
+            for vertex in list(db.vertex_versions(txn, hub, cond)):
+                answers.append(
+                    sorted(
+                        (_esig(e), _vsig(v))
+                        for e, v in db.expand(txn, vertex, cond, "both")
+                    )
+                )
+        metrics = db.history.read_path_metrics()
+        assert kv.seeks - seeks == 6
+        assert kv.range_scans - range_scans == 3
+        assert metrics["preload_batches"] == 3
+        assert metrics["preload_objects"] == 24
+        assert metrics["preload_backoffs"] == 0
+        assert [None if a is None else len(a) for a in answers] == (
+            [None, None, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7]
+            + [8] * 18
+            + [7, 7, 6, 6, 16]
+        )
+        assert (
+            hashlib.sha256(repr(answers).encode()).hexdigest()
+            == "0919c1f535a95fcdb187f76c63e77b20e1fd5c2290b771e4bfb4ffda9187ea2e"
+        )
