@@ -60,6 +60,7 @@ from repro.kvstore import KVStore
 from repro.mvcc.gc import GarbageCollector
 from repro.mvcc.transaction import Transaction
 from repro.observability import Observability, ObservabilityConfig
+from repro.query.cache import PlanCache
 from repro.replication import ReplicationConfig, ReplicationState
 from repro.resilience import ResilienceConfig, ResilienceController, RetryPolicy
 
@@ -182,6 +183,8 @@ class AeonG:
             reclaim_object_hook=self._reclaim_record,
         )
         self.operators = TemporalOperators(self.storage, self.history)
+        #: statement text -> plan (see :meth:`compile`)
+        self.plans = PlanCache()
         self.scrubber = Scrubber(
             self.history,
             storage=self.storage,
@@ -1029,6 +1032,7 @@ class AeonG:
             },
             "read_path": self.history.read_path_metrics(),
             "operators": self.operators.stats.as_dict(),
+            "query": self.plans.metrics(),
             "observability": self.observability.self_metrics(),
             "caches": {
                 "objects": len(self.history._object_cache),
@@ -1084,6 +1088,17 @@ class AeonG:
         return self.run_transaction(
             lambda own: execute_query(self, own, query, parameters)
         )
+
+    def compile(self, query: str):
+        """The :class:`~repro.query.planner.Plan` for a statement.
+
+        Served from the engine's bounded plan cache: only the first
+        call for a statement text (per index set) parses and plans.
+        An ``EXPLAIN``/``PROFILE`` prefix is ignored.  :meth:`execute`,
+        ``PROFILE``, ``EXPLAIN`` and the server's ``prepare`` all plan
+        through here.
+        """
+        return self.plans.compile(self, query)
 
     @property
     def last_read_degraded(self) -> bool:
@@ -1212,6 +1227,8 @@ class AeonG:
             self.migrator = donor.migrator
             self.operators = donor.operators
             self.scrubber = donor.scrubber
+            # Cached plans were keyed by the old storage's index epoch.
+            self.plans.clear()
             # Rewire the adopted components onto this engine's
             # cross-cutting services, exactly as ``__init__`` does.
             self.history.resilience = self.resilience
@@ -1440,10 +1457,7 @@ class AeonG:
         Plans against the current schema (indexes change scan choices),
         without executing anything.
         """
-        from repro.query.parser import parse
-        from repro.query.planner import plan_query
-
-        plan = plan_query(parse(query), self)
+        plan = self.compile(query)
         lines = plan.describe()
         if plan.tt is not None:
             kind = "SNAPSHOT" if plan.tt.kind == "snapshot" else "BETWEEN"

@@ -89,6 +89,9 @@ class IndexRegistry:
         self._labels: dict[str, _LabelIndex] = {}
         self._label_props: dict[tuple[str, str], _LabelPropertyIndex] = {}
         self._lock = threading.RLock()
+        #: bumped whenever the index set changes; cached query plans
+        #: are keyed by it (an index changes which scan a plan picks)
+        self.epoch = 0
 
     # -- creation ---------------------------------------------------------
 
@@ -102,6 +105,7 @@ class IndexRegistry:
                 if not record.deleted and label in record.labels:
                     index.gids.add(record.gid)
             self._labels[label] = index
+            self.epoch += 1
 
     def create_label_property_index(
         self, label: str, prop: str, records: Iterator
@@ -120,6 +124,7 @@ class IndexRegistry:
                 ):
                     index.add(record.properties[prop], record.gid)
             self._label_props[key] = index
+            self.epoch += 1
 
     def has_label_index(self, label: str) -> bool:
         return label in self._labels

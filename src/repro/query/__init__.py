@@ -18,7 +18,19 @@ Example::
     RETURN m.balance
 """
 
-from repro.query.executor import execute_query
-from repro.query.parser import parse
-
 __all__ = ["execute_query", "parse"]
+
+
+def __getattr__(name):
+    # Loaded on first use: every engine imports ``repro.query.cache``,
+    # and one driven only through the direct API should not pay ~45 ms
+    # for the parser and planner.
+    if name == "execute_query":
+        from repro.query.executor import execute_query
+
+        return execute_query
+    if name == "parse":
+        from repro.query.parser import parse
+
+        return parse
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

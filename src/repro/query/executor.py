@@ -1,34 +1,37 @@
-"""Statement execution: plan, stream frames, project results.
+"""Statement execution: compile, stream frames, project results.
 
 The executor returns plain Python rows (``list[dict]``); vertex and
 edge versions are rendered into dictionaries carrying their gid,
 labels/type, properties, and transaction-time interval, so callers
 never hold live storage objects.
+
+Every statement reaches its plan through one path, the engine's
+:class:`~repro.query.cache.PlanCache` (``engine.compile``): a statement
+seen before is neither re-parsed nor re-planned.  A cache miss calls
+this module's ``parse`` and ``plan_query``.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Any, Iterator, Optional
 
 from repro.core.temporal import TemporalCondition
 from repro.errors import ExecutionError, PlanningError
 from repro.graph.views import EdgeView, VertexView
 from repro.query import ast
+from repro.query.cache import PROFILE_PREFIX
 from repro.query.operators import ExecutionContext, Frame, evaluate
-from repro.query.parser import parse
-from repro.query.planner import Plan, plan_query
+# PlanCache parses and plans a missed statement through these two names
+# (tracers patch them here).
+from repro.query.parser import parse  # noqa: F401
+from repro.query.planner import Plan, plan_query  # noqa: F401
 
 _AGGREGATES = {"count", "sum", "min", "max", "avg", "collect"}
-
-# A leading EXPLAIN / PROFILE keyword routes to the profiler; the rest
-# of the text is the statement it applies to.
-_PROFILE_PREFIX = re.compile(r"^\s*(EXPLAIN|PROFILE)\b", re.IGNORECASE)
 
 
 def statement_prefix(text: str) -> Optional[str]:
     """``"EXPLAIN"`` / ``"PROFILE"`` if ``text`` carries that prefix."""
-    match = _PROFILE_PREFIX.match(text or "")
+    match = PROFILE_PREFIX.match(text or "")
     return match.group(1).upper() if match else None
 
 
@@ -38,7 +41,8 @@ def execute_query(
     text: str,
     parameters: Optional[dict[str, Any]] = None,
 ) -> list[dict[str, Any]]:
-    """Parse, plan and run one statement inside ``txn``.
+    """Compile (through the engine's plan cache) and run one statement
+    inside ``txn``.
 
     ``EXPLAIN <stmt>`` returns the operator tree as ``{"plan": line}``
     rows without executing anything; ``PROFILE <stmt>`` executes with
@@ -53,7 +57,7 @@ def execute_query(
     bound the slow-query log and the ``statement.seconds`` histogram
     (see ``repro.observability``).
     """
-    prefixed = _PROFILE_PREFIX.match(text)
+    prefixed = PROFILE_PREFIX.match(text)
     if prefixed is not None:
         from repro.query.profiler import execute_profiled, explain_tree
 
@@ -75,22 +79,34 @@ def execute_query(
     obs = engine.observability
     started = obs.clock() if obs.enabled else 0.0
     with obs.tracer.span("query.statement"):
-        query = parse(text)
-        plan = plan_query(query, engine)
-        cond = _temporal_condition(engine, plan, parameters)
-        ctx = ExecutionContext(engine, txn, parameters, cond)
-        frames: Iterator[Frame] = iter([{}])
-        for op in plan.ops:
-            frames = op.execute(ctx, frames)
-        if plan.returns is None:
-            for _ in frames:  # drain so writes actually run
-                pass
-            rows: list[dict[str, Any]] = []
-        else:
-            rows = _project(ctx, plan.returns, frames)
+        rows = run_plan(engine, txn, engine.compile(text), parameters)
     if obs.enabled:
         obs.record_statement(text, obs.clock() - started, len(rows))
     return rows
+
+
+def run_plan(
+    engine,
+    txn,
+    plan: Plan,
+    parameters: Optional[dict[str, Any]] = None,
+    ops=None,
+) -> list[dict[str, Any]]:
+    """Run a compiled plan inside ``txn`` and project its rows.
+
+    ``ops`` replaces ``plan.ops`` with an equivalent chain (PROFILE
+    passes them wrapped in instrumentation).
+    """
+    cond = _temporal_condition(engine, plan, parameters)
+    ctx = ExecutionContext(engine, txn, parameters, cond)
+    frames: Iterator[Frame] = iter([{}])
+    for op in plan.ops if ops is None else ops:
+        frames = op.execute(ctx, frames)
+    if plan.returns is None:
+        for _ in frames:  # drain so writes actually run
+            pass
+        return []
+    return _project(ctx, plan.returns, frames)
 
 
 def _temporal_condition(engine, plan: Plan, parameters) -> Optional[TemporalCondition]:

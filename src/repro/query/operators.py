@@ -339,12 +339,20 @@ class NodeScan(PhysicalOperator):
     (Algorithm 2); otherwise the MVCC-visible state is used.  A variable
     already bound upstream is re-checked instead of re-scanned (pattern
     join).
+
+    ``pushed`` holds the ``WHERE`` equalities ``variable.p = <literal |
+    $param>`` the planner found for this scan (see
+    ``repro.query.planner``).  They only narrow the scan; the ``Filter``
+    that owns them still runs, so a pushed equality can drop nothing
+    the ``Filter`` would keep.  Null equals nothing, here and in the
+    inline map alike.
     """
 
     def __init__(self, variable, labels, prop_filters):
         self.variable = variable
         self.labels = tuple(labels)
         self.prop_filters = tuple(prop_filters)  # (name, expression)
+        self.pushed: tuple = ()  # (name, Literal | Parameter)
 
     def execute(self, ctx, frames):
         for frame in frames:
@@ -371,42 +379,78 @@ class NodeScan(PhysicalOperator):
             parts.append(":" + ":".join(self.labels))
         if self.prop_filters:
             parts.append("{" + ", ".join(n for n, _ in self.prop_filters) + "}")
+        if self.pushed:
+            parts.append(" WHERE " + ", ".join(n for n, _ in self.pushed))
         return f"NodeScan({''.join(parts)})"
 
     def _scan(self, ctx, frame):
         label = self.labels[0] if self.labels else None
-        index_prop, index_value = self._index_probe(ctx, frame, label)
+        prop, value = self._probe(ctx, frame, label)
+        if prop is not None and value is None:
+            return ()  # an equality with null: no vertex can match
         if ctx.cond is not None:
             return ctx.engine.operators.scan_vertices(
-                ctx.txn, ctx.cond, label, index_prop, index_value
+                ctx.txn, ctx.cond, label, prop, value
             )
-        return self._snapshot_scan(ctx, label, index_prop, index_value)
+        return self._snapshot_scan(ctx, label, prop, value)
 
-    def _index_probe(self, ctx, frame, label):
-        """Pick one equality filter backed by a label+property index."""
+    def _probe(self, ctx, frame, label):
+        """The ``(property, value)`` equality the scan narrows on.
+
+        An inline filter backed by a label+property index comes first:
+        the index picks the candidates.  Otherwise the first pushed
+        ``WHERE`` equality on an unindexed property prunes candidates
+        one by one (``TemporalOperators._may_match``) but never moves
+        the scan onto an index, so the scan starts from the same
+        candidates as the ``Filter``-only plan.  A ``None`` value means
+        an equality with null.
+        """
         if label is None:
             return None, None
+        indexes = ctx.engine.storage.indexes
         for name, expr in self.prop_filters:
-            if ctx.engine.storage.indexes.has_label_property_index(label, name):
+            if indexes.has_label_property_index(label, name):
                 return name, evaluate(expr, ctx, frame)
-        return None, None
+        if not self.pushed:
+            return None, None
+        try:
+            values = [
+                (name, evaluate(expr, ctx, frame)) for name, expr in self.pushed
+            ]
+        except ExecutionError:
+            return None, None  # a missing parameter: the Filter reports it
+        picked = None
+        for name, value in values:
+            if value is None:
+                picked = name, None
+                break
+            if picked is None and not indexes.has_label_property_index(
+                label, name
+            ):
+                picked = name, value
+        if picked is None:
+            return None, None
+        ctx.engine.plans.count_pushed_scan()
+        return picked
 
-    def _snapshot_scan(self, ctx, label, index_prop, index_value):
+    def _snapshot_scan(self, ctx, label, prop, value):
         storage = ctx.engine.storage
         candidates = None
-        if label is not None and index_prop is not None:
-            candidates = storage.indexes.candidates_by_value(
-                label, index_prop, index_value
-            )
+        if label is not None and prop is not None:
+            candidates = storage.indexes.candidates_by_value(label, prop, value)
         if candidates is None and label is not None:
             candidates = storage.indexes.candidates_by_label(label)
         if candidates is not None:
-            for gid in sorted(candidates):
-                view = storage.get_vertex(ctx.txn, gid)
-                if view is not None:
-                    yield view
-            return
-        yield from storage.iter_vertices(ctx.txn)
+            views = (
+                storage.get_vertex(ctx.txn, gid) for gid in sorted(candidates)
+            )
+        else:
+            views = storage.iter_vertices(ctx.txn)
+        for view in views:
+            if view is not None and (
+                prop is None or view.properties.get(prop) == value
+            ):
+                yield view
 
     def _matches(self, ctx, frame, view) -> bool:
         if view is None:
@@ -414,10 +458,20 @@ class NodeScan(PhysicalOperator):
         for label in self.labels:
             if label not in view.labels:
                 return False
-        for name, expr in self.prop_filters:
-            if view.properties.get(name) != evaluate(expr, ctx, frame):
-                return False
-        return True
+        return _properties_match(view, self.prop_filters, ctx, frame)
+
+
+def _properties_match(entity, prop_filters, ctx, frame) -> bool:
+    """Whether an inline ``{name: expr}`` map holds for ``entity``.
+
+    Null equals nothing, exactly as ``=`` in ``WHERE``: a null value
+    matches no object, whether or not it has the property.
+    """
+    for name, expr in prop_filters:
+        value = evaluate(expr, ctx, frame)
+        if value is None or entity.properties.get(name) != value:
+            return False
+    return True
 
 
 class Expand(PhysicalOperator):
@@ -599,10 +653,7 @@ class VarExpand(PhysicalOperator):
                 yield edge, neighbour
 
     def _edge_matches(self, ctx, frame, edge) -> bool:
-        return all(
-            edge.properties.get(name) == evaluate(expr, ctx, frame)
-            for name, expr in self.prop_filters
-        )
+        return _properties_match(edge, self.prop_filters, ctx, frame)
 
 
 class RelFilter(PhysicalOperator):
@@ -621,10 +672,7 @@ class RelFilter(PhysicalOperator):
             edge = frame.get(self.rel_var)
             if edge is None:
                 continue
-            if all(
-                edge.properties.get(name) == evaluate(expr, ctx, frame)
-                for name, expr in self.prop_filters
-            ):
+            if _properties_match(edge, self.prop_filters, ctx, frame):
                 yield frame
 
 

@@ -6,6 +6,14 @@ to start from (bound variable > indexed label+property > label >
 inline properties > bare scan) and reverses the pattern when the right
 end anchors better — the vertex-centric strategy the paper describes
 ("first scans the relevant vertices, then expands").
+
+A stage's ``WHERE`` stays one ``Filter`` after the stage's patterns,
+but its top-level ``AND`` conjuncts of the form ``v.p = <literal |
+$param>`` (either side) are also recorded on the ``NodeScan`` that
+binds ``v`` — when that scan is labelled, not optional, and binds
+``v`` for the first time in the stage.  The scan uses them to skip
+versions that cannot satisfy the equality before reconstructing them
+(see ``NodeScan._probe``); the ``Filter`` still decides every row.
 """
 
 from __future__ import annotations
@@ -37,9 +45,13 @@ from repro.query.translate import translate_query
 _FLIP = {"out": "in", "in": "out", "both": "both"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Plan:
     """A lowered statement, ready for the executor.
+
+    Read-only once built: operators keep no per-run state, so one plan
+    serves every execution of its statement (the engine caches plans
+    by statement text, see ``repro.query.cache.PlanCache``).
 
     ``describe()`` lists the operator chain in pipeline order (source
     first) — the flat ``engine.explain`` format; the profiler's
@@ -47,7 +59,7 @@ class Plan:
     ``repro.query.profiler``).
     """
 
-    ops: list[PhysicalOperator]
+    ops: tuple[PhysicalOperator, ...]
     returns: Optional[ast.ReturnClause]
     tt: Optional[ast.TTClause]
     is_write: bool
@@ -70,7 +82,7 @@ def plan_query(query: ast.Query, engine) -> Plan:
     names = itertools.count()
     for stage in query.stages:
         _plan_stage(stage, engine, ops, bound, names)
-    return Plan(ops, query.returns, query.tt, query.is_write)
+    return Plan(tuple(ops), query.returns, query.tt, query.is_write)
 
 
 def _plan_stage(
@@ -80,10 +92,14 @@ def _plan_stage(
     bound: set[str],
     names,
 ) -> None:
+    # variable -> the labelled, non-optional NodeScan that first binds
+    # it in this stage: where WHERE equalities may be pushed
+    scans: dict[str, NodeScan] = {}
     for clause in stage.reading:
         if isinstance(clause, ast.UnwindClause):
             ops.append(Unwind(clause.expression, clause.alias))
             bound.add(clause.alias)
+            scans.pop(clause.alias, None)
         elif clause.optional:
             sub_ops: list[PhysicalOperator] = []
             optional_bound = set(bound)
@@ -94,8 +110,9 @@ def _plan_stage(
             bound |= optional_bound
         else:
             for pattern in clause.patterns:
-                _plan_pattern(pattern, engine, ops, bound, names)
+                _plan_pattern(pattern, engine, ops, bound, names, scans)
     if stage.where is not None:
+        _push_equalities(stage.where.predicate, scans)
         ops.append(Filter(stage.where.predicate))
     for create in stage.creates:
         for item in create.items:
@@ -136,12 +153,35 @@ def _plan_stage(
         bound.update(with_op.names)
 
 
+def _push_equalities(predicate: ast.Expression, scans: dict) -> None:
+    """Record each top-level ``v.p = <literal | $param>`` conjunct of
+    ``predicate`` on the scan that binds ``v`` (if ``scans`` has one)."""
+    if isinstance(predicate, ast.BooleanOp) and predicate.op == "AND":
+        _push_equalities(predicate.left, scans)
+        _push_equalities(predicate.right, scans)
+        return
+    if not isinstance(predicate, ast.Comparison) or predicate.op != "=":
+        return
+    for access, value in (
+        (predicate.left, predicate.right),
+        (predicate.right, predicate.left),
+    ):
+        if (
+            isinstance(access, ast.PropertyAccess)
+            and isinstance(value, (ast.Literal, ast.Parameter))
+            and access.variable in scans
+        ):
+            scans[access.variable].pushed += ((access.name, value),)
+            return
+
+
 def _plan_pattern(
     pattern: ast.PathPattern,
     engine,
     ops: list[PhysicalOperator],
     bound: set[str],
     names,
+    scans: Optional[dict] = None,
 ) -> None:
     pattern = _ensure_variables(pattern, names)
     if _anchor_score(pattern.nodes[-1], engine, bound) > _anchor_score(
@@ -149,7 +189,10 @@ def _plan_pattern(
     ):
         pattern = _reverse(pattern)
     first = pattern.nodes[0]
-    ops.append(NodeScan(first.variable, first.labels, first.properties))
+    scan = NodeScan(first.variable, first.labels, first.properties)
+    ops.append(scan)
+    if scans is not None and first.labels and first.variable not in bound:
+        scans[first.variable] = scan
     bound.add(first.variable)
     for hop, (rel, node) in enumerate(zip(pattern.rels, pattern.nodes[1:])):
         if rel.is_variable_length:

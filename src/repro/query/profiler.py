@@ -23,10 +23,9 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.query import ast
-from repro.query.executor import _item_name, _project, _temporal_condition
-from repro.query.operators import ExecutionContext, ProfiledOperator
-from repro.query.parser import parse
-from repro.query.planner import Plan, plan_query
+from repro.query.executor import _item_name, run_plan
+from repro.query.operators import ProfiledOperator
+from repro.query.planner import Plan
 
 #: the storage counters PROFILE snapshots around every operator pull,
 #: and the ``metrics()`` field each one mirrors (section.field)
@@ -118,8 +117,7 @@ def explain_tree(engine, text: str) -> list[str]:
     Plans against the current schema (indexes change scan choices) —
     the side-effect-free half of the profiler.
     """
-    plan = plan_query(parse(text), engine)
-    return _nest(plan_nodes(plan))
+    return _nest(plan_nodes(engine.compile(text)))
 
 
 # -- profiled execution (PROFILE) ---------------------------------------------
@@ -209,16 +207,15 @@ def execute_profiled(
 ) -> ProfileResult:
     """Run one statement inside ``txn`` with every operator profiled.
 
-    Mirrors ``execute_query`` (same planning, same projection, same
+    Mirrors ``execute_query`` (same cached plan, same projection, same
     degraded-flag scoping) — only the operator chain differs, each link
-    wrapped in a :class:`ProfiledOperator`.
+    wrapped in a fresh :class:`ProfiledOperator`, so the shared plan is
+    never touched.
     """
     controller = getattr(engine, "resilience", None)
     if controller is not None:
         controller.clear_degraded_flag()
-    plan = plan_query(parse(text), engine)
-    cond = _temporal_condition(engine, plan, parameters)
-    ctx = ExecutionContext(engine, txn, parameters, cond)
+    plan = engine.compile(text)
     getters = _counter_getters(engine)
 
     def snapshot() -> tuple:
@@ -228,15 +225,7 @@ def execute_profiled(
     wrapped = [ProfiledOperator(op, clock, snapshot) for op in plan.ops]
     started = clock()
     base = snapshot()
-    frames = iter([{}])
-    for op in wrapped:
-        frames = op.execute(ctx, frames)
-    if plan.returns is None:
-        for _ in frames:  # drain so writes actually run
-            pass
-        rows: list[dict[str, Any]] = []
-    else:
-        rows = _project(ctx, plan.returns, frames)
+    rows = run_plan(engine, txn, plan, parameters, wrapped)
     duration = clock() - started
     totals = tuple(now - was for now, was in zip(snapshot(), base))
 

@@ -749,9 +749,8 @@ class AeonGServer:
             # the same statement succeeds there — or here, once this
             # node is promoted).
             from repro.query.executor import statement_prefix
-            from repro.query.parser import parse
 
-            if statement_prefix(text) is None and parse(text).is_write:
+            if statement_prefix(text) is None and engine.compile(text).is_write:
                 self.counters["not_primary_rejections"] += 1
                 raise NotPrimaryError(
                     "write routed to a replica",
@@ -786,14 +785,10 @@ class AeonGServer:
             raise ProtocolError("prepare requires a statement 'name'")
         if not isinstance(text, str) or not text.strip():
             raise ProtocolError("prepare requires a non-empty 'text'")
-        # Validate eagerly so a typo fails at prepare time, not on the
-        # Nth execute (EXPLAIN/PROFILE-prefixed statements validate at
-        # execution, where the prefix is stripped).
-        from repro.query.executor import statement_prefix
-        from repro.query.parser import parse
-
-        if statement_prefix(text) is None:
-            parse(text)
+        # Compile eagerly so a typo fails at prepare time, not on the
+        # Nth execute; the plan stays in the engine's plan cache, where
+        # every execute of this statement finds it.
+        self.engine.compile(text)
         session.prepared[name] = text
         self.counters["requests_served"] += 1
         return {"ok": True, "id": request_id, "prepared": name}

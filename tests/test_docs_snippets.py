@@ -108,4 +108,4 @@ def test_documentation_blocks_execute(doc_name, tmp_path, monkeypatch):
     assert python_blocks > 0
     if doc_name == "OBSERVABILITY.md":
         # Every query form documented must have been asserted verbatim.
-        assert explain_pairs >= 6
+        assert explain_pairs >= 7
