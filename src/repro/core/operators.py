@@ -16,21 +16,37 @@ every satisfying version.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from repro.common.timeutil import MAX_TIMESTAMP
 from repro.core.history_store import HistoricalStore
 from repro.core.temporal import TemporalCondition, intersects
+from repro.errors import IntegrityError
 from repro.graph.storage import GraphStorage
 from repro.graph.vertex import EdgeRef
 from repro.graph.views import (
     EdgeView,
     VertexView,
+    current_view,
     oldest_unreclaimed_view,
     version_iterator,
 )
 from repro.mvcc.delta import DeltaAction
 from repro.mvcc.transaction import CommitStatus, Transaction
+
+_LABEL_UNDO = (DeltaAction.ADD_LABEL, DeltaAction.REMOVE_LABEL)
+
+
+def _current_match(record, label, prop, value) -> Optional[VertexView]:
+    """The in-place version as a view, or None when it is deleted or
+    fails the label / property-equality filters."""
+    if record.deleted:
+        return None
+    if label is not None and label not in record.labels:
+        return None
+    if prop is not None and record.properties.get(prop) != value:
+        return None
+    return current_view(record)
 
 
 class TemporalOpStats:
@@ -41,16 +57,24 @@ class TemporalOpStats:
     SnapshotCheck/TemporalCheck of Algorithm 2); reclaimed-version hits
     are counted by the history store as
     ``read_path.versions_served``, so the pair partitions every version
-    a temporal read returns.  Exported as ``metrics()["operators"]``
-    and snapshotted per-operator by ``PROFILE``.
+    a temporal read returns.  ``scan_candidates`` counts the gids the
+    unindexed scan visited (its roster's length, for a scan run to the
+    end) and ``roster_builds`` the rosters built to answer them.
+    Exported as ``metrics()["operators"]``; ``current_hits`` is also
+    snapshotted per-operator by ``PROFILE``.
     """
 
-    __slots__ = ("scans", "expands", "current_hits")
+    __slots__ = (
+        "scans",
+        "expands",
+        "current_hits",
+        "roster_builds",
+        "scan_candidates",
+    )
 
     def __init__(self) -> None:
-        self.scans = 0
-        self.expands = 0
-        self.current_hits = 0
+        for slot in self.__slots__:
+            setattr(self, slot, 0)
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -63,6 +87,11 @@ class TemporalOperators:
         self.storage = storage
         self.history = history
         self.stats = TemporalOpStats()
+        # Unindexed-scan candidate sets (see _roster): key ->
+        # (validity, roster).  A ("label", label) roster is a gid list;
+        # a ("value", label, prop) roster maps value -> gid list, or is
+        # None when some candidate's history could not be decoded.
+        self._rosters: dict[tuple, tuple[tuple[int, int], object]] = {}
 
     # -- per-object version retrieval (Algorithm 2 core) ------------------
 
@@ -130,7 +159,9 @@ class TemporalOperators:
         current-store candidates, so the indexed path skips objects
         whose every trace has been reclaimed (the same trade the
         paper's implementation makes — indexes live in the current
-        store).
+        store).  Otherwise the scan visits the filters' roster (see
+        :meth:`_roster`): current-store candidates ascending by gid,
+        then history-only ones.
         """
         self.stats.scans += 1
         candidates = self._index_candidates(label, prop, value)
@@ -138,64 +169,53 @@ class TemporalOperators:
             for gid in sorted(candidates):
                 yield from self._filtered_versions(txn, gid, cond, label, prop, value)
             return
-        seen: set[int] = set()
-        for record in self.storage.iter_vertex_records():
-            seen.add(record.gid)
+        stats = self.stats
+        vertex_record = self.storage.vertex_record
+        has_history = self.history.has_history
+        for gid in self._roster(label, prop, value):
+            stats.scan_candidates += 1
+            record = vertex_record(gid)
+            if record is None:
+                # Fully reclaimed: the history store is the only source.
+                yield from self._filtered_versions(txn, gid, cond, label, prop, value)
+                continue
             head = record.delta_head
             if cond.is_point and record.tt_start <= cond.t1:
                 # The visible current version *is* the version at t
                 # (Algorithm 2's flag, decided without touching the
                 # chain) — provided the head is committed within our
                 # snapshot so the in-place state is the visible one.
+                # A head that is in-flight, uncommitted-ours, aborted-
+                # but-not-yet-unlinked, or newer than the snapshot
+                # takes the chain walk below, which applies the usual
+                # snapshot check per delta.
                 info = head.commit_info if head is not None else None
-                if info is None or (
+                settled = info is None or (
                     info.status == CommitStatus.COMMITTED
                     and info.commit_ts is not None
                     and info.commit_ts <= txn.start_ts
-                ):
-                    # Visibility is settled before the deleted check:
-                    # only a head committed within our snapshot (or no
-                    # head at all) reaches this branch, so the in-place
-                    # ``deleted`` flag is the state at t.  A head that
-                    # is in-flight, uncommitted-ours, aborted-but-not-
-                    # yet-unlinked, or newer than the snapshot falls
-                    # through to the chain walk below, which applies
-                    # the usual snapshot check per delta.
-                    if record.deleted:
-                        continue  # already deleted at t: no version
-                    if label is not None and label not in record.labels:
-                        continue
-                    if prop is not None and record.properties.get(prop) != value:
-                        continue
-                    self.stats.current_hits += 1
-                    yield VertexView(record)
-                    continue
-            if head is None and not self.history.has_history(
-                "vertex", record.gid
-            ):
-                # Fast path: a single-version object.  Filter on the
-                # record directly, skipping view materialization — this
+                )
+                in_window = True
+            else:
+                # A single-version object: filter on the record directly,
+                # skipping the chain walk and the history store — this
                 # is what keeps an unindexed temporal scan close to a
                 # plain Memgraph scan on mostly-static graphs.
-                if record.deleted:
-                    continue
-                if label is not None and label not in record.labels:
-                    continue
-                if prop is not None and record.properties.get(prop) != value:
-                    continue
-                if cond.matches(record.tt_start, MAX_TIMESTAMP):
-                    self.stats.current_hits += 1
-                    yield VertexView(record)
-                continue
-            yield from self._filtered_versions(
-                txn, record.gid, cond, label, prop, value
-            )
-        # Vertices that exist only in the history store.
-        for gid in self.history.sorted_known_gids("vertex"):
-            if gid not in seen:
-                yield from self._filtered_versions(
-                    txn, gid, cond, label, prop, value
+                settled = head is None and not has_history("vertex", gid)
+                in_window = cond.matches(record.tt_start, MAX_TIMESTAMP)
+            if settled:
+                view = (
+                    _current_match(record, label, prop, value) if in_window else None
                 )
+                # Writers chain their delta before changing the record in
+                # place, so an unchanged head means the state just read
+                # is the one the decision above was made for.
+                if record.delta_head is head:
+                    if view is not None:
+                        stats.current_hits += 1
+                        yield view
+                    continue
+            yield from self._filtered_versions(txn, gid, cond, label, prop, value)
 
     def _index_candidates(self, label, prop, value) -> Optional[set[int]]:
         if label is None:
@@ -210,8 +230,6 @@ class TemporalOperators:
     def _filtered_versions(
         self, txn, gid, cond, label, prop, value
     ) -> Iterator[VertexView]:
-        if not self._may_match(gid, label, prop, value):
-            return
         for view in self.vertex_versions(txn, gid, cond):
             if label is not None and label not in view.labels:
                 continue
@@ -219,53 +237,135 @@ class TemporalOperators:
                 continue
             yield view
 
-    def _may_match(self, gid: int, label, prop, value) -> bool:
-        """Cheap, sound pruning for label / property-equality filters.
+    # -- rosters: the unindexed scan's candidate sets ------------------------
+    #
+    # A version of a vertex can carry ``label`` (resp. ``prop == value``)
+    # only if the label (resp. the value) occurs in the current record,
+    # an unreclaimed undo delta, or a reclaimed backward diff — every
+    # historical state is reachable from those three sources.  A roster
+    # is that test run once over every gid, in the other direction:
+    # label -> gids, (label, prop) -> value -> gids.  Supersets are
+    # sound (the per-gid filters above still decide), so a roster stays
+    # valid while nothing can *add* a label or a value to a timeline:
+    # the history epoch (migration, prune, repair, invalidation) and
+    # the storage's vertex_generation (create, add_label, property
+    # writes, abort rollback) both unchanged.  Deletes, label removal
+    # and GC truncation only take away.
 
-        A version of the vertex can carry ``label`` (resp. ``prop ==
-        value``) only if the label (resp. the value) occurs in the
-        current record, an unreclaimed undo delta, or a reclaimed
-        backward diff — every historical state is reachable from those
-        three sources, so rejecting here can never lose a match.  This
-        keeps unindexed scans from reconstructing every updated vertex
-        per query.
+    def _roster(self, label, prop, value) -> Sequence[int]:
+        """The gids an unindexed scan with these filters must visit.
+
+        ``None`` and unhashable values narrow by label only (``None``
+        keeps the engine API's "property absent" meaning; an unhashable
+        value cannot key a roster).  ``label=None`` means every vertex.
         """
-        if label is None and prop is None:
-            return True
-        label_ok = label is None
-        prop_ok = prop is None
-        record = self.storage.vertex_record(gid)
-        if record is not None:
-            if not label_ok and label in record.labels:
-                label_ok = True
-            if not prop_ok and record.properties.get(prop) == value:
-                prop_ok = True
+        if prop is not None and value is not None:
+            try:
+                hash(value)
+            except TypeError:
+                pass
+            else:
+                by_value = self._memoized(
+                    ("value", label, prop), self._build_value_roster, label, prop
+                )
+                if by_value is not None:
+                    return by_value.get(value, ())
+        return self._memoized(("label", label), self._build_label_roster, label)
+
+    def _memoized(self, key: tuple, build, *args):
+        # Read the validity *before* building: a write landing during
+        # the build then makes the next reader rebuild.
+        validity = (self.history.epoch, self.storage.vertex_generation)
+        entry = self._rosters.get(key)
+        if entry is not None and entry[0] == validity:
+            return entry[1]
+        roster = build(*args)
+        self.stats.roster_builds += 1
+        self._rosters[key] = (validity, roster)
+        return roster
+
+    def _mention_reader(self):
+        """``gid -> (labels, {prop: values})`` of the vertex's reclaimed
+        history: empty for a vertex without history, ``None`` when its
+        records cannot be decoded (the gid then stays a candidate, and
+        a read that needs the damaged record fails there, exactly as a
+        direct read would)."""
+        known = self.history.known_gids("vertex")
+        mentions = self.history.vertex_mentions
+        nothing = (frozenset(), {})
+
+        def read(gid: int):
+            if gid not in known:
+                return nothing
+            try:
+                return mentions(gid)
+            except IntegrityError:
+                return None
+
+        return read
+
+    def _build_label_roster(self, label: Optional[str]) -> list[int]:
+        records = list(self.storage.iter_vertex_records())
+        present = {record.gid for record in records}
+        history_only = [
+            gid
+            for gid in self.history.sorted_known_gids("vertex")
+            if gid not in present
+        ]
+        if label is None:
+            return sorted(present) + history_only
+        read = self._mention_reader()
+
+        def mentioned(gid: int) -> bool:
+            mentions = read(gid)
+            return mentions is None or label in mentions[0]
+
+        current = []
+        for record in records:
+            if label in record.labels:
+                current.append(record.gid)
+                continue
             delta = record.delta_head
-            while delta is not None and not (label_ok and prop_ok):
-                action = delta.action
-                if not prop_ok and action == DeltaAction.SET_PROPERTY:
-                    name, old_value = delta.payload
-                    if name == prop and old_value == value:
-                        prop_ok = True
-                elif not label_ok and action in (
-                    DeltaAction.ADD_LABEL,
-                    DeltaAction.REMOVE_LABEL,
-                ):
-                    if delta.payload == label:
-                        label_ok = True
+            while delta is not None and not (
+                delta.payload == label and delta.action in _LABEL_UNDO
+            ):
                 delta = delta.next
-        if label_ok and prop_ok:
-            return True
-        if not self.history.has_history("vertex", gid):
-            return False
-        labels_mentioned, values_mentioned = self.history.vertex_mentions(gid)
-        if not label_ok and label in labels_mentioned:
-            label_ok = True
-        if not prop_ok:
-            bucket = values_mentioned.get(prop)
-            if bucket is not None and value in bucket:
-                prop_ok = True
-        return label_ok and prop_ok
+            if delta is not None or mentioned(record.gid):
+                current.append(record.gid)
+        current.sort()
+        current.extend(gid for gid in history_only if mentioned(gid))
+        return current
+
+    def _build_value_roster(self, label: Optional[str], prop: str):
+        by_value: dict = {}
+        vertex_record = self.storage.vertex_record
+        read = self._mention_reader()
+        for gid in self._memoized(("label", label), self._build_label_roster, label):
+            values = []
+            record = vertex_record(gid)
+            if record is not None:
+                values.append(record.properties.get(prop))
+                delta = record.delta_head
+                while delta is not None:
+                    if delta.action == DeltaAction.SET_PROPERTY:
+                        name, old_value = delta.payload
+                        if name == prop:
+                            values.append(old_value)
+                    delta = delta.next
+            mentions = read(gid)
+            if mentions is None:
+                return None  # narrow by label only
+            values.extend(mentions[1].get(prop, ()))
+            for candidate in values:
+                if candidate is None:
+                    continue
+                try:
+                    gids = by_value.setdefault(candidate, [])
+                except TypeError:
+                    continue  # unhashable: never equal to a roster key
+                if not gids or gids[-1] != gid:
+                    gids.append(gid)
+        return by_value
 
     # -- expand (Algorithm 3) -----------------------------------------------------
 

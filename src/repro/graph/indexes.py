@@ -29,20 +29,23 @@ class _LabelPropertyIndex:
         self.label = label
         self.prop = prop
         self.by_value: dict[Any, set[int]] = {}
-        self._sorted_values: list = []
+        # Distinct values in ascending order; ``None`` once two values
+        # failed to compare (mixed types).  Ordering lost stays lost:
+        # range lookups then scan every bucket.
+        self._sorted_values: Optional[list] = []
 
     def add(self, value: Any, gid: int) -> None:
         try:
             bucket = self.by_value.get(value)
         except TypeError:
-            return  # unhashable value: not indexable
+            return  # unhashable value: not indexable (lookups fall back)
         if bucket is None:
             self.by_value[value] = {gid}
-            try:
-                bisect.insort(self._sorted_values, value)
-            except TypeError:
-                # mixed-type values: keep equality lookups, drop ordering
-                self._sorted_values = []
+            if self._sorted_values is not None:
+                try:
+                    bisect.insort(self._sorted_values, value)
+                except TypeError:
+                    self._sorted_values = None
         else:
             bucket.add(gid)
 
@@ -57,7 +60,7 @@ class _LabelPropertyIndex:
         self, low: Any, high: Any, include_low: bool, include_high: bool
     ) -> set[int]:
         result: set[int] = set()
-        if self._sorted_values:
+        if self._sorted_values is not None:
             lo = (
                 bisect.bisect_left(self._sorted_values, low)
                 if include_low
@@ -163,7 +166,13 @@ class IndexRegistry:
     def candidates_by_value(
         self, label: str, prop: str, value: Any
     ) -> Optional[set[int]]:
-        """Candidate gids for ``:label {prop: value}``, or None."""
+        """Candidate gids for ``:label {prop: value}``, or None when
+        unindexed — which an unhashable value (a list, a map) always
+        is: the index never holds one."""
+        try:
+            hash(value)
+        except TypeError:
+            return None
         with self._lock:
             index = self._label_props.get((label, prop))
             return index.lookup(value) if index is not None else None

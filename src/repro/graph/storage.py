@@ -20,6 +20,7 @@ clears the vertex.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any, Iterator, Optional
 
@@ -76,8 +77,17 @@ class GraphStorage:
     """Vertex/edge maps with MVCC write protocol and visibility reads."""
 
     def __init__(self, manager: Optional[TransactionManager] = None) -> None:
+        #: Changes after every vertex write that can add a label or a
+        #: property value to a gid's timeline (create, add_label,
+        #: set_vertex_property, an abort rollback step); deletes and
+        #: label removal only take away.  Each change draws a fresh
+        #: value from a counter, so a value is never seen twice even
+        #: when concurrent writers store out of order — memoized
+        #: candidate sets key their validity on it.
+        self.vertex_generation = 0
+        self._vertex_generations = itertools.count(1)
         self.manager = manager if manager is not None else TransactionManager()
-        self.manager.set_undo_applier(apply_undo_to_record)
+        self.manager.set_undo_applier(self._undo)
         self._gids = GidAllocator()
         self._vertices: dict[int, VertexRecord] = {}
         self._edges: dict[int, EdgeRecord] = {}
@@ -165,11 +175,14 @@ class GraphStorage:
         self.constraints.check_new_vertex(
             txn, record.gid, record.labels, record.properties
         )
+        # The undo of a create: the object did not exist before.  It is
+        # chained before the record is published, so no reader ever
+        # finds the record without it (and takes it for committed).
+        self._push_delta(txn, record, DeltaAction.DELETE_OBJECT, None)
         with self._lock:
             self._vertices[record.gid] = record
-        # The undo of a create: the object did not exist before.
-        self._push_delta(txn, record, DeltaAction.DELETE_OBJECT, None)
         self.indexes.notify_vertex_write(record, txn)
+        self._advance_vertex_generation()
         return record.gid
 
     def add_label(self, txn: Transaction, gid: int, label: str) -> bool:
@@ -183,6 +196,7 @@ class GraphStorage:
         self._push_delta(txn, record, DeltaAction.REMOVE_LABEL, label)
         record.labels.add(label)
         self.indexes.notify_vertex_write(record, txn)
+        self._advance_vertex_generation()
         return True
 
     def remove_label(self, txn: Transaction, gid: int, label: str) -> bool:
@@ -204,6 +218,7 @@ class GraphStorage:
         record = self._writable_vertex(txn, gid)
         self._set_property(txn, record, name, value)
         self.indexes.notify_vertex_write(record, txn)
+        self._advance_vertex_generation()
 
     def delete_vertex(
         self, txn: Transaction, gid: int, detach: bool = True
@@ -253,9 +268,9 @@ class GraphStorage:
         target = self._writable_vertex(txn, to_gid)
         record = EdgeRecord(self._claim_gid(gid), edge_type, from_gid, to_gid)
         record.properties.update(properties)
+        self._push_delta(txn, record, DeltaAction.DELETE_OBJECT, None)
         with self._lock:
             self._edges[record.gid] = record
-        self._push_delta(txn, record, DeltaAction.DELETE_OBJECT, None)
         out_ref = EdgeRef(edge_type, to_gid, record.gid)
         in_ref = EdgeRef(edge_type, from_gid, record.gid)
         self._push_delta(txn, source, DeltaAction.REMOVE_OUT_EDGE, tuple(out_ref))
@@ -328,6 +343,17 @@ class GraphStorage:
             record.properties.pop(name, None)
         else:
             record.properties[name] = value
+
+    def _advance_vertex_generation(self) -> None:
+        self.vertex_generation = next(self._vertex_generations)
+
+    def _undo(self, record, delta: Delta) -> None:
+        apply_undo_to_record(record, delta)
+        if isinstance(record, VertexRecord):
+            # Abort restores the in-place state *before* unlinking the
+            # delta, so a reader can see the aborted value and then find
+            # no delta holding the restored one.
+            self._advance_vertex_generation()
 
     def _writable_vertex(self, txn: Transaction, gid: int) -> VertexRecord:
         txn.check_active()

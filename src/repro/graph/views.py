@@ -24,10 +24,12 @@ class VertexView:
     """One version of a vertex, detached from the record.
 
     Views are copy-on-write: construction *shares* the record's label
-    set, property map and adjacency lists (scans materialize a view per
-    candidate, so this keeps an unindexed scan allocation-free) and the
-    shared containers are only copied by the first mutating step.
-    Treat views as read-only snapshots; mutate through the engine API.
+    set, property map and adjacency lists (a snapshot scan materializes
+    a view per record, so this keeps it allocation-free).  Labels and
+    properties are copied by the first step that changes either, the
+    adjacency lists by the first structural step.  Temporal
+    reads start from :func:`current_view` instead.  Treat views as
+    read-only snapshots; mutate through the engine API.
     """
 
     __slots__ = (
@@ -39,7 +41,8 @@ class VertexView:
         "exists",
         "tt_start",
         "tt_end",
-        "_owned",
+        "_owns_content",
+        "_owns_edges",
     )
 
     def __init__(self, record: VertexRecord) -> None:
@@ -51,15 +54,25 @@ class VertexView:
         self.exists = not record.deleted
         self.tt_start = record.tt_start
         self.tt_end = MAX_TIMESTAMP
-        self._owned = False
+        self._owns_content = False
+        self._owns_edges = False
 
     def _own(self) -> None:
-        if not self._owned:
+        """Copy every container still shared with the record."""
+        self._own_content()
+        self._own_edges()
+
+    def _own_content(self) -> None:
+        if not self._owns_content:
             self.labels = set(self.labels)
             self.properties = dict(self.properties)
+            self._owns_content = True
+
+    def _own_edges(self) -> None:
+        if not self._owns_edges:
             self.out_edges = list(self.out_edges)
             self.in_edges = list(self.in_edges)
-            self._owned = True
+            self._owns_edges = True
 
     @classmethod
     def blank(cls, gid: int, tt_start: int, tt_end: int) -> "VertexView":
@@ -74,37 +87,37 @@ class VertexView:
         view.exists = False
         view.tt_start = tt_start
         view.tt_end = tt_end
-        view._owned = True
+        view._owns_content = view._owns_edges = True
         return view
 
     def step_back(self, delta: Delta) -> None:
         """Apply one undo delta, turning this view into the older version."""
         action = delta.action
         if action == DeltaAction.SET_PROPERTY:
-            self._own()
+            self._own_content()
             name, old_value = delta.payload
             if old_value is None:
                 self.properties.pop(name, None)
             else:
                 self.properties[name] = old_value
         elif action == DeltaAction.ADD_LABEL:
-            self._own()
+            self._own_content()
             self.labels.add(delta.payload)
         elif action == DeltaAction.REMOVE_LABEL:
-            self._own()
+            self._own_content()
             self.labels.discard(delta.payload)
         elif action == DeltaAction.ADD_OUT_EDGE:
-            self._own()
+            self._own_edges()
             self.out_edges.append(EdgeRef(*delta.payload))
         elif action == DeltaAction.ADD_IN_EDGE:
-            self._own()
+            self._own_edges()
             self.in_edges.append(EdgeRef(*delta.payload))
         elif action == DeltaAction.REMOVE_OUT_EDGE:
-            self._own()
+            self._own_edges()
             ref = EdgeRef(*delta.payload)
             self.out_edges = [r for r in self.out_edges if r.edge_gid != ref.edge_gid]
         elif action == DeltaAction.REMOVE_IN_EDGE:
-            self._own()
+            self._own_edges()
             ref = EdgeRef(*delta.payload)
             self.in_edges = [r for r in self.in_edges if r.edge_gid != ref.edge_gid]
         elif action == DeltaAction.RECREATE_OBJECT:
@@ -143,7 +156,7 @@ class EdgeView:
         "exists",
         "tt_start",
         "tt_end",
-        "_owned",
+        "_owns_content",
     )
 
     def __init__(self, record: EdgeRecord) -> None:
@@ -155,12 +168,12 @@ class EdgeView:
         self.exists = not record.deleted
         self.tt_start = record.tt_start
         self.tt_end = MAX_TIMESTAMP
-        self._owned = False
+        self._owns_content = False
 
     def _own(self) -> None:
-        if not self._owned:
+        if not self._owns_content:
             self.properties = dict(self.properties)
-            self._owned = True
+            self._owns_content = True
 
     @classmethod
     def blank(cls, gid: int, tt_start: int, tt_end: int) -> "EdgeView":
@@ -174,7 +187,7 @@ class EdgeView:
         view.exists = False
         view.tt_start = tt_start
         view.tt_end = tt_end
-        view._owned = True
+        view._owns_content = True
         return view
 
     def step_back(self, delta: Delta) -> None:
@@ -226,6 +239,23 @@ def visible_view(record, txn: Transaction):
     return view if view.exists else None
 
 
+def current_view(record):
+    """The record's in-place state as a view that owns its labels and
+    properties.  Writers change both in place, so a view sharing them
+    could show a later, uncommitted write to whoever reads it after it
+    was made; adjacency stays shared until a structural step.  Take the
+    view *before* reading the chain head: if a writer's change is in
+    the copy, its delta is then in the chain to be undone."""
+    if isinstance(record, VertexRecord):
+        view = VertexView(record)
+        view.labels = set(view.labels)
+    else:
+        view = EdgeView(record)
+    view.properties = dict(view.properties)
+    view._owns_content = True
+    return view
+
+
 def version_iterator(record, txn: Transaction) -> Iterator:
     """Yield every version of ``record`` in the current store, newest
     first, starting from the version visible to ``txn``.
@@ -236,7 +266,7 @@ def version_iterator(record, txn: Transaction) -> Iterator:
     version is surfaced for the temporal check.  Versions where the
     object did not exist are not yielded.
     """
-    view = VertexView(record) if isinstance(record, VertexRecord) else EdgeView(record)
+    view = current_view(record)
     delta = record.delta_head
     # First, roll back changes invisible to the snapshot (SnapshotCheck).
     while delta is not None and not delta_visible_at(delta, txn.start_ts, txn):
@@ -306,5 +336,8 @@ def _copy_view(view):
         elif isinstance(value, list):
             value = list(value)
         setattr(clone, slot, value)
-    clone._owned = True  # the clone got fresh containers above
+    # The clone got fresh containers above.
+    clone._owns_content = True
+    if isinstance(clone, VertexView):
+        clone._owns_edges = True
     return clone

@@ -399,11 +399,12 @@ class NodeScan(PhysicalOperator):
 
         An inline filter backed by a label+property index comes first:
         the index picks the candidates.  Otherwise the first pushed
-        ``WHERE`` equality on an unindexed property prunes candidates
-        one by one (``TemporalOperators._may_match``) but never moves
-        the scan onto an index, so the scan starts from the same
-        candidates as the ``Filter``-only plan.  A ``None`` value means
-        an equality with null.
+        ``WHERE`` equality on an unindexed property narrows a temporal
+        scan to the gids whose timeline ever held the value (the
+        ``(label, prop)`` roster of ``TemporalOperators._roster``) but
+        never moves the scan onto an index, so the scan starts from the
+        same candidates as the ``Filter``-only plan.  A ``None`` value
+        means an equality with null.
         """
         if label is None:
             return None, None

@@ -228,6 +228,28 @@ class TestIndexes:
         )
         assert result == {gids[4]}
 
+    def test_range_lookup_after_mixed_type_insert(self, storage):
+        """Once two values fail to compare, ordering stays lost: every
+        later range lookup scans all buckets instead of bisecting a
+        list that only holds the values inserted since."""
+        storage.create_label_property_index("P", "k")
+        txn = storage.manager.begin()
+        one = storage.create_vertex(txn, ["P"], {"k": 1})
+        text = storage.create_vertex(txn, ["P"], {"k": "a"})
+        five = storage.create_vertex(txn, ["P"], {"k": 5})
+        storage.manager.commit(txn)
+        indexes = storage.indexes
+        assert indexes.candidates_by_range("P", "k", 0, 10) == {one, five}
+        assert indexes.candidates_by_range("P", "k", "a", "b") == {text}
+        assert indexes.candidates_by_value("P", "k", 1) == {one}
+
+    def test_unhashable_value_is_unindexed(self, storage):
+        storage.create_label_property_index("P", "k")
+        txn = storage.manager.begin()
+        storage.create_vertex(txn, ["P"], {"k": [1, 2]})
+        storage.manager.commit(txn)
+        assert storage.indexes.candidates_by_value("P", "k", [1, 2]) is None
+
     def test_new_writes_enter_index(self, storage):
         self._load(storage)
         storage.create_label_property_index("P", "k")
