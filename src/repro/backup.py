@@ -10,25 +10,31 @@ commit point::
       MANIFEST                  JSON; every file's size + crc32, the
                                 archive watermark, a self-checksum
       checkpoint-<fence>/       verbatim copy of one engine checkpoint
-      wal/segment-000001.wal    raw engine-WAL frames (the kvstore WAL
-      wal/segment-000002.wal    framing: u32 len | u32 crc | payload)
+      wal/segment-000001.wal    engine-WAL frames (format owned by
+      wal/segment-000002.wal    repro.core.durability)
 
 Backups are **online and fuzzy**: :func:`create_backup` copies the
 source's checkpoint and WAL byte-for-byte while writers run, cutting
-the WAL capture at the last intact frame.  The copy is consistent
-without quiescing the engine because of the durability layer's own
-invariant — every committed transaction is either inside the current
-checkpoint (``commit_ts < fence``) or still in the WAL file — so a
-checkpoint plus any WAL suffix captured *after* it is gap-free.  A
-concurrent checkpoint *swap* (``checkpoint.install`` landing mid-walk)
-is detected by re-reading ``meta.bin`` after the walk and retrying the
-attempt.  The whole archive is staged in ``DEST.tmp`` and atomically
-renamed into place, so a crashed backup never leaves a torn ``DEST``.
+the WAL capture at a torn tail (a frame mid-append when the bytes were
+read).  Interior WAL damage refuses the backup with
+:class:`~repro.errors.CorruptionError` — the same classification
+recovery applies (:mod:`repro.common.framing`), so an archive never
+silently stops short of commits the source acknowledged.  The copy is
+consistent without quiescing the engine because of the durability
+layer's own invariant — every committed transaction is either inside
+the current checkpoint (``commit_ts < fence``) or still in the WAL
+file — so a checkpoint plus any WAL suffix captured *after* it is
+gap-free.  A concurrent checkpoint *swap* (``checkpoint.install``
+landing mid-walk) is detected by re-reading ``meta.bin`` after the
+walk and retrying the attempt.  The whole archive is staged in
+``DEST.tmp`` and atomically renamed into place, so a crashed backup
+never leaves a torn ``DEST``.
 
 ``--incremental`` appends a new WAL segment holding only the records
-past the previous watermark (byte-sliced at frame boundaries — frames
-are self-delimiting and checksummed, so segments concatenate) and, when
-the source has checkpointed since, a new ``checkpoint-<fence>/`` copy.
+past the previous watermark, each re-framed on its own
+(:func:`~repro.core.durability.txn_frame`; frames are self-delimiting,
+so segments concatenate) and, when the source has checkpointed since,
+a new ``checkpoint-<fence>/`` copy.
 Old segments and checkpoints are retained: every incremental *widens*
 the range of timestamps :func:`restore_backup` can reproduce.
 
@@ -54,11 +60,16 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.common.serde import decode_value, encode_value
-from repro.core.durability import CHECKPOINT_DIRNAME, WAL_FILENAME
+from repro.common.serde import decode_value
+from repro.core.durability import (
+    CHECKPOINT_DIRNAME,
+    WAL_FILENAME,
+    flatten,
+    parse_wal,
+    txn_frame,
+)
 from repro.errors import CorruptionError, StorageError
 from repro.faults import DEFAULT_IO, FAILPOINTS, StorageIO
-from repro.kvstore.wal import _HEADER
 
 SITE_BACKUP_COPY = "backup.copy"
 SITE_BACKUP_MANIFEST = "backup.manifest"
@@ -137,76 +148,20 @@ def restore_metrics() -> dict[str, Any]:
         return dict(_RESTORE_COUNTERS)
 
 
-# -- raw engine-WAL frames --------------------------------------------------
-
-
-def scan_wal_bytes(data: bytes) -> list[tuple[int, list, int, int]]:
-    """Parse raw engine-WAL bytes into ``[(ts, ops, start, end)]``.
-
-    Stops at the first torn, checksum-failing, or undecodable frame —
-    which for an online capture is exactly the fuzzy cut point (a
-    record mid-append when the bytes were read).  Never opens the file
-    through :class:`~repro.kvstore.wal.WriteAheadLog` (whose
-    constructor would create/extend the source file).
-    """
-    from repro.kvstore.wal import _decode_batch
-
-    records: list[tuple[int, list, int, int]] = []
-    pos = 0
-    size = len(data)
-    while pos + _HEADER.size <= size:
-        length, crc = _HEADER.unpack_from(data, pos)
-        start = pos + _HEADER.size
-        end = start + length
-        if end > size:
-            break  # torn tail
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            break
-        try:
-            for _key, blob in _decode_batch(payload):
-                if blob is None:
-                    continue
-                record = decode_value(blob)
-                records.append(
-                    (record["ts"],
-                     [list(op) for op in record["ops"]], pos, end)
-                )
-        except Exception:
-            break
-        pos = end
-    return records
-
-
-def _frame_record(ts: int, ops: list) -> bytes:
-    """Re-frame one logical record as a standalone WAL frame.
-
-    The live log may pack several commits into one group-commit frame,
-    in which case every record returned by :func:`scan_wal_bytes`
-    carries the *whole frame's* byte extent — slicing raw bytes per
-    record would archive (and on restore, replay) a shared frame once
-    per record, and a point-in-time cut could not land between two
-    records of one frame.  Archive segments and restored logs are
-    therefore *record*-granular: each selected record is re-encoded as
-    its own checksummed single-record frame.
-    """
-    from repro.kvstore.wal import _encode_batch
-
-    payload = _encode_batch(
-        [(b"txn", encode_value({"ts": ts, "ops": [list(op) for op in ops]}))]
-    )
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-
-
 # -- manifest ---------------------------------------------------------------
 
 
-def _manifest_bytes(doc: dict[str, Any]) -> bytes:
-    """Serialize a manifest with its self-checksum (crc32 over the
-    canonical JSON of everything *except* the checksum field)."""
+def _manifest_crc(doc: dict[str, Any]) -> int:
+    """crc32 over the canonical JSON of everything *except* the
+    checksum field."""
     body = {k: v for k, v in doc.items() if k != "crc32"}
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    body["crc32"] = zlib.crc32(canonical.encode("utf-8"))
+    return zlib.crc32(canonical.encode("utf-8"))
+
+
+def _manifest_bytes(doc: dict[str, Any]) -> bytes:
+    """Serialize a manifest with its self-checksum."""
+    body = dict(doc, crc32=_manifest_crc(doc))
     return (json.dumps(body, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -239,10 +194,7 @@ def read_manifest(directory) -> dict[str, Any]:
         raise CorruptionError(
             f"backup manifest at {path} is not valid JSON: {exc}"
         ) from exc
-    stored = doc.get("crc32")
-    body = {k: v for k, v in doc.items() if k != "crc32"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    if stored != zlib.crc32(canonical.encode("utf-8")):
+    if doc.get("crc32") != _manifest_crc(doc):
         raise CorruptionError(
             f"backup manifest at {path} failed its self-checksum"
         )
@@ -287,10 +239,12 @@ def _capture_source(source: Path) -> tuple[list, int, bytes, list]:
 
     Returns ``(checkpoint_files, fence, wal_bytes, wal_records)`` where
     ``checkpoint_files`` is ``[(relative_name, bytes)]``, ``fence`` is
-    the checkpoint's ``next_timestamp`` (0 without a checkpoint), and
-    ``wal_bytes`` is the WAL cut at the last intact frame.  Retries
-    when a concurrent checkpoint install swapped the directory
-    mid-walk (detected by comparing ``meta.bin`` before and after).
+    the checkpoint's ``next_timestamp`` (0 without a checkpoint),
+    ``wal_bytes`` is the WAL cut at a torn tail, and ``wal_records`` is
+    its ``[(commit_ts, ops)]``.  Interior WAL damage raises
+    :class:`CorruptionError`.  Retries when a concurrent checkpoint
+    install swapped the directory mid-walk (detected by comparing
+    ``meta.bin`` before and after).
     """
     ckpt = source / CHECKPOINT_DIRNAME
     meta_path = ckpt / "meta.bin"
@@ -327,9 +281,13 @@ def _capture_source(source: Path) -> tuple[list, int, bytes, list]:
                 continue
         except FileNotFoundError:
             continue  # a file vanished mid-swap; retry
-        records = scan_wal_bytes(wal_bytes)
-        valid = records[-1][3] if records else 0
-        return files, fence, wal_bytes[:valid], records
+        try:
+            scan = parse_wal(wal_bytes, strict=True)
+        except CorruptionError as exc:
+            raise CorruptionError(
+                f"refusing to back up {wal_path}: {exc}"
+            ) from exc
+        return files, fence, wal_bytes[:scan.valid_bytes], flatten(scan)
     raise StorageError(
         f"source checkpoint at {ckpt} kept changing across "
         f"{CAPTURE_ATTEMPTS} capture attempts; is a checkpoint loop "
@@ -360,6 +318,15 @@ class BackupReport:
 
 def _file_entry(name: str, data: bytes) -> dict[str, Any]:
     return {"name": name, "size": len(data), "crc32": zlib.crc32(data)}
+
+
+def _segment_entry(name: str, data: bytes, records: list) -> dict[str, Any]:
+    return dict(
+        _file_entry(name, data),
+        first_ts=records[0][0],
+        last_ts=records[-1][0],
+        records=len(records),
+    )
 
 
 def _copy_into(
@@ -436,14 +403,7 @@ def _full_backup_into(
     if wal_bytes:
         name = f"{WAL_DIRNAME}/segment-000001.wal"
         _copy_into(io, staging, name, wal_bytes)
-        segments.append({
-            "name": name,
-            "first_ts": records[0][0],
-            "last_ts": records[-1][0],
-            "records": len(records),
-            "size": len(wal_bytes),
-            "crc32": zlib.crc32(wal_bytes),
-        })
+        segments.append(_segment_entry(name, wal_bytes, records))
         manifest_files.append(_file_entry(name, wal_bytes))
         bytes_copied += len(wal_bytes)
     watermark = max(
@@ -514,19 +474,10 @@ def _incremental_backup(
         checkpoint_copied = True
     new_segments = 0
     if new_records:
-        blob = b"".join(
-            _frame_record(ts, ops) for ts, ops, _start, _end in new_records
-        )
+        blob = b"".join(txn_frame(ts, ops) for ts, ops in new_records)
         name = f"{WAL_DIRNAME}/segment-{len(segments) + 1:06d}.wal"
         _copy_into(io, dest, name, blob)
-        segments.append({
-            "name": name,
-            "first_ts": new_records[0][0],
-            "last_ts": new_records[-1][0],
-            "records": len(new_records),
-            "size": len(blob),
-            "crc32": zlib.crc32(blob),
-        })
+        segments.append(_segment_entry(name, blob, new_records))
         files.append(_file_entry(name, blob))
         bytes_copied += len(blob)
         files_copied += 1
@@ -597,11 +548,9 @@ def verify_backup(directory) -> tuple[dict[str, Any], list[dict[str, Any]]]:
             "detail": detail,
         })
 
-    missing: set[str] = set()
     for entry in manifest["files"]:
         path = directory / entry["name"]
         if not path.exists():
-            missing.add(entry["name"])
             _finding("missing-file", entry["name"],
                      "listed in the manifest but absent")
             continue
@@ -615,13 +564,20 @@ def verify_backup(directory) -> tuple[dict[str, Any], list[dict[str, Any]]]:
             _finding("checksum-mismatch", entry["name"],
                      "file bytes fail the manifest crc32")
     for seg in manifest["segments"]:
-        if seg["name"] in missing:
-            continue
         path = directory / seg["name"]
         if not path.exists():
             continue
-        parsed = scan_wal_bytes(path.read_bytes())
-        if len(parsed) != seg["records"]:
+        scan = parse_wal(path.read_bytes())
+        parsed = flatten(scan)
+        # A torn tail is a short parse; only interior damage is
+        # corruption — the classification recovery applies to the log.
+        if scan.corruption:
+            _finding(
+                "segment-corruption", seg["name"],
+                f"interior damage at byte {scan.valid_bytes}; "
+                f"{len(parsed)} of {seg['records']} records readable",
+            )
+        elif len(parsed) != seg["records"]:
             _finding(
                 "segment-structure", seg["name"],
                 f"manifest says {seg['records']} records, "
@@ -744,7 +700,7 @@ def restore_backup(
         with open(staging / WAL_FILENAME, "ab") as handle:
             for seg in manifest["segments"]:
                 data = (backup_dir / seg["name"]).read_bytes()
-                for ts, ops, _start, _end in scan_wal_bytes(data):
+                for ts, ops in flatten(parse_wal(data, strict=True)):
                     if ts > as_of:
                         beyond += 1
                         continue
@@ -752,10 +708,11 @@ def restore_backup(
                         if ts < fence:
                             in_checkpoint += 1
                         continue
-                    # Record-granular re-framing: see _frame_record —
-                    # a raw byte slice could carry a whole shared
-                    # group-commit frame per record.
-                    frame = _frame_record(ts, ops)
+                    # Record-granular re-framing: a group-commit frame
+                    # holds several records, so a raw byte slice per
+                    # record would replay the shared frame once per
+                    # record, and an as-of cut could not land inside it.
+                    frame = txn_frame(ts, ops)
                     io.append(handle, frame, SITE_RESTORE_REPLAY)
                     emitted = ts
                     replayed += 1
@@ -805,7 +762,6 @@ __all__ = [
     "verify_backup",
     "read_manifest",
     "write_manifest",
-    "scan_wal_bytes",
     "backup_metrics",
     "restore_metrics",
     "reset_metrics",

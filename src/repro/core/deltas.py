@@ -26,27 +26,26 @@ Topology record (segment ``T``, keyed by the vertex gid)
 Checksum envelope
 -----------------
 
-Every record value staged by ``Migrate()`` is wrapped in a 5-byte
-envelope: ``0x01 | crc32(body, 4 bytes BE) | body``.  The sstable
-footer only protects a table between encode and decode; the envelope
-protects the *record* end to end — a payload bit-flipped after the
-table checksum was computed (in the memtable, in a cache, by a buggy
-compaction) fails verification at decode time with
-:class:`~repro.errors.IntegrityError`.  The leading ``0x01`` byte is
+Every record value staged by ``Migrate()`` is sealed in the checksum
+envelope of :mod:`repro.common.framing`.  The sstable footer only
+protects a table between encode and decode; the envelope protects the
+*record* end to end — a payload bit-flipped after the table checksum
+was computed (in the memtable, in a cache, by a buggy compaction)
+fails verification at decode time with
+:class:`~repro.errors.IntegrityError`.  The envelope's lead byte is
 unambiguous because bare serde values always start with an ASCII tag
-letter, so records written before this format (no envelope) still
-decode — counted as *legacy* rather than rejected.
+letter, so records written before the envelope existed still decode —
+counted as *legacy* rather than rejected.
 """
 
 from __future__ import annotations
 
-import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.common.framing import ENVELOPE_MAGIC, seal, unseal
 from repro.common.serde import decode_value, encode_value
-from repro.errors import IntegrityError
+from repro.errors import CorruptionError, IntegrityError
 from repro.core.keys import (
     SEGMENT_EDGE,
     SEGMENT_TOPOLOGY,
@@ -60,18 +59,10 @@ EXISTENCE_UNCHANGED = 0
 OLDER_EXISTS = 1  # the transaction deleted the object
 OLDER_MISSING = 2  # the transaction created the object
 
-#: First byte of a checksummed record value (serde tags are ASCII
-#: letters, so this never collides with a bare legacy payload).
-ENVELOPE_MAGIC = b"\x01"
-
-_ENVELOPE_CRC = struct.Struct(">I")
-ENVELOPE_OVERHEAD = len(ENVELOPE_MAGIC) + _ENVELOPE_CRC.size
-
 
 def encode_record_payload(payload: dict[str, Any]) -> bytes:
     """Serialize a record payload inside the checksum envelope."""
-    body = encode_value(payload)
-    return ENVELOPE_MAGIC + _ENVELOPE_CRC.pack(zlib.crc32(body)) + body
+    return seal(encode_value(payload))
 
 
 def decode_record_payload(data: bytes) -> tuple[dict[str, Any], bool]:
@@ -84,18 +75,13 @@ def decode_record_payload(data: bytes) -> tuple[dict[str, Any], bool]:
     count them).  Raises :class:`~repro.errors.IntegrityError` on a
     checksum mismatch or an undecodable body.
     """
-    if data[:1] == ENVELOPE_MAGIC:
-        if len(data) < ENVELOPE_OVERHEAD:
-            raise IntegrityError("history record envelope truncated")
-        (expected,) = _ENVELOPE_CRC.unpack_from(data, 1)
-        body = data[ENVELOPE_OVERHEAD:]
-        if zlib.crc32(body) != expected:
-            raise IntegrityError(
-                "history record payload checksum mismatch "
-                f"(stored {expected:#010x}, computed {zlib.crc32(body):#010x})"
-            )
-        return _decode_body(body), True
-    return _decode_body(data), False
+    if data[:1] != ENVELOPE_MAGIC:
+        return _decode_body(data), False
+    try:
+        body = unseal(data)
+    except CorruptionError as exc:
+        raise IntegrityError(f"history record {exc}") from exc
+    return _decode_body(body), True
 
 
 def _decode_body(body: bytes) -> dict[str, Any]:

@@ -32,13 +32,20 @@ Crash-consistency contract
   :class:`RecoveryReport` and, with ``strict_recovery=True``, raised
   as :class:`~repro.errors.CorruptionError`.
 
-WAL record payload (framed/checksummed by the kvstore WAL machinery)::
+Engine-WAL record
+-----------------
+
+This module owns the record; :mod:`repro.common.framing` owns the
+frame around it.  A frame's payload is a KV-WAL batch
+(:func:`repro.kvstore.wal.encode_batch`) holding one ``b"txn"`` op per
+committed transaction, whose value is the serde record::
 
     {"ts": commit_ts, "ops": [[opcode, ...args], ...]}
 
 opcodes: ``cv`` create vertex, ``ce`` create edge, ``svp``/``sep`` set
 vertex/edge property, ``al``/``rl`` add/remove label, ``dv``/``de``
-delete vertex/edge, ``vt`` set valid time.
+delete vertex/edge, ``vt`` set valid time.  Replication ships the same
+record body, sealed.
 """
 
 from __future__ import annotations
@@ -49,10 +56,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.common.framing import FrameScan, frame, scan_frames
 from repro.common.serde import decode_value, encode_value
 from repro.errors import CorruptionError, StorageError
 from repro.faults import FAILPOINTS, MODE_PARTIAL_FSYNC, MODE_TORN_WRITE
-from repro.kvstore.wal import WalScan, WriteAheadLog
+from repro.kvstore.wal import WriteAheadLog, decode_batch, encode_batch
 
 WAL_FILENAME = "engine.wal"
 CHECKPOINT_DIRNAME = "checkpoint"
@@ -82,6 +90,57 @@ FAILPOINTS.register(
     "checkpoint.install",
     "checkpoint.cleanup",
 )
+
+#: The KV-batch key every engine-WAL record is stored under.
+_TXN_KEY = b"txn"
+
+Record = tuple[int, list[tuple]]
+
+
+def encode_txn(commit_ts: int, ops: list) -> bytes:
+    """One committed transaction as an engine-WAL record body."""
+    return encode_value({"ts": commit_ts, "ops": [list(op) for op in ops]})
+
+
+def decode_txn(body: bytes) -> Record:
+    """Inverse of :func:`encode_txn`: ``(commit_ts, ops)`` with each op
+    a tuple.  Raises :class:`CorruptionError` when ``body`` does not
+    decode to a record."""
+    try:
+        record = decode_value(body)
+        return record["ts"], [tuple(op) for op in record["ops"]]
+    except (CorruptionError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptionError(f"undecodable engine-WAL record: {exc}") from exc
+
+
+def txn_frame(commit_ts: int, ops: list) -> bytes:
+    """One record as a standalone frame — byte-for-byte what
+    :meth:`EngineWal.append` writes for it."""
+    return frame(encode_batch([(_TXN_KEY, encode_txn(commit_ts, ops))]))
+
+
+def _decode_frame(payload: bytes) -> list[Record]:
+    return [
+        decode_txn(body)
+        for _key, body in decode_batch(payload)
+        if body is not None
+    ]
+
+
+def parse_wal(data: bytes, strict: bool = False) -> FrameScan:
+    """Classify raw engine-WAL bytes with the shared frame scanner.
+
+    ``payloads[i]`` is frame *i*'s ``[(commit_ts, ops), ...]`` (more
+    than one record for a group-commit frame).  A frame whose checksum
+    passes but whose records do not decode is corruption, exactly like
+    interior checksum damage.
+    """
+    return scan_frames(data, _decode_frame, strict)
+
+
+def flatten(scan: FrameScan) -> list[Record]:
+    """Every record of a :func:`parse_wal` scan, in log order."""
+    return [record for records in scan.payloads for record in records]
 
 
 @dataclass
@@ -169,15 +228,7 @@ class EngineWal:
         """
         if not records:
             return
-        ops = [
-            (
-                b"txn",
-                encode_value(
-                    {"ts": ts, "ops": [list(op) for op in journal]}
-                ),
-            )
-            for ts, journal in records
-        ]
+        ops = [(_TXN_KEY, encode_txn(ts, journal)) for ts, journal in records]
         with self._lock:
             mode = FAILPOINTS.check(SITE_GROUP_APPEND)
             if mode == MODE_TORN_WRITE:
@@ -192,54 +243,24 @@ class EngineWal:
                 self.fsyncs += 1
             self.records_appended += len(records)
 
-    def _scan_frames(
-        self, strict: bool = False
-    ) -> tuple[list[list[tuple[int, list[tuple]]]], WalScan]:
-        """Parse the log into per-frame record lists plus the raw scan.
+    def _scan_frames(self, strict: bool = False) -> FrameScan:
+        """The live log through :func:`parse_wal`'s decoder.
 
-        Frames are the unit of checksumming and truncation; each inner
-        list holds that frame's ``(commit_ts, ops)`` records (more than
-        one for a group-commit batch).
+        Frames are the unit of checksumming and truncation; the scan
+        is also what :meth:`repair` cuts back to.
         """
         with self._lock:
-            scan = self._wal.scan(strict=strict)
-        frames: list[list[tuple[int, list[tuple]]]] = []
-        for index, batch in enumerate(scan.batches):
-            try:
-                frame = []
-                for _key, payload in batch:
-                    if payload is None:
-                        continue
-                    record = decode_value(payload)
-                    frame.append(
-                        (record["ts"], [tuple(op) for op in record["ops"]])
-                    )
-            except Exception as exc:
-                if strict:
-                    raise CorruptionError(
-                        f"engine WAL record {index} has a valid checksum "
-                        f"but an undecodable payload: {exc}"
-                    ) from exc
-                scan.corruption = True
-                # Everything from the damaged record on is untrusted.
-                del scan.batches[index:]
-                del scan.extents[index:]
-                break
-            frames.append(frame)
-        return frames, scan
+            return self._wal.scan(strict, decode=_decode_frame)
 
-    def scan(self, strict: bool = False) -> tuple[list, WalScan]:
+    def scan(self, strict: bool = False) -> tuple[list[Record], FrameScan]:
         """Parse the log into ``[(commit_ts, ops), ...]`` plus the raw
-        :class:`~repro.kvstore.wal.WalScan`.
+        :class:`~repro.common.framing.FrameScan`.
 
-        A record whose framing checksum passes but whose payload fails
-        to decode is *corruption*, not a torn tail (torn writes cannot
-        produce a valid checksum): ``strict=True`` raises
-        :class:`CorruptionError`, otherwise replay stops there and the
-        scan is flagged.
+        ``strict=True`` raises :class:`CorruptionError` on corruption;
+        otherwise replay stops there and the scan is flagged.
         """
-        frames, scan = self._scan_frames(strict=strict)
-        return [record for frame in frames for record in frame], scan
+        scan = self._scan_frames(strict=strict)
+        return flatten(scan), scan
 
     def replay(self, strict: bool = False):
         """Yield ``(commit_ts, ops)`` in commit order; stops at a torn
@@ -252,30 +273,11 @@ class EngineWal:
         with self._lock:
             return self._wal.repair()
 
-    def records_with_extents(
-        self, strict: bool = False
-    ) -> list[tuple[int, list[tuple], int, int]]:
-        """``[(commit_ts, ops, start_byte, end_byte), ...]`` — the log
-        with each record's byte extent, for fence-aligned truncation
-        and replication catch-up scans.  Records packed into one
-        group-commit frame share that frame's extent (the frame is the
-        smallest truncatable unit)."""
-        frames, scan = self._scan_frames(strict=strict)
-        return [
-            (ts, ops, start, end)
-            for frame, (start, end) in zip(frames, scan.extents)
-            for ts, ops in frame
-        ]
-
-    def records_from(self, from_ts: int) -> list[tuple[int, list[tuple]]]:
+    def records_from(self, from_ts: int) -> list[Record]:
         """Records with ``commit_ts >= from_ts``, oldest first — the
         replication stream's catch-up path for ranges that have left
         the primary's in-memory ring (e.g. after a primary restart)."""
-        return [
-            (ts, ops)
-            for ts, ops, _start, _end in self.records_with_extents()
-            if ts >= from_ts
-        ]
+        return [(ts, ops) for ts, ops in self.scan()[0] if ts >= from_ts]
 
     def truncate(self) -> None:
         with self._lock:
@@ -295,16 +297,16 @@ class EngineWal:
         the latter is the new truncation fence.
         """
         with self._lock:
-            frames, scan = self._scan_frames()
+            scan = self._scan_frames()
             drop_bytes = 0
             dropped = 0
             fence = 0
-            for frame, (_start, end) in zip(frames, scan.extents):
-                if any(ts >= retain_ts for ts, _ops in frame):
+            for records, (_start, end) in zip(scan.payloads, scan.extents):
+                if any(ts >= retain_ts for ts, _ops in records):
                     break
                 drop_bytes = end
-                dropped += len(frame)
-                fence = max([fence] + [ts for ts, _ops in frame])
+                dropped += len(records)
+                fence = max([fence] + [ts for ts, _ops in records])
             if drop_bytes:
                 self._wal.drop_prefix(drop_bytes)
             return dropped, fence
@@ -315,7 +317,7 @@ class EngineWal:
 
 
 def replay_into(engine, wal: EngineWal, min_commit_ts: int = 0,
-                strict: bool = False) -> tuple[int, int, WalScan]:
+                strict: bool = False) -> tuple[int, int, FrameScan]:
     """Re-execute WAL transactions against ``engine``.
 
     Records with ``commit_ts < min_commit_ts`` are skipped: they are

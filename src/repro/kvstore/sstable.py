@@ -11,7 +11,8 @@ Encoding::
 
     entry  := varint(klen) key varint(flag) [varint(vlen) value]
               flag 0 = value follows, flag 1 = tombstone
-    footer := u32 entry_count | u32 payload_crc32 | 8-byte magic
+    footer := u32 entry_count | u32 payload_crc32 | u32 bloom_length
+              | 8-byte magic
 """
 
 from __future__ import annotations
@@ -54,6 +55,40 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         if not byte & 0x80:
             return result, pos
         shift += 7
+
+
+def _encode_entries(entries, out: bytearray) -> None:
+    """Append ``entry`` encodings (the layout above) to ``out``; the
+    KV WAL's batch payload reuses it."""
+    for key, value in entries:
+        _write_varint(len(key), out)
+        out += key
+        if value is None:
+            _write_varint(1, out)
+        else:
+            _write_varint(0, out)
+            _write_varint(len(value), out)
+            out += value
+
+
+def _decode_entries(
+    data: bytes, pos: int, count: int
+) -> tuple[list[tuple[bytes, Optional[bytes]]], int]:
+    """Parse ``count`` entries starting at ``pos``; returns them and
+    the offset just past the last one."""
+    entries: list[tuple[bytes, Optional[bytes]]] = []
+    for _ in range(count):
+        klen, pos = _read_varint(data, pos)
+        key = data[pos:pos + klen]
+        pos += klen
+        flag, pos = _read_varint(data, pos)
+        if flag == 1:
+            entries.append((key, None))
+        else:
+            vlen, pos = _read_varint(data, pos)
+            entries.append((key, data[pos:pos + vlen]))
+            pos += vlen
+    return entries, pos
 
 
 class SSTable:
@@ -127,15 +162,7 @@ class SSTable:
         """Serialize the table (entries + checksummed footer)."""
         FAILPOINTS.check("kv.sstable.encode")
         payload = bytearray()
-        for key, value in zip(self._keys, self._values):
-            _write_varint(len(key), payload)
-            payload += key
-            if value is None:
-                _write_varint(1, payload)
-            else:
-                _write_varint(0, payload)
-                _write_varint(len(value), payload)
-                payload += value
+        _encode_entries(zip(self._keys, self._values), payload)
         bloom = self._bloom.encode()
         footer = _FOOTER.pack(
             len(self._keys), zlib.crc32(bytes(payload)), len(bloom), _MAGIC
@@ -164,19 +191,7 @@ class SSTable:
         bloom_bytes = body[len(body) - bloom_len:]
         if zlib.crc32(payload) != crc:
             raise CorruptionError("sstable payload checksum mismatch")
-        entries: list[tuple[bytes, Optional[bytes]]] = []
-        pos = 0
-        for _ in range(count):
-            klen, pos = _read_varint(payload, pos)
-            key = payload[pos:pos + klen]
-            pos += klen
-            flag, pos = _read_varint(payload, pos)
-            if flag == 1:
-                entries.append((key, None))
-            else:
-                vlen, pos = _read_varint(payload, pos)
-                entries.append((key, payload[pos:pos + vlen]))
-                pos += vlen
+        entries, pos = _decode_entries(payload, 0, count)
         if pos != len(payload):
             raise CorruptionError("trailing bytes in sstable payload")
         table = cls(entries)

@@ -28,13 +28,14 @@ import threading
 from pathlib import Path
 from typing import Iterator, Optional
 
+from repro.common.framing import FrameScan
 from repro.errors import KVStoreError
 from repro.faults import FAILPOINTS, DEFAULT_IO, StorageIO
 from repro.kvstore.api import StoreStats, WriteBatch, _check_key
 from repro.kvstore.iterator import bounded, merge_runs
 from repro.kvstore.memtable import MemTable
 from repro.kvstore.sstable import SSTable
-from repro.kvstore.wal import WalScan, WriteAheadLog
+from repro.kvstore.wal import WriteAheadLog
 from repro.observability import NULL_SPAN
 
 _DEFAULT_MEMTABLE_LIMIT = 4 * 1024 * 1024  # bytes, like a small RocksDB
@@ -96,7 +97,7 @@ class KVStore:
             else None
         )
         self.stats = StoreStats()
-        self.last_recovery_scan: Optional[WalScan] = None
+        self.last_recovery_scan: Optional[FrameScan] = None
         #: the owning engine's Tracer (or None): brackets flush and
         #: compaction with ``kv.*`` spans (see repro.observability)
         self.tracer = None
@@ -372,7 +373,7 @@ class KVStore:
         count = 0
         with self._lock:
             scan = self._wal.scan(strict=strict)
-            for ops in scan.batches:
+            for ops in scan.payloads:
                 for key, value in ops:
                     self._memtable.put(key, value)
                     count += 1

@@ -1,14 +1,12 @@
 """Write-ahead log for the key-value store.
 
-Each record is an atomic batch of operations; on recovery the log is
-replayed in order, and a torn final record (partial write during crash)
-is detected via its checksum and discarded, like RocksDB's WAL.
+Each record is an atomic batch of operations, written as one frame of
+:mod:`repro.common.framing` (which owns the frame layout and the
+torn-tail vs corruption rules); on recovery the log is replayed in
+order and a torn final frame is discarded, like RocksDB's WAL.  This
+module owns only the batch payload inside a frame::
 
-Record format::
-
-    u32 length | u32 crc32(payload) | payload
-    payload := varint(op_count) ( varint(klen) key
-                                  varint(flag) [varint(vlen) value] )*
+    payload := varint(op_count) entry*    (entry: repro.kvstore.sstable)
 
 Durability discipline: ``durability_mode="flush"`` stops at the OS
 buffer (fast, survives process death but not power loss);
@@ -16,91 +14,43 @@ buffer (fast, survives process death but not power loss);
 through :class:`repro.faults.StorageIO`, so every boundary — append,
 sync, truncate — is a registered failpoint site
 (``<site_prefix>.append`` / ``.sync`` / ``.truncate``).
-
-Recovery distinguishes a *torn tail* (an incomplete or garbage final
-record — the expected residue of a crash mid-append) from *corruption*
-(a damaged record with valid data after it — real on-disk damage that
-replay must not silently hide).  :meth:`WriteAheadLog.scan` reports
-both; ``strict=True`` escalates corruption to
-:class:`~repro.errors.CorruptionError`.
 """
 
 from __future__ import annotations
 
 import io
 import os
-import struct
-import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterator, Optional
+from typing import Any, BinaryIO, Callable, Iterator, Optional
 
+from repro.common.framing import FrameScan, frame, scan_frames
 from repro.errors import CorruptionError
 from repro.faults import FAILPOINTS, SimulatedCrash, StorageIO, torn_prefix
-from repro.kvstore.sstable import _read_varint, _write_varint
-
-_HEADER = struct.Struct(">II")
+from repro.kvstore.sstable import (
+    _decode_entries,
+    _encode_entries,
+    _read_varint,
+    _write_varint,
+)
 
 # The default site prefix; other prefixes (e.g. ``engine.wal``) are
 # registered by their owners, per-instance prefixes at construction.
 FAILPOINTS.register("kv.wal.append", "kv.wal.sync", "kv.wal.truncate")
 
 
-def _encode_batch(ops: list[tuple[bytes, Optional[bytes]]]) -> bytes:
+def encode_batch(ops: list[tuple[bytes, Optional[bytes]]]) -> bytes:
     payload = bytearray()
     _write_varint(len(ops), payload)
-    for key, value in ops:
-        _write_varint(len(key), payload)
-        payload += key
-        if value is None:
-            _write_varint(1, payload)
-        else:
-            _write_varint(0, payload)
-            _write_varint(len(value), payload)
-            payload += value
+    _encode_entries(ops, payload)
     return bytes(payload)
 
 
-def _decode_batch(payload: bytes) -> list[tuple[bytes, Optional[bytes]]]:
+def decode_batch(payload: bytes) -> list[tuple[bytes, Optional[bytes]]]:
     count, pos = _read_varint(payload, 0)
-    ops: list[tuple[bytes, Optional[bytes]]] = []
-    for _ in range(count):
-        klen, pos = _read_varint(payload, pos)
-        key = payload[pos:pos + klen]
-        pos += klen
-        flag, pos = _read_varint(payload, pos)
-        if flag == 1:
-            ops.append((key, None))
-        else:
-            vlen, pos = _read_varint(payload, pos)
-            ops.append((key, payload[pos:pos + vlen]))
-            pos += vlen
+    ops, pos = _decode_entries(payload, pos, count)
     if pos != len(payload):
         raise CorruptionError("trailing bytes in WAL record")
     return ops
-
-
-@dataclass
-class WalScan:
-    """What one pass over the log found.
-
-    ``torn_tail`` marks the expected crash residue (an incomplete or
-    checksum-failing *final* record); ``corruption`` marks a damaged
-    record *followed by valid bytes* — real damage, never produced by a
-    clean crash of an append-only writer.
-    """
-
-    batches: list = field(default_factory=list)
-    #: byte extent ``(start, end)`` of each intact record, in order —
-    #: lets callers map a record index to a truncation boundary (the
-    #: replication fence cuts the log at an extent edge)
-    extents: list = field(default_factory=list)
-    records: int = 0
-    bytes_scanned: int = 0
-    valid_bytes: int = 0  # offset just past the last intact record
-    bytes_discarded: int = 0
-    torn_tail: bool = False
-    corruption: bool = False
 
 
 class WriteAheadLog:
@@ -130,7 +80,7 @@ class WriteAheadLog:
         FAILPOINTS.register(
             self._site_append, self._site_sync, self._site_truncate
         )
-        self.last_scan: Optional[WalScan] = None
+        self.last_scan: Optional[FrameScan] = None
         if self._path is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             # A stale .tmp is the residue of a crash mid-truncate; the
@@ -166,8 +116,7 @@ class WriteAheadLog:
         logical records (the caller must invoke :meth:`sync` before
         acknowledging anything from the batch).
         """
-        payload = _encode_batch(ops)
-        record = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        record = frame(encode_batch(ops))
         self._io.append(self._file, record, self._site_append)
         if sync and self._io.fsync_enabled:
             self._synced = self._io.sync(
@@ -191,9 +140,7 @@ class WriteAheadLog:
         (``wal.group.append``), so tests can tear exactly the combined
         group-commit frame rather than an individual append.
         """
-        payload = _encode_batch(ops)
-        record = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        self._file.write(torn_prefix(record))
+        self._file.write(torn_prefix(frame(encode_batch(ops))))
         self._file.flush()
         raise SimulatedCrash(site)
 
@@ -220,26 +167,40 @@ class WriteAheadLog:
         self.truncate_to(0)
 
     def truncate_to(self, keep_bytes: int) -> None:
-        """Crash-safely cut the log back to its first ``keep_bytes``.
+        """Crash-safely cut the log back to its first ``keep_bytes``."""
+        self._rewrite(0, keep_bytes)
 
-        Write-new + atomic rename: the surviving prefix is written to a
-        temp file and renamed over the log, so a crash at any instant
-        leaves either the full old log or the exact truncated one —
-        never a half-valid file (the failure mode of truncating the
-        live file in place).
+    def drop_prefix(self, drop_bytes: int) -> None:
+        """Crash-safely discard the log's first ``drop_bytes``.
+
+        The complement of :meth:`truncate_to`: keeps the *suffix*.
+        Used by checkpoint truncation under replication, where records
+        past the slowest replica's acknowledged watermark must survive
+        even though the checkpoint has absorbed everything.
         """
+        if drop_bytes > 0:
+            self._rewrite(drop_bytes, None)
+
+    def _rewrite(self, start: int, stop: Optional[int]) -> None:
+        """Replace the log with its own bytes ``[start:stop]``.
+
+        Write-new + atomic rename: the kept bytes are written to a temp
+        file and renamed over the log, so a crash at any instant leaves
+        either the full old log or the exact new one — never a
+        half-valid file (the failure mode of truncating the live file
+        in place).  The rename is the ``<prefix>.truncate`` site.
+        """
+        # truncate() keeps nothing: skip reading the whole log.
+        kept = self._snapshot_bytes()[start:stop] if stop != 0 else b""
         if self._path is None:
-            data = self._file.getvalue()[:keep_bytes]
             self._io.registry.check(self._site_truncate)
             self._file = io.BytesIO()
-            self._file.write(data)
-            self._synced = keep_bytes
+            self._file.write(kept)
+            self._synced = len(kept)
             return
-        self._file.flush()
-        prefix = self._path.read_bytes()[:keep_bytes] if keep_bytes else b""
         tmp = self._tmp_path()
         with open(tmp, "wb") as handle:
-            handle.write(prefix)
+            handle.write(kept)
             handle.flush()
             if self._io.fsync_enabled:
                 os.fsync(handle.fileno())
@@ -251,99 +212,30 @@ class WriteAheadLog:
         self._file = open(self._path, "ab")
         self._synced = self._file.tell()
 
-    def drop_prefix(self, drop_bytes: int) -> None:
-        """Crash-safely discard the log's first ``drop_bytes``.
-
-        The complement of :meth:`truncate_to`: keeps the *suffix*.
-        Used by checkpoint truncation under replication, where records
-        past the slowest replica's acknowledged watermark must survive
-        even though the checkpoint has absorbed everything.  Same
-        write-new + atomic-rename discipline, same failpoint site.
-        """
-        if drop_bytes <= 0:
-            return
-        if self._path is None:
-            data = self._file.getvalue()[drop_bytes:]
-            self._io.registry.check(self._site_truncate)
-            self._file = io.BytesIO()
-            self._file.write(data)
-            self._synced = len(data)
-            return
-        self._file.flush()
-        suffix = self._path.read_bytes()[drop_bytes:]
-        tmp = self._tmp_path()
-        with open(tmp, "wb") as handle:
-            handle.write(suffix)
-            handle.flush()
-            if self._io.fsync_enabled:
-                os.fsync(handle.fileno())
-        self._io.rename(tmp, self._path, self._site_truncate)
-        self._file.close()
-        self._file = open(self._path, "ab")
-        self._synced = self._file.tell()
-
     # -- recovery -------------------------------------------------------
 
-    def scan(self, strict: bool = False) -> WalScan:
+    def scan(
+        self,
+        strict: bool = False,
+        decode: Callable[[bytes], Any] = decode_batch,
+    ) -> FrameScan:
         """Parse the whole log, classifying any damaged tail.
 
-        With ``strict=True``, corruption (a bad record that is *not*
-        the torn final one) raises :class:`CorruptionError` instead of
-        being flagged — callers that would rather refuse to open than
-        silently drop interior records.
+        ``payloads`` holds one ``decode``-d batch per intact frame (a
+        log whose frames carry another payload, like the engine WAL,
+        passes its own decoder).  With ``strict=True``, corruption
+        raises :class:`CorruptionError` instead of being flagged —
+        callers that would rather refuse to open than silently drop
+        interior records.
         """
-        data = self._snapshot_bytes()
-        scan = WalScan(bytes_scanned=len(data))
-        pos = 0
-        while pos < len(data):
-            if pos + _HEADER.size > len(data):
-                scan.torn_tail = True  # torn header: crash mid-write
-                break
-            length, crc = _HEADER.unpack_from(data, pos)
-            start = pos + _HEADER.size
-            end = start + length
-            if end > len(data):
-                scan.torn_tail = True  # torn payload
-                break
-            payload = data[start:end]
-            if zlib.crc32(payload) != crc:
-                if end == len(data):
-                    # Garbage final record: expected crash residue.
-                    scan.torn_tail = True
-                else:
-                    # Damaged record with bytes *after* it: an
-                    # append-only crash cannot produce this.
-                    if strict:
-                        raise CorruptionError(
-                            f"WAL record at offset {pos} failed its "
-                            f"checksum but {len(data) - end} valid bytes "
-                            "follow: interior corruption, not a torn tail"
-                        )
-                    scan.corruption = True
-                break
-            try:
-                batch = _decode_batch(payload)
-            except CorruptionError:
-                # Checksum passed but the payload is malformed:
-                # software-level damage, never a torn write.
-                if strict:
-                    raise
-                scan.corruption = True
-                break
-            scan.batches.append(batch)
-            scan.extents.append((pos, end))
-            scan.records += 1
-            pos = end
-            scan.valid_bytes = pos
-        scan.bytes_discarded = len(data) - scan.valid_bytes
-        self.last_scan = scan
-        return scan
+        self.last_scan = scan_frames(self._snapshot_bytes(), decode, strict)
+        return self.last_scan
 
     def replay(
         self, strict: bool = False
     ) -> Iterator[list[tuple[bytes, Optional[bytes]]]]:
         """Yield batches in append order; stop at the first torn record."""
-        yield from self.scan(strict=strict).batches
+        yield from self.scan(strict=strict).payloads
 
     def repair(self) -> bool:
         """Crash-safely drop a damaged tail found by the last scan.

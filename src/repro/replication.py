@@ -41,9 +41,9 @@ disconnect), restores it, adopts the restored state in place
 the snapshot watermark.  Only a primary with no durability directory
 still surfaces the old terminal condition.
 
-Record envelope (the PR 3 checksum discipline, applied to the wire)::
-
-    0x01 | u32 crc32(body) | body        body = serde({"ts", "ops"})
+Each shipped record is an engine-WAL record body
+(:func:`repro.core.durability.encode_txn`) sealed in the checksum
+envelope of :mod:`repro.common.framing`.
 
 The stream's failpoint sites are ``repl.stream.write`` (evaluated on
 the primary while building a fetch response; ``torn-write`` damages
@@ -58,7 +58,6 @@ from __future__ import annotations
 import base64
 import os
 import shutil
-import struct
 import threading
 import time
 import zlib
@@ -67,7 +66,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.common.serde import decode_value, encode_value
+from repro.common.framing import seal, unseal
+from repro.core.durability import decode_txn, encode_txn
 from repro.errors import (
     CorruptionError,
     FaultInjected,
@@ -121,12 +121,6 @@ SNAPSHOT_CHUNK_BYTES = 1 << 20
 #: attempt is abandoned (it retries from scratch on the next loop).
 SNAPSHOT_CHUNK_RETRIES = 8
 
-#: Envelope version byte (mirrors the history store's checksum
-#: envelope from the integrity layer).
-ENVELOPE_VERSION = 0x01
-
-_CRC = struct.Struct(">I")
-
 #: Retry schedule for a runner's reconnect attempts between lease checks.
 RUNNER_POLICY = RetryPolicy(max_attempts=3, base_delay=0.02, max_delay=0.2)
 
@@ -136,38 +130,14 @@ RUNNER_POLICY = RetryPolicy(max_attempts=3, base_delay=0.02, max_delay=0.2)
 
 def encode_record(commit_ts: int, ops: list[tuple]) -> bytes:
     """One WAL record in its checksummed wire envelope."""
-    body = encode_value({"ts": commit_ts, "ops": [list(op) for op in ops]})
-    return (
-        bytes([ENVELOPE_VERSION]) + _CRC.pack(zlib.crc32(body)) + body
-    )
+    return seal(encode_txn(commit_ts, ops))
 
 
 def decode_record(blob: bytes) -> tuple[int, list[tuple]]:
     """Verify and unwrap one envelope; raises
     :class:`~repro.errors.CorruptionError` on any damage — a torn or
     bit-flipped record must never be applied."""
-    if len(blob) < 1 + _CRC.size:
-        raise CorruptionError(
-            f"replication envelope truncated ({len(blob)} bytes)"
-        )
-    if blob[0] != ENVELOPE_VERSION:
-        raise CorruptionError(
-            f"unknown replication envelope version {blob[0]:#x}"
-        )
-    (crc,) = _CRC.unpack_from(blob, 1)
-    body = blob[1 + _CRC.size:]
-    if zlib.crc32(body) != crc:
-        raise CorruptionError("replication record failed its checksum")
-    try:
-        record = decode_value(body)
-        return record["ts"], [tuple(op) for op in record["ops"]]
-    except CorruptionError:
-        raise
-    except Exception as exc:
-        raise CorruptionError(
-            f"replication record has a valid checksum but an "
-            f"undecodable payload: {exc}"
-        ) from exc
+    return decode_txn(unseal(blob))
 
 
 def pack_records(records: list[tuple[int, list[tuple]]]) -> list[str]:
@@ -1328,7 +1298,6 @@ __all__ = [
     "SITE_SNAPSHOT_WRITE",
     "SNAPSHOT_DIRNAME",
     "SNAPSHOT_CHUNK_BYTES",
-    "ENVELOPE_VERSION",
     "ReplicationConfig",
     "ReplicationState",
     "ReplicaInfo",

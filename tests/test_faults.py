@@ -221,7 +221,7 @@ class TestWalFaults:
             wal.append([(b"b", b"2")])
         recovered = WriteAheadLog(tmp_path / "w.log")
         scan = recovered.scan()
-        assert scan.batches == [[(b"a", b"1")]]
+        assert scan.payloads == [[(b"a", b"1")]]
         assert scan.torn_tail and not scan.corruption
         assert scan.bytes_discarded > 0
         recovered.close()
@@ -251,7 +251,7 @@ class TestWalFaults:
             wal.append([(b"b", b"2")])
         recovered = WriteAheadLog(tmp_path / "w.log")
         scan = recovered.scan()
-        assert scan.batches == [[(b"a", b"1")]]
+        assert scan.payloads == [[(b"a", b"1")]]
         assert scan.torn_tail
         recovered.close()
         wal.close()
@@ -286,7 +286,7 @@ class TestWalFaults:
         (tmp_path / "w.log").write_bytes(bytes(data))
         recovered = WriteAheadLog(tmp_path / "w.log")
         scan = recovered.scan()
-        assert scan.batches == [[(b"a", b"1")]]
+        assert scan.payloads == [[(b"a", b"1")]]
         assert scan.corruption and not scan.torn_tail
         with pytest.raises(CorruptionError):
             recovered.scan(strict=True)
@@ -302,7 +302,7 @@ class TestWalFaults:
         (tmp_path / "w.log").write_bytes(bytes(data))
         recovered = WriteAheadLog(tmp_path / "w.log")
         scan = recovered.scan(strict=True)  # strict tolerates torn tails
-        assert scan.batches == [[(b"a", b"1")]]
+        assert scan.payloads == [[(b"a", b"1")]]
         assert scan.torn_tail and not scan.corruption
         recovered.close()
 
