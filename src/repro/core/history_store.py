@@ -32,7 +32,7 @@ from repro.core.reconstruct import (
     vertex_view_from_anchor,
 )
 from repro.core.temporal import TemporalCondition
-from repro.graph.views import EdgeView, VertexView, _copy_view as _clone
+from repro.graph.views import EdgeView, VertexView
 from repro.kvstore import KVStore, WriteBatch
 
 FAILPOINTS.register("history.fetch")
@@ -465,7 +465,7 @@ class HistoricalStore:
             return
         for tt_start, tt_end, frozen in reversed(versions):
             if frozen is not None and cond.matches(tt_start, tt_end):
-                yield _clone(frozen)
+                yield frozen.fork()
 
     # -- reconstruction cache ---------------------------------------------
     #
@@ -539,7 +539,7 @@ class HistoricalStore:
         self, object_kind: str, segment: bytes, gid: int, base_view
     ) -> tuple[list, int]:
         if base_view is not None:
-            base = _clone(base_view)
+            base = base_view.fork()
         else:
             newest_end = self._newest_record_end(segment, gid)
             if newest_end is None:
@@ -559,7 +559,7 @@ class HistoricalStore:
             self._apply(base, seg, payload, tt_start, tt_end)
             if seg != history_keys.SEGMENT_TOPOLOGY:
                 versions.append(
-                    (tt_start, tt_end, _clone(base) if base.exists else None)
+                    (tt_start, tt_end, base.fork() if base.exists else None)
                 )
         versions.reverse()  # ascending by tt_end for bisect serving
         return versions, replays
@@ -568,31 +568,37 @@ class HistoricalStore:
         self, segment: bytes, gid: int, versions: list, cond: TemporalCondition
     ) -> Iterator:
         """State-at-t from the cached list: bisect to the content
-        version containing ``t``, then apply the few topology records
-        ending in ``(t, version end]`` — the frozen view was captured
-        just after its content record, i.e. with only the structural
-        changes *newer* than the version already undone."""
+        version containing ``t`` and serve a fork of its frozen view.
+
+        The frozen view was captured just after its content record,
+        i.e. with only the structural changes *newer* than the version
+        already undone; the state at ``t`` also undoes the topology
+        records ending in ``(t, version end]``.  The fork carries that
+        slice, newest first, and applies it only if its adjacency is
+        read.  Damaged records in the slice still fail here, at serve
+        time."""
         t = cond.t1
         index = bisect.bisect_right(versions, t, key=lambda v: v[1])
         if index >= len(versions):
             return
         tt_start, tt_end, frozen = versions[index]
         if frozen is None or tt_start > t:
-            return
-        view = _clone(frozen)
+            return  # non-existence at t, or t predates every version
+        view = frozen.fork()
         if segment == history_keys.SEGMENT_VERTEX:
             topo = self._records_for(
                 history_keys.SEGMENT_TOPOLOGY, history_keys.KIND_DELTA, gid
             )
             low = bisect.bisect_right(topo, t, key=lambda rec: rec[1])
             high = bisect.bisect_right(topo, tt_end, lo=low, key=lambda rec: rec[1])
-            for r_start, r_end, payload in reversed(topo[low:high]):
-                if isinstance(payload, _CorruptPayload):
-                    payload.raise_()
-                apply_topology_record(view, payload, r_start, r_end)
-            view.tt_start, view.tt_end = tt_start, tt_end
-        if view.exists and cond.matches(view.tt_start, view.tt_end):
-            yield view
+            if low < high:
+                pending = topo[low:high]
+                for _r_start, _r_end, payload in pending:
+                    if isinstance(payload, _CorruptPayload):
+                        payload.raise_()
+                pending.reverse()
+                view._pending = pending
+        yield view
 
     def _fetch_versions_uncached(
         self,
@@ -631,7 +637,7 @@ class HistoricalStore:
         # content versions (the separate structural transaction-time
         # field exists precisely for this, section 4.1).
         if include_base and base.exists and cond.matches(base.tt_start, base.tt_end):
-            yield _clone(base)
+            yield base.fork()
         for tt_start, tt_end, seg, payload in records:
             self.reconstructions += 1
             self.read_metrics.deltas_replayed += 1
@@ -639,7 +645,7 @@ class HistoricalStore:
             if seg == history_keys.SEGMENT_TOPOLOGY:
                 continue
             if base.exists and cond.matches(base.tt_start, base.tt_end):
-                yield _clone(base)
+                yield base.fork()
 
     @staticmethod
     def _apply(view, segment: bytes, payload: dict, tt_start: int, tt_end: int) -> None:
@@ -680,7 +686,7 @@ class HistoricalStore:
                     view = edge_view_from_anchor(gid, payload, tt_start, tt_end)
                 return view, True
         if base_view is not None:
-            return _clone(base_view), False
+            return base_view.fork(), False
         newest_end = self._newest_record_end(segment, gid)
         if newest_end is None:
             return None, False

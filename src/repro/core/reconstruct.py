@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.graph.vertex import EdgeRef
 from repro.graph.views import EdgeView, VertexView
 from repro.core.deltas import OLDER_EXISTS, OLDER_MISSING
 from repro.errors import StorageError
@@ -20,7 +21,7 @@ from repro.errors import StorageError
 
 def apply_content_record(view, payload: dict[str, Any], tt_start: int, tt_end: int) -> None:
     """Step ``view`` back through one merged content record."""
-    view._own()  # the base may still share containers with its record
+    view._own_content()  # the base may share them with its record or a fork
     diff = payload.get("p")
     if diff:
         for name, older_value in diff.items():
@@ -53,21 +54,31 @@ def apply_topology_record(
     view: VertexView, payload: dict[str, Any], tt_start: int, tt_end: int
 ) -> None:
     """Step a vertex view back through one merged topology record."""
-    from repro.graph.vertex import EdgeRef
-
-    view._own()  # the base may still share containers with its record
-    for ref in payload.get("oa", ()):
-        view.out_edges.append(EdgeRef(ref[0], ref[1], ref[2]))
-    removed = {ref[2] for ref in payload.get("or", ())}
-    if removed:
-        view.out_edges = [r for r in view.out_edges if r.edge_gid not in removed]
-    for ref in payload.get("ia", ()):
-        view.in_edges.append(EdgeRef(ref[0], ref[1], ref[2]))
-    removed = {ref[2] for ref in payload.get("ir", ())}
-    if removed:
-        view.in_edges = [r for r in view.in_edges if r.edge_gid not in removed]
+    view._own_edges()  # the base may share them with its record or a fork
+    view._out_edges, view._in_edges = undo_topology_payload(
+        view._out_edges, view._in_edges, payload
+    )
     view.tt_start = tt_start
     view.tt_end = tt_end
+
+
+def undo_topology_payload(
+    out_edges: list, in_edges: list, payload: dict[str, Any]
+) -> tuple[list, list]:
+    """Undo one topology record on two adjacency lists the caller owns
+    (they may be appended to); returns the resulting lists.  A served
+    version's pending records resolve through here."""
+    for ref in payload.get("oa", ()):
+        out_edges.append(EdgeRef(ref[0], ref[1], ref[2]))
+    removed = {ref[2] for ref in payload.get("or", ())}
+    if removed:
+        out_edges = [r for r in out_edges if r.edge_gid not in removed]
+    for ref in payload.get("ia", ()):
+        in_edges.append(EdgeRef(ref[0], ref[1], ref[2]))
+    removed = {ref[2] for ref in payload.get("ir", ())}
+    if removed:
+        in_edges = [r for r in in_edges if r.edge_gid not in removed]
+    return out_edges, in_edges
 
 
 def vertex_view_from_anchor(

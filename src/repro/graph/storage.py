@@ -10,8 +10,9 @@ the Memgraph protocol the paper extends:
    object's current transaction-time start into it, chain it at the
    head, and register it in the transaction's undo buffer;
 3. **in-place change** — apply the new value to the record.  A label
-   set or property map is replaced rather than mutated, so every view
-   already sharing the old container keeps showing its version.
+   set, property map or adjacency list is replaced rather than
+   mutated, so every view already sharing the old container keeps
+   showing its version.
 
 Deletions follow the paper's decomposition (section 4.1, "Delta
 organization"): an edge deletion clears the edge's properties and
@@ -66,9 +67,9 @@ def apply_undo_to_record(record, delta: Delta) -> None:
     elif action == DeltaAction.REMOVE_LABEL:
         record.labels = record.labels - {delta.payload}
     elif action == DeltaAction.ADD_OUT_EDGE:
-        record.out_edges.append(EdgeRef(*delta.payload))
+        record.out_edges = record.out_edges + [EdgeRef(*delta.payload)]
     elif action == DeltaAction.ADD_IN_EDGE:
-        record.in_edges.append(EdgeRef(*delta.payload))
+        record.in_edges = record.in_edges + [EdgeRef(*delta.payload)]
     elif action == DeltaAction.REMOVE_OUT_EDGE:
         ref = EdgeRef(*delta.payload)
         record.out_edges = [r for r in record.out_edges if r.edge_gid != ref.edge_gid]
@@ -282,9 +283,9 @@ class GraphStorage:
         out_ref = EdgeRef(edge_type, to_gid, record.gid)
         in_ref = EdgeRef(edge_type, from_gid, record.gid)
         self._push_delta(txn, source, DeltaAction.REMOVE_OUT_EDGE, tuple(out_ref))
-        source.out_edges.append(out_ref)
+        source.out_edges = source.out_edges + [out_ref]
         self._push_delta(txn, target, DeltaAction.REMOVE_IN_EDGE, tuple(in_ref))
-        target.in_edges.append(in_ref)
+        target.in_edges = target.in_edges + [in_ref]
         return record.gid
 
     def set_edge_property(

@@ -1,11 +1,12 @@
 """Materialized version views and undo application.
 
-A *view* is an immutable-by-convention copy of one version of a vertex
-or edge.  Starting from the in-place record (the newest version), the
-reader repeatedly applies undo deltas to step the view backwards in
-time; each step also narrows the view's transaction-time interval to
-the one recorded on the delta.  Both snapshot-isolation reads and
-temporal scans are built from this single primitive.
+A *view* is an immutable-by-convention, copy-on-write image of one
+version of a vertex or edge.  Starting from the in-place record (the
+newest version), the reader repeatedly applies undo deltas to step
+the view backwards in time; each step also narrows the view's
+transaction-time interval to the one recorded on the delta.  Both
+snapshot-isolation reads and temporal scans are built from this
+single primitive.
 """
 
 from __future__ import annotations
@@ -23,45 +24,62 @@ from repro.mvcc.transaction import Transaction, delta_visible_at
 class VertexView:
     """One version of a vertex, detached from the record.
 
-    Views are copy-on-write: construction *shares* the record's label
-    set, property map and adjacency lists (a snapshot scan materializes
-    a view per record, so this keeps it allocation-free).  Labels and
-    properties are copied by the first step that changes either, the
-    adjacency lists by the first structural step.  Writers replace a
-    record's label set and property map instead of mutating them, so a
-    shared one never shows a later write.  Treat views as read-only
-    snapshots; mutate through the engine API.
+    Views are copy-on-write over two container groups, content (label
+    set + property map) and adjacency (the two edge lists).
+    Construction *shares* the record's containers (a snapshot scan
+    materializes a view per record, so this keeps it allocation-free),
+    and :meth:`fork` shares a view's containers with its clone.  The
+    first step that changes a group copies that group only.  Writers
+    replace a record's containers instead of mutating them, so a shared
+    one never shows a later write.
+
+    A reconstructed version served from the history store's cache may
+    carry *pending* topology records: the structural changes between
+    its cached state and the queried instant.  They are applied the
+    first time ``out_edges`` or ``in_edges`` is read (temporal expand
+    never reads them — it takes candidate edges from the record and the
+    ``VE`` segment).  Treat views as read-only snapshots; mutate
+    through the engine API.
     """
 
     __slots__ = (
         "gid",
         "labels",
         "properties",
-        "out_edges",
-        "in_edges",
+        "_out_edges",
+        "_in_edges",
         "exists",
         "tt_start",
         "tt_end",
         "_owns_content",
         "_owns_edges",
+        "_pending",
     )
 
     def __init__(self, record: VertexRecord) -> None:
         self.gid = record.gid
         self.labels = record.labels
         self.properties = record.properties
-        self.out_edges = record.out_edges
-        self.in_edges = record.in_edges
+        self._out_edges = record.out_edges
+        self._in_edges = record.in_edges
         self.exists = not record.deleted
         self.tt_start = record.tt_start
         self.tt_end = MAX_TIMESTAMP
         self._owns_content = False
         self._owns_edges = False
+        self._pending = None
 
-    def _own(self) -> None:
-        """Copy every container still shared with the record."""
-        self._own_content()
-        self._own_edges()
+    @property
+    def out_edges(self) -> list[EdgeRef]:
+        if self._pending is not None:
+            self._own_edges()
+        return self._out_edges
+
+    @property
+    def in_edges(self) -> list[EdgeRef]:
+        if self._pending is not None:
+            self._own_edges()
+        return self._in_edges
 
     def _own_content(self) -> None:
         if not self._owns_content:
@@ -70,10 +88,46 @@ class VertexView:
             self._owns_content = True
 
     def _own_edges(self) -> None:
-        if not self._owns_edges:
-            self.out_edges = list(self.out_edges)
-            self.in_edges = list(self.in_edges)
+        """Own the adjacency lists, resolving pending topology records
+        (newest first) into the copies.  The result is published before
+        the records are cleared, so a reader never sees a half-applied
+        list."""
+        pending = self._pending
+        if pending is not None:
+            # reconstruct imports this module; the history record
+            # format is its to apply
+            from repro.core.reconstruct import undo_topology_payload
+
+            out_edges, in_edges = list(self._out_edges), list(self._in_edges)
+            for _tt_start, _tt_end, payload in pending:
+                out_edges, in_edges = undo_topology_payload(
+                    out_edges, in_edges, payload
+                )
+            self._out_edges, self._in_edges = out_edges, in_edges
             self._owns_edges = True
+            self._pending = None
+        elif not self._owns_edges:
+            self._out_edges = list(self._out_edges)
+            self._in_edges = list(self._in_edges)
+            self._owns_edges = True
+
+    def fork(self) -> "VertexView":
+        """A clone sharing every container (and pending records) with
+        this view.  Both give up ownership, so whichever steps first
+        copies only the group it changes."""
+        clone = object.__new__(VertexView)
+        clone.gid = self.gid
+        clone.labels = self.labels
+        clone.properties = self.properties
+        clone._out_edges = self._out_edges
+        clone._in_edges = self._in_edges
+        clone.exists = self.exists
+        clone.tt_start = self.tt_start
+        clone.tt_end = self.tt_end
+        clone._pending = self._pending
+        clone._owns_content = clone._owns_edges = False
+        self._owns_content = self._owns_edges = False
+        return clone
 
     @classmethod
     def blank(cls, gid: int, tt_start: int, tt_end: int) -> "VertexView":
@@ -83,12 +137,13 @@ class VertexView:
         view.gid = gid
         view.labels = set()
         view.properties = {}
-        view.out_edges = []
-        view.in_edges = []
+        view._out_edges = []
+        view._in_edges = []
         view.exists = False
         view.tt_start = tt_start
         view.tt_end = tt_end
         view._owns_content = view._owns_edges = True
+        view._pending = None
         return view
 
     def step_back(self, delta: Delta) -> None:
@@ -109,18 +164,18 @@ class VertexView:
             self.labels.discard(delta.payload)
         elif action == DeltaAction.ADD_OUT_EDGE:
             self._own_edges()
-            self.out_edges.append(EdgeRef(*delta.payload))
+            self._out_edges.append(EdgeRef(*delta.payload))
         elif action == DeltaAction.ADD_IN_EDGE:
             self._own_edges()
-            self.in_edges.append(EdgeRef(*delta.payload))
+            self._in_edges.append(EdgeRef(*delta.payload))
         elif action == DeltaAction.REMOVE_OUT_EDGE:
             self._own_edges()
             ref = EdgeRef(*delta.payload)
-            self.out_edges = [r for r in self.out_edges if r.edge_gid != ref.edge_gid]
+            self._out_edges = [r for r in self._out_edges if r.edge_gid != ref.edge_gid]
         elif action == DeltaAction.REMOVE_IN_EDGE:
             self._own_edges()
             ref = EdgeRef(*delta.payload)
-            self.in_edges = [r for r in self.in_edges if r.edge_gid != ref.edge_gid]
+            self._in_edges = [r for r in self._in_edges if r.edge_gid != ref.edge_gid]
         elif action == DeltaAction.RECREATE_OBJECT:
             self.exists = True
         elif action == DeltaAction.DELETE_OBJECT:
@@ -145,7 +200,7 @@ class EdgeView:
     """One version of an edge, detached from the record.
 
     Copy-on-write like :class:`VertexView`: the property map is shared
-    with the record until the first mutating step.
+    with the record (or a forked view) until the first mutating step.
     """
 
     __slots__ = (
@@ -171,10 +226,24 @@ class EdgeView:
         self.tt_end = MAX_TIMESTAMP
         self._owns_content = False
 
-    def _own(self) -> None:
+    def _own_content(self) -> None:
         if not self._owns_content:
             self.properties = dict(self.properties)
             self._owns_content = True
+
+    def fork(self) -> "EdgeView":
+        """A clone sharing the property map; both give up ownership."""
+        clone = object.__new__(EdgeView)
+        clone.gid = self.gid
+        clone.edge_type = self.edge_type
+        clone.from_gid = self.from_gid
+        clone.to_gid = self.to_gid
+        clone.properties = self.properties
+        clone.exists = self.exists
+        clone.tt_start = self.tt_start
+        clone.tt_end = self.tt_end
+        clone._owns_content = self._owns_content = False
+        return clone
 
     @classmethod
     def blank(cls, gid: int, tt_start: int, tt_end: int) -> "EdgeView":
@@ -195,7 +264,7 @@ class EdgeView:
         """Apply one undo delta, turning this view into the older version."""
         action = delta.action
         if action == DeltaAction.SET_PROPERTY:
-            self._own()
+            self._own_content()
             name, old_value = delta.payload
             if old_value is None:
                 self.properties.pop(name, None)
@@ -268,8 +337,9 @@ def version_iterator(record, txn: Transaction) -> Iterator:
         yield view
         # Detach lazily: this line only runs if the consumer resumes
         # the generator, so a point query that stops at the first
-        # version never pays for a copy.
-        view = _copy_view(view)
+        # version never pays for a fork (and the fork copies nothing
+        # until a step changes a container group).
+        view = view.fork()
     # Then surface older, unreclaimed versions for temporal filtering.
     # Versions are transaction-granular: all consecutive deltas sharing
     # one commit info describe a single version transition and must be
@@ -289,7 +359,7 @@ def version_iterator(record, txn: Transaction) -> Iterator:
         if content_tt is not None and view.exists:
             view.tt_start, view.tt_end = content_tt
             yield view
-            view = _copy_view(view)
+            view = view.fork()
 
 
 def oldest_unreclaimed_view(record):
@@ -314,22 +384,3 @@ def oldest_unreclaimed_view(record):
     # store's collection boundary relies on.
     view.tt_start, view.tt_end = content_tt
     return view
-
-
-def _copy_view(view):
-    """Snapshot a mutable stepping view into an independent object."""
-    clone = object.__new__(type(view))
-    for slot in type(view).__slots__:
-        value = getattr(view, slot)
-        if isinstance(value, set):
-            value = set(value)
-        elif isinstance(value, dict):
-            value = dict(value)
-        elif isinstance(value, list):
-            value = list(value)
-        setattr(clone, slot, value)
-    # The clone got fresh containers above.
-    clone._owns_content = True
-    if isinstance(clone, VertexView):
-        clone._owns_edges = True
-    return clone

@@ -67,7 +67,6 @@ from repro.errors import CorruptionError, IntegrityError
 from repro.graph.views import (
     EdgeView,
     VertexView,
-    _copy_view,
     oldest_unreclaimed_view,
 )
 from repro.kvstore import WriteBatch
@@ -894,7 +893,7 @@ class Scrubber:
         rng = self._replay_range(content, anchor.s, base.tt_start)
         if rng is None:
             return
-        view = _copy_view(base)
+        view = base.fork()
         for delta in reversed(rng):
             apply_content_record(view, delta.payload, delta.s, delta.e)
         if view.exists and anchor_payload_from_view(view) == anchor.payload:
@@ -957,7 +956,7 @@ class Scrubber:
             if record is not None:
                 base = oldest_unreclaimed_view(record)
                 if base.exists:
-                    base_view = _copy_view(base)
+                    base_view = base.fork()
                     boundary = base.tt_start
             if base_view is None:
                 if not content:

@@ -355,6 +355,10 @@ class Tracer:
         self.finished: deque[SpanRecord] = deque(maxlen=max_spans)
         self._local = threading.local()
         self.spans_recorded = 0
+        # Registry instruments, resolved on a name's first record (so
+        # the exports list only what was recorded, as before)
+        self._spans: Optional[Counter] = None
+        self._histograms: dict[str, Histogram] = {}
 
     def span(self, name: str):
         """A context manager timing one named region."""
@@ -377,11 +381,16 @@ class Tracer:
     def _record(self, record: SpanRecord) -> None:
         self.finished.append(record)
         self.spans_recorded += 1
-        if self.registry is not None:
-            self.registry.counter("spans").inc()
-            self.registry.histogram(f"span.{record.name}.seconds").observe(
-                record.duration
-            )
+        registry = self.registry
+        if registry is not None:
+            histogram = self._histograms.get(record.name)
+            if histogram is None:
+                self._spans = registry.counter("spans")
+                histogram = self._histograms[record.name] = registry.histogram(
+                    f"span.{record.name}.seconds"
+                )
+            self._spans.value += 1
+            histogram.observe(record.end - record.start)
 
 
 @dataclass
@@ -434,13 +443,22 @@ class Observability:
         self.slow_queries = SlowQueryLog(
             self.config.slow_query_threshold, self.config.slow_query_capacity
         )
+        # resolved on the first statement, like the tracer's instruments
+        self._statements: Optional[Counter] = None
+        self._statement_seconds: Optional[Histogram] = None
 
     def record_statement(self, statement: str, duration: float, rows: int) -> None:
         """Statement-boundary accounting (called by the executor)."""
         if not self.enabled:
             return
-        self.registry.counter("statements").inc()
-        self.registry.histogram("statement.seconds").observe(duration)
+        seconds = self._statement_seconds
+        if seconds is None:
+            self._statements = self.registry.counter("statements")
+            seconds = self._statement_seconds = self.registry.histogram(
+                "statement.seconds"
+            )
+        self._statements.value += 1
+        seconds.observe(duration)
         if self.slow_queries.record(statement, duration, rows):
             self.registry.counter("slow_queries").inc()
 

@@ -605,9 +605,7 @@ class TestBackwardContentDiff:
         older.labels = {"A", "C"}
         older.properties = {"x": 1, "z": 3}
         payload = backward_content_diff(newer, older)
-        from repro.graph.views import _copy_view
-
-        replayed = _copy_view(newer)
+        replayed = newer.fork()
         apply_content_record(replayed, payload, 5, 10)
         assert replayed.labels == older.labels
         assert replayed.properties == older.properties

@@ -9,7 +9,10 @@ warm cache, the ``ReadMetrics`` counters (no KV seeks on warm
 re-reads, no double counting), scan-at-t with concurrent and aborted
 writers, the unindexed scan's candidate rosters (differential against
 brute force across the whole maintenance lifecycle, under concurrent
-writers), expand's batched preload, and the KV layer's bounded range
+writers), view isolation from later uncommitted or rolled-back writes,
+reconstructed adjacency on the cached point path against the uncached
+replay, served views sharing the cache's containers without aliasing
+writes, expand's batched preload, and the KV layer's bounded range
 scan.
 """
 
@@ -31,7 +34,10 @@ from repro.core import keys as hk
 from repro.core.deltas import RecordDraft
 from repro.core.history_store import HistoricalStore
 from repro.faults import FAILPOINTS, corrupt_bytes
+from repro.graph.vertex import EdgeRef
+from repro.graph.views import VertexView, version_iterator
 from repro.kvstore import KVStore, WriteBatch
+from repro.mvcc.delta import Delta, DeltaAction
 
 pytestmark = pytest.mark.read_path
 
@@ -868,11 +874,65 @@ def _clean(view) -> bool:
     return view.properties.get("n") == 12 and "Dirty" not in view.labels
 
 
+def _linked_db():
+    """Three ``:P`` vertices and one committed edge ``x -> y``."""
+    db = AeonG(gc_interval_transactions=0)
+    with db.transaction() as txn:
+        x, y, z = (
+            db.create_vertex(txn, labels=["P"], properties={"n": n}) for n in range(3)
+        )
+    with db.transaction() as txn:
+        e = db.create_edge(txn, x, y, "KNOWS")
+    return db, x, y, z, e
+
+
+def _views_of(db, txn, gids):
+    """A snapshot view and a ``TT SNAPSHOT`` view of each of ``gids``,
+    as ``txn`` sees them."""
+    scanned = {view.gid: view for view in db.vertices_as_of(txn, db.now(), "P")}
+    return [db.get_vertex(txn, gid) for gid in gids] + [scanned[gid] for gid in gids]
+
+
+def _adjacency_of(views):
+    return [(list(view.out_edges), list(view.in_edges)) for view in views]
+
+
 class TestViewIsolation:
-    """A view shares its record's label set and property map, so a
-    writer that changed them in place would show a write made after
-    the view was handed out, before that write commits.  Writers
-    replace both instead; every view stays frozen."""
+    """A view shares its record's label set, property map and
+    adjacency lists, so a writer that changed them in place would show
+    a write made after the view was handed out, before that write
+    commits (or after it rolled back).  Writers replace all of them
+    instead; every view stays frozen."""
+
+    def test_adjacency_ignores_a_later_uncommitted_create_edge(self):
+        db, x, y, z, _e = _linked_db()
+        reader = db.begin()
+        views = _views_of(db, reader, (x, y, z))
+        before = _adjacency_of(views)
+        writer = db.begin()
+        db.create_edge(writer, x, z, "KNOWS")
+        db.create_edge(writer, z, y, "KNOWS")
+        try:
+            assert _adjacency_of(views) == before
+        finally:
+            db.abort(writer)
+            db.abort(reader)
+        assert _adjacency_of(views) == before
+
+    def test_adjacency_survives_an_aborted_delete_edge(self):
+        db, x, y, _z, e = _linked_db()
+        reader = db.begin()
+        views = _views_of(db, reader, (x, y))
+        before = _adjacency_of(views)
+        writer = db.begin()
+        db.delete_edge(writer, e)
+        own = _views_of(db, writer, (x, y))  # the writer sees x -> y gone
+        deleted = _adjacency_of(own)
+        assert deleted == [([], [])] * 4
+        db.abort(writer)  # the rollback re-adds the edge to both records
+        db.abort(reader)
+        assert _adjacency_of(views) == before
+        assert _adjacency_of(own) == deleted
 
     def test_temporal_view_ignores_a_later_uncommitted_write(self):
         db, a, _b, _e = _history_rich_db()
@@ -896,6 +956,258 @@ class TestViewIsolation:
         finally:
             db.abort(writer)
             db.abort(reader)
+
+
+# -- reconstructed adjacency: cached point path vs uncached replay -------------
+
+
+def _adjacency_db(cache_size):
+    """A hub whose out- and in-edges are created, deleted and
+    re-created, some of them inside one content version of the hub,
+    one in the same transaction as a content change, plus a spoke
+    deleted outright; two GC epochs reclaim most of it and the last
+    writes stay on the undo chains.  Anchors are off, so the uncached
+    replay starts from the current store like the cache does (an
+    anchor carries no adjacency).  Returns the timeline, the hub and
+    spoke gids, and ``{edge gid: [src, dst, type, created, deleted]}``."""
+    tl = _Timeline(
+        AeonG(
+            anchor_interval=0,
+            gc_interval_transactions=0,
+            reconstruction_cache_size=cache_size,
+        )
+    )
+    db = tl.db
+    life: dict[int, list] = {}
+    hub, *spokes = tl.run(
+        lambda txn: [db.create_vertex(txn, ["H"], {"v": 0})]
+        + [db.create_vertex(txn, ["S"], {"i": i}) for i in range(4)]
+    )
+    s0, s1, s2, s3 = spokes
+
+    def link(src, dst, kind="L"):
+        gid = tl.run(lambda txn: db.create_edge(txn, src, dst, kind))
+        life[gid] = [src, dst, kind, tl.commits[-1], None]
+        return gid
+
+    def unlink(gid):
+        tl.run(lambda txn: db.delete_edge(txn, gid))
+        life[gid][4] = tl.commits[-1]
+
+    def set_hub(v):
+        tl.run(lambda txn: db.set_vertex_property(txn, hub, "v", v))
+
+    first, second = link(hub, s0), link(hub, s1)
+    set_hub(1)
+    link(s2, hub)
+    link(hub, s2)
+    unlink(first)
+    set_hub(2)
+    brief = link(hub, s3, "T")  # created and deleted within one hub version
+    unlink(brief)
+    link(hub, s0)  # re-created: same endpoints, new gid
+    link(s1, hub)
+    set_hub(3)
+    db.collect_garbage()
+    unlink(second)
+    link(s3, hub)
+
+    def content_and_topology(txn):  # one commit on both hub timelines
+        db.set_vertex_property(txn, hub, "v", 4)
+        return db.create_edge(txn, hub, s1, "L")
+
+    both = tl.run(content_and_topology)
+    life[both] = [hub, s1, "L", tl.commits[-1], None]
+    tl.run(lambda txn: db.delete_vertex(txn, s2, detach=True))
+    for record in life.values():
+        if s2 in record[:2] and record[4] is None:
+            record[4] = tl.commits[-1]
+    set_hub(5)
+    db.collect_garbage()
+    assert db.storage.vertex_record(s2) is None  # history-only now
+    link(hub, s3, "U")  # left on the undo chain
+    set_hub(6)
+    return tl, [hub, *spokes], life
+
+
+def _adjacency_versions(db, gid, cond):
+    with db.transaction() as txn:
+        return [
+            (view.tt_start, view.tt_end, list(view.out_edges), list(view.in_edges))
+            for view in db.vertex_versions(txn, gid, cond)
+        ]
+
+
+def _alive(life, gid, t):
+    """The model's adjacency of ``gid`` at ``t``, sorted."""
+    out, inn = [], []
+    for edge, (src, dst, kind, created, deleted) in life.items():
+        if created <= t and (deleted is None or t < deleted):
+            if src == gid:
+                out.append(EdgeRef(kind, dst, edge))
+            if dst == gid:
+                inn.append(EdgeRef(kind, src, edge))
+    return sorted(out), sorted(inn)
+
+
+class TestCachedAdjacency:
+    """No query reads a reconstructed view's adjacency (temporal expand
+    takes candidates from the record and the ``VE`` segment), so these
+    tests read it directly: a cache hit serves a shared frozen view
+    whose topology records resolve on first read, and it must read
+    exactly what the uncached replay builds."""
+
+    def test_point_adjacency_equals_uncached_replay(self):
+        cold, gids, cold_life = _adjacency_db(cache_size=0)
+        warm, gids2, life = _adjacency_db(cache_size=4096)
+        assert (gids, cold.commits, cold_life) == (gids2, warm.commits, life)
+        points = sorted(
+            {t + d for t in warm.commits for d in (-1, 0, 1) if t + d >= 0}
+        )
+        metrics = warm.db.history.read_metrics
+        from_history = 0
+        for _round in ("populate", "all hits"):
+            for gid in gids:
+                for t in points:
+                    cond = TemporalCondition.as_of(t)
+                    served = metrics.versions_served
+                    got = _adjacency_versions(warm.db, gid, cond)
+                    assert got == _adjacency_versions(cold.db, gid, cond), (gid, t)
+                    if metrics.versions_served > served:
+                        # a reclaimed version is exact at t (one from
+                        # the chain walk may carry newer structure)
+                        ((_s, _e, out, inn),) = got
+                        assert (sorted(out), sorted(inn)) == _alive(life, gid, t)
+                        from_history += 1
+        assert from_history >= 60
+        assert metrics.cache_hits > 0
+
+    def test_slice_adjacency_equals_uncached_replay(self):
+        cold, gids, _life = _adjacency_db(cache_size=0)
+        warm, _gids, _life = _adjacency_db(cache_size=4096)
+        stamps = warm.commits
+        for gid in gids:
+            for t1, t2 in list(zip(stamps, stamps[1:])) + [(0, stamps[-1] + 1)]:
+                cond = TemporalCondition.between(t1, t2)
+                expected = _adjacency_versions(cold.db, gid, cond)
+                for _round in ("populate", "all hits"):
+                    assert _adjacency_versions(warm.db, gid, cond) == expected
+
+
+# -- aliasing: served views share the cache's containers -----------------------
+
+
+def _state(view):
+    """Everything a view reads as, in comparable form."""
+    return (
+        view.exists,
+        view.tt_start,
+        view.tt_end,
+        sorted(view.labels),
+        sorted(view.properties.items()),
+        list(view.out_edges),
+        list(view.in_edges),
+    )
+
+
+def _frozen_entry(db, gid, t):
+    _sig, versions, _replays = db.history._reconstruction_cache[("vertex", gid)]
+    (frozen,) = [view for s, e, view in versions if view is not None and s <= t < e]
+    return frozen
+
+
+def _undo(action, payload, gid):
+    return Delta(action, payload, None, "vertex", gid, 0)
+
+
+class TestViewAliasing:
+    @pytest.fixture
+    def served(self):
+        """The warm hub and an instant whose reclaimed version carries
+        pending topology records when served."""
+        tl, (hub, *_spokes), _life = _adjacency_db(cache_size=4096)
+        db = tl.db
+        for t in range(tl.commits[-1]):
+            view = self._serve(db, hub, t)
+            if view is not None and view._pending:
+                return db, hub, t
+        raise AssertionError("no reclaimed hub version with pending topology")
+
+    @staticmethod
+    def _serve(db, gid, t):
+        """The reclaimed version of ``gid`` at ``t``, or None when the
+        current store answers."""
+        metrics = db.history.read_metrics
+        served = metrics.versions_served
+        with db.transaction() as txn:
+            views = list(db.vertex_versions(txn, gid, TemporalCondition.as_of(t)))
+        return views[0] if metrics.versions_served > served else None
+
+    def test_a_cache_hit_shares_the_cached_containers(self, served):
+        db, hub, t = served
+        hits = db.history.read_metrics.cache_hits
+        view = self._serve(db, hub, t)
+        assert db.history.read_metrics.cache_hits == hits + 1
+        frozen = _frozen_entry(db, hub, t)
+        assert view.labels is frozen.labels
+        assert view.properties is frozen.properties
+        assert view._out_edges is frozen._out_edges
+        assert view._in_edges is frozen._in_edges
+        assert view._pending and frozen._pending is None
+
+    def test_resolving_or_stepping_a_served_view_changes_nothing_else(self, served):
+        db, hub, t = served
+        frozen = _frozen_entry(db, hub, t)
+        cached = _state(frozen)
+        first, sibling = self._serve(db, hub, t), self._serve(db, hub, t)
+        expected = _state(self._serve(db, hub, t))
+        assert _state(first) == expected  # resolves first's adjacency
+        assert first._pending is None and first._out_edges is not frozen._out_edges
+        assert sibling._pending  # still unresolved
+        stub = EdgeRef("X", hub, 10**9)
+        first.step_back(_undo(DeltaAction.SET_PROPERTY, ("v", 999), hub))
+        first.step_back(_undo(DeltaAction.ADD_LABEL, "Stepped", hub))
+        first.step_back(_undo(DeltaAction.ADD_OUT_EDGE, tuple(stub), hub))
+        assert _state(first) != expected
+        # a structural step on an unresolved view resolves it first
+        second = self._serve(db, hub, t)
+        second.step_back(_undo(DeltaAction.ADD_IN_EDGE, tuple(stub), hub))
+        assert second.in_edges == expected[6] + [stub]
+        assert second.out_edges == expected[5]
+        assert _state(frozen) == cached
+        assert _state(sibling) == expected
+        assert _state(self._serve(db, hub, t)) == expected
+
+    def test_advancing_version_iterator_leaves_yielded_views_alone(self):
+        db, x, _y, z, e = _linked_db()
+        with db.transaction() as txn:
+            db.set_vertex_property(txn, x, "n", 10)
+            db.create_edge(txn, x, z, "KNOWS")
+        with db.transaction() as txn:
+            db.add_label(txn, x, "Q")
+        with db.transaction() as txn:
+            db.delete_edge(txn, e)
+            db.create_edge(txn, z, x, "KNOWS")
+        with db.transaction() as txn:
+            db.set_vertex_property(txn, x, "n", 11)
+        record = db.storage.vertex_record(x)
+        containers = (record.labels, record.properties, record.out_edges, record.in_edges)
+        record_state = _state(VertexView(record))
+        yielded, at_yield = [], []
+        with db.transaction() as txn:
+            for view in version_iterator(record, txn):
+                yielded.append(view)
+                at_yield.append(_state(view))
+        assert len({repr(state[3:]) for state in at_yield}) == len(yielded) >= 4
+        assert [_state(view) for view in yielded] == at_yield
+        assert all(
+            now is before
+            for now, before in zip(
+                (record.labels, record.properties, record.out_edges, record.in_edges),
+                containers,
+            )
+        )
+        assert _state(VertexView(record)) == record_state
 
 
 # -- list-valued equality on an indexed property -------------------------------
