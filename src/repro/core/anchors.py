@@ -19,6 +19,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.graph.views import EdgeView, VertexView
+from repro.mvcc.delta import DeltaAction
+
+_STRUCTURAL = {DeltaAction.ADD_OUT_EDGE, DeltaAction.ADD_IN_EDGE,
+               DeltaAction.REMOVE_OUT_EDGE, DeltaAction.REMOVE_IN_EDGE}
 
 
 class AnchorPolicy:
@@ -50,24 +54,36 @@ class AnchorPolicy:
         """Drop counter state for a reclaimed object."""
         self._counters.pop((object_kind, gid), None)
 
-    def snapshot(self) -> dict:
-        """Copy the counter state (taken before a migration epoch)."""
-        return dict(self._counters)
+    def count(self, key: tuple[str, int]) -> Optional[int]:
+        """One object's counter (None: unset), as :meth:`restore` takes it."""
+        return self._counters.get(key)
 
     def restore(self, state: dict) -> None:
-        """Roll counters back after a failed epoch, so the retry makes
-        identical anchor-placement decisions."""
-        self._counters = dict(state)
+        """Roll ``{key: count}`` back after a failed epoch, so the retry
+        makes identical anchor-placement decisions."""
+        restore_entries(self._counters, state)
+
+
+def restore_entries(table: dict, before: dict) -> None:
+    """Put ``before``'s values back into ``table`` (None: absent)."""
+    for key, value in before.items():
+        if value is None:
+            table.pop(key, None)
+        else:
+            table[key] = value
 
 
 def historical_state(record, version_tt_end: int) -> Optional[object]:
-    """Materialize the full state of ``record``'s version ending at
-    ``version_tt_end`` by replaying its in-place delta chain.
+    """Materialize the *content* (labels, properties, existence) of
+    ``record``'s version ending at ``version_tt_end`` by replaying its
+    in-place delta chain.
 
     Returns a :class:`VertexView`/:class:`EdgeView`, or ``None`` when
     the version did not exist (anchors are only placed on existing
     versions).  Called during migration, before the garbage collector
     truncates the chain, so every younger delta is still reachable.
+    Structural deltas are skipped: anchors hold no adjacency, and each
+    undo costs O(degree) on a chain that grows while an epoch runs.
     """
     from repro.graph.vertex import VertexRecord
 
@@ -84,6 +100,7 @@ def historical_state(record, version_tt_end: int) -> Optional[object]:
         # version's end must all be undone.
         if commit_ts is not None and commit_ts < version_tt_end:
             break
-        view.step_back(delta)
+        if delta.action not in _STRUCTURAL:
+            view.step_back(delta)
         delta = delta.next
     return view if view.exists else None

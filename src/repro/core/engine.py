@@ -31,6 +31,7 @@ from typing import Any, Iterator, Optional
 
 from repro.core.anchors import AnchorPolicy
 from repro.core.history_store import HistoricalStore
+from repro.core.maintenance import Maintenance
 from repro.core.migration import Migrator
 from repro.core.operators import TemporalOperators
 from repro.core.stats import StorageReport
@@ -78,9 +79,9 @@ class AeonG:
         anchors of one object (0 disables anchors; default 10, the
         value the paper recommends for TPC-DS).
     gc_interval_transactions:
-        Run one garbage-collection epoch automatically after this many
-        commits ("the migration is invoked periodically"); 0 disables
-        automatic collection — call :meth:`collect_garbage` manually.
+        Request one garbage-collection epoch, run off the committer by
+        :mod:`~repro.core.maintenance`, after this many commits; 0
+        disables automatic collection (call :meth:`collect_garbage`).
     model:
         Which temporal dimensions the graph carries (section 2.1).
     enforce_vt_constraints:
@@ -103,11 +104,6 @@ class AeonG:
         ``"fsync"`` syncs every WAL append and checkpoint file to the
         device before acknowledging; ``"flush"`` (default) stops at the
         OS buffer — fast, surviving process death but not power loss.
-    migration_workers:
-        Worker threads for the migration epoch's delta *encoding* fan
-        out (``merge_transaction_deltas`` per transaction); 0 (default)
-        encodes serially on the GC thread.  Install order is always
-        commit-timestamp order regardless of worker count.
     resilience:
         A :class:`~repro.resilience.ResilienceConfig` tuning conflict
         retry, transaction deadlines (``max_transaction_age`` and the
@@ -135,7 +131,6 @@ class AeonG:
         reconstruction_cache_size: int = 4096,
         durability_dir=None,
         durability_mode: str = "flush",
-        migration_workers: int = 0,
         resilience: Optional[ResilienceConfig] = None,
         observability: Optional[ObservabilityConfig] = None,
         replication: Optional[ReplicationConfig] = None,
@@ -158,21 +153,8 @@ class AeonG:
         self.history = HistoricalStore(
             kv, reconstruction_cache_size=reconstruction_cache_size
         )
-        self.history.resilience = self.resilience
-        self.history.tracer = self.observability.tracer
-        self.history.kv.tracer = self.observability.tracer
         self.anchor_policy = AnchorPolicy(anchor_interval)
-        self.migrator = Migrator(
-            self.storage,
-            self.history,
-            self.anchor_policy,
-            workers=migration_workers,
-        )
-        self.gc = GarbageCollector(
-            self.manager,
-            migrate_hook=self._migrate_guarded if temporal else None,
-            reclaim_object_hook=self._reclaim_record,
-        )
+        self.migrator = Migrator(self.storage, self.history, self.anchor_policy)
         self.operators = TemporalOperators(self.storage, self.history)
         #: statement text -> plan (see :meth:`compile`)
         self.plans = PlanCache()
@@ -180,23 +162,13 @@ class AeonG:
             self.history,
             storage=self.storage,
             anchor_interval=anchor_interval,
-            resilience=self.resilience,
         )
-        self.migrator.on_migrated = self.scrubber.note_migrated
+        self._wire_components()
         self._gc_interval = gc_interval_transactions
-        self._commits_since_gc = 0
-        self._gc_lock = threading.Lock()
-        self._gc_thread: Optional[threading.Thread] = None
-        self._gc_stop: Optional[threading.Event] = None
-        self._scrub_thread: Optional[threading.Thread] = None
-        self._scrub_stop: Optional[threading.Event] = None
-        self._scrub_bg_errors = 0
-        self._scrub_bg_last_error: Optional[str] = None
-        self._gc_bg_errors = 0
-        self._gc_bg_last_error: Optional[str] = None
-        self._gc_deferred_errors = 0
-        self._watchdog_thread: Optional[threading.Thread] = None
-        self._watchdog_stop: Optional[threading.Event] = None
+        #: The one background thread: watchdog, GC epochs, scrub passes.
+        self.maintenance = Maintenance(
+            self.sweep_expired, self.collect_garbage, self.scrub
+        )
         self._closed = False
         # Serializes the closed-state transition against transaction
         # starts and the commit+WAL critical section, so a shutdown
@@ -276,7 +248,9 @@ class AeonG:
         age = timeout if timeout is not None else ctrl.config.max_transaction_age
         if age is not None:
             txn.deadline = ctrl.clock() + age
-            self._ensure_watchdog()
+            # (watchdog_interval == 0: only sweep_expired() enforces it)
+            m = self.maintenance
+            m.schedule(m.watchdog, ctrl.config.watchdog_interval)
         return txn
 
     def commit(self, txn: Transaction) -> int:
@@ -346,25 +320,10 @@ class AeonG:
                         f"no replica acknowledged applying it within "
                         f"{repl.config.sync_timeout}s"
                     )
-        with self._gc_lock:
-            self._commits_since_gc += 1
-            due = (
-                self._gc_interval > 0
-                and self._commits_since_gc >= self._gc_interval
-            )
-            if due:
-                self._commits_since_gc = 0
-        if due:
-            try:
-                self.collect_garbage()
-            except StorageError as exc:
-                # The transaction is already durably committed; a
-                # failed *epoch* must not read as a failed commit.  The
-                # epoch's transactions were requeued (no history loss)
-                # and the breaker counted the failure — record and
-                # move on.
-                self._gc_deferred_errors += 1
-                self._gc_bg_last_error = repr(exc)
+        if self._gc_interval > 0:
+            # Migrate() runs on the maintenance thread; this waits only
+            # if the epoch requested one interval ago is still running.
+            self.maintenance.request(self.maintenance.gc, self._gc_interval)
         return commit_ts
 
     def abort(self, txn: Transaction) -> None:
@@ -474,39 +433,6 @@ class AeonG:
             self.resilience.note_watchdog_aborts(aborted)
         return aborted
 
-    def _ensure_watchdog(self) -> None:
-        """Start the deadline-watchdog daemon (idempotent).
-
-        ``ResilienceConfig.watchdog_interval == 0`` disables the
-        thread; deadlines are then enforced only by explicit
-        :meth:`sweep_expired` calls.
-        """
-        interval = self.resilience.config.watchdog_interval
-        if interval <= 0 or self._closed:
-            return
-        if self._watchdog_thread is not None and self._watchdog_thread.is_alive():
-            return
-        self._watchdog_stop = threading.Event()
-        stop = self._watchdog_stop
-
-        def loop() -> None:
-            while not stop.wait(interval):
-                try:
-                    self.sweep_expired()
-                except Exception:  # noqa: BLE001 — the watchdog must survive
-                    pass
-
-        self._watchdog_thread = threading.Thread(target=loop, daemon=True)
-        self._watchdog_thread.start()
-
-    def _stop_watchdog(self) -> None:
-        if self._watchdog_thread is None:
-            return
-        self._watchdog_stop.set()
-        self._watchdog_thread.join()
-        self._watchdog_thread = None
-        self._watchdog_stop = None
-
     def now(self) -> int:
         """The next commit timestamp the engine would assign; queries
         `as of now()` see everything committed so far."""
@@ -537,47 +463,17 @@ class AeonG:
         interval_seconds: float = 0.05,
         max_backoff_seconds: float = 1.0,
     ) -> None:
-        """Run garbage collection periodically on a daemon thread.
-
-        This is the paper's deployment model: migration happens
-        asynchronously to user transactions ("is lightweight to the
-        original databases").  Synchronous commit-count triggering is
-        disabled while the thread runs.
-
-        A failing epoch (e.g. an I/O error from the history store) no
-        longer kills the thread silently: the exception is counted and
-        recorded (see ``metrics()["gc"]``) and the loop retries with
-        exponentially growing delay, capped at ``max_backoff_seconds``,
-        resetting to the base cadence after the next clean epoch.
-        """
-        if self._gc_thread is not None:
-            return
-        self._gc_stop = threading.Event()
-        self._gc_interval = 0
-
-        def loop() -> None:
-            delay = interval_seconds
-            while not self._gc_stop.wait(delay):
-                try:
-                    self.gc.collect()
-                    delay = interval_seconds
-                except Exception as exc:  # noqa: BLE001 — record, back off, retry
-                    self._gc_bg_errors += 1
-                    self._gc_bg_last_error = repr(exc)
-                    delay = min(delay * 2, max_backoff_seconds)
-
-        self._gc_thread = threading.Thread(target=loop, daemon=True)
-        self._gc_thread.start()
+        """Also run a GC epoch every ``interval_seconds`` on the
+        maintenance thread; a failed epoch is recorded (see
+        ``metrics()["gc"]``) and retried with doubling delay, capped
+        at ``max_backoff_seconds``, until a clean one."""
+        m = self.maintenance
+        m.schedule(m.gc, interval_seconds, max_backoff_seconds)
 
     def stop_background_gc(self) -> None:
-        """Stop the background collector and run one final epoch
-        (skipped when the engine is already closed)."""
-        if self._gc_thread is None:
-            return
-        self._gc_stop.set()
-        self._gc_thread.join()
-        self._gc_thread = None
-        if not self._closed:
+        """Stop the periodic epochs and run one final epoch (skipped
+        when the engine is already closed)."""
+        if self.maintenance.unschedule(self.maintenance.gc) and not self._closed:
             self.gc.collect()
 
     # -- integrity scrubbing ------------------------------------------------
@@ -602,38 +498,27 @@ class AeonG:
         budget: Optional[int] = None,
         max_backoff_seconds: float = 2.0,
     ) -> None:
-        """Run the integrity scrubber periodically on a daemon thread.
-
-        Same shape as :meth:`start_background_gc`: budgeted passes at a
-        fixed cadence, exceptions recorded and retried with capped
-        exponential backoff rather than killing the thread.
-        """
-        if self._scrub_thread is not None:
-            return
-        self._scrub_stop = threading.Event()
-
-        def loop() -> None:
-            delay = interval_seconds
-            while not self._scrub_stop.wait(delay):
-                try:
-                    self.scrubber.scrub(budget)
-                    delay = interval_seconds
-                except Exception as exc:  # noqa: BLE001 — record, back off, retry
-                    self._scrub_bg_errors += 1
-                    self._scrub_bg_last_error = repr(exc)
-                    delay = min(delay * 2, max_backoff_seconds)
-
-        self._scrub_thread = threading.Thread(target=loop, daemon=True)
-        self._scrub_thread.start()
+        """Run a budgeted scrub pass every ``interval_seconds`` on the
+        maintenance thread, backing off like :meth:`start_background_gc`."""
+        m = self.maintenance
+        m.schedule(m.scrub, interval_seconds, max_backoff_seconds, budget)
 
     def stop_background_scrub(self) -> None:
-        """Stop the background scrubber thread (no final pass — scrub
-        state is resumable, the next pass picks up where this left off)."""
-        if self._scrub_thread is None:
-            return
-        self._scrub_stop.set()
-        self._scrub_thread.join()
-        self._scrub_thread = None
+        """Stop the periodic scrub passes (no final pass — scrub state
+        is resumable, the next pass picks up where this left off)."""
+        self.maintenance.unschedule(self.maintenance.scrub)
+
+    def _wire_components(self) -> None:
+        """Wire the storage components to this engine's services and
+        build their collector (at construction and after a resync)."""
+        self.history.resilience = self.scrubber.resilience = self.resilience
+        self.history.tracer = self.history.kv.tracer = self.observability.tracer
+        self.migrator.on_migrated = self.scrubber.note_migrated
+        self.gc = GarbageCollector(
+            self.manager,
+            migrate_hook=self._migrate_guarded if self.temporal else None,
+            reclaim_object_hook=self._reclaim_record,
+        )
 
     def _reclaim_record(self, record) -> None:
         self.storage.drop_record(record)
@@ -931,19 +816,19 @@ class AeonG:
     def metrics(self) -> dict[str, Any]:
         """Operational counters across every component (monitoring).
 
-        Safe to call at any time, including on a closed engine and
-        concurrently with :meth:`close`: nullable components (WAL,
-        background threads) are read once into locals, so a close
-        racing between the None-check and the attribute access cannot
-        raise.
+        Safe to call at any time, even on a closed engine or racing
+        :meth:`close`.  It first waits out GC epochs already requested,
+        so the counters cover every commit acknowledged before the
+        call; ``background_*`` report the periodic GC and scrub tasks.
         """
         from repro import backup as backup_module
 
+        maintenance = self.maintenance
+        maintenance.settle()
+        gc_task, scrub_task = maintenance.gc, maintenance.scrub
         kv_stats = self.history.kv.stats
         writer = self._wal_writer
         wal = writer.wal if writer is not None else None
-        gc_thread = self._gc_thread
-        scrub_thread = self._scrub_thread
         if writer is not None:
             write_path = writer.metrics()
         else:
@@ -982,16 +867,15 @@ class AeonG:
                 "runs": self.gc.runs,
                 "deltas_reclaimed": self.gc.deltas_reclaimed,
                 "epochs_paused": self.gc.epochs_paused,
-                "background_running": gc_thread is not None
-                and gc_thread.is_alive(),
-                "background_errors": self._gc_bg_errors,
-                "background_last_error": self._gc_bg_last_error,
-                "deferred_errors": self._gc_deferred_errors,
+                "background_running": gc_task.interval is not None
+                and maintenance.alive,
+                "background_errors": gc_task.errors,
+                "background_last_error": gc_task.last_error,
+                "deferred_errors": gc_task.request_errors,
             },
+            "maintenance": {"backlog_waits": maintenance.backlog_waits},
             "migration": {
                 "epochs": self.migrator.migrations,
-                "parallel_epochs": self.migrator.parallel_epochs,
-                "workers": self.migrator.workers,
                 "failed_epochs": self.migrator.failed_epochs,
                 "transactions_migrated": self.migrator.transactions_migrated,
                 "records_written": self.history.records_written,
@@ -1000,10 +884,10 @@ class AeonG:
             "resilience": self.resilience.metrics(),
             "integrity": {
                 **self.scrubber.metrics(),
-                "background_running": scrub_thread is not None
-                and scrub_thread.is_alive(),
-                "background_errors": self._scrub_bg_errors,
-                "background_last_error": self._scrub_bg_last_error,
+                "background_running": scrub_task.interval is not None
+                and maintenance.alive,
+                "background_errors": scrub_task.errors,
+                "background_last_error": scrub_task.last_error,
             },
             "history_kv": {
                 "puts": kv_stats.puts,
@@ -1195,7 +1079,7 @@ class AeonG:
         ``close()`` on it cannot close the adopted components.  The
         adopting engine keeps its own identity — resilience controller,
         observability registry, replication state (role/epoch/peers),
-        background threads — so the serving layer's references and the
+        maintenance thread — so the serving layer's references and the
         registered metrics provider stay valid across the swap.
 
         Callers must have detached/discarded this engine's previous
@@ -1216,22 +1100,7 @@ class AeonG:
             self.scrubber = donor.scrubber
             # Cached plans were keyed by the old storage's index epoch.
             self.plans.clear()
-            # Rewire the adopted components onto this engine's
-            # cross-cutting services, exactly as ``__init__`` does.
-            self.history.resilience = self.resilience
-            self.history.tracer = self.observability.tracer
-            self.history.kv.tracer = self.observability.tracer
-            self.scrubber.resilience = self.resilience
-            self.migrator.on_migrated = self.scrubber.note_migrated
-            from repro.mvcc.gc import GarbageCollector
-
-            self.gc = GarbageCollector(
-                self.manager,
-                migrate_hook=(
-                    self._migrate_guarded if self.temporal else None
-                ),
-                reclaim_object_hook=self._reclaim_record,
-            )
+            self._wire_components()
             # The donor's writer publishes to the donor's replication
             # state (and never served a commit); write the donor's WAL
             # through a writer bound to this engine instead.
@@ -1243,10 +1112,10 @@ class AeonG:
                 self._durability_dir = donor._durability_dir
             self._wal_truncation_fence = donor._wal_truncation_fence
             self.last_recovery = donor.last_recovery
-            self._commits_since_gc = 0
             # Neutralize the donor shell: its components live here now.
             donor._wal_writer = None
             donor._closed = True
+        donor.maintenance.stop()
         self._retire_wal(old_writer)
         self.replication.reset_after_bootstrap()
         self.replication.note_applied()
@@ -1347,17 +1216,15 @@ class AeonG:
     def close(self) -> None:
         """Stop background work and close the WAL (idempotent).
 
-        Ordering matters: the background GC thread is stopped *first*
-        (its final epoch still runs against the open engine), then the
-        watchdog, then the WAL.  After ``close()`` returns, further
+        Ordering matters: the maintenance thread is stopped *first*
+        (a requested or periodic GC epoch still runs, against the open
+        engine), then the WAL.  After ``close()`` returns, further
         :meth:`begin` calls raise :class:`~repro.errors.StorageError`
         and a second ``close()`` is a no-op.
         """
         if self._closed:
             return
-        self.stop_background_scrub()
-        self.stop_background_gc()
-        self._stop_watchdog()
+        self.maintenance.stop()
         # Flip the flag and detach the WAL under the close lock: an
         # in-flight commit either finishes its submission first (we
         # wait for the lock) or observes the closed flag and aborts
@@ -1369,7 +1236,6 @@ class AeonG:
             writer = self._wal_writer
             self._wal_writer = None
         self._retire_wal(writer)
-        self.migrator.close()
 
     # -- persistence ----------------------------------------------------------------
 

@@ -12,6 +12,7 @@ every reconstructed version that satisfies the temporal condition.
 from __future__ import annotations
 
 import bisect
+import threading
 from collections import OrderedDict
 from typing import Iterable, Iterator, Optional
 
@@ -175,9 +176,15 @@ class HistoricalStore:
         self._reconstruction_cache: OrderedDict[
             tuple[str, int], tuple[Optional[tuple[int, int]], Optional[list], int]
         ] = OrderedDict()
+        # Epochs (on the maintenance thread) publish staged rows to the
+        # read structures only in commit_batch, under this lock with the
+        # KV write and the epoch bump; readers fill them via _memo.
+        self._cache_lock = threading.Lock()
+        #: the epoch in flight's records, published by commit_batch
+        self._staged: list[tuple] = []
         # (segment, kind) -> {gid: [(tt_start, tt_end)] ascending by
         # tt_end}: the key index, built from one key-only scan at open
-        # and appended to by staging (records arrive in commit order).
+        # and appended to by commit_batch (records arrive in commit order).
         # Serves absence checks, newest-record lookups, gid enumeration
         # and preload sizing without touching the KV store.  ``None``
         # means dropped by invalidation; rebuilt lazily.
@@ -204,9 +211,10 @@ class HistoricalStore:
             self.legacy_records += 1
         return payload
 
-    def _rebuild_index(self) -> None:
+    def _rebuild_index(self) -> dict:
         """One key-only pass over the store rebuilding the known-object
         sets and the per-(segment, kind) key index together."""
+        epoch = self._epoch
         known: dict[str, set[int]] = {"vertex": set(), "edge": set()}
         index: dict[tuple[bytes, bytes], dict[int, list[tuple[int, int]]]] = {}
         for key, _value in self.kv.scan_all():
@@ -219,20 +227,34 @@ class HistoricalStore:
             per_gid.setdefault(decoded.gid, []).append(
                 (decoded.tt_start, decoded.tt_end)
             )
-        self._known = known
-        self._gid_index = index
-        self._sorted.clear()
+        with self._cache_lock:
+            if epoch == self._epoch:
+                self._known = known
+                self._gid_index = index
+                self._sorted.clear()
+        return index
 
     def _ensure_index(
         self,
     ) -> dict[tuple[bytes, bytes], dict[int, list[tuple[int, int]]]]:
-        if self._gid_index is None:
-            self._rebuild_index()
-        return self._gid_index
+        index = self._gid_index
+        return self._rebuild_index() if index is None else index
 
-    def _index_append(
-        self, segment: bytes, kind: bytes, gid: int, tt_start: int, tt_end: int
-    ) -> None:
+    def _memo(self, epoch: int, table: dict, key, value):
+        """Memoize ``value``, read at ``epoch``, unless an epoch landed since."""
+        with self._cache_lock:
+            if epoch == self._epoch:
+                table[key] = value
+        return value
+
+    def _publish(self, segment, kind, gid, tt_start, tt_end) -> None:
+        """(Under ``_cache_lock``.)  Add one committed record to the
+        known-object set and the key index, and drop the object's cached
+        record list and mentions (the next reader rebuilds them)."""
+        object_kind = "edge" if segment == history_keys.SEGMENT_EDGE else "vertex"
+        if kind == history_keys.KIND_DELTA and gid not in self._known[object_kind]:
+            self._known[object_kind].add(gid)
+            self._sorted.pop(object_kind, None)
         if self._gid_index is not None:
             per_gid = self._gid_index.setdefault((segment, kind), {})
             rows = per_gid.get(gid)
@@ -240,6 +262,9 @@ class HistoricalStore:
                 rows = per_gid[gid] = []
                 self._sorted.pop((segment, kind), None)
             rows.append((tt_start, tt_end))
+        self._object_cache.pop((segment, kind, gid), None)
+        if segment == history_keys.SEGMENT_VERTEX:
+            self._mention_cache.pop(gid, None)
 
     def _sorted_gids(self, key, source: Iterable[int]) -> list[int]:
         """Memoized ``sorted(source)``: ``key`` is the ``(segment,
@@ -247,10 +272,12 @@ class HistoricalStore:
         known-object set.  Treat the list as read-only."""
         cached = self._sorted.get(key)
         if cached is None:
-            cached = self._sorted[key] = sorted(source)
+            epoch = self._epoch
+            cached = self._memo(epoch, self._sorted, key, sorted(source))
         return cached
 
     def _bump_epoch(self) -> None:
+        """(Under ``_cache_lock``.)"""
         self._epoch += 1
         self._reconstruction_cache.clear()
         self._sorted.clear()
@@ -272,9 +299,10 @@ class HistoricalStore:
     def discard_known(self, object_kind: str, gid: int) -> None:
         """Drop one gid from the known-object set (used by integrity
         repairs after they empty an object's record set)."""
-        self._known[object_kind].discard(gid)
-        self._sorted.pop(object_kind, None)
-        self._reconstruction_cache.pop((object_kind, gid), None)
+        with self._cache_lock:
+            self._known[object_kind].discard(gid)
+            self._sorted.pop(object_kind, None)
+            self._reconstruction_cache.pop((object_kind, gid), None)
 
     # -- write side (used by Migrate) ------------------------------------
 
@@ -288,24 +316,9 @@ class HistoricalStore:
             draft.tt_end,
         )
         batch.put(key, draft.encode_payload())
-        kind = "edge" if draft.segment == history_keys.SEGMENT_EDGE else "vertex"
-        if draft.gid not in self._known[kind]:
-            self._known[kind].add(draft.gid)
-            self._sorted.pop(kind, None)
-        self._index_append(
-            draft.segment,
-            history_keys.KIND_DELTA,
-            draft.gid,
-            draft.tt_start,
-            draft.tt_end,
-        )
-        self._cache_append(
-            draft.segment,
-            history_keys.KIND_DELTA,
-            draft.gid,
-            draft.tt_start,
-            draft.tt_end,
-            draft.payload,
+        self._staged.append(
+            (draft.segment, history_keys.KIND_DELTA, draft.gid,
+             draft.tt_start, draft.tt_end)
         )
         self.records_written += 1
 
@@ -323,24 +336,25 @@ class HistoricalStore:
             segment, history_keys.KIND_ANCHOR, gid, tt_start, tt_end
         )
         batch.put(key, encode_record_payload(payload))
-        self._index_append(
-            segment, history_keys.KIND_ANCHOR, gid, tt_start, tt_end
-        )
-        self._cache_append(
-            segment, history_keys.KIND_ANCHOR, gid, tt_start, tt_end, payload
+        self._staged.append(
+            (segment, history_keys.KIND_ANCHOR, gid, tt_start, tt_end)
         )
         self.anchors_written += 1
 
     def commit_batch(self, batch: WriteBatch) -> None:
         """Atomically install a migration epoch (``putMultiples``).
 
-        Installing records changes what reconstruction must produce, so
-        the read-cache epoch advances here — the reconstruction cache
-        and memoized scan lists are rebuilt on next use.
+        The staged rows reach the read structures here, atomically with
+        the write, and the read-cache epoch advances: the
+        reconstruction cache and memoized scan lists rebuild on next use.
         """
+        staged, self._staged = self._staged, []
         if batch:
-            self.kv.write(batch)
-            self._bump_epoch()
+            with self._cache_lock:
+                self.kv.write(batch)
+                for row in staged:
+                    self._publish(*row)
+                self._bump_epoch()
 
     # -- read side (FetchFromKV) ---------------------------------------------
 
@@ -498,9 +512,13 @@ class HistoricalStore:
         )
         cache = self._reconstruction_cache
         key = (object_kind, gid)
-        entry = cache.get(key)
-        if entry is not None and entry[0] == base_sig:
-            cache.move_to_end(key)
+        with self._cache_lock:
+            entry = cache.get(key)
+            hit = entry is not None and entry[0] == base_sig
+            if hit:
+                cache.move_to_end(key)
+            epoch = self._epoch
+        if hit:
             if entry[1] is None:
                 return None  # known-unbuildable this epoch
             self.read_metrics.cache_hits += 1
@@ -512,13 +530,16 @@ class HistoricalStore:
                 object_kind, segment, gid, base_view
             )
         except IntegrityError:
-            cache[key] = (base_sig, None, 0)
-            return None
-        cache[key] = (base_sig, versions, replays)
-        cache.move_to_end(key)
-        while len(cache) > self.reconstruction_cache_size:
-            cache.popitem(last=False)
-            self.read_metrics.cache_evictions += 1
+            versions, replays = None, 0
+        with self._cache_lock:
+            # A migration installed mid-build has bumped the epoch; an
+            # entry built from the older record set must not outlive it.
+            if epoch == self._epoch:
+                cache[key] = (base_sig, versions, replays)
+                cache.move_to_end(key)
+                while len(cache) > self.reconstruction_cache_size:
+                    cache.popitem(last=False)
+                    self.read_metrics.cache_evictions += 1
         return versions
 
     def _build_versions(
@@ -721,9 +742,8 @@ class HistoricalStore:
     # record per query.  A real RocksDB serves hot seeks from its
     # memtable and block cache at sub-microsecond cost; the equivalent
     # here is an in-memory mirror of each object's record list, built
-    # lazily from the KV store on first access and appended to by the
-    # migrator (records arrive in commit order, so the lists stay
-    # sorted by ``tt_end``).
+    # lazily from the KV store on first access (ascending by ``tt_end``)
+    # and dropped when an epoch commits a record of the object.
 
     def _records_for(
         self, segment: bytes, kind: bytes, gid: int
@@ -732,14 +752,14 @@ class HistoricalStore:
         cache_key = (segment, kind, gid)
         records = self._object_cache.get(cache_key)
         if records is None:
+            epoch = self._epoch
             index = self._gid_index
             if index is not None:
                 per_gid = index.get((segment, kind))
                 if not per_gid or gid not in per_gid:
                     # The index is authoritative about absence: skip
                     # the KV seek entirely for record-less objects.
-                    self._object_cache[cache_key] = []
-                    return []
+                    return self._memo(epoch, self._object_cache, cache_key, [])
             records = []
             prefix = history_keys.object_prefix(segment, kind, gid)
             for key, value in self.kv.scan_prefix(prefix):
@@ -751,19 +771,8 @@ class HistoricalStore:
                     # that never replay through this record may proceed.
                     payload = _CorruptPayload(key, exc)
                 records.append((decoded.tt_start, decoded.tt_end, payload))
-            self._object_cache[cache_key] = records
+            self._memo(epoch, self._object_cache, cache_key, records)
         return records
-
-    def _cache_append(
-        self, segment: bytes, kind: bytes, gid: int, tt_start: int, tt_end: int, payload: dict
-    ) -> None:
-        records = self._object_cache.get((segment, kind, gid))
-        if records is not None:
-            records.append((tt_start, tt_end, payload))
-        if segment == history_keys.SEGMENT_VERTEX and kind == history_keys.KIND_DELTA:
-            mentions = self._mention_cache.get(gid)
-            if mentions is not None:
-                _merge_mentions(payload, mentions[0], mentions[1])
 
     def preload_objects(self, object_kind: str, gids: Iterable[int]) -> int:
         """Bulk-fill the per-object record cache for many objects with
@@ -795,6 +804,7 @@ class HistoricalStore:
 
     def _preload_segment(self, segment: bytes, gids: set[int]) -> int:
         kind = history_keys.KIND_DELTA
+        epoch = self._epoch
         wanted = sorted(
             gid for gid in gids
             if (segment, kind, gid) not in self._object_cache
@@ -823,7 +833,7 @@ class HistoricalStore:
                 (decoded.tt_start, decoded.tt_end, payload)
             )
         for gid, records in rows.items():
-            self._object_cache[(segment, kind, gid)] = records
+            self._memo(epoch, self._object_cache, (segment, kind, gid), records)
         self.read_metrics.preload_batches += 1
         self.read_metrics.preload_objects += len(wanted)
         return len(wanted)
@@ -923,14 +933,14 @@ class HistoricalStore:
         ever took in a diff.  O(1) per scan candidate once built."""
         mentions = self._mention_cache.get(gid)
         if mentions is None:
+            epoch = self._epoch
             labels: set = set()
             values: dict = {}
             for payload in self.content_payloads("vertex", gid):
                 if isinstance(payload, _CorruptPayload):
                     payload.raise_()
                 _merge_mentions(payload, labels, values)
-            mentions = (labels, values)
-            self._mention_cache[gid] = mentions
+            mentions = self._memo(epoch, self._mention_cache, gid, (labels, values))
         return mentions
 
     def topology_refs(
@@ -970,16 +980,17 @@ class HistoricalStore:
         """Drop every derived read structure (rebuilt lazily from the
         KV store) and advance the invalidation epoch.
 
-        Called after a failed migration epoch (staging optimistically
-        appended to the caches, so a retry of the same drafts would
-        otherwise leave duplicate entries) and by integrity repairs
-        that rewrite records in place — both mean anything memoized
-        about the record set may be wrong.
+        Called after a failed migration epoch (its staged rows are
+        dropped, so a retry of the same drafts cannot duplicate them)
+        and by integrity repairs that rewrite records in place — both
+        mean anything memoized about the record set may be wrong.
         """
-        self._object_cache.clear()
-        self._mention_cache.clear()
-        self._gid_index = None
-        self._bump_epoch()
+        with self._cache_lock:
+            self._staged = []
+            self._object_cache.clear()
+            self._mention_cache.clear()
+            self._gid_index = None
+            self._bump_epoch()
 
     # -- retention ---------------------------------------------------------------
 

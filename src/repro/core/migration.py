@@ -4,27 +4,22 @@ Called from the garbage collector with the committed transactions that
 are no longer visible to any snapshot.  Each transaction's undo buffer
 is merged into history records (``encode2KV``), anchors are interleaved
 per the anchor policy, and the whole epoch is installed with one atomic
-batch write (``putMultiples``).
-
-Delta *encoding* (``merge_transaction_deltas``) is a pure function of
-one transaction's undo buffer, so with ``workers > 0`` the epoch fans
-the encoding out over a thread pool; everything stateful — anchor
-cadence, validity frontiers, staging, the atomic install — still runs
-serially in commit-timestamp order, so a parallel epoch is
-byte-identical to a serial one.
+batch write (``putMultiples``).  Epochs run on the maintenance thread
+(:mod:`repro.core.maintenance`), off the committing transactions.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Optional
+import time
+from typing import Iterator, Optional
 
-from repro.core.anchors import AnchorPolicy, historical_state
+from repro.core.anchors import AnchorPolicy, historical_state, restore_entries
 from repro.core.deltas import RecordDraft, merge_transaction_deltas
 from repro.core.history_store import HistoricalStore
 from repro.core.keys import SEGMENT_EDGE, SEGMENT_TOPOLOGY, SEGMENT_VERTEX
 from repro.core.reconstruct import anchor_payload_from_view
-from repro.faults import FAILPOINTS
+from repro import faults
+from repro.faults import FAILPOINTS, MODE_DELAY
 from repro.graph.storage import GraphStorage
 from repro.kvstore import WriteBatch
 from repro.mvcc.transaction import Transaction
@@ -40,22 +35,13 @@ class Migrator:
         storage: GraphStorage,
         history: HistoricalStore,
         anchor_policy: Optional[AnchorPolicy] = None,
-        workers: int = 0,
     ) -> None:
         self.storage = storage
         self.history = history
         self.anchor_policy = (
             anchor_policy if anchor_policy is not None else AnchorPolicy()
         )
-        #: worker threads for the encoding fan-out; 0 = serial.  The
-        #: pool is created lazily on the first epoch large enough to
-        #: benefit and reused across epochs.
-        self.workers = max(0, workers)
-        self._pool = None
-        self._pool_lock = threading.Lock()
         self.migrations = 0
-        #: epochs whose encoding ran on the worker pool
-        self.parallel_epochs = 0
         self.transactions_migrated = 0
         #: epochs whose atomic install failed and was rolled back (the
         #: transactions were requeued by the GC; nothing was lost)
@@ -85,27 +71,29 @@ class Migrator:
             transactions, key=lambda t: t.commit_ts if t.commit_ts else 0
         )
         # Staging mutates bookkeeping (counters, anchor cadence,
-        # validity frontiers, read caches) before the epoch's single
-        # atomic install.  Snapshot it so a failed install — I/O error,
-        # injected fault — rolls everything back and the retried epoch
-        # makes byte-identical decisions.
+        # validity frontiers) before the epoch's single atomic install.
+        # Snapshot each object's entries on first touch, so a failed
+        # install — I/O error, injected fault — rolls everything back
+        # and the retried epoch makes byte-identical decisions.
         counters_before = (
             self.transactions_migrated,
             self.history.records_written,
             self.history.anchors_written,
         )
-        content_end_before = dict(self._last_content_end)
-        anchor_state_before = self.anchor_policy.snapshot()
-        touched: set[tuple[str, int]] = set()
+        content_end_before: dict = {}
+        anchor_state_before: dict = {}
         try:
             for txn, drafts in self._encode_epoch(ordered):
                 if not drafts:
                     continue
                 anchored: set[tuple[str, int]] = set()
                 for draft in drafts:
+                    key = (self._object_kind(draft), draft.gid)
+                    if key not in content_end_before:
+                        content_end_before[key] = self._last_content_end.get(key)
+                        anchor_state_before[key] = self.anchor_policy.count(key)
                     self.history.stage_record(batch, draft)
                     staged += 1
-                    touched.add((self._object_kind(draft), draft.gid))
                     self._maybe_stage_anchor(batch, draft, anchored)
                 for draft in drafts:
                     if draft.segment != SEGMENT_TOPOLOGY:
@@ -113,7 +101,8 @@ class Migrator:
                         self._last_content_end[key] = draft.tt_end
                 self.transactions_migrated += 1
             # The epoch's atomic install (``putMultiples``).
-            FAILPOINTS.check("migration.commit_batch")
+            if FAILPOINTS.check("migration.commit_batch") == MODE_DELAY:
+                time.sleep(faults.FAULT_DELAY_SECONDS)  # a slow store
             self.history.commit_batch(batch)
         except BaseException:
             (
@@ -121,82 +110,31 @@ class Migrator:
                 self.history.records_written,
                 self.history.anchors_written,
             ) = counters_before
-            self._last_content_end = content_end_before
+            restore_entries(self._last_content_end, content_end_before)
             self.anchor_policy.restore(anchor_state_before)
-            # Staging appended optimistically to the store's read
-            # caches and key index; dropping them (which also advances
-            # the read-cache epoch) guarantees no reader ever serves a
-            # record from the rolled-back epoch.  The successful path
-            # needs no call here: commit_batch itself bumps the epoch.
+            # Drops the staged rows, so a retry cannot duplicate them.
             self.history.invalidate_caches()
             self.failed_epochs += 1
             raise
         self.migrations += 1
         if self.on_migrated is not None:
-            for object_kind, gid in sorted(touched):
+            for object_kind, gid in sorted(content_end_before):
                 self.on_migrated(object_kind, gid)
         return staged
 
     def _encode_epoch(
         self, ordered: list[Transaction]
-    ) -> list[tuple[Transaction, list[RecordDraft]]]:
-        """Encode every transaction's deltas, returning commit order.
-
-        The pure ``merge_transaction_deltas`` step is the epoch's CPU
-        cost; with workers it fans out over the pool, but the returned
-        list is always in ``ordered``'s (commit-timestamp) order, so
-        the staging/install phase is identical either way.  A
-        transaction with an empty undo buffer maps to ``[]``.
-        """
-        jobs = []
-        for txn in ordered:
-            deltas = [delta for _record, delta in txn.undo_buffer]
-            jobs.append(
-                (txn, deltas, self._edge_statics(txn) if deltas else {})
-            )
-        nonempty = sum(1 for _txn, deltas, _statics in jobs if deltas)
-        if self.workers > 0 and nonempty > 1:
-            pool = self._ensure_pool()
-            drafts_list = list(
-                pool.map(
-                    lambda job: (
-                        merge_transaction_deltas(job[1], job[2])
-                        if job[1]
-                        else []
-                    ),
-                    jobs,
-                )
-            )
-            self.parallel_epochs += 1
-        else:
-            drafts_list = [
-                merge_transaction_deltas(deltas, statics) if deltas else []
-                for _txn, deltas, statics in jobs
-            ]
-        return [
-            (txn, drafts)
-            for (txn, _deltas, _statics), drafts in zip(jobs, drafts_list)
-        ]
-
-    def _ensure_pool(self):
-        with self._pool_lock:
-            if self._pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="aeong-migrate",
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Shut down the encoding pool (idempotent; a later epoch would
-        lazily recreate it)."""
-        with self._pool_lock:
-            pool = self._pool
-            self._pool = None
-        if pool is not None:
-            pool.shutdown(wait=True)
+    ) -> Iterator[tuple[Transaction, list[RecordDraft]]]:
+        """Each transaction with an undo buffer and its merged drafts,
+        in commit order, encoded lazily as staging reaches it."""
+        return (
+            (txn, merge_transaction_deltas(
+                [delta for _record, delta in txn.undo_buffer],
+                self._edge_statics(txn),
+            ))
+            for txn in ordered
+            if txn.undo_buffer
+        )
 
     def forget_object(self, object_kind: str, gid: int) -> None:
         """Drop per-object migration state (after final reclamation)."""

@@ -112,17 +112,20 @@ def edge_view_from_anchor(
 
 
 def anchor_payload_from_view(view) -> dict[str, Any]:
-    """Content payload for an anchor record (inverse of the above)."""
+    """Content payload for an anchor record (inverse of the above).
+    Properties go in key order: the view's map order depends on what
+    happened since the version, so the bytes would depend on when the
+    epoch ran."""
     if isinstance(view, VertexView):
         return {
             "l": sorted(view.labels),
-            "p": dict(view.properties),
+            "p": dict(sorted(view.properties.items())),
         }
     if isinstance(view, EdgeView):
         return {
             "et": view.edge_type,
             "f": view.from_gid,
             "t": view.to_gid,
-            "p": dict(view.properties),
+            "p": dict(sorted(view.properties.items())),
         }
     raise StorageError(f"cannot build an anchor from {type(view)!r}")

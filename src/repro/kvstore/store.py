@@ -17,8 +17,8 @@ Provides the RocksDB operations AeonG's historical store depends on:
     whole-store persistence to a directory (sstables + manifest).
 
 Thread safety: all public methods take the store lock, which is enough
-for the migration thread and query threads to interleave (the paper's
-late-migration strategy writes from the GC thread while queries read).
+for the maintenance thread and query threads to interleave (the paper's
+late-migration strategy writes from it while queries read).
 """
 
 from __future__ import annotations

@@ -71,38 +71,30 @@ class GarbageCollector:
         4. drop current-store records whose deletion is now permanent.
         """
         with self._lock:
-            reclaimable = self._manager.take_reclaimable()
-            if not reclaimable:
-                self.runs += 1
-                return 0
-            if self._migrate_hook is not None:
+            reclaimable, watermark = self._manager.take_reclaimable()
+            if reclaimable and self._migrate_hook is not None:
                 try:
                     self._migrate_hook(reclaimable)
-                except DegradedModeError:
+                except BaseException as exc:
+                    # take_reclaimable() popped these transactions, but
+                    # their deltas have NOT reached the history store:
+                    # requeue them so the next epoch retries instead of
+                    # silently losing history.
+                    self._manager.committed_pending_gc[:0] = reclaimable
+                    if not isinstance(exc, DegradedModeError):
+                        raise  # I/O error, injected fault
                     # The history store is circuit-broken: migration is
-                    # *paused*, not failed.  Requeue and report a clean
-                    # zero-work epoch so user-facing paths (the commit
-                    # trigger, manual collect) keep succeeding while
-                    # the store is down.
-                    self._manager.committed_pending_gc[:0] = reclaimable
+                    # *paused*, not failed — report a clean zero-work
+                    # epoch so the commit trigger and manual collect
+                    # keep succeeding while the store is down.
                     self.epochs_paused += 1
-                    self.runs += 1
-                    return 0
-                except BaseException:
-                    # take_reclaimable() popped these transactions; if
-                    # migration failed (I/O error, injected fault) their
-                    # deltas have NOT reached the history store — requeue
-                    # them so the next epoch retries instead of silently
-                    # losing history.
-                    self._manager.committed_pending_gc[:0] = reclaimable
-                    raise
-            reclaimed = self._unlink(reclaimable)
+                    reclaimable = []
+            reclaimed = self._unlink(reclaimable, watermark)
             self.runs += 1
             self.deltas_reclaimed += reclaimed
             return reclaimed
 
-    def _unlink(self, transactions: list[Transaction]) -> int:
-        watermark = self._manager.oldest_active_start_ts()
+    def _unlink(self, transactions: list[Transaction], watermark: int) -> int:
         reclaimed = 0
         touched: dict[int, Any] = {}
         for txn in transactions:

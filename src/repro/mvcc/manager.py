@@ -203,11 +203,14 @@ class TransactionManager:
                 return self.oracle.peek()
             return min(t.start_ts for t in self._active.values())
 
-    def take_reclaimable(self) -> list[Transaction]:
-        """Pop committed transactions no longer visible to any snapshot.
+    def take_reclaimable(self) -> tuple[list[Transaction], int]:
+        """Pop committed transactions no longer visible to any snapshot,
+        with the watermark that decided it.
 
         These are the ``CT`` of the paper's Algorithm 1: committed and
-        no longer active (no live snapshot predates their commit).
+        no longer active (no live snapshot predates their commit).  Chains
+        are truncated at this watermark, not a later one: a transaction
+        committed meanwhile was not taken and must stay reachable.
         """
         with self._lock:
             watermark = self.oldest_active_start_ts()
@@ -219,4 +222,4 @@ class TransactionManager:
             self.committed_pending_gc = [
                 t for t in self.committed_pending_gc if t not in reclaimable
             ]
-            return reclaimable
+            return reclaimable, watermark

@@ -110,7 +110,7 @@ class ResilienceConfig:
     ``max_concurrent_transactions=None`` disables admission control;
     ``max_transaction_age=None`` means transactions without an explicit
     ``begin(timeout=...)`` never expire.  ``watchdog_interval=0``
-    disables the watchdog daemon — deadlines are then only enforced by
+    disables the watchdog task — deadlines are then only enforced by
     explicit :meth:`AeonG.sweep_expired` calls (deterministic tests).
 
     ``wal_queue_limit`` bounds the group-commit writer's submission

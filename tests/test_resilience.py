@@ -672,11 +672,12 @@ class TestCloseLifecycle:
             gc_interval_transactions=0,
             resilience=ResilienceConfig(watchdog_interval=0.01),
         )
-        txn = db.begin(timeout=100.0)  # starts the watchdog daemon
-        assert db._watchdog_thread is not None
+        txn = db.begin(timeout=100.0)  # schedules the watchdog
+        assert db.maintenance.watchdog.interval == 0.01
+        assert db.maintenance.alive
         db.abort(txn)
         db.close()
-        assert db._watchdog_thread is None
+        assert not db.maintenance.alive
 
     def test_close_with_durability_still_closes_wal(self, tmp_path):
         db = AeonG.open(tmp_path / "data", gc_interval_transactions=0)

@@ -625,88 +625,3 @@ class TestMemtableBulkInsert:
         table.put_many([(b"a", b"1"), (b"a", b"2"), (b"a", b"3")])
         assert table.get(b"a") == (True, b"3")
         assert len(table) == 1
-
-
-class TestParallelMigration:
-    def _workload(self, db: AeonG) -> list[int]:
-        gids = []
-        for i in range(12):
-            txn = db.begin()
-            gid = db.create_vertex(txn, ["P"], {"i": i, "v": 0})
-            db.commit(txn)
-            gids.append(gid)
-        for round_no in range(1, 4):
-            for gid in gids:
-                txn = db.begin()
-                db.set_vertex_property(txn, gid, "v", round_no)
-                db.commit(txn)
-        return gids
-
-    def test_parallel_epoch_matches_serial(self):
-        serial = AeonG(gc_interval_transactions=0, anchor_interval=2)
-        parallel = AeonG(
-            gc_interval_transactions=0,
-            anchor_interval=2,
-            migration_workers=4,
-        )
-        try:
-            gids_s = self._workload(serial)
-            gids_p = self._workload(parallel)
-            serial.collect_garbage()
-            parallel.collect_garbage()
-            assert parallel.metrics()["migration"]["parallel_epochs"] >= 1
-            report_s = serial.storage_report()
-            report_p = parallel.storage_report()
-            assert report_p.history_records == report_s.history_records
-            assert report_p.anchors == report_s.anchors
-            assert report_p.history_bytes == report_s.history_bytes
-            # Same temporal answers at every version of every object.
-            from repro.core.temporal import TemporalCondition
-
-            for t in range(1, serial.now() + 1):
-                txn_s = serial.begin()
-                txn_p = parallel.begin()
-                try:
-                    for gid_s, gid_p in zip(gids_s, gids_p):
-                        versions_s = [
-                            dict(v.properties)
-                            for v in serial.vertex_versions(
-                                txn_s, gid_s, TemporalCondition.as_of(t)
-                            )
-                        ]
-                        versions_p = [
-                            dict(v.properties)
-                            for v in parallel.vertex_versions(
-                                txn_p, gid_p, TemporalCondition.as_of(t)
-                            )
-                        ]
-                        assert versions_p == versions_s
-                finally:
-                    serial.abort(txn_s)
-                    parallel.abort(txn_p)
-        finally:
-            serial.close()
-            parallel.close()
-
-    def test_failed_parallel_epoch_rolls_back_and_retries(self):
-        db = AeonG(
-            gc_interval_transactions=0,
-            anchor_interval=2,
-            migration_workers=4,
-        )
-        try:
-            self._workload(db)
-            FAILPOINTS.activate(
-                "migration.commit_batch", "error", nth=1, times=1
-            )
-            from repro.errors import StorageError
-
-            with pytest.raises(StorageError):
-                db.collect_garbage()
-            FAILPOINTS.clear()
-            assert db.metrics()["migration"]["failed_epochs"] == 1
-            reclaimed = db.collect_garbage()  # requeued epoch succeeds
-            assert reclaimed > 0
-            assert db.metrics()["migration"]["failed_epochs"] == 1
-        finally:
-            db.close()
