@@ -817,9 +817,9 @@ class AeonG:
         """Operational counters across every component (monitoring).
 
         Safe to call at any time, even on a closed engine or racing
-        :meth:`close`.  It first waits out GC epochs already requested,
-        so the counters cover every commit acknowledged before the
-        call; ``background_*`` report the periodic GC and scrub tasks.
+        :meth:`close`.  It first waits out the GC epochs requested
+        before the call (at most two), so the counters cover every
+        commit acknowledged before it.
         """
         from repro import backup as backup_module
 

@@ -350,6 +350,8 @@ class HistoricalStore:
         """
         staged, self._staged = self._staged, []
         if batch:
+            # Locked write: a racing _rebuild_index that saw these rows must
+            # find the epoch bumped, not install them for publish to re-add.
             with self._cache_lock:
                 self.kv.write(batch)
                 for row in staged:

@@ -1,13 +1,12 @@
 """One maintenance thread runs ``Migrate()`` "periodically ...
 asynchronously to user transactions", and the engine's other
 background work: a lazily started daemon (``aeong-maintenance``) runs
-the deadline watchdog, GC epochs and scrub passes, in that priority.
-A task runs when requested (commit asks for a GC epoch every
-``gc_interval`` commits) or when periodic and due; a failed periodic
-run retries with doubling delay, capped.  A request waits only while
-the one before it is unfinished, so at most two intervals of commits
-wait unmigrated; a pinned epoch still finishes, with zero work.  The
-thread exits when idle; the next request starts another."""
+the watchdog, GC epochs and scrub passes, each when requested (commit
+asks for an epoch every ``gc_interval`` commits) or periodic and due;
+overdue periodic tasks go first, so GC requests cannot starve the
+rest.  A failed periodic run retries with doubling delay, capped.  A
+request waits only while the one before it is unfinished: at most two
+intervals of commits wait unmigrated.  The thread exits when idle."""
 
 from __future__ import annotations
 
@@ -88,11 +87,10 @@ class Maintenance:
                 self._wait_while(lambda: task.completed < previous)
 
     def settle(self) -> None:
-        """Wait until every requested run has finished."""
+        """Wait until every run requested before this call has finished."""
         with self._cond:
-            self._wait_while(
-                lambda: any(t.requested > t.completed for t in self._tasks)
-            )
+            owed = [(t, t.requested) for t in self._tasks]
+            self._wait_while(lambda: any(t.completed < n for t, n in owed))
 
     def stop(self) -> None:
         """Stop the thread after its current run (idempotent); then, if
@@ -124,27 +122,30 @@ class Maintenance:
             self._cond.wait()
 
     def _loop(self) -> None:
+        me = threading.current_thread()
         try:
             while True:
                 with self._cond:
-                    while not self._stopped:
+                    while True:
                         now = time.monotonic()
-                        task = next((t for t in self._tasks if t.requested > t.completed
-                                     or t.interval is not None and now >= t.next_at), None)
+                        ready = [t for t in self._tasks if t.interval and now >= t.next_at]
+                        ready += [t for t in self._tasks if t.requested > t.completed]
                         periodic = [t.next_at for t in self._tasks if t.interval]
-                        if task is not None or not periodic:
+                        if self._stopped or ready or not periodic:
                             break
                         self._cond.wait(min(periodic) - now)
-                    if self._stopped or task is None:
-                        return  # stopped, or idle: nothing periodic or requested
-                    self._running, covers = task, task.requested
+                    if self._stopped or not ready:
+                        self._thread = None  # exit where decided: a request restarts
+                        self._cond.notify_all()
+                        return
+                    task = self._running = ready[0]
+                    covers = task.requested
                 self._run(task, covers)
         finally:
             with self._cond:
-                self._running = None
-                if self._thread is threading.current_thread():
-                    self._thread = None
-                self._cond.notify_all()
+                if self._thread is me:  # a BaseException escaped a task
+                    self._thread = self._running = None
+                    self._cond.notify_all()
 
     def _run(self, task: Task, covers: int) -> None:
         """Run ``task`` once, covering the first ``covers`` requests."""

@@ -214,12 +214,9 @@ class TransactionManager:
         """
         with self._lock:
             watermark = self.oldest_active_start_ts()
-            reclaimable = [
-                t
-                for t in self.committed_pending_gc
-                if t.commit_ts is not None and t.commit_ts < watermark
-            ]
-            self.committed_pending_gc = [
-                t for t in self.committed_pending_gc if t not in reclaimable
-            ]
+            reclaimable, pending = [], []
+            for t in self.committed_pending_gc:
+                taken = t.commit_ts is not None and t.commit_ts < watermark
+                (reclaimable if taken else pending).append(t)
+            self.committed_pending_gc = pending
             return reclaimable, watermark

@@ -9,7 +9,10 @@
 - **scheduler**: one engine thread, epochs only on it, the
   2 x ``gc_interval`` backlog bound, no writer blocked by a pinned
   watermark, ``close()`` during a slow epoch, no thread leaked by a
-  replica resync;
+  replica resync, scrub and watchdog running while an epoch is always
+  requested, ``metrics()`` waiting only for epochs requested before it,
+  and a request or registration racing the thread's idle exit still
+  served;
 - **regressions**: ``stop_background_gc()`` leaves the commit trigger
   on; an epoch truncates undo chains at the watermark it took, so a
   commit landing mid-epoch keeps its versions readable.
@@ -28,7 +31,7 @@ import pytest
 
 from repro import AeonG
 from repro import faults
-from repro.core.maintenance import THREAD_NAME
+from repro.core.maintenance import THREAD_NAME, Maintenance
 from repro.core.temporal import TemporalCondition
 from repro.faults import FAILPOINTS
 from repro.mvcc.gc import GarbageCollector
@@ -244,6 +247,48 @@ def _engine_threads(before):
     )
 
 
+def _endless_epochs(db):
+    """Make every GC epoch end with the next one requested, as under a
+    write load that outpaces the epochs; returns the event that ends it."""
+    m, stop = db.maintenance, threading.Event()
+    work = m.gc.work
+
+    def epoch():
+        work()
+        time.sleep(0.002)
+        if not stop.is_set():
+            m.request(m.gc)
+
+    m.gc.work = epoch
+    return stop
+
+
+def _join(thread):
+    thread.start()
+    thread.join()
+
+
+class _ExitGap(threading.Condition):
+    """Runs ``hook`` once, on the maintenance thread, just after its
+    loop first releases the lock with no task running: the moment it has
+    decided to exit."""
+
+    def __init__(self, hook):
+        super().__init__()
+        self.hook = hook
+
+    def __exit__(self, *exc):
+        super().__exit__(*exc)
+        if (
+            self.hook is not None
+            and threading.current_thread().name == THREAD_NAME
+            and sys._getframe(1).f_code.co_name == "_loop"
+            and sys._getframe(1).f_locals["self"]._running is None
+        ):
+            hook, self.hook = self.hook, None
+            hook()
+
+
 class TestScheduler:
     def test_one_engine_thread_runs_gc_scrub_and_watchdog(self):
         before = set(threading.enumerate())
@@ -337,6 +382,66 @@ class TestScheduler:
         assert not db.maintenance.alive
         assert db.migrator.migrations == 1
         assert db.manager.committed_pending_gc == []
+
+    def test_periodic_tasks_run_while_an_epoch_is_always_requested(self):
+        db = AeonG(
+            gc_interval_transactions=1,
+            resilience=ResilienceConfig(watchdog_interval=0.002),
+        )
+        stop = _endless_epochs(db)
+        db.start_background_scrub(interval_seconds=0.002)
+        db.abort(db.begin(timeout=30.0))  # schedules the watchdog
+        m = db.maintenance
+        _commit(db, lambda txn: db.create_vertex(txn, ["T"], {}))
+        runs = [m.gc.runs, m.scrub.runs, m.watchdog.runs]
+        time.sleep(0.2)
+        epochs, scrubs, sweeps = (
+            b - a for a, b in zip(runs, [m.gc.runs, m.scrub.runs, m.watchdog.runs])
+        )
+        stop.set()
+        db.close()
+        assert epochs >= 10
+        assert scrubs >= 10 and sweeps >= 10, (scrubs, sweeps)
+
+    def test_metrics_waits_only_for_epochs_requested_before_it(self):
+        db = AeonG(gc_interval_transactions=1)
+        stop = _endless_epochs(db)
+        _commit(db, lambda txn: db.create_vertex(txn, ["T"], {}))
+        while db.maintenance.gc.runs < 3:
+            time.sleep(0.002)
+        returned = threading.Event()
+        caller = threading.Thread(target=lambda: (db.metrics(), returned.set()))
+        caller.start()
+        try:
+            assert returned.wait(5.0), "metrics() waited out the whole stream"
+        finally:
+            stop.set()
+            caller.join(timeout=5)
+            db.close()
+
+    @pytest.mark.parametrize("late", ["request", "schedule"])
+    def test_a_wakeup_racing_the_idle_exit_is_not_lost(self, late):
+        m = Maintenance(lambda: None, lambda: None, lambda: None)
+        sent = threading.Event()
+
+        def send():
+            if late == "request":
+                m.request(m.scrub)
+            else:
+                m.schedule(m.watchdog, 0.01)
+            sent.set()
+
+        # Send from another thread while the maintenance thread sits
+        # between deciding to exit and exiting.
+        m._cond = _ExitGap(lambda: _join(threading.Thread(target=send)))
+        m.request(m.gc)
+        task = m.scrub if late == "request" else m.watchdog
+        deadline = time.time() + 5.0
+        while task.runs == 0 and time.time() < deadline:
+            time.sleep(0.005)
+        m.stop()
+        assert sent.is_set()
+        assert task.runs > 0, "the wakeup was lost"
 
     def test_replica_resync_leaks_no_thread(self, tmp_path):
         from tests.test_backup import TestResyncSelfHeal
