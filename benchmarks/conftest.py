@@ -15,6 +15,7 @@ testbed, shapes are.
 
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -102,4 +103,10 @@ def load_backend(factory, dataset, stream, seed=7):
     if stream is not None:
         driver.apply(stream.ops)
     driver.finish_load()
+    # As aeonbench does after warm-up: what the load allocated is not
+    # rescanned by the cyclic collector.  A gen-2 collection over these
+    # heaps takes 50-650 ms, and one landing in a 20-sample timed window
+    # used to inflate a single figure cell 10-50x.
+    gc.collect()
+    gc.freeze()
     return driver

@@ -3,10 +3,11 @@
 Wraps the key-value store with the AeonG record layout: merged backward
 deltas under ``D`` keys, full-state anchors under ``A`` keys, topology
 records in their own segment.  The central read operation,
-:meth:`HistoricalStore.fetch_versions`, is the paper's ``FetchFromKV``:
-seek the nearest anchor newer than the queried time, then walk the
-younger-to-older delta records applying each backward diff, yielding
-every reconstructed version that satisfies the temporal condition.
+:meth:`HistoricalStore.fetch_many`, is the paper's ``FetchFromKV`` over
+a batch of objects: per object, seek the nearest anchor newer than the
+queried time, then walk the younger-to-older delta records applying
+each backward diff, returning every reconstructed version that
+satisfies the temporal condition.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 import bisect
 import threading
 from collections import OrderedDict
-from typing import Iterable, Iterator, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.common.timeutil import MAX_TIMESTAMP
 from repro.core import keys as history_keys
@@ -38,11 +40,15 @@ from repro.kvstore import KVStore, WriteBatch
 
 FAILPOINTS.register("history.fetch")
 
+_SEGMENT = {"vertex": history_keys.SEGMENT_VERTEX, "edge": history_keys.SEGMENT_EDGE}
+#: sort / bisect key of record and version rows ``(tt_start, tt_end, ...)``
+_END = itemgetter(1)
 
-class _QuarantineDegrade(Exception):
-    """Internal control flow: a quarantined read degrading to
-    current-only results.  Deliberately *not* a StorageError — policy
-    degradation must not feed the circuit breaker."""
+
+def _base_sig(base_view) -> Optional[tuple[int, int]]:
+    """The reconstruction base's content interval (``None`` for a fully
+    reclaimed object): what a cache entry was built from."""
+    return None if base_view is None else (base_view.tt_start, base_view.tt_end)
 
 
 class _CorruptPayload:
@@ -152,6 +158,11 @@ class HistoricalStore:
         # ascending by tt_end.  History records are immutable once
         # written; consumers must not mutate the decoded dicts.
         self._object_cache: dict[tuple[bytes, bytes, int], list] = {}
+        # Keys of record lists that may hold an undecodable payload (a
+        # superset: added before the list is memoized, cleared with the
+        # lists), so serving from any other list skips the per-record
+        # damage check.
+        self._damaged: set[tuple[bytes, bytes, int]] = set()
         # gid -> (labels mentioned in diffs, {prop: [values in diffs]});
         # the scan's O(1) pruning structure (see vertex_mentions).
         self._mention_cache: dict[int, tuple[set, dict]] = {}
@@ -367,85 +378,144 @@ class HistoricalStore:
         cond: TemporalCondition,
         base_view=None,
     ) -> Iterator:
-        """Reconstruct reclaimed versions of one object matching ``cond``.
+        """Reconstruct reclaimed versions of one object matching ``cond``,
+        newest first: :meth:`fetch_many` with a single request."""
+        return iter(self.fetch_many(object_kind, ((gid, base_view),), cond)[0])
 
-        ``base_view`` is "the object's oldest version from current
-        storage" (Algorithm 2 line 14) — the state reconstruction
-        starts from when no anchor supersedes it.  Pass ``None`` for
-        objects with no current-store record left.  Yields newest
-        version first; a time-point caller can stop at the first hit.
-
-        Routed through the engine's history-store circuit breaker when
-        one is attached: while the breaker is open the fetch degrades
-        per the ``degraded_reads`` policy (raise
-        :class:`~repro.errors.DegradedModeError`, or yield nothing so
-        callers serve current-only results), and every KV failure or
-        success feeds the breaker.  The ``history.fetch`` failpoint
-        fires here so tests can inject deterministic store failures.
-
-        When a tracer is attached, the whole fetch (including list
-        materialization, so reconstruction work is inside the span) is
-        bracketed by a ``history.fetch`` span — recorded on the error
-        path too, so injected faults leave the nesting well-formed.
-        """
-        tracer = self.tracer
-        if tracer is None or not tracer.enabled:
-            return self._fetch_versions_guarded(object_kind, gid, cond, base_view)
-        with tracer.span("history.fetch"):
-            return self._fetch_versions_guarded(object_kind, gid, cond, base_view)
-
-    def _fetch_versions_guarded(
+    def fetch_many(
         self,
         object_kind: str,
-        gid: int,
+        requests: Sequence[tuple[int, object]],
         cond: TemporalCondition,
-        base_view=None,
-    ) -> Iterator:
+    ) -> list[list]:
+        """Reconstruct reclaimed versions matching ``cond`` for a batch
+        of objects: the one history read path (``FetchFromKV``).
+
+        ``requests`` holds ``(gid, base_view)`` pairs.  ``base_view`` is
+        "the object's oldest version from current storage" (Algorithm 2
+        line 14) — the state reconstruction starts from when no anchor
+        supersedes it — or ``None`` for objects with no current-store
+        record left.  Returns one list per request, in request order,
+        each newest version first.
+
+        Paid once per batch: the ``history.fetch`` span (when a tracer
+        is attached; reconstruction work runs inside it), the
+        history-store circuit breaker's gate and its success or failure
+        record, one locked reconstruction-cache lookup and one locked
+        fill, and one preload of the records the cache misses replay.
+        While the breaker is open the batch degrades per the
+        ``degraded_reads`` policy (raise
+        :class:`~repro.errors.DegradedModeError`, or serve every object
+        current-only).  Checked per object: the ``history.fetch``
+        failpoint (so its Nth hit is the Nth object), the quarantine
+        (a degraded quarantined object alone comes back empty), and the
+        ``fetches`` / ``versions_served`` counters.
+        """
+        if not requests:
+            return []
+        tracer = self.tracer
+        if tracer is None or not tracer.enabled:
+            return self._fetch_many(object_kind, requests, cond)
+        with tracer.span("history.fetch"):
+            return self._fetch_many(object_kind, requests, cond)
+
+    def _fetch_many(
+        self,
+        object_kind: str,
+        requests: Sequence[tuple[int, object]],
+        cond: TemporalCondition,
+    ) -> list[list]:
         ctrl = self.resilience
         if ctrl is not None and not ctrl.allow_history_read():
-            return iter(())
+            return [[] for _ in requests]
+        segment = _SEGMENT[object_kind]
+        entries, uncached, epoch = self._cache_lookup(object_kind, requests)
+        caching = self.reconstruction_cache_size > 0
+        check = FAILPOINTS.check
+        blocks = self.quarantine.blocks
+        t1, t2, is_point = cond.t1, cond.t2, cond.is_point
+        built: list[tuple[tuple[str, int], tuple]] = []
+        out: list[list] = []
+        # Counted per object, added to the shared counters once.
+        fetches = hits = misses = avoided = served = 0
         try:
-            mode = FAILPOINTS.check("history.fetch")
-            if mode == MODE_CORRUPT:
-                # At-rest bit rot: damage the stored value itself, so
-                # the failure surfaces where it would in production —
-                # the record's checksum verification at decode time.
-                self._corrupt_stored_record(object_kind, gid)
-            if self.quarantine.blocks(object_kind, gid, cond.t1, cond.t2):
-                if ctrl is None or ctrl.quarantined_read_raises():
-                    raise IntegrityError(
-                        f"{object_kind} gid={gid}: temporal read over a "
-                        "quarantined transaction-time range (awaiting "
-                        "scrub repair)"
+            if len(uncached) > 1:
+                self.preload_objects(object_kind, uncached)
+            for (gid, base_view), entry in zip(requests, entries):
+                if check("history.fetch") == MODE_CORRUPT:
+                    # At-rest bit rot: damage the stored value itself, so
+                    # the failure surfaces where it would in production —
+                    # the record's checksum verification at decode time.
+                    self._corrupt_stored_record(object_kind, gid)
+                    entry = None
+                if blocks(object_kind, gid, t1, t2):
+                    if ctrl is None or ctrl.quarantined_read_raises():
+                        raise IntegrityError(
+                            f"{object_kind} gid={gid}: temporal read over a "
+                            "quarantined transaction-time range (awaiting "
+                            "scrub repair)"
+                        )
+                    # degraded_reads="current-only": serve no historical
+                    # versions of this object rather than possibly-wrong ones
+                    out.append([])
+                    continue
+                fetches += 1
+                versions = None if entry is None else entry[1]
+                if entry is None and caching:
+                    misses += 1
+                    try:
+                        versions, replays = self._build_versions(
+                            object_kind, segment, gid, base_view
+                        )
+                    except IntegrityError:
+                        # Unbuildable this epoch: the bounded per-query
+                        # replay below may still avoid the damaged record.
+                        versions, replays = None, 0
+                    built.append(
+                        ((object_kind, gid), (_base_sig(base_view), versions, replays))
                     )
-                raise _QuarantineDegrade()
-            versions = list(
-                self._fetch_versions(object_kind, gid, cond, base_view)
-            )
-        except _QuarantineDegrade:
-            # degraded_reads="current-only": serve no historical
-            # versions rather than possibly-wrong ones
-            return iter(())
+                elif versions is not None:
+                    hits += 1
+                    avoided += entry[2]
+                if versions is None:
+                    found = list(
+                        self._fetch_versions_uncached(
+                            object_kind, segment, gid, cond, base_view
+                        )
+                    )
+                elif is_point:
+                    found = self._serve_cached_point(segment, gid, versions, t1)
+                else:
+                    found = [
+                        frozen.fork()
+                        for tt_start, tt_end, frozen in reversed(versions)
+                        if frozen is not None and cond.matches(tt_start, tt_end)
+                    ]
+                served += len(found)
+                out.append(found)
         except StorageError:
             if ctrl is not None:
                 ctrl.history_failed()
             raise
-        if ctrl is not None:
+        finally:
+            metrics = self.read_metrics
+            metrics.fetches += fetches
+            metrics.cache_hits += hits
+            metrics.cache_misses += misses
+            metrics.reconstructions_avoided += avoided
+            metrics.versions_served += served
+            if built:
+                self._cache_fill(epoch, built)
+        if ctrl is not None and fetches:
             ctrl.history_ok()
-        self.read_metrics.versions_served += len(versions)
-        return iter(versions)
+        return out
 
     def _corrupt_stored_record(self, object_kind: str, gid: int) -> bool:
         """Flip one bit in the object's first stored record value (the
         ``corrupt`` mode of the ``history.fetch`` failpoint).  Returns
         False when the object has no stored records to damage."""
-        segment = (
-            history_keys.SEGMENT_VERTEX
-            if object_kind == "vertex"
-            else history_keys.SEGMENT_EDGE
-        )
         prefix = history_keys.object_prefix(
-            segment, history_keys.KIND_DELTA, gid
+            _SEGMENT[object_kind], history_keys.KIND_DELTA, gid
         )
         for key, value in self.kv.scan_prefix(prefix):
             batch = WriteBatch()
@@ -456,32 +526,6 @@ class HistoricalStore:
             self.invalidate_caches()
             return True
         return False
-
-    def _fetch_versions(
-        self,
-        object_kind: str,
-        gid: int,
-        cond: TemporalCondition,
-        base_view=None,
-    ) -> Iterator:
-        segment = (
-            history_keys.SEGMENT_VERTEX
-            if object_kind == "vertex"
-            else history_keys.SEGMENT_EDGE
-        )
-        self.read_metrics.fetches += 1
-        versions = self._cached_versions(object_kind, segment, gid, base_view)
-        if versions is None:
-            yield from self._fetch_versions_uncached(
-                object_kind, segment, gid, cond, base_view
-            )
-            return
-        if cond.is_point:
-            yield from self._serve_cached_point(segment, gid, versions, cond)
-            return
-        for tt_start, tt_end, frozen in reversed(versions):
-            if frozen is not None and cond.matches(tt_start, tt_end):
-                yield frozen.fork()
 
     # -- reconstruction cache ---------------------------------------------
     #
@@ -496,53 +540,49 @@ class HistoricalStore:
     # without a KV write), which changes which versions are the
     # history's to serve, so a signature mismatch forces a rebuild.
 
-    def _cached_versions(
-        self, object_kind: str, segment: bytes, gid: int, base_view
-    ) -> Optional[list]:
-        """The object's cached version list, building it on a miss.
-
-        Returns ``None`` when caching is disabled or the object's full
-        chain cannot be decoded (the caller falls back to the bounded
-        per-query replay, which may avoid the damaged record).
-        """
+    def _cache_lookup(
+        self, object_kind: str, requests: Sequence[tuple[int, object]]
+    ) -> tuple[list, list[int], int]:
+        """Each request's cache entry ``(base_sig, versions, replays)``,
+        or ``None`` on a miss (and always when caching is disabled),
+        under one lock; the gids whose versions must be replayed (misses
+        and entries whose ``versions`` is ``None``, objects known to be
+        unbuildable this epoch); and the epoch the entries were read at."""
         if self.reconstruction_cache_size <= 0:
-            return None
-        base_sig = (
-            (base_view.tt_start, base_view.tt_end)
-            if base_view is not None
-            else None
-        )
+            return [None] * len(requests), [gid for gid, _ in requests], self._epoch
         cache = self._reconstruction_cache
-        key = (object_kind, gid)
+        entries = []
+        uncached = []
         with self._cache_lock:
-            entry = cache.get(key)
-            hit = entry is not None and entry[0] == base_sig
-            if hit:
-                cache.move_to_end(key)
+            for gid, base_view in requests:
+                key = (object_kind, gid)
+                entry = cache.get(key)
+                if entry is not None and entry[0] == _base_sig(base_view):
+                    cache.move_to_end(key)
+                    if entry[1] is None:
+                        uncached.append(gid)
+                else:
+                    entry = None
+                    uncached.append(gid)
+                entries.append(entry)
             epoch = self._epoch
-        if hit:
-            if entry[1] is None:
-                return None  # known-unbuildable this epoch
-            self.read_metrics.cache_hits += 1
-            self.read_metrics.reconstructions_avoided += entry[2]
-            return entry[1]
-        self.read_metrics.cache_misses += 1
-        try:
-            versions, replays = self._build_versions(
-                object_kind, segment, gid, base_view
-            )
-        except IntegrityError:
-            versions, replays = None, 0
+        return entries, uncached, epoch
+
+    def _cache_fill(self, epoch: int, built: list) -> None:
+        """Install entries built from the record set of ``epoch``, under
+        one lock, evicting least recently used entries past capacity."""
+        cache = self._reconstruction_cache
         with self._cache_lock:
             # A migration installed mid-build has bumped the epoch; an
             # entry built from the older record set must not outlive it.
-            if epoch == self._epoch:
-                cache[key] = (base_sig, versions, replays)
+            if epoch != self._epoch:
+                return
+            for key, entry in built:
+                cache[key] = entry
                 cache.move_to_end(key)
-                while len(cache) > self.reconstruction_cache_size:
-                    cache.popitem(last=False)
-                    self.read_metrics.cache_evictions += 1
-        return versions
+            while len(cache) > self.reconstruction_cache_size:
+                cache.popitem(last=False)
+                self.read_metrics.cache_evictions += 1
 
     def _build_versions(
         self, object_kind: str, segment: bytes, gid: int, base_view
@@ -588,8 +628,8 @@ class HistoricalStore:
         return versions, replays
 
     def _serve_cached_point(
-        self, segment: bytes, gid: int, versions: list, cond: TemporalCondition
-    ) -> Iterator:
+        self, segment: bytes, gid: int, versions: list, t: int
+    ) -> list:
         """State-at-t from the cached list: bisect to the content
         version containing ``t`` and serve a fork of its frozen view.
 
@@ -600,28 +640,27 @@ class HistoricalStore:
         slice, newest first, and applies it only if its adjacency is
         read.  Damaged records in the slice still fail here, at serve
         time."""
-        t = cond.t1
-        index = bisect.bisect_right(versions, t, key=lambda v: v[1])
+        index = bisect.bisect_right(versions, t, key=_END)
         if index >= len(versions):
-            return
+            return []
         tt_start, tt_end, frozen = versions[index]
         if frozen is None or tt_start > t:
-            return  # non-existence at t, or t predates every version
+            return []  # non-existence at t, or t predates every version
         view = frozen.fork()
         if segment == history_keys.SEGMENT_VERTEX:
-            topo = self._records_for(
-                history_keys.SEGMENT_TOPOLOGY, history_keys.KIND_DELTA, gid
-            )
-            low = bisect.bisect_right(topo, t, key=lambda rec: rec[1])
-            high = bisect.bisect_right(topo, tt_end, lo=low, key=lambda rec: rec[1])
+            topo_key = (history_keys.SEGMENT_TOPOLOGY, history_keys.KIND_DELTA, gid)
+            topo = self._records_for(*topo_key)
+            low = bisect.bisect_right(topo, t, key=_END)
+            high = bisect.bisect_right(topo, tt_end, lo=low, key=_END)
             if low < high:
                 pending = topo[low:high]
-                for _r_start, _r_end, payload in pending:
-                    if isinstance(payload, _CorruptPayload):
-                        payload.raise_()
+                if topo_key in self._damaged:
+                    for _r_start, _r_end, payload in pending:
+                        if isinstance(payload, _CorruptPayload):
+                            payload.raise_()
                 pending.reverse()
                 view._pending = pending
-        yield view
+        return [view]
 
     def _fetch_versions_uncached(
         self,
@@ -731,7 +770,7 @@ class HistoricalStore:
         given interval when no such record covers it (e.g. a store
         whose seam was disturbed)."""
         records = self._records_for(segment, history_keys.KIND_DELTA, gid)
-        index = bisect.bisect_right(records, tt_start, key=lambda rec: rec[1])
+        index = bisect.bisect_right(records, tt_start, key=_END)
         if index < len(records):
             rec_start, rec_end, _payload = records[index]
             if rec_start <= tt_start and rec_end >= tt_end:
@@ -772,6 +811,7 @@ class HistoricalStore:
                     # Defer the failure: keys are still sound, so reads
                     # that never replay through this record may proceed.
                     payload = _CorruptPayload(key, exc)
+                    self._damaged.add(cache_key)
                 records.append((decoded.tt_start, decoded.tt_end, payload))
             self._memo(epoch, self._object_cache, cache_key, records)
         return records
@@ -789,11 +829,7 @@ class HistoricalStore:
         leaves the per-object lazy loads to do the work.  Returns the
         number of objects actually preloaded.
         """
-        segment = (
-            history_keys.SEGMENT_VERTEX
-            if object_kind == "vertex"
-            else history_keys.SEGMENT_EDGE
-        )
+        segment = _SEGMENT[object_kind]
         known = self._known[object_kind]
         loaded = 0
         streams = [segment]
@@ -831,6 +867,7 @@ class HistoricalStore:
                 payload = self._decode(value)
             except IntegrityError as exc:
                 payload = _CorruptPayload(key, exc)
+                self._damaged.add((segment, kind, decoded.gid))
             rows[decoded.gid].append(
                 (decoded.tt_start, decoded.tt_end, payload)
             )
@@ -859,7 +896,7 @@ class HistoricalStore:
         """First anchor of ``gid`` with ``tt_end > t`` (nearest newer)."""
         self.read_metrics.anchor_seeks += 1
         anchors = self._records_for(segment, history_keys.KIND_ANCHOR, gid)
-        index = bisect.bisect_right(anchors, t, key=lambda rec: rec[1])
+        index = bisect.bisect_right(anchors, t, key=_END)
         if index < len(anchors):
             return anchors[index]
         return None
@@ -875,12 +912,12 @@ class HistoricalStore:
         collected: list[tuple[int, int, bytes, dict]] = []
         for seg in streams:
             records = self._records_for(seg, history_keys.KIND_DELTA, gid)
-            low = bisect.bisect_right(records, t1, key=lambda rec: rec[1])
+            low = bisect.bisect_right(records, t1, key=_END)
             for tt_start, tt_end, payload in records[low:]:
                 if tt_end > boundary:
                     break
                 collected.append((tt_start, tt_end, seg, payload))
-        collected.sort(key=lambda rec: rec[1], reverse=True)
+        collected.sort(key=_END, reverse=True)
         return collected
 
     def _newest_record_end(self, segment: bytes, gid: int) -> Optional[int]:
@@ -905,11 +942,7 @@ class HistoricalStore:
         """Distinct gids present in the store for one object kind,
         ascending — served from the key index (the skip scan this used
         to run now happens at most once, inside the index rebuild)."""
-        segment = (
-            history_keys.SEGMENT_VERTEX
-            if object_kind == "vertex"
-            else history_keys.SEGMENT_EDGE
-        )
+        segment = _SEGMENT[object_kind]
         key = (segment, history_keys.KIND_DELTA)
         yield from self._sorted_gids(key, self._ensure_index().get(key, ()))
 
@@ -921,11 +954,7 @@ class HistoricalStore:
         diffs}, so equality filters can reject an object without
         reconstructing any version.
         """
-        segment = (
-            history_keys.SEGMENT_VERTEX
-            if object_kind == "vertex"
-            else history_keys.SEGMENT_EDGE
-        )
+        segment = _SEGMENT[object_kind]
         records = self._records_for(segment, history_keys.KIND_DELTA, gid)
         return [payload for _s, _e, payload in records]
 
@@ -945,11 +974,10 @@ class HistoricalStore:
             mentions = self._memo(epoch, self._mention_cache, gid, (labels, values))
         return mentions
 
-    def topology_refs(
-        self, gid: int, t1: int
-    ) -> tuple[set[tuple[str, int, int]], set[tuple[str, int, int]]]:
-        """Every out/in edge stub mentioned by topology records of
-        ``gid`` ending after ``t1``.
+    def topology_refs(self, gid: int, t1: int) -> tuple[list, list]:
+        """Every out/in edge stub ``(type, other gid, edge gid)``
+        mentioned by topology records of ``gid`` ending after ``t1``
+        (a stub may repeat).
 
         This is the ``VE`` lookup of Algorithm 3 (line 4): any edge
         alive at some instant ``>= t1`` but since detached appears in a
@@ -957,21 +985,19 @@ class HistoricalStore:
         stubs with the current adjacency over-approximates the
         candidate edge set; per-edge temporal checks then filter.
         """
-        out_refs: set[tuple[str, int, int]] = set()
-        in_refs: set[tuple[str, int, int]] = set()
+        out_refs: list = []
+        in_refs: list = []
         records = self._records_for(
             history_keys.SEGMENT_TOPOLOGY, history_keys.KIND_DELTA, gid
         )
-        low = bisect.bisect_right(records, t1, key=lambda rec: rec[1])
+        low = bisect.bisect_right(records, t1, key=_END)
         for _tt_start, _tt_end, payload in records[low:]:
             if isinstance(payload, _CorruptPayload):
                 payload.raise_()
             for field in ("oa", "or"):
-                for ref in payload.get(field, ()):
-                    out_refs.add((ref[0], ref[1], ref[2]))
+                out_refs.extend(payload.get(field, ()))
             for field in ("ia", "ir"):
-                for ref in payload.get(field, ()):
-                    in_refs.add((ref[0], ref[1], ref[2]))
+                in_refs.extend(payload.get(field, ()))
         return out_refs, in_refs
 
     def has_history(self, object_kind: str, gid: int) -> bool:
@@ -990,6 +1016,7 @@ class HistoricalStore:
         with self._cache_lock:
             self._staged = []
             self._object_cache.clear()
+            self._damaged.clear()
             self._mention_cache.clear()
             self._gid_index = None
             self._bump_epoch()

@@ -7,7 +7,8 @@ as needed" — no full snapshot is ever materialized):
 2. unreclaimed historical versions still chained in the current store,
    surfaced by stepping the undo chain;
 3. reclaimed versions in the historical store, reconstructed by
-   :meth:`~repro.core.history_store.HistoricalStore.fetch_versions`.
+   :meth:`~repro.core.history_store.HistoricalStore.fetch_many` — one
+   batch per object for scans, two batches per expand.
 
 A time-point query stops at the first version satisfying the temporal
 condition (the ``flag`` of Algorithm 2); a time-slice query collects
@@ -60,6 +61,10 @@ class TemporalOpStats:
     a temporal read returns.  ``scan_candidates`` counts the gids the
     unindexed scan visited (its roster's length, for a scan run to the
     end) and ``roster_builds`` the rosters built to answer them.
+    ``expand_candidates`` counts the candidate edges expands considered,
+    ``expand_edges_rejected`` those with no version passing the
+    temporal condition and Equation 2 against the source vertex, and
+    ``expand_pairs`` the ``(edge, neighbour)`` rows expands yielded.
     Exported as ``metrics()["operators"]``; ``current_hits`` is also
     snapshotted per-operator by ``PROFILE``.
     """
@@ -70,6 +75,9 @@ class TemporalOpStats:
         "current_hits",
         "roster_builds",
         "scan_candidates",
+        "expand_candidates",
+        "expand_edges_rejected",
+        "expand_pairs",
     )
 
     def __init__(self) -> None:
@@ -110,6 +118,42 @@ class TemporalOperators:
     def _object_versions(
         self, object_kind: str, txn: Transaction, gid: int, cond: TemporalCondition
     ) -> Iterator:
+        current, request = self._current_versions(object_kind, txn, gid, cond)
+        yield from current
+        if request is not None:
+            yield from self.history.fetch_many(object_kind, (request,), cond)[0]
+
+    def _versions_many(
+        self,
+        object_kind: str,
+        txn: Transaction,
+        gids: Sequence[int],
+        cond: TemporalCondition,
+    ) -> list[list]:
+        """Versions of each of ``gids`` satisfying ``cond``, newest
+        first, with every reclaimed part read in one history batch."""
+        out: list[list] = []
+        slots: list[int] = []
+        requests: list[tuple] = []
+        for gid in gids:
+            current, request = self._current_versions(object_kind, txn, gid, cond)
+            if request is not None:
+                slots.append(len(out))
+                requests.append(request)
+            out.append(current)
+        if requests:
+            fetched = self.history.fetch_many(object_kind, requests, cond)
+            for slot, versions in zip(slots, fetched):
+                out[slot].extend(versions)
+        return out
+
+    def _current_versions(
+        self, object_kind: str, txn: Transaction, gid: int, cond: TemporalCondition
+    ) -> tuple[list, Optional[tuple]]:
+        """The object's current-store versions satisfying ``cond``,
+        newest first (SnapshotCheck then TemporalCheck), and the history
+        request ``(gid, base)`` still owed for its older reclaimed
+        versions, or ``None`` when no reclaimed version can match."""
         record = (
             self.storage.vertex_record(gid)
             if object_kind == "vertex"
@@ -117,19 +161,36 @@ class TemporalOperators:
         )
         if record is None:
             # Fully reclaimed object: the history store is the only source.
-            yield from self.history.fetch_versions(object_kind, gid, cond, None)
-            return
-        # Current + unreclaimed versions (SnapshotCheck then TemporalCheck).
-        for view in version_iterator(record, txn):
-            if cond.matches(view.tt_start, view.tt_end):
+            return [], (gid, None)
+        view = current_view(record)
+        if record.delta_head is None:
+            # No undo chain: GC truncates only deltas committed before
+            # every live snapshot, so the in-place state (read before
+            # the head, as writers chain before they write) is visible
+            # and the record's stamps decide — it is both the newest
+            # version and the reconstruction base.
+            base = view
+            if view.exists and cond.matches(view.tt_start, view.tt_end):
                 self.stats.current_hits += 1
-                yield view
                 if cond.is_point:
-                    return  # flag := false
+                    return [view], None  # flag := false
+                current, base = [view], view.fork()
+            else:
+                current = []
+        else:
+            base = None
+            current = []
+            for version in version_iterator(record, txn):
+                if cond.matches(version.tt_start, version.tt_end):
+                    self.stats.current_hits += 1
+                    current.append(version)
+                    if cond.is_point:
+                        return current, None  # flag := false
         # Older reclaimed versions, reconstructed from the KV store.
         if not self.history.has_history(object_kind, gid):
-            return
-        base = oldest_unreclaimed_view(record)
+            return current, None
+        if base is None:
+            base = oldest_unreclaimed_view(record)
         # Reclaimed records tile the content timeline up to the base's
         # start with half-open intervals, so when the window only abuts
         # the seam (t1 == base.tt_start) nothing older can match — but
@@ -140,7 +201,8 @@ class TemporalOperators:
         # degrades to a harmless extra lookup instead of a missed
         # version.
         if base.tt_start >= cond.t1:
-            yield from self.history.fetch_versions(object_kind, gid, cond, base)
+            return current, (gid, base)
+        return current, None
 
     # -- scan (Algorithm 2) ----------------------------------------------------
 
@@ -382,44 +444,60 @@ class TemporalOperators:
 
         Candidate edges are the union of the current adjacency (incl.
         unreclaimed structural history) and the history store's
-        topology records (``EdgeRead`` ∪ ``FetchFromKV``-VE); each
-        candidate is then checked per Equation 2 — the edge's TT must
-        intersect both the vertex's and the neighbour's.
+        topology records (``EdgeRead`` ∪ ``FetchFromKV``-VE), checked
+        per Equation 2 — the edge's TT must intersect both the vertex's
+        and the neighbour's — in two batches: every candidate edge is
+        resolved in one history read and checked against the vertex
+        before any neighbour is touched, then the surviving edges'
+        neighbours are resolved in a second.  Rows come edges by gid,
+        each edge's versions and then each neighbour's versions newest
+        first (a point condition serves at most one version of each).
         """
         if direction not in ("out", "in", "both"):
             raise ValueError(f"bad expand direction {direction!r}")
-        self.stats.expands += 1
+        stats = self.stats
+        stats.expands += 1
         refs = self._candidate_refs(vertex.gid, cond, direction, edge_types)
+        stats.expand_candidates += len(refs)
         if len(refs) > 1:
-            # Batched FetchFromKV: pull every candidate's records with
-            # one bounded range scan per segment instead of one KV seek
-            # per edge (and per neighbour) — the expand cost on a
-            # high-degree vertex stops scaling with its reclaimed
-            # degree.
-            self.history.preload_objects(
-                "edge", (ref.edge_gid for ref in refs)
-            )
-            self.history.preload_objects(
-                "vertex", (ref.other_gid for ref in refs)
-            )
-        for ref in refs:
-            for edge in self.edge_versions(txn, ref.edge_gid, cond):
-                if not intersects(
+            # Warm every candidate neighbour's records with one bounded
+            # range scan per segment (the edge batch preloads its own
+            # misses), so neighbours that survive one at a time across
+            # expands never pay a KV seek each.
+            self.history.preload_objects("vertex", (ref.other_gid for ref in refs))
+        survivors = []
+        edge_versions = self._versions_many(
+            "edge", txn, [ref.edge_gid for ref in refs], cond
+        )
+        for ref, versions in zip(refs, edge_versions):
+            kept = [
+                edge
+                for edge in versions
+                if intersects(
                     edge.tt_start, edge.tt_end, vertex.tt_start, vertex.tt_end
-                ):
-                    continue
-                for neighbour in self.vertex_versions(txn, ref.other_gid, cond):
+                )
+            ]
+            if kept:
+                survivors.append((ref, kept))
+        stats.expand_edges_rejected += len(refs) - len(survivors)
+        if not survivors:
+            return
+        # One neighbour request per surviving edge (a neighbour two
+        # edges reach is requested twice), so failpoint hits and the
+        # per-object counters follow the edges that reached it.
+        others = [ref.other_gid for ref, _kept in survivors]
+        neighbours = self._versions_many("vertex", txn, others, cond)
+        for (ref, kept), candidates in zip(survivors, neighbours):
+            for edge in kept:
+                for neighbour in candidates:
                     if intersects(
                         edge.tt_start,
                         edge.tt_end,
                         neighbour.tt_start,
                         neighbour.tt_end,
                     ):
+                        stats.expand_pairs += 1
                         yield edge, neighbour
-                        if cond.is_point:
-                            break
-                if cond.is_point:
-                    break
 
     def _candidate_refs(
         self,
@@ -428,39 +506,41 @@ class TemporalOperators:
         direction: str,
         edge_types: Optional[set[str]],
     ) -> list[EdgeRef]:
-        want_out = direction in ("out", "both")
-        want_in = direction in ("in", "both")
-        selected: dict[int, EdgeRef] = {}
-
-        def consider(ref, outgoing: bool) -> None:
-            # Type and direction filters apply during collection so
-            # high-degree vertices (many LIKES) stay cheap to expand.
-            if outgoing and not want_out:
-                return
-            if not outgoing and not want_in:
-                return
-            if edge_types is not None and ref[0] not in edge_types:
-                return
-            if ref[2] not in selected:
-                selected[ref[2]] = EdgeRef(ref[0], ref[1], ref[2])
-
+        want_out = direction != "in"
+        want_in = direction != "out"
+        # Edge stubs (type, other gid, edge gid) from the current
+        # adjacency, the unreclaimed structural deltas and the history
+        # topology records; the type and direction filters apply during
+        # collection so high-degree vertices (many LIKES) stay cheap.
+        groups: list = []
         record = self.storage.vertex_record(gid)
         if record is not None:
-            for ref in record.out_edges:
-                consider(ref, True)
-            for ref in record.in_edges:
-                consider(ref, False)
+            if want_out:
+                groups.append(record.out_edges)
+            if want_in:
+                groups.append(record.in_edges)
+            structural = []
             delta = record.delta_head
             while delta is not None:
-                if delta.is_structural:
-                    consider(delta.payload, "OUT" in delta.action.name)
+                if delta.is_structural and (
+                    want_out if "OUT" in delta.action.name else want_in
+                ):
+                    structural.append(delta.payload)
                 delta = delta.next
+            groups.append(structural)
         if self.history.has_history("vertex", gid):
             hist_out, hist_in = self.history.topology_refs(gid, cond.t1)
-            for ref in hist_out:
-                consider(ref, True)
-            for ref in hist_in:
-                consider(ref, False)
-        refs = list(selected.values())
-        refs.sort(key=lambda r: r.edge_gid)
-        return refs
+            if want_out:
+                groups.append(hist_out)
+            if want_in:
+                groups.append(hist_in)
+        selected: dict[int, EdgeRef] = {}
+        for group in groups:
+            for ref in group:
+                if ref[2] not in selected and (
+                    edge_types is None or ref[0] in edge_types
+                ):
+                    selected[ref[2]] = (
+                        ref if type(ref) is EdgeRef else EdgeRef(ref[0], ref[1], ref[2])
+                    )
+        return [selected[edge_gid] for edge_gid in sorted(selected)]

@@ -251,7 +251,9 @@ class FailpointRegistry:
         :meth:`check` instead, which raises for them.
         """
         with self._lock:
-            stats = self._sites.setdefault(site, SiteStats())
+            stats = self._sites.get(site)
+            if stats is None:
+                stats = self._sites[site] = SiteStats()
             stats.hits += 1
             arm = self._armed.get(site)
             if arm is None:

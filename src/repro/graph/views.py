@@ -330,9 +330,15 @@ def version_iterator(record, txn: Transaction) -> Iterator:
     view = current_view(record)
     delta = record.delta_head
     # First, roll back changes invisible to the snapshot (SnapshotCheck).
+    # The visible version's interval is the content timeline's: undoing
+    # another writer's edge create or delete restores adjacency only.
+    content_tt = (view.tt_start, view.tt_end)
     while delta is not None and not delta_visible_at(delta, txn.start_ts, txn):
         view.step_back(delta)
+        if not delta.is_structural:
+            content_tt = (delta.tt_start, delta.tt_end)
         delta = delta.next
+    view.tt_start, view.tt_end = content_tt
     if view.exists:
         yield view
         # Detach lazily: this line only runs if the consumer resumes

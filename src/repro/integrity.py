@@ -34,7 +34,7 @@ prune and therefore leaves a consistent (if shorter) history.
 
 Damage that has been found but not yet repaired is *quarantined*: the
 affected transaction-time range of the object is registered in a
-:class:`QuarantineSet` that ``fetch_versions`` consults, so a temporal
+:class:`QuarantineSet` that ``fetch_many`` consults, so a temporal
 read can never silently return a version reconstructed through a bad
 record.  Reads over a quarantined range raise
 :class:`~repro.errors.IntegrityError` (feeding the history circuit
@@ -171,7 +171,7 @@ class QuarantineSet:
     """Transaction-time ranges whose reconstructions are untrusted.
 
     Keyed by ``(object_kind, gid)``; each entry holds one or more
-    ``(tt_start, tt_end)`` ranges.  ``fetch_versions`` refuses (or
+    ``(tt_start, tt_end)`` ranges.  ``fetch_many`` refuses (or
     degrades) any temporal read whose condition overlaps a quarantined
     range, because reconstruction replays *through* damaged records:
     a corrupt delta at ``(s, e)`` taints every version older than
@@ -196,6 +196,10 @@ class QuarantineSet:
         or before ``qe`` — i.e. when ``t1 < qe`` — and beginning at or
         after ``qs`` — i.e. when ``t2 >= qs``.
         """
+        # Unlocked fast path: a racing add() that has not landed yet is
+        # indistinguishable from this read landing just before it.
+        if not self._ranges:
+            return False
         with self._lock:
             ranges = self._ranges.get((object_kind, gid))
             if not ranges:

@@ -475,6 +475,33 @@ def _properties_match(entity, prop_filters, ctx, frame) -> bool:
     return True
 
 
+def _expansions(ctx, vertex, direction, types):
+    """``(edge, neighbour)`` pairs one hop from ``vertex``: the temporal
+    operator's rows under a temporal condition, else the snapshot's
+    visible adjacency."""
+    if ctx.cond is not None:
+        return ctx.engine.operators.expand(ctx.txn, vertex, ctx.cond, direction, types)
+    return _snapshot_expansions(ctx, vertex, direction, types)
+
+
+def _snapshot_expansions(ctx, vertex, direction, types):
+    storage = ctx.engine.storage
+    refs = []
+    if direction in ("out", "both"):
+        refs.extend(vertex.out_edges)
+    if direction in ("in", "both"):
+        refs.extend(vertex.in_edges)
+    for ref in refs:
+        if types is not None and ref.edge_type not in types:
+            continue
+        edge = storage.get_edge(ctx.txn, ref.edge_gid)
+        if edge is None:
+            continue
+        neighbour = storage.get_vertex(ctx.txn, ref.other_gid)
+        if neighbour is not None:
+            yield edge, neighbour
+
+
 class Expand(PhysicalOperator):
     """Traverse one hop from ``src`` binding ``rel`` and ``dst``.
 
@@ -496,7 +523,7 @@ class Expand(PhysicalOperator):
             if source is None:
                 continue
             bound_dst = frame.get(self.dst) if self.dst is not None else None
-            for edge, neighbour in self._expansions(ctx, source):
+            for edge, neighbour in _expansions(ctx, source, self.direction, self.types):
                 if bound_dst is not None and neighbour.gid != bound_dst.gid:
                     continue
                 new_frame = dict(frame)
@@ -511,27 +538,6 @@ class Expand(PhysicalOperator):
         types = ":" + "|".join(sorted(self.types)) if self.types else ""
         return f"Expand({self.src}){arrow}[{self.rel_var or '_'}{types}]({self.dst})"
 
-    def _expansions(self, ctx, source):
-        if ctx.cond is not None:
-            yield from ctx.engine.operators.expand(
-                ctx.txn, source, ctx.cond, self.direction, self.types
-            )
-            return
-        storage = ctx.engine.storage
-        refs = []
-        if self.direction in ("out", "both"):
-            refs.extend((r, "out") for r in source.out_edges)
-        if self.direction in ("in", "both"):
-            refs.extend((r, "in") for r in source.in_edges)
-        for ref, _side in refs:
-            if self.types is not None and ref.edge_type not in self.types:
-                continue
-            edge = storage.get_edge(ctx.txn, ref.edge_gid)
-            if edge is None:
-                continue
-            neighbour = storage.get_vertex(ctx.txn, ref.other_gid)
-            if neighbour is not None:
-                yield edge, neighbour
 
 
 class Unwind(PhysicalOperator):
@@ -621,7 +627,9 @@ class VarExpand(PhysicalOperator):
             vertex, path, used = stack.pop()
             if len(path) >= self.max_hops:
                 continue
-            for edge, neighbour in self._expansions(ctx, vertex):
+            for edge, neighbour in _expansions(
+                ctx, vertex, self.direction, self.types
+            ):
                 if edge.gid in used:
                     continue
                 if not self._edge_matches(ctx, frame, edge):
@@ -630,28 +638,6 @@ class VarExpand(PhysicalOperator):
                 if len(new_path) >= self.min_hops:
                     yield new_path, neighbour
                 stack.append((neighbour, new_path, used | {edge.gid}))
-
-    def _expansions(self, ctx, vertex):
-        if ctx.cond is not None:
-            yield from ctx.engine.operators.expand(
-                ctx.txn, vertex, ctx.cond, self.direction, self.types
-            )
-            return
-        storage = ctx.engine.storage
-        refs = []
-        if self.direction in ("out", "both"):
-            refs.extend(vertex.out_edges)
-        if self.direction in ("in", "both"):
-            refs.extend(vertex.in_edges)
-        for ref in refs:
-            if self.types is not None and ref.edge_type not in self.types:
-                continue
-            edge = storage.get_edge(ctx.txn, ref.edge_gid)
-            if edge is None:
-                continue
-            neighbour = storage.get_vertex(ctx.txn, ref.other_gid)
-            if neighbour is not None:
-                yield edge, neighbour
 
     def _edge_matches(self, ctx, frame, edge) -> bool:
         return _properties_match(edge, self.prop_filters, ctx, frame)

@@ -271,6 +271,10 @@ class CircuitBreaker:
 
     def allow(self) -> bool:
         """Whether a history-store request may proceed right now."""
+        # Unlocked fast path: a racing trip that has not landed yet is
+        # indistinguishable from this read landing just before it.
+        if self.state == BREAKER_CLOSED:
+            return True
         with self._lock:
             if self.state == BREAKER_CLOSED:
                 return True
@@ -351,7 +355,7 @@ class ResilienceController:
 
     Owned by :class:`repro.AeonG`; the engine routes ``begin`` through
     the admission gate, the migrate hook and
-    :meth:`HistoricalStore.fetch_versions` through the breaker, and the
+    :meth:`HistoricalStore.fetch_many` through the breaker, and the
     watchdog through :meth:`AeonG.sweep_expired`.  Counters here feed
     ``metrics()["resilience"]``.
     """

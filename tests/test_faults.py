@@ -117,6 +117,19 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.load_env({"REPRO_FAILPOINTS": "no-equals-sign"})
 
+    def test_hit_counts_on_one_stable_stats_object(self):
+        registry = FailpointRegistry()
+        registry.register("site.a")
+        stats = registry.stats("site.a")
+        for expected in (1, 2, 3):
+            assert registry.hit("site.a") is None
+            assert registry.stats("site.a") is stats
+            assert stats.hits == expected
+        assert registry.hit("site.b") is None  # first hit registers it
+        fresh = registry.stats("site.b")
+        registry.hit("site.b")
+        assert registry.stats("site.b") is fresh and fresh.hits == 2
+
     def test_clear_keeps_registrations(self):
         registry = FailpointRegistry()
         registry.register("x")
