@@ -1,5 +1,5 @@
 """Profiling walkthrough: EXPLAIN a plan, then PROFILE a time-slice
-query cold vs warm to watch the reconstruction cache work.
+query cold vs warm to watch the history cache work.
 
 The script seeds a small bi-temporal graph — accounts whose balances
 churn (transaction time) and offers with explicit validity intervals
@@ -7,10 +7,10 @@ churn (transaction time) and offers with explicit validity intervals
 the KV history store, and then:
 
 1. renders the operator tree of the time-slice query (``EXPLAIN``);
-2. profiles the query **cold** (reconstruction caches dropped): the
+2. profiles the query **cold** (history cache dropped): the
    temporal scan pays history fetches, KV seeks, and backward-delta
    replays to rebuild reclaimed versions (paper Algorithm 2);
-3. profiles the identical query **warm**: the reconstruction cache
+3. profiles the identical query **warm**: the history cache
    answers instead, so seeks and replays collapse to zero — the effect
    the read-path performance layer exists to produce.
 
@@ -75,7 +75,7 @@ def main():
         print(line)
 
     print("\n== PROFILE: cold vs warm ==")
-    db.history.invalidate_caches()          # drop the reconstruction cache
+    db.history.invalidate_caches()          # drop the history cache
     cold = db.profile(query)
     warm = db.profile(query)                # identical query, warm cache
     assert cold.rows == warm.rows           # same answers either way
@@ -98,7 +98,7 @@ def main():
     assert warm.totals["kv_seeks"] == 0           # ...so no KV work
     assert warm.totals["deltas_replayed"] == 0
 
-    print("\nwarm run: the reconstruction cache replaces "
+    print("\nwarm run: the history cache replaces "
           f"{cold.totals['kv_seeks']} KV seeks and "
           f"{cold.totals['deltas_replayed']} delta replays with "
           f"{warm.totals['cache_hits']} cache hits.")

@@ -91,9 +91,12 @@ class AeonG:
     kv:
         Inject a pre-configured key-value store (e.g. with a WAL).
     reconstruction_cache_size:
-        Maximum objects whose reconstructed version lists the history
-        store caches (epoch-invalidated LRU; 0 disables caching and
-        every temporal read replays its anchor+delta chain).
+        Maximum objects the history store keeps in memory: each one's
+        record lists, scan mentions and reconstructed version list, in
+        one epoch-checked LRU.  It bounds every per-object read
+        structure; 0 keeps nothing between reads (every temporal read
+        loads its records from the KV store and replays its
+        anchor+delta chain).
     durability_dir:
         Enable the logical write-ahead log under this directory: every
         committed transaction is durably journaled, :meth:`checkpoint`
@@ -903,10 +906,6 @@ class AeonG:
             "operators": self.operators.stats.as_dict(),
             "query": self.plans.metrics(),
             "observability": self.observability.self_metrics(),
-            "caches": {
-                "objects": len(self.history._object_cache),
-                "mentions": len(self.history._mention_cache),
-            },
             "current_store": {
                 "vertices": self.storage.vertex_count(),
                 "edges": self.storage.edge_count(),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import threading
 from collections import OrderedDict
+from contextlib import nullcontext
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -41,6 +42,19 @@ from repro.kvstore import KVStore, WriteBatch
 FAILPOINTS.register("history.fetch")
 
 _SEGMENT = {"vertex": history_keys.SEGMENT_VERTEX, "edge": history_keys.SEGMENT_EDGE}
+_OBJECT_KIND = {
+    history_keys.SEGMENT_VERTEX: "vertex",
+    history_keys.SEGMENT_TOPOLOGY: "vertex",
+    history_keys.SEGMENT_EDGE: "edge",
+}
+#: the delta streams of one object's history, by its content segment
+_STREAMS = {
+    history_keys.SEGMENT_VERTEX: (
+        history_keys.SEGMENT_VERTEX,
+        history_keys.SEGMENT_TOPOLOGY,
+    ),
+    history_keys.SEGMENT_EDGE: (history_keys.SEGMENT_EDGE,),
+}
 #: sort / bisect key of record and version rows ``(tt_start, tt_end, ...)``
 _END = itemgetter(1)
 
@@ -72,6 +86,24 @@ class _CorruptPayload:
         raise IntegrityError(
             f"history record {self.key.hex()} is unreadable: {self.error}"
         )
+
+
+class _Entry:
+    """Everything the history cache holds about one object: its record
+    lists by ``(segment, kind)``, each ``[(tt_start, tt_end, payload)]``
+    ascending by tt_end (immutable: consumers must not mutate the
+    decoded dicts); ``damaged``, set once any list was read with an
+    undecodable payload; the scan's ``mentions``; and ``built``, the
+    version list stamped ``(base_sig, versions, replays, epoch)``
+    (``versions`` is None where the chain failed to decode)."""
+
+    __slots__ = ("records", "damaged", "mentions", "built")
+
+    def __init__(self) -> None:
+        self.records: dict[tuple[bytes, bytes], list] = {}
+        self.damaged = False
+        self.mentions: Optional[tuple[set, dict]] = None
+        self.built: Optional[tuple] = None
 
 
 class ReadMetrics:
@@ -153,22 +185,9 @@ class HistoricalStore:
         # this to skip the KV store entirely for never-migrated objects
         # (the overwhelmingly common case in a mostly-static graph).
         self._known: dict[str, set[int]] = {"vertex": set(), "edge": set()}
-        # Lazily built per-object record lists (the "block cache"):
-        # (segment, kind, gid) -> [(tt_start, tt_end, payload)] sorted
-        # ascending by tt_end.  History records are immutable once
-        # written; consumers must not mutate the decoded dicts.
-        self._object_cache: dict[tuple[bytes, bytes, int], list] = {}
-        # Keys of record lists that may hold an undecodable payload (a
-        # superset: added before the list is memoized, cleared with the
-        # lists), so serving from any other list skips the per-record
-        # damage check.
-        self._damaged: set[tuple[bytes, bytes, int]] = set()
-        # gid -> (labels mentioned in diffs, {prop: [values in diffs]});
-        # the scan's O(1) pruning structure (see vertex_mentions).
-        self._mention_cache: dict[int, tuple[set, dict]] = {}
         #: read-path performance counters (surfaced via engine metrics)
         self.read_metrics = ReadMetrics()
-        #: maximum entries in the reconstruction cache; 0 disables it
+        #: maximum objects the history cache keeps; 0 keeps none
         self.reconstruction_cache_size = reconstruction_cache_size
         # Invalidation epoch for the derived read structures below.  It
         # advances whenever the stored record set can have changed — a
@@ -176,20 +195,13 @@ class HistoricalStore:
         # paths route through) — so correctness never depends on a
         # caller remembering to flush a specific cache.
         self._epoch = 0
-        # (object_kind, gid) -> (base_sig, versions, build_replays):
-        # the LRU cache of fully reconstructed version lists.  ``versions``
-        # is ascending by tt_end, one entry per content record, each a
-        # frozen view (None where the state is non-existence);
-        # ``base_sig`` is the reconstruction base's content interval
-        # (None for fully reclaimed objects) and guards against the
-        # base advancing without an epoch bump; ``versions is None``
-        # marks an object whose full chain failed to decode this epoch.
-        self._reconstruction_cache: OrderedDict[
-            tuple[str, int], tuple[Optional[tuple[int, int]], Optional[list], int]
-        ] = OrderedDict()
+        # (object_kind, gid) -> _Entry: the history cache, one LRU of
+        # at most reconstruction_cache_size objects (see _entries).
+        self._cache: OrderedDict[tuple[str, int], _Entry] = OrderedDict()
+        # Guards the history cache's LRU order and every fill of it.
         # Epochs (on the maintenance thread) publish staged rows to the
         # read structures only in commit_batch, under this lock with the
-        # KV write and the epoch bump; readers fill them via _memo.
+        # KV write and the epoch bump; readers fill them epoch-checked.
         self._cache_lock = threading.Lock()
         #: the epoch in flight's records, published by commit_batch
         self._staged: list[tuple] = []
@@ -214,8 +226,15 @@ class HistoricalStore:
         else:
             self._gid_index = {}
 
-    def _decode(self, value: bytes) -> dict:
-        payload, checksummed = decode_record_payload(value)
+    def _decode(self, key: bytes, value: bytes, entry: _Entry):
+        """The record's payload, or a :class:`_CorruptPayload` that flags
+        ``entry`` damaged: keys stay sound, so reads that never replay
+        through the record may proceed."""
+        try:
+            payload, checksummed = decode_record_payload(value)
+        except IntegrityError as exc:
+            entry.damaged = True
+            return _CorruptPayload(key, exc)
         if checksummed:
             self.checksums_verified += 1
         else:
@@ -230,8 +249,7 @@ class HistoricalStore:
         index: dict[tuple[bytes, bytes], dict[int, list[tuple[int, int]]]] = {}
         for key, _value in self.kv.scan_all():
             decoded = history_keys.decode_key(key)
-            kind = "edge" if decoded.segment == history_keys.SEGMENT_EDGE else "vertex"
-            known[kind].add(decoded.gid)
+            known[_OBJECT_KIND[decoded.segment]].add(decoded.gid)
             per_gid = index.setdefault((decoded.segment, decoded.kind), {})
             # scan_all yields keys ascending, so per-gid rows arrive
             # sorted by tt_end (the key order within an object).
@@ -261,8 +279,10 @@ class HistoricalStore:
     def _publish(self, segment, kind, gid, tt_start, tt_end) -> None:
         """(Under ``_cache_lock``.)  Add one committed record to the
         known-object set and the key index, and drop the object's cached
-        record list and mentions (the next reader rebuilds them)."""
-        object_kind = "edge" if segment == history_keys.SEGMENT_EDGE else "vertex"
+        record list of that stream and, for content, its mentions (the
+        next reader rebuilds them; the epoch bump that follows makes its
+        version list stale)."""
+        object_kind = _OBJECT_KIND[segment]
         if kind == history_keys.KIND_DELTA and gid not in self._known[object_kind]:
             self._known[object_kind].add(gid)
             self._sorted.pop(object_kind, None)
@@ -273,9 +293,11 @@ class HistoricalStore:
                 rows = per_gid[gid] = []
                 self._sorted.pop((segment, kind), None)
             rows.append((tt_start, tt_end))
-        self._object_cache.pop((segment, kind, gid), None)
-        if segment == history_keys.SEGMENT_VERTEX:
-            self._mention_cache.pop(gid, None)
+        entry = self._cache.get((object_kind, gid))
+        if entry is not None:
+            entry.records.pop((segment, kind), None)
+            if segment == history_keys.SEGMENT_VERTEX:
+                entry.mentions = None
 
     def _sorted_gids(self, key, source: Iterable[int]) -> list[int]:
         """Memoized ``sorted(source)``: ``key`` is the ``(segment,
@@ -288,9 +310,10 @@ class HistoricalStore:
         return cached
 
     def _bump_epoch(self) -> None:
-        """(Under ``_cache_lock``.)"""
+        """(Under ``_cache_lock``.)  Every built version list is now stale
+        by its stamp; record lists and mentions stay (publish drops the
+        ones the epoch changed)."""
         self._epoch += 1
-        self._reconstruction_cache.clear()
         self._sorted.clear()
 
     @property
@@ -308,12 +331,13 @@ class HistoricalStore:
         return self._sorted_gids(object_kind, self._known[object_kind])
 
     def discard_known(self, object_kind: str, gid: int) -> None:
-        """Drop one gid from the known-object set (used by integrity
-        repairs after they empty an object's record set)."""
+        """Drop one gid from the known-object set and the history cache
+        (used by integrity repairs after they empty an object's record
+        set)."""
         with self._cache_lock:
             self._known[object_kind].discard(gid)
             self._sorted.pop(object_kind, None)
-            self._reconstruction_cache.pop((object_kind, gid), None)
+            self._cache.pop((object_kind, gid), None)
 
     # -- write side (used by Migrate) ------------------------------------
 
@@ -356,8 +380,8 @@ class HistoricalStore:
         """Atomically install a migration epoch (``putMultiples``).
 
         The staged rows reach the read structures here, atomically with
-        the write, and the read-cache epoch advances: the
-        reconstruction cache and memoized scan lists rebuild on next use.
+        the write, and the read-cache epoch advances: cached version
+        lists and memoized scan lists rebuild on next use.
         """
         staged, self._staged = self._staged, []
         if batch:
@@ -401,12 +425,11 @@ class HistoricalStore:
         Paid once per batch: the ``history.fetch`` span (when a tracer
         is attached; reconstruction work runs inside it), the
         history-store circuit breaker's gate and its success or failure
-        record, one locked reconstruction-cache lookup and one locked
-        fill, and one preload of the records the cache misses replay.
-        While the breaker is open the batch degrades per the
-        ``degraded_reads`` policy (raise
-        :class:`~repro.errors.DegradedModeError`, or serve every object
-        current-only).  Checked per object: the ``history.fetch``
+        record, one locked history-cache lookup and one locked fill, and
+        one preload of the records the cache misses replay.  While the
+        breaker is open the batch degrades per the ``degraded_reads``
+        policy (raise :class:`~repro.errors.DegradedModeError`, or serve
+        every object current-only).  Checked per object: the ``history.fetch``
         failpoint (so its Nth hit is the Nth object), the quarantine
         (a degraded quarantined object alone comes back empty), and the
         ``fetches`` / ``versions_served`` counters.
@@ -429,25 +452,26 @@ class HistoricalStore:
         if ctrl is not None and not ctrl.allow_history_read():
             return [[] for _ in requests]
         segment = _SEGMENT[object_kind]
-        entries, uncached, epoch = self._cache_lookup(object_kind, requests)
+        held, cached, uncached, epoch = self._cache_lookup(object_kind, requests)
         caching = self.reconstruction_cache_size > 0
         check = FAILPOINTS.check
         blocks = self.quarantine.blocks
         t1, t2, is_point = cond.t1, cond.t2, cond.is_point
-        built: list[tuple[tuple[str, int], tuple]] = []
+        built: list[tuple[_Entry, tuple]] = []
         out: list[list] = []
         # Counted per object, added to the shared counters once.
         fetches = hits = misses = avoided = served = 0
         try:
             if len(uncached) > 1:
-                self.preload_objects(object_kind, uncached)
-            for (gid, base_view), entry in zip(requests, entries):
+                self.preload_objects(object_kind, uncached, held=uncached)
+            for (gid, base_view), stamped in zip(requests, cached):
+                entry = held[gid]
                 if check("history.fetch") == MODE_CORRUPT:
                     # At-rest bit rot: damage the stored value itself, so
                     # the failure surfaces where it would in production —
                     # the record's checksum verification at decode time.
                     self._corrupt_stored_record(object_kind, gid)
-                    entry = None
+                    entry, stamped = _Entry(), None
                 if blocks(object_kind, gid, t1, t2):
                     if ctrl is None or ctrl.quarantined_read_raises():
                         raise IntegrityError(
@@ -460,31 +484,31 @@ class HistoricalStore:
                     out.append([])
                     continue
                 fetches += 1
-                versions = None if entry is None else entry[1]
-                if entry is None and caching:
+                versions = None if stamped is None else stamped[1]
+                if stamped is None and caching:
                     misses += 1
                     try:
                         versions, replays = self._build_versions(
-                            object_kind, segment, gid, base_view
+                            object_kind, gid, base_view, entry
                         )
                     except IntegrityError:
                         # Unbuildable this epoch: the bounded per-query
                         # replay below may still avoid the damaged record.
                         versions, replays = None, 0
                     built.append(
-                        ((object_kind, gid), (_base_sig(base_view), versions, replays))
+                        (entry, (_base_sig(base_view), versions, replays, epoch))
                     )
                 elif versions is not None:
                     hits += 1
-                    avoided += entry[2]
+                    avoided += stamped[2]
                 if versions is None:
                     found = list(
                         self._fetch_versions_uncached(
-                            object_kind, segment, gid, cond, base_view
+                            object_kind, segment, gid, cond, base_view, entry
                         )
                     )
                 elif is_point:
-                    found = self._serve_cached_point(segment, gid, versions, t1)
+                    found = self._serve_cached_point(entry, segment, gid, versions, t1)
                 else:
                     found = [
                         frozen.fork()
@@ -505,7 +529,13 @@ class HistoricalStore:
             metrics.reconstructions_avoided += avoided
             metrics.versions_served += served
             if built:
-                self._cache_fill(epoch, built)
+                with self._cache_lock:
+                    # A migration installed mid-build has bumped the epoch:
+                    # a list built from the older record set must not
+                    # replace one a reader built since.
+                    if epoch == self._epoch:
+                        for entry, stamped in built:
+                            entry.built = stamped
         if ctrl is not None and fetches:
             ctrl.history_ok()
         return out
@@ -527,65 +557,66 @@ class HistoricalStore:
             return True
         return False
 
-    # -- reconstruction cache ---------------------------------------------
+    # -- the history cache ---------------------------------------------
     #
-    # ``FetchFromKV`` replays the same anchor+delta chains on every
-    # query.  The cache stores, per object, the *complete* reconstructed
-    # version list (built once from the topmost base straight down), so
-    # any later condition is served by bisect over the list instead of a
-    # replay — the reconstruct-as-needed rule with the work memoized.
-    # Entries are invalidated wholesale by the epoch bump, and each
-    # entry additionally records the base it was built from: the
-    # current-store base can advance (GC reclaim truncates undo chains
-    # without a KV write), which changes which versions are the
-    # history's to serve, so a signature mismatch forces a rebuild.
+    # One LRU of at most ``reconstruction_cache_size`` objects keeps
+    # what ``FetchFromKV`` derives from each object's records: the
+    # record lists (the RocksDB block cache's role), the scan's
+    # mentions, and the *complete* version list, built once from the
+    # topmost base down so any later condition is a bisect, not a
+    # replay.  Publishing a record drops its stream's list; a version
+    # list is stale once the epoch or its base moves (GC reclaim
+    # advances the current-store base without a KV write).  A reader
+    # holds its entries, so a batch reads each object once even when
+    # the cache cannot keep it (capacity 0 keeps nothing).
+
+    def _entries(self, object_kind: str, gids: Iterable[int]) -> dict[int, _Entry]:
+        """Each gid's entry under one lock, created if missing and moved
+        to the most recent end; past capacity the least recently used
+        objects are evicted (a caller keeps using the entries it holds)."""
+        size = self.reconstruction_cache_size
+        if size <= 0:
+            return {gid: _Entry() for gid in gids}
+        cache = self._cache
+        held: dict[int, _Entry] = {}
+        with self._cache_lock:
+            for gid in gids:
+                key = (object_kind, gid)
+                entry = cache.get(key)
+                if entry is None:
+                    entry = cache[key] = _Entry()
+                else:
+                    cache.move_to_end(key)
+                held[gid] = entry
+            while len(cache) > size:
+                cache.popitem(last=False)
+                self.read_metrics.cache_evictions += 1
+        return held
 
     def _cache_lookup(
         self, object_kind: str, requests: Sequence[tuple[int, object]]
-    ) -> tuple[list, list[int], int]:
-        """Each request's cache entry ``(base_sig, versions, replays)``,
-        or ``None`` on a miss (and always when caching is disabled),
-        under one lock; the gids whose versions must be replayed (misses
-        and entries whose ``versions`` is ``None``, objects known to be
-        unbuildable this epoch); and the epoch the entries were read at."""
-        if self.reconstruction_cache_size <= 0:
-            return [None] * len(requests), [gid for gid, _ in requests], self._epoch
-        cache = self._reconstruction_cache
-        entries = []
-        uncached = []
-        with self._cache_lock:
-            for gid, base_view in requests:
-                key = (object_kind, gid)
-                entry = cache.get(key)
-                if entry is not None and entry[0] == _base_sig(base_view):
-                    cache.move_to_end(key)
-                    if entry[1] is None:
-                        uncached.append(gid)
-                else:
-                    entry = None
-                    uncached.append(gid)
-                entries.append(entry)
-            epoch = self._epoch
-        return entries, uncached, epoch
-
-    def _cache_fill(self, epoch: int, built: list) -> None:
-        """Install entries built from the record set of ``epoch``, under
-        one lock, evicting least recently used entries past capacity."""
-        cache = self._reconstruction_cache
-        with self._cache_lock:
-            # A migration installed mid-build has bumped the epoch; an
-            # entry built from the older record set must not outlive it.
-            if epoch != self._epoch:
-                return
-            for key, entry in built:
-                cache[key] = entry
-                cache.move_to_end(key)
-            while len(cache) > self.reconstruction_cache_size:
-                cache.popitem(last=False)
-                self.read_metrics.cache_evictions += 1
+    ) -> tuple[dict[int, _Entry], list, dict[int, _Entry], int]:
+        """The requests' entries by gid; each request's stamped version
+        list if one was built at the current epoch from its base, else
+        ``None`` (a miss); the entries whose versions must be replayed
+        (misses, and objects unbuildable this epoch); and the epoch."""
+        epoch = self._epoch
+        held = self._entries(object_kind, [gid for gid, _ in requests])
+        cached = []
+        uncached: dict[int, _Entry] = {}
+        for gid, base_view in requests:
+            stamped = held[gid].built
+            if stamped is not None and (
+                stamped[3] != epoch or stamped[0] != _base_sig(base_view)
+            ):
+                stamped = None
+            if stamped is None or stamped[1] is None:
+                uncached[gid] = held[gid]
+            cached.append(stamped)
+        return held, cached, uncached, epoch
 
     def _build_versions(
-        self, object_kind: str, segment: bytes, gid: int, base_view
+        self, object_kind: str, gid: int, base_view, entry: _Entry
     ) -> tuple[list, int]:
         """Replay the object's whole record set once, freezing every
         content state.  The list excludes the base itself (a
@@ -593,42 +624,30 @@ class HistoricalStore:
         keeps non-existence states as ``None`` placeholders so point
         lookups can distinguish "deleted at t" from "version at t"."""
         tracer = self.tracer
-        if tracer is None or not tracer.enabled:
-            return self._build_versions_inner(object_kind, segment, gid, base_view)
-        with tracer.span("history.reconstruct"):
-            return self._build_versions_inner(object_kind, segment, gid, base_view)
-
-    def _build_versions_inner(
-        self, object_kind: str, segment: bytes, gid: int, base_view
-    ) -> tuple[list, int]:
-        if base_view is not None:
-            base = base_view.fork()
-        else:
-            newest_end = self._newest_record_end(segment, gid)
-            if newest_end is None:
-                return [], 0
-            base = (
-                VertexView.blank(gid, newest_end, MAX_TIMESTAMP)
-                if object_kind == "vertex"
-                else EdgeView.blank(gid, newest_end, MAX_TIMESTAMP)
-            )
-        records = self._collect_records(segment, gid, -1, base.tt_start)
-        versions: list[tuple[int, int, Optional[object]]] = []
-        replays = 0
-        for tt_start, tt_end, seg, payload in records:
-            self.reconstructions += 1
-            self.read_metrics.deltas_replayed += 1
-            replays += 1
-            self._apply(base, seg, payload, tt_start, tt_end)
-            if seg != history_keys.SEGMENT_TOPOLOGY:
-                versions.append(
-                    (tt_start, tt_end, base.fork() if base.exists else None)
-                )
+        traced = tracer is not None and tracer.enabled
+        with tracer.span("history.reconstruct") if traced else nullcontext():
+            if base_view is not None:
+                base = base_view.fork()
+            else:
+                base = self._blank_base(object_kind, gid)
+                if base is None:
+                    return [], 0
+            segment = _SEGMENT[object_kind]
+            records = self._collect_records(segment, gid, -1, base.tt_start, entry)
+            versions: list[tuple[int, int, Optional[object]]] = []
+            for tt_start, tt_end, seg, payload in records:
+                self.reconstructions += 1
+                self.read_metrics.deltas_replayed += 1
+                self._apply(base, seg, payload, tt_start, tt_end)
+                if seg != history_keys.SEGMENT_TOPOLOGY:
+                    versions.append(
+                        (tt_start, tt_end, base.fork() if base.exists else None)
+                    )
         versions.reverse()  # ascending by tt_end for bisect serving
-        return versions, replays
+        return versions, len(records)
 
     def _serve_cached_point(
-        self, segment: bytes, gid: int, versions: list, t: int
+        self, entry: _Entry, segment: bytes, gid: int, versions: list, t: int
     ) -> list:
         """State-at-t from the cached list: bisect to the content
         version containing ``t`` and serve a fork of its frozen view.
@@ -648,13 +667,14 @@ class HistoricalStore:
             return []  # non-existence at t, or t predates every version
         view = frozen.fork()
         if segment == history_keys.SEGMENT_VERTEX:
-            topo_key = (history_keys.SEGMENT_TOPOLOGY, history_keys.KIND_DELTA, gid)
-            topo = self._records_for(*topo_key)
+            topo = self._records_for(
+                history_keys.SEGMENT_TOPOLOGY, history_keys.KIND_DELTA, gid, entry
+            )
             low = bisect.bisect_right(topo, t, key=_END)
             high = bisect.bisect_right(topo, tt_end, lo=low, key=_END)
             if low < high:
                 pending = topo[low:high]
-                if topo_key in self._damaged:
+                if entry.damaged:
                     for _r_start, _r_end, payload in pending:
                         if isinstance(payload, _CorruptPayload):
                             payload.raise_()
@@ -668,14 +688,15 @@ class HistoricalStore:
         segment: bytes,
         gid: int,
         cond: TemporalCondition,
-        base_view=None,
+        base_view,
+        entry: _Entry,
     ) -> Iterator:
         base, include_base = self._reconstruction_base(
-            segment, object_kind, gid, cond, base_view
+            segment, object_kind, gid, cond, base_view, entry
         )
         if base is None:
             return
-        records = self._collect_records(segment, gid, cond.t1, base.tt_start)
+        records = self._collect_records(segment, gid, cond.t1, base.tt_start, entry)
         if cond.is_point:
             # State-at-t semantics: undo *every* change that happened
             # after t (both the content and the topology timeline) and
@@ -719,7 +740,7 @@ class HistoricalStore:
             apply_content_record(view, payload, tt_start, tt_end)
 
     def _reconstruction_base(
-        self, segment: bytes, object_kind: str, gid: int, cond, base_view
+        self, segment: bytes, object_kind: str, gid: int, cond, base_view, entry
     ):
         """Pick anchor, current-store base, or blank placeholder.
 
@@ -728,7 +749,7 @@ class HistoricalStore:
         current-store base was already surfaced by the caller's scan of
         unreclaimed versions, so it must not be yielded again).
         """
-        anchor = self._seek_anchor(segment, gid, cond.t2)
+        anchor = self._seek_anchor(segment, gid, cond.t2, entry)
         if anchor is not None:
             tt_start, tt_end, payload = anchor
             if isinstance(payload, _CorruptPayload):
@@ -740,7 +761,7 @@ class HistoricalStore:
                 # record) so the version's reported identity never
                 # depends on which anchor a query starts from.
                 tt_start, tt_end = self._containing_version(
-                    segment, gid, tt_start, tt_end
+                    segment, gid, tt_start, tt_end, entry
                 )
                 if object_kind == "vertex":
                     view = vertex_view_from_anchor(gid, payload, tt_start, tt_end)
@@ -749,18 +770,10 @@ class HistoricalStore:
                 return view, True
         if base_view is not None:
             return base_view.fork(), False
-        newest_end = self._newest_record_end(segment, gid)
-        if newest_end is None:
-            return None, False
-        blank = (
-            VertexView.blank(gid, newest_end, MAX_TIMESTAMP)
-            if object_kind == "vertex"
-            else EdgeView.blank(gid, newest_end, MAX_TIMESTAMP)
-        )
-        return blank, False
+        return self._blank_base(object_kind, gid), False
 
     def _containing_version(
-        self, segment: bytes, gid: int, tt_start: int, tt_end: int
+        self, segment: bytes, gid: int, tt_start: int, tt_end: int, entry: _Entry
     ) -> tuple[int, int]:
         """The content version interval containing ``[tt_start, tt_end)``.
 
@@ -769,7 +782,7 @@ class HistoricalStore:
         record of the version the anchor snapshots; fall back to the
         given interval when no such record covers it (e.g. a store
         whose seam was disturbed)."""
-        records = self._records_for(segment, history_keys.KIND_DELTA, gid)
+        records = self._records_for(segment, history_keys.KIND_DELTA, gid, entry)
         index = bisect.bisect_right(records, tt_start, key=_END)
         if index < len(records):
             rec_start, rec_end, _payload = records[index]
@@ -777,50 +790,44 @@ class HistoricalStore:
                 return rec_start, rec_end
         return tt_start, tt_end
 
-    # -- per-object read cache -------------------------------------------
-    #
-    # The read path would otherwise pay one KV seek + key decode per
-    # record per query.  A real RocksDB serves hot seeks from its
-    # memtable and block cache at sub-microsecond cost; the equivalent
-    # here is an in-memory mirror of each object's record list, built
-    # lazily from the KV store on first access (ascending by ``tt_end``)
-    # and dropped when an epoch commits a record of the object.
+    # -- record lists ----------------------------------------------------
 
     def _records_for(
-        self, segment: bytes, kind: bytes, gid: int
+        self, segment: bytes, kind: bytes, gid: int, entry: Optional[_Entry] = None
     ) -> list[tuple[int, int, dict]]:
-        """The object's records in one segment, ascending by tt_end."""
-        cache_key = (segment, kind, gid)
-        records = self._object_cache.get(cache_key)
+        """The object's records in one stream, ascending by tt_end, from
+        ``entry`` (default: the object's cache entry), read from the KV
+        store on first use."""
+        if entry is None:
+            entry = self._entries(_OBJECT_KIND[segment], (gid,))[gid]
+        stream = (segment, kind)
+        records = entry.records.get(stream)
         if records is None:
             epoch = self._epoch
             index = self._gid_index
-            if index is not None:
-                per_gid = index.get((segment, kind))
-                if not per_gid or gid not in per_gid:
-                    # The index is authoritative about absence: skip
-                    # the KV seek entirely for record-less objects.
-                    return self._memo(epoch, self._object_cache, cache_key, [])
             records = []
-            prefix = history_keys.object_prefix(segment, kind, gid)
-            for key, value in self.kv.scan_prefix(prefix):
-                decoded = history_keys.decode_key(key)
-                try:
-                    payload = self._decode(value)
-                except IntegrityError as exc:
-                    # Defer the failure: keys are still sound, so reads
-                    # that never replay through this record may proceed.
-                    payload = _CorruptPayload(key, exc)
-                    self._damaged.add(cache_key)
-                records.append((decoded.tt_start, decoded.tt_end, payload))
-            self._memo(epoch, self._object_cache, cache_key, records)
+            # The index is authoritative about absence: skip the KV
+            # seek entirely for record-less objects.
+            if index is None or gid in (index.get(stream) or ()):
+                prefix = history_keys.object_prefix(segment, kind, gid)
+                for key, value in self.kv.scan_prefix(prefix):
+                    decoded = history_keys.decode_key(key)
+                    payload = self._decode(key, value, entry)
+                    records.append((decoded.tt_start, decoded.tt_end, payload))
+            self._memo(epoch, entry.records, stream, records)
         return records
 
-    def preload_objects(self, object_kind: str, gids: Iterable[int]) -> int:
-        """Bulk-fill the per-object record cache for many objects with
-        one bounded range scan per segment (Expand's batched
-        ``FetchFromKV``-VE path: a high-degree vertex preloads every
-        candidate edge in one KV iteration instead of one seek each).
+    def preload_objects(
+        self,
+        object_kind: str,
+        gids: Iterable[int],
+        held: Optional[dict[int, _Entry]] = None,
+    ) -> int:
+        """Bulk-fill many objects' record lists with one bounded range
+        scan per segment (Expand's batched ``FetchFromKV``-VE path: a
+        high-degree vertex preloads every candidate edge in one KV
+        iteration instead of one seek each), into the entries a fetch
+        batch ``held`` or else the cache's.
 
         Skips objects with no history or already-cached records.  When
         the key index shows the gid range is mostly other objects'
@@ -829,27 +836,27 @@ class HistoricalStore:
         leaves the per-object lazy loads to do the work.  Returns the
         number of objects actually preloaded.
         """
+        if held is None and self.reconstruction_cache_size <= 0:
+            return 0  # nothing would keep what the scan read
         segment = _SEGMENT[object_kind]
         known = self._known[object_kind]
-        loaded = 0
-        streams = [segment]
-        if segment == history_keys.SEGMENT_VERTEX:
-            streams.append(history_keys.SEGMENT_TOPOLOGY)
-        wanted_gids = {gid for gid in gids if gid in known}
-        for seg in streams:
-            loaded = max(loaded, self._preload_segment(seg, wanted_gids))
-        return loaded
-
-    def _preload_segment(self, segment: bytes, gids: set[int]) -> int:
-        kind = history_keys.KIND_DELTA
-        epoch = self._epoch
-        wanted = sorted(
-            gid for gid in gids
-            if (segment, kind, gid) not in self._object_cache
+        wanted = {gid for gid in gids if gid in known}
+        if held is None:
+            held = self._entries(object_kind, wanted)
+        return max(
+            self._preload_segment(seg, wanted, held) for seg in _STREAMS[segment]
         )
+
+    def _preload_segment(
+        self, segment: bytes, gids: set[int], held: dict[int, _Entry]
+    ) -> int:
+        kind = history_keys.KIND_DELTA
+        stream = (segment, kind)
+        epoch = self._epoch
+        wanted = sorted(gid for gid in gids if stream not in held[gid].records)
         if len(wanted) < 2:
             return 0  # a single object's lazy prefix scan is already one seek
-        per_gid = self._ensure_index().get((segment, kind)) or {}
+        per_gid = self._ensure_index().get(stream) or {}
         low_gid, high_gid = wanted[0], wanted[-1]
         goal = sum(len(per_gid.get(gid, ())) for gid in wanted)
         if self._span_exceeds(segment, kind, low_gid, high_gid, 4 * goal + 16):
@@ -857,22 +864,17 @@ class HistoricalStore:
             return 0
         start = history_keys.object_prefix(segment, kind, low_gid)
         stop = history_keys.object_prefix(segment, kind, high_gid) + b"\xff" * 17
-        wanted_set = set(wanted)
-        rows: dict[int, list] = {gid: [] for gid in wanted_set}
+        rows: dict[int, list] = {gid: [] for gid in wanted}
         for key, value in self.kv.scan_range(start, stop):
             decoded = history_keys.decode_key(key)
-            if decoded.gid not in wanted_set:
-                continue
-            try:
-                payload = self._decode(value)
-            except IntegrityError as exc:
-                payload = _CorruptPayload(key, exc)
-                self._damaged.add((segment, kind, decoded.gid))
-            rows[decoded.gid].append(
-                (decoded.tt_start, decoded.tt_end, payload)
-            )
-        for gid, records in rows.items():
-            self._memo(epoch, self._object_cache, (segment, kind, gid), records)
+            records = rows.get(decoded.gid)
+            if records is not None:
+                payload = self._decode(key, value, held[decoded.gid])
+                records.append((decoded.tt_start, decoded.tt_end, payload))
+        with self._cache_lock:
+            if epoch == self._epoch:
+                for gid, records in rows.items():
+                    held[gid].records[stream] = records
         self.read_metrics.preload_batches += 1
         self.read_metrics.preload_objects += len(wanted)
         return len(wanted)
@@ -892,26 +894,23 @@ class HistoricalStore:
             return True
         return sum(len(per_gid.get(gid, ())) for gid in gids[start:stop]) > limit
 
-    def _seek_anchor(self, segment: bytes, gid: int, t: int):
+    def _seek_anchor(self, segment: bytes, gid: int, t: int, entry: _Entry):
         """First anchor of ``gid`` with ``tt_end > t`` (nearest newer)."""
         self.read_metrics.anchor_seeks += 1
-        anchors = self._records_for(segment, history_keys.KIND_ANCHOR, gid)
+        anchors = self._records_for(segment, history_keys.KIND_ANCHOR, gid, entry)
         index = bisect.bisect_right(anchors, t, key=_END)
         if index < len(anchors):
             return anchors[index]
         return None
 
     def _collect_records(
-        self, segment: bytes, gid: int, t1: int, boundary: int
+        self, segment: bytes, gid: int, t1: int, boundary: int, entry: _Entry
     ) -> list[tuple[int, int, bytes, dict]]:
         """All delta records with ``t1 < tt_end <= boundary``, newest
         first, merging the content and (for vertices) topology segments."""
-        streams = [segment]
-        if segment == history_keys.SEGMENT_VERTEX:
-            streams.append(history_keys.SEGMENT_TOPOLOGY)
         collected: list[tuple[int, int, bytes, dict]] = []
-        for seg in streams:
-            records = self._records_for(seg, history_keys.KIND_DELTA, gid)
+        for seg in _STREAMS[segment]:
+            records = self._records_for(seg, history_keys.KIND_DELTA, gid, entry)
             low = bisect.bisect_right(records, t1, key=_END)
             for tt_start, tt_end, payload in records[low:]:
                 if tt_end > boundary:
@@ -920,21 +919,22 @@ class HistoricalStore:
         collected.sort(key=_END, reverse=True)
         return collected
 
-    def _newest_record_end(self, segment: bytes, gid: int) -> Optional[int]:
-        """Largest ``tt_end`` among the object's records (across the
-        content and topology segments for vertices).  Answered from the
+    def _blank_base(self, object_kind: str, gid: int):
+        """A non-existence placeholder ending at the object's newest
+        record (across the content and topology segments for vertices),
+        or ``None`` for an object with no records.  Answered from the
         key index — no payload is decoded and no KV seek is paid."""
         index = self._ensure_index()
-        streams = [segment]
-        if segment == history_keys.SEGMENT_VERTEX:
-            streams.append(history_keys.SEGMENT_TOPOLOGY)
         newest: Optional[int] = None
-        for seg in streams:
+        for seg in _STREAMS[_SEGMENT[object_kind]]:
             per_gid = index.get((seg, history_keys.KIND_DELTA))
             rows = per_gid.get(gid) if per_gid else None
             if rows and (newest is None or rows[-1][1] > newest):
                 newest = rows[-1][1]
-        return newest
+        if newest is None:
+            return None
+        blank = VertexView.blank if object_kind == "vertex" else EdgeView.blank
+        return blank(gid, newest, MAX_TIMESTAMP)
 
     # -- enumeration (for scans over reclaimed-only objects) ---------------
 
@@ -946,32 +946,31 @@ class HistoricalStore:
         key = (segment, history_keys.KIND_DELTA)
         yield from self._sorted_gids(key, self._ensure_index().get(key, ()))
 
-    def content_payloads(self, object_kind: str, gid: int) -> list[dict]:
-        """Every content-record payload of one object (cached).
-
-        Used by the scan's pruning check: the set of values a property
-        ever took is exactly {current value} ∪ {values in backward
-        diffs}, so equality filters can reject an object without
-        reconstructing any version.
-        """
-        segment = _SEGMENT[object_kind]
-        records = self._records_for(segment, history_keys.KIND_DELTA, gid)
-        return [payload for _s, _e, payload in records]
-
     def vertex_mentions(self, gid: int) -> tuple[set, dict]:
         """Aggregated pruning data for one vertex's reclaimed history:
         every label its diffs mention and every value each property
-        ever took in a diff.  O(1) per scan candidate once built."""
-        mentions = self._mention_cache.get(gid)
+        ever took in a diff.  O(1) per scan candidate once built.
+
+        The set of values a property ever took is exactly {current
+        value} ∪ {values in backward diffs}, so equality filters can
+        reject an object without reconstructing any version."""
+        entry = self._entries("vertex", (gid,))[gid]
+        mentions = entry.mentions
         if mentions is None:
             epoch = self._epoch
             labels: set = set()
             values: dict = {}
-            for payload in self.content_payloads("vertex", gid):
+            records = self._records_for(
+                history_keys.SEGMENT_VERTEX, history_keys.KIND_DELTA, gid, entry
+            )
+            for _s, _e, payload in records:
                 if isinstance(payload, _CorruptPayload):
                     payload.raise_()
                 _merge_mentions(payload, labels, values)
-            mentions = self._memo(epoch, self._mention_cache, gid, (labels, values))
+            mentions = (labels, values)
+            with self._cache_lock:
+                if epoch == self._epoch:
+                    entry.mentions = mentions
         return mentions
 
     def topology_refs(self, gid: int, t1: int) -> tuple[list, list]:
@@ -1015,9 +1014,7 @@ class HistoricalStore:
         """
         with self._cache_lock:
             self._staged = []
-            self._object_cache.clear()
-            self._damaged.clear()
-            self._mention_cache.clear()
+            self._cache.clear()
             self._gid_index = None
             self._bump_epoch()
 
@@ -1045,11 +1042,10 @@ class HistoricalStore:
             batch.delete(key)
         self.kv.write(batch)
         self.kv.compact()
-        # Every derived structure — decode/object/mention caches, the
-        # reconstruction cache, the key index and the known-object set
-        # — is rebuilt from scratch; pruning is a rare administrative
-        # operation and serving even one stale version would violate
-        # the retention contract.
+        # Every derived structure — the history cache, the key index
+        # and the known-object set — is rebuilt from scratch; pruning
+        # is a rare administrative operation and serving even one stale
+        # version would violate the retention contract.
         self.invalidate_caches()
         self._rebuild_index()
         return len(doomed)
@@ -1060,7 +1056,7 @@ class HistoricalStore:
         """Read-path counters plus cache occupancy (monitoring)."""
         report = self.read_metrics.as_dict()
         report["epoch"] = self._epoch
-        report["cache_entries"] = len(self._reconstruction_cache)
+        report["cache_entries"] = len(self._cache)
         report["cache_capacity"] = self.reconstruction_cache_size
         return report
 

@@ -52,6 +52,7 @@ class TestHistoricalStoreInternals:
         db.collect_garbage()
         assert sorted(db.history.iter_gids("vertex")) == sorted(gids)
 
+    @pytest.mark.read_path
     def test_reread_decodes_nothing(self):
         db = _engine()
         gid = _versioned_vertex(db, [0, 1, 2])
@@ -65,6 +66,7 @@ class TestHistoricalStoreInternals:
         assert db.history.checksums_verified + db.history.legacy_records == decoded
         db.abort(reader)
 
+    @pytest.mark.read_path
     def test_object_cache_appends_on_later_migration(self):
         db = _engine()
         gid = _versioned_vertex(db, [0, 1])
@@ -84,6 +86,7 @@ class TestHistoricalStoreInternals:
         db.abort(reader)
         assert len(second) == len(first) + 1
 
+    @pytest.mark.read_path
     def test_vertex_mentions_cover_labels_and_values(self):
         db = _engine()
         with db.transaction() as txn:
@@ -98,6 +101,7 @@ class TestHistoricalStoreInternals:
         assert "A" in labels and "B" in labels
         assert 10 in values["v"]
 
+    @pytest.mark.read_path
     def test_topology_refs_cover_deleted_edges(self):
         db = _engine()
         with db.transaction() as txn:

@@ -448,6 +448,11 @@ class TestBatchFaults:
         assert breaker.successes_total - successes == 1
 
 
+def _version_lists(store):
+    """Objects holding a version list in the history cache."""
+    return sum(entry.built is not None for entry in store._cache.values())
+
+
 class TestBatchCacheFill:
     def test_entries_built_across_an_epoch_are_not_installed(self):
         db, hub, spokes, t = _fan()
@@ -457,15 +462,16 @@ class TestBatchCacheFill:
 
         def racing_build(*args):
             built = build(*args)
-            store.invalidate_caches()  # an epoch lands mid-batch
+            with store._cache_lock:  # an epoch lands mid-batch
+                store._bump_epoch()
             return built
 
         store._build_versions = racing_build
         assert len(_pairs(db, hub, t)) == 4
-        assert len(store._reconstruction_cache) == 0
+        assert _version_lists(store) == 0
         store._build_versions = build
         _pairs(db, hub, t)
-        assert len(store._reconstruction_cache) == 4
+        assert _version_lists(store) == 4
 
 
 class TestChangesBetweenStatements:

@@ -5,7 +5,8 @@
   twin collected once by hand and answers alike over the full TT grid
   (every commit ts +-1 as a point, every adjacent pair as a slice,
   expand both ways); a failed epoch fails no commit, is requeued, and
-  changes no byte;
+  changes no byte; readers of a two-object history cache, racing the
+  epochs, answer every settled instant as the twin does;
 - **scheduler**: one engine thread, epochs only on it, the
   2 x ``gc_interval`` backlog bound, no writer blocked by a pinned
   watermark, ``close()`` during a slow epoch, no thread leaked by a
@@ -236,6 +237,70 @@ class TestDifferentialGuard:
             assert list(db.history.kv.scan_all()) == list(ref.history.kv.scan_all())
             assert db.storage_report() == ref.storage_report()
             assert _answers(db, vertices, stamps) == _answers(ref, vertices, stamps)
+        finally:
+            db.close()
+            ref.close()
+
+
+    def test_a_tiny_history_cache_racing_epochs_serves_settled_answers(self):
+        """Readers of a two-object history cache evict and refill it
+        while epochs publish to it: every instant the reader's snapshot
+        has settled (all commits at or before it visible) answers, point
+        and expand, as the finished twin does — up to each version's
+        end, which a later commit may set."""
+        ref, vertices, stamps = _reference()
+        db = AeonG(
+            gc_interval_transactions=3, anchor_interval=2, reconstruction_cache_size=2
+        )
+        stop, errors, compared = threading.Event(), [], []
+
+        def settled(sig, end):
+            return sig[:end] + sig[end + 1:]
+
+        def read(engine, txn, gid, t):
+            cond = TemporalCondition.as_of(t)
+            versions = list(engine.vertex_versions(txn, gid, cond))
+            return [settled(_vertex(v), 2) for v in versions], sorted(
+                (settled(_edge(e), 5), settled(_vertex(n), 2))
+                for view in versions
+                for e, n in engine.expand(txn, view, cond, "both")
+            )
+
+        def reader(seed):
+            rng = random.Random(seed)
+            while not stop.is_set():
+                txn = db.manager.begin_readonly()
+                ref_txn = ref.manager.begin_readonly()
+                try:
+                    t = rng.randint(0, max(0, txn.start_ts - 2))
+                    gid = rng.choice(vertices)
+                    got, want = read(db, txn, gid, t), read(ref, ref_txn, gid, t)
+                    compared.append(got == want or (gid, t, got, want))
+                except Exception as exc:  # noqa: BLE001 — reported by the test
+                    errors.append(exc)
+                finally:
+                    db.abort(txn)
+                    ref.abort(ref_txn)
+
+        readers = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            assert _workload(db, pause=0.002) == (vertices, stamps)
+            _drain(db)
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(switch)
+        try:
+            assert not any(thread.is_alive() for thread in readers)
+            assert errors == []
+            assert compared and [c for c in compared if c is not True] == []
+            assert db.migrator.migrations > 2, "the scheduler ran epochs"
+            assert db.history.read_metrics.cache_evictions > 0
         finally:
             db.close()
             ref.close()

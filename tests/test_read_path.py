@@ -277,6 +277,29 @@ class TestEpochInvalidation:
         assert healed == full  # anchor replay restored the exact chain
         assert db.scrub_full().ok
 
+    def test_a_record_list_read_across_an_epoch_is_not_kept(self):
+        db, a, _b, _e = _history_rich_db()
+        store = db.history
+        with db.transaction() as txn:
+            db.set_vertex_property(txn, a, "n", 99)
+        before = _versions(db, "vertex", a, TemporalCondition.between(0, db.now()))
+        store.invalidate_caches()
+        content = hk.object_prefix(hk.SEGMENT_VERTEX, hk.KIND_DELTA, a)
+        scan = store.kv.scan_prefix
+
+        def racing_scan(prefix):
+            rows = list(scan(prefix))
+            if prefix == content:
+                store.kv.scan_prefix = scan
+                db.collect_garbage()  # publishes a's next record mid-read
+            return iter(rows)
+
+        store.kv.scan_prefix = racing_scan
+        _versions(db, "vertex", a, TemporalCondition.between(0, db.now()))
+        assert store.kv.scan_prefix == scan
+        after = _versions(db, "vertex", a, TemporalCondition.between(0, db.now()))
+        assert after == before
+
     def test_quarantine_blocks_despite_warm_cache(self):
         db, a, _b, _e = _history_rich_db()
         hi = db.now()
@@ -304,6 +327,35 @@ class TestEpochInvalidation:
 
 
 # -- satellite: ReadMetrics counters ------------------------------------------
+
+
+_EVICTION_FILTERS = [
+    (None, None, None),
+    ("P", None, None),
+    ("Q", None, None),
+    ("P", "n", 5),
+    ("Q", "m", 0),
+    ("P", "n", 99),
+]
+
+
+def _scan_sigs(db, cond, label, prop, value):
+    with db.transaction() as txn:
+        scan = (
+            db.vertices_as_of(txn, cond.t1, label, prop, value)
+            if cond.is_point
+            else db.vertices_between(txn, cond.t1, cond.t2, label, prop, value)
+        )
+        return sorted((view.gid, _vsig(view)) for view in scan)
+
+
+def _expand_sigs(db, gid, cond):
+    with db.transaction() as txn:
+        return sorted(
+            (view.gid, _vsig(view), edge.gid, _esig(edge), other.gid, _vsig(other))
+            for view in db.vertex_versions(txn, gid, cond)
+            for edge, other in db.expand(txn, view, cond, "both")
+        )
 
 
 class TestReadMetrics:
@@ -359,6 +411,45 @@ class TestReadMetrics:
         assert metrics["cache_evictions"] >= 2
         assert metrics["cache_entries"] <= 1
 
+        # scans (mentions) and expands (preload, topology) under eviction
+        for t in range(hi + 1):
+            cond = TemporalCondition.as_of(t)
+            for db_filter in _EVICTION_FILTERS:
+                assert _scan_sigs(tiny, cond, *db_filter) == _scan_sigs(
+                    full, cond, *db_filter
+                ), (t, db_filter)
+            assert _expand_sigs(tiny, a, cond) == _expand_sigs(full, a, cond), t
+        assert tiny.history.read_path_metrics()["cache_entries"] <= 1
+
+        # a record damaged at rest, read back after its entry was evicted
+        db, a, _b, e = _history_rich_db(cache_size=1, anchor_interval=100)
+        versions = _versions(db, "vertex", a, TemporalCondition.between(0, db.now()))
+        start, end = next(
+            (lo, up) for lo, up, _labels, props in versions if props == (("n", 5),)
+        )
+        prefix = hk.object_prefix(hk.SEGMENT_VERTEX, hk.KIND_DELTA, a)
+        (key, value), = [
+            (key, value)
+            for key, value in db.history.kv.scan_prefix(prefix)
+            if (hk.decode_key(key).tt_start, hk.decode_key(key).tt_end) == (start, end)
+        ]
+        batch = WriteBatch()
+        batch.put(key, corrupt_bytes(value))
+        db.history.kv.write(batch)
+        _versions(db, "edge", e, TemporalCondition.between(0, db.now()))  # evicts a
+        assert ("vertex", a) not in db.history._cache
+        seeks = db.history.kv.stats.seeks
+        # stops above the damaged record: served, after a reload from the KV store
+        above = _versions(db, "vertex", a, TemporalCondition.as_of(end))
+        assert [props for _s, _e, _l, props in above] == [(("n", 6),)]
+        assert db.history.kv.stats.seeks > seeks
+        assert db.history._cache[("vertex", a)].damaged
+        with pytest.raises(IntegrityError):  # replays through it
+            _versions(db, "vertex", a, TemporalCondition.as_of(start))
+        with pytest.raises(IntegrityError):  # the roster kept a as a candidate
+            with db.transaction() as txn:
+                list(db.vertices_as_of(txn, start, "P", "n", 5))
+
     def test_metrics_shape_in_engine_report(self):
         db, _a, _b, _e = _history_rich_db()
         report = db.metrics()["read_path"]
@@ -394,6 +485,115 @@ class TestReadMetrics:
         out = StringIO()
         cli_run([".metrics"], engine=db, out=out)
         assert "read_path" in json.loads(out.getvalue())
+
+
+# -- one bounded history cache -------------------------------------------------
+
+
+def _wide_db(cache_size, people=40):
+    """A hub linked to ``people`` P vertices; every vertex, edge and the
+    hub's topology carry reclaimed history: more than 4x a 16-object
+    cache."""
+    db = AeonG(
+        anchor_interval=3,
+        gc_interval_transactions=0,
+        reconstruction_cache_size=cache_size,
+    )
+    with db.transaction() as txn:
+        hub = db.create_vertex(txn, labels=["H"], properties={"h": 0})
+        gids = [
+            db.create_vertex(txn, labels=["P"], properties={"name": f"p{i}", "n": 0})
+            for i in range(people)
+        ]
+        edges = [db.create_edge(txn, hub, gid, "L", properties={"w": 0}) for gid in gids]
+    for step in (1, 2):
+        with db.transaction() as txn:
+            for i, gid in enumerate(gids):
+                db.set_vertex_property(txn, gid, "n", step)
+                db.set_vertex_property(txn, gid, "name", f"p{i}-{step}")
+            for edge in edges:
+                db.set_edge_property(txn, edge, "w", step)
+    with db.transaction() as txn:
+        db.delete_edge(txn, edges[0])
+    db.collect_garbage()
+    return db, hub, gids
+
+
+class TestBoundedHistoryCache:
+    def test_every_read_path_stays_within_capacity(self):
+        small, hub, gids = _wide_db(cache_size=16)
+        large, _hub, _gids = _wide_db(cache_size=4096)
+        store = small.history
+        assert len(store.known_gids("vertex")) + len(store.known_gids("edge")) > 64
+        hi = small.now()
+        conds = [TemporalCondition.as_of(t) for t in range(hi + 1)]
+        conds.append(TemporalCondition.between(0, hi))
+
+        def within_capacity():
+            assert len(store._cache) <= 16
+            assert store.read_path_metrics()["cache_entries"] <= 16
+
+        for cond in conds:
+            for gid in gids:
+                assert _versions(small, "vertex", gid, cond) == _versions(
+                    large, "vertex", gid, cond
+                )
+        within_capacity()
+        # records read at the start of the sweep were evicted, not kept
+        seeks = store.kv.stats.seeks
+        _versions(small, "vertex", gids[0], conds[-1])
+        assert store.kv.stats.seeks > seeks
+        for cond in conds:  # unindexed scans read every P vertex's mentions
+            for value in ("p3", "p3-1", "p3-2", "nobody"):
+                assert _scan_sigs(small, cond, "P", "name", value) == _scan_sigs(
+                    large, cond, "P", "name", value
+                ), (cond.t1, cond.t2, value)
+        within_capacity()
+        for cond in conds:  # expand preloads and fetches every neighbour
+            assert _expand_sigs(small, hub, cond) == _expand_sigs(large, hub, cond)
+        within_capacity()
+        assert store.read_path_metrics()["cache_evictions"] > 0
+
+    def test_an_epoch_drops_only_what_it_published(self):
+        db = AeonG(anchor_interval=100, gc_interval_transactions=0)
+        with db.transaction() as txn:
+            x = db.create_vertex(txn, labels=["P"], properties={"n": 0})
+            y = db.create_vertex(txn, labels=["P"], properties={"n": 0})
+            doomed = db.create_edge(txn, x, y, "L")
+        for i in (1, 2):
+            with db.transaction() as txn:
+                db.set_vertex_property(txn, x, "n", i)
+                db.set_vertex_property(txn, y, "n", i)
+        with db.transaction() as txn:
+            db.delete_edge(txn, doomed)
+        db.collect_garbage()
+        store = db.history
+        whole = TemporalCondition.between(0, db.now())
+        before = {gid: _versions(db, "vertex", gid, whole) for gid in (x, y)}
+        for gid in (x, y):
+            store.vertex_mentions(gid)
+        content = (hk.SEGMENT_VERTEX, hk.KIND_DELTA)
+        topology = (hk.SEGMENT_TOPOLOGY, hk.KIND_DELTA)
+        assert set(store._cache[("vertex", x)].records) >= {content, topology}
+
+        with db.transaction() as txn:  # a GC epoch that migrates x only
+            db.set_vertex_property(txn, x, "n", 3)
+        epoch = store.epoch
+        db.collect_garbage()
+        assert store.epoch > epoch
+        entry_x = store._cache[("vertex", x)]
+        assert content not in entry_x.records and topology in entry_x.records
+        assert entry_x.mentions is None
+        assert store._cache[("vertex", y)].mentions is not None
+
+        seeks, misses = store.kv.stats.seeks, store.read_metrics.cache_misses
+        assert _versions(db, "vertex", y, whole) == before[y]
+        store.vertex_mentions(y)
+        assert store.kv.stats.seeks == seeks  # record lists and mentions kept
+        assert store.read_metrics.cache_misses == misses + 1  # versions rebuilt
+        after = _versions(db, "vertex", x, TemporalCondition.between(0, db.now()))
+        assert len(after) == len(before[x]) + 1
+        assert store.kv.stats.seeks == seeks + 1  # only the published list
 
 
 # -- satellite: scan-at-t with concurrent / aborted writers -------------------
@@ -1111,7 +1311,7 @@ def _state(view):
 
 
 def _frozen_entry(db, gid, t):
-    _sig, versions, _replays = db.history._reconstruction_cache[("vertex", gid)]
+    _sig, versions, _replays, _epoch = db.history._cache[("vertex", gid)].built
     (frozen,) = [view for s, e, view in versions if view is not None and s <= t < e]
     return frozen
 
@@ -1390,8 +1590,12 @@ def _reference_declines(store, segment, gids):
     store itself (one pass over every key, no index): ``True`` = back
     off, ``False`` = batch, ``None`` = the guard is never reached."""
     kind = hk.KIND_DELTA
+    object_kind = "edge" if segment == hk.SEGMENT_EDGE else "vertex"
     wanted = sorted(
-        gid for gid in gids if (segment, kind, gid) not in store._object_cache
+        gid
+        for gid in gids
+        if (object_kind, gid) not in store._cache
+        or (segment, kind) not in store._cache[(object_kind, gid)].records
     )
     if len(wanted) < 2:
         return None
@@ -1413,7 +1617,7 @@ def _assert_guard_matches_reference(store, candidate_sets):
         for candidates in candidate_sets:
             # every check starts cold, or one accepted batch would keep
             # its objects out of all later guard calls
-            store._object_cache.clear()
+            store._cache.clear()
             known = candidates & store.known_gids(object_kind)
             expected = [_reference_declines(store, seg, known) for seg in segments]
             before = store.read_path_metrics()
@@ -1549,8 +1753,7 @@ class TestPreloadGuardIndex:
         index = db.history._gid_index
         for key in list(index):
             index[key] = NoWalk(index[key])
-        db.history._object_cache.clear()
-        db.history._reconstruction_cache.clear()
+        db.history._cache.clear()
         before = db.history.read_path_metrics()
         cold = expand_all(hubs[1])
         after = db.history.read_path_metrics()
