@@ -21,18 +21,27 @@ Engineered for graceful degradation rather than raw throughput:
   then abort stragglers and close the engine cleanly.  A hard kill is
   recovered by the durability layer (``RecoveryReport``) on restart.
 
-Engine calls run on a thread pool (the engine is blocking); tracer
-spans are opened *inside* the pooled work so the tracer's per-thread
-span stacks never interleave across coroutines on the event loop.
+Where a request runs: a statement's engine call runs synchronously on
+the event loop unless it can wait on something other than this
+thread's CPU — a device (an fsync-mode commit), a peer (a commit held
+for a semi-sync replica's ack, which has to arrive through this same
+loop), a queue (admission control), a clock (a request ``timeout``),
+or its own length (a statement text whose last run took at least one
+GIL switch interval, or one not seen yet).  Only those take the hop to
+the thread pool.  Either way the call runs as one closure inside its
+tracer span, so the tracer's per-thread span stacks never interleave
+across coroutines on the event loop.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import signal
 import socket
+import sys
 import threading
+import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -72,7 +81,8 @@ class ServerConfig:
     #: How long a drain waits for in-flight sessions before aborting
     #: their transactions.
     drain_grace: float = 5.0
-    #: Threads executing blocking engine calls.
+    #: Threads for engine calls that can wait (see the module
+    #: docstring); every other call runs on the event loop.
     executor_workers: int = 8
     #: ``retry_after`` hint attached to connection-limit rejections and
     #: drain shedding.
@@ -101,6 +111,46 @@ class _Session:
         self.ready = False
         self.txn = None
         self.prepared: dict[str, str] = {}
+
+
+class _StatementLengths:
+    """How long each statement text took on its last run: a bounded LRU.
+
+    A text that last ran in under one GIL switch interval
+    (``sys.getswitchinterval()``) holds the GIL for its whole run even
+    on the pool, so running it on the event loop costs other sessions
+    nothing.  A longer one, or one not seen yet, keeps the pool's time
+    slicing, so ``ping`` and ``health`` stay responsive during a long
+    scan.
+    """
+
+    def __init__(self, size: int) -> None:
+        self._size = size
+        self._last: OrderedDict[str, float] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def is_short(self, text: str) -> bool:
+        last = self._last.get(text)
+        return last is not None and last < sys.getswitchinterval()
+
+    def timed(self, text: str, fn):
+        """``fn`` wrapped to record its wall time under ``text``."""
+
+        def run(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._record(text, time.perf_counter() - start)
+
+        return run
+
+    def _record(self, text: str, seconds: float) -> None:
+        with self._lock:
+            self._last[text] = seconds
+            self._last.move_to_end(text)
+            if len(self._last) > self._size:
+                self._last.popitem(last=False)
 
 
 def _set_nodelay(writer: asyncio.StreamWriter) -> None:
@@ -162,6 +212,10 @@ class AeonGServer:
             "connections_active": 0,
             "connections_peak": 0,
             "requests_served": 0,
+            # Statement requests (query, execute, begin, commit, abort)
+            # served on the event loop vs on the executor pool.
+            "requests_inline": 0,
+            "requests_pooled": 0,
             "requests_failed": 0,
             "requests_shed": 0,
             "requests_degraded": 0,
@@ -175,6 +229,8 @@ class AeonGServer:
             "not_primary_rejections": 0,
             "metrics_scrapes": 0,
         }
+        #: Last run time per statement text, sized like the plan cache.
+        self._lengths = _StatementLengths(engine.plans.SIZE)
         engine.observability.registry.register_provider(self._provide_metrics)
 
     # -- lifecycle ---------------------------------------------------------
@@ -287,24 +343,61 @@ class AeonGServer:
 
     # -- engine plumbing ---------------------------------------------------
 
-    async def _run(self, span: str, fn, *args, executor=None, **kwargs):
-        """Run a blocking engine call on the pool, inside a tracer span.
-
-        The span must open and close on the executor thread: the tracer
-        keeps per-thread span stacks, and interleaved coroutines on the
-        loop thread would corrupt them.
-        """
+    def _work(self, span: str, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)`` inside a tracer span, as a closure for
+        whichever thread runs it.  The span opens and closes on that
+        thread: the tracer keeps per-thread span stacks, and coroutines
+        interleaving on the loop thread would corrupt them."""
         tracer = self.engine.observability.tracer
 
         def work():
             with tracer.span(span):
                 return fn(*args, **kwargs)
 
+        return work
+
+    async def _run(self, span: str, fn, *args, executor=None, **kwargs):
+        """Run an engine call that can wait on the pool (or on
+        ``executor``), inside a tracer span."""
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             executor if executor is not None else self._executor,
-            functools.partial(work),
+            self._work(span, fn, *args, **kwargs),
         )
+
+    async def _statement(self, span: str, fn, *args, pooled: bool, **kwargs):
+        """Run a statement request's engine call: through :meth:`_run`
+        when it can wait (``pooled``), else synchronously on the loop.
+        Counts the path that served it."""
+        if pooled:
+            result = await self._run(span, fn, *args, **kwargs)
+        else:
+            result = self._work(span, fn, *args, **kwargs)()
+        self.counters["requests_pooled" if pooled else "requests_inline"] += 1
+        return result
+
+    def _commit_can_wait(self) -> bool:
+        """Whether committing writes can block on the device (fsync
+        mode) or on a replica's ack (semi-sync with replicas)."""
+        engine = self.engine
+        if engine.durability_mode == "fsync":
+            return True
+        repl = engine.replication
+        return bool(repl.config.sync_commit and repl.replicas)
+
+    def _query_can_wait(self, text: str, timeout, autocommit: bool) -> bool:
+        """Whether a ``query``/``execute`` request goes to the pool: it
+        carries a timeout, its text is long or unseen, or, outside a
+        session transaction, it queues at the gate or commits writes
+        that can wait."""
+        if timeout is not None or not self._lengths.is_short(text):
+            return True
+        if not autocommit:
+            return False
+        engine = self.engine
+        if engine.resilience.gate is not None:
+            return True
+        return self._commit_can_wait() and engine.compile(text).is_write
 
     def _retry_hint(self, exc: BaseException) -> Optional[float]:
         """The server's backoff suggestion for a retryable failure."""
@@ -757,21 +850,44 @@ class AeonGServer:
                     primary_address=self.primary_hint,
                 )
 
-        def work():
+        autocommit = session.txn is None
+        pooled = self._query_can_wait(text, timeout, autocommit)
+
+        def work(one_attempt: bool):
             from repro.query.executor import execute_query, statement_prefix
 
             if session.txn is not None:
                 rows = execute_query(engine, session.txn, text, params)
-            elif timeout is not None and statement_prefix(text) != "EXPLAIN":
+            elif statement_prefix(text) == "EXPLAIN":
+                rows = execute_query(engine, None, text, params)
+            elif one_attempt:
+                with engine.transaction() as txn:
+                    rows = execute_query(engine, txn, text, params)
+            else:
                 rows = engine.run_transaction(
                     lambda txn: execute_query(engine, txn, text, params),
                     timeout=timeout,
                 )
-            else:
-                rows = engine.execute(text, params)
             return rows, engine.last_read_degraded
 
-        rows, degraded = await self._run("server.query", work)
+        timed = self._lengths.timed(text, work)
+        if not pooled:
+            try:
+                rows, degraded = await self._statement(
+                    "server.query", timed, True, pooled=False
+                )
+            except SerializationConflict:
+                if not autocommit:
+                    raise  # the session's transaction is dead
+                # The one inline attempt has rolled back; the pool's
+                # retry loop re-runs the statement, with backoff.
+                engine.resilience.note_conflict_retry()
+                engine.resilience.note_transaction_retried()
+                pooled = True
+        if pooled:
+            rows, degraded = await self._statement(
+                "server.query", timed, False, pooled=True
+            )
         if degraded:
             self.counters["requests_degraded"] += 1
         self.counters["requests_served"] += 1
@@ -802,8 +918,9 @@ class AeonGServer:
             )
         if timeout is not None and not isinstance(timeout, (int, float)):
             raise ProtocolError("timeout must be a number of seconds")
-        session.txn = await self._run(
-            "server.begin", self.engine.begin, timeout=timeout
+        pooled = timeout is not None or self.engine.resilience.gate is not None
+        session.txn = await self._statement(
+            "server.begin", self.engine.begin, timeout=timeout, pooled=pooled
         )
         self.counters["requests_served"] += 1
         return {"ok": True, "id": request_id, "txn": session.txn.id}
@@ -812,7 +929,12 @@ class AeonGServer:
         txn = session.txn
         if txn is None:
             raise TransactionStateError("no open transaction to commit")
-        commit_ts = await self._run("server.commit", self.engine.commit, txn)
+        commit_ts = await self._statement(
+            "server.commit",
+            self.engine.commit,
+            txn,
+            pooled=bool(txn.journal) and self._commit_can_wait(),
+        )
         session.txn = None
         self.counters["requests_served"] += 1
         return {"ok": True, "id": request_id, "commit_ts": commit_ts}
@@ -822,7 +944,9 @@ class AeonGServer:
         if txn is None:
             raise TransactionStateError("no open transaction to abort")
         session.txn = None
-        await self._run("server.abort", self.engine.abort, txn)
+        await self._statement(
+            "server.abort", self.engine.abort, txn, pooled=False
+        )
         self.counters["requests_served"] += 1
         return {"ok": True, "id": request_id, "aborted": True}
 

@@ -636,6 +636,65 @@ class TestLiveCluster:
         rows = replica_engine.execute("MATCH (n:Person) RETURN n.ext_id")
         assert {r["n.ext_id"] for r in rows} == {"before", "after"}
 
+    @pytest.mark.serving
+    def test_served_semi_sync_commit_is_acked_through_the_loop(
+        self, tmp_path
+    ):
+        # The replica's ack arrives in a repl_fetch that the primary's
+        # event loop must read while the commit waits for it: a commit
+        # run on the loop itself would block that read until
+        # sync_timeout, and fail with REPL_TIMEOUT.
+        primary_engine = open_engine(
+            tmp_path / "primary",
+            gc_interval_transactions=0,
+            replication=ReplicationConfig(
+                role="primary", sync_commit=True, sync_timeout=2.0
+            ),
+        )
+        primary_thread = ServerThread(primary_engine)
+        primary_addr = primary_thread.start()
+        replica_engine = open_engine(
+            tmp_path / "replica",
+            gc_interval_transactions=0,
+            replication=_replica_config(*primary_addr, auto_promote=False),
+        )
+        runner = ReplicaRunner(
+            replica_engine, replica_engine.replication.config
+        )
+        runner.start()
+        try:
+            _wait_until(
+                lambda: primary_engine.replication.replicas,
+                what="replica registration",
+            )
+            with Client(
+                *primary_addr, policy=RetryPolicy(max_attempts=1)
+            ) as client:
+                client.query("CREATE (n:Person {ext_id: 'p', v: 0})")
+                # Repeated so the text is known and short: only the
+                # wait on the peer keeps these commits off the loop.
+                for v in (1, 2, 3):
+                    client.query(
+                        "MATCH (n:Person {ext_id: 'p'}) SET n.v = $v",
+                        {"v": v},
+                    )
+            counters = primary_engine.replication.counters
+            assert counters["sync_commit_timeouts"] == 0
+            assert primary_thread.server.counters["requests_pooled"] == 4
+            _wait_until(
+                lambda: _caught_up(primary_engine, replica_engine),
+                what="replica catch-up",
+            )
+            rows = replica_engine.execute(
+                "MATCH (n:Person) RETURN n.v AS v"
+            )
+            assert rows == [{"v": 3}]
+        finally:
+            runner.stop()
+            primary_thread.stop()
+            replica_engine.close()
+            primary_engine.close()
+
 
 # -- satellite: the Prometheus scrape endpoint ------------------------------
 

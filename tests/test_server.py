@@ -12,18 +12,22 @@ from __future__ import annotations
 
 import socket
 import struct
+import sys
+import threading
 import time
 
 import pytest
 
-from repro import AeonG, FAILPOINTS
+from repro import AeonG, FAILPOINTS, TemporalCondition
 from repro.errors import (
+    FaultInjected,
     OverloadError,
     ProtocolError,
     SerializationConflict,
     ServerError,
     TransactionTimeout,
 )
+from repro.query import executor
 from repro.resilience import ResilienceConfig, RetryPolicy
 from repro.server import Client, ServerThread
 from repro.server.app import ServerConfig
@@ -314,6 +318,10 @@ class TestSocketFaults:
         client.connect()
         try:
             FAILPOINTS.activate(site, mode, nth=1, times=1)
+            # The server evaluates a read failpoint before it awaits the
+            # next frame, which may be before activate() ran; the
+            # second ping's read is then the first one armed.
+            assert client.ping()
             assert client.ping()
             assert FAILPOINTS.stats(site).fired >= 1
         finally:
@@ -585,3 +593,296 @@ class TestDrain:
             {"n.ext_id": "drained"}
         ]
         assert thread.server.counters["sessions_killed"] == 0
+
+
+# -- where a request runs ---------------------------------------------------
+
+
+def _open_served(directory, **engine_kwargs):
+    from repro.core.durability import open_engine
+
+    engine = open_engine(
+        directory, gc_interval_transactions=0, **engine_kwargs
+    )
+    thread = ServerThread(engine, ServerConfig(executor_workers=2))
+    host, port = thread.start()
+    return engine, thread, host, port
+
+
+@pytest.fixture
+def served(tmp_path):
+    """A flush-mode durable engine with no admission gate."""
+    engine, thread, host, port = _open_served(tmp_path / "flush")
+    try:
+        yield engine, thread, host, port
+    finally:
+        FAILPOINTS.clear()
+        thread.stop()
+        engine.close()
+
+
+class _Paths:
+    """Counts of statement requests served inline / pooled since
+    construction."""
+
+    def __init__(self, thread) -> None:
+        self._counters = thread.server.counters
+        self._start = self._now()
+
+    def _now(self):
+        c = self._counters
+        return c["requests_inline"], c["requests_pooled"]
+
+    def moved(self) -> tuple[int, int]:
+        (i0, p0), (i1, p1) = self._start, self._now()
+        return i1 - i0, p1 - p0
+
+
+POINT = "MATCH (n:Acct {k: $k}) RETURN n.v"
+SET_V = "MATCH (n:Acct {k: $k}) SET n.v = $v"
+
+
+def test_statement_lengths_stay_bounded_under_racing_threads():
+    from repro.server.app import _StatementLengths
+
+    lengths = _StatementLengths(16)
+    errors = []
+
+    def hammer(offset):
+        try:
+            for i in range(2000):
+                text = f"t{(i + offset) % 64}"
+                lengths.timed(text, lambda: None)()
+                lengths.is_short(text)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=hammer, args=(k * 7,)) for k in range(8)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
+    assert len(lengths._last) == 16
+    assert all(lengths.is_short(text) for text in lengths._last)
+
+
+class TestWhereRequestsRun:
+    @pytest.fixture(autouse=True)
+    def _roomy_switch_interval(self):
+        # Statement lengths are wall times, and a loaded machine can
+        # stretch a cold first run past 5 ms; judge them against 50 ms
+        # so that only the slowed statement below reads as long.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(0.05)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_short_reads_txn_statements_and_flush_commits_run_inline(
+        self, served
+    ):
+        engine, thread, host, port = served
+        with Client(host, port, policy=ONE_SHOT) as client:
+            client.query("CREATE (n:Acct {k: 1, v: 0})")
+            paths = _Paths(thread)
+            client.query(POINT, {"k": 1})       # not seen yet: pooled
+            assert paths.moved() == (0, 1)
+            client.query(POINT, {"k": 1})       # point read
+            client.query(SET_V, {"k": 1, "v": 1})   # not seen yet: pooled
+            client.query(SET_V, {"k": 1, "v": 2})   # flush-mode SET
+            client.begin()                      # no gate
+            client.query(SET_V, {"k": 1, "v": 3})   # in-txn statement
+            client.commit()                     # flush-mode commit
+            client.begin()
+            client.abort()
+            assert paths.moved() == (7, 2)
+            assert client.query(POINT, {"k": 1}) == [{"n.v": 3}]
+        exposition = engine.observability.registry.prometheus_text()
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in exposition.splitlines()
+            if not line.startswith("#")
+        )
+        for path in ("inline", "pooled"):
+            assert float(samples[f"aeong_server_requests_{path}"]) == (
+                thread.server.counters[f"requests_{path}"]
+            )
+
+    def test_fsync_writes_run_pooled(self, tmp_path):
+        engine, thread, host, port = _open_served(
+            tmp_path / "fsync", durability_mode="fsync"
+        )
+        try:
+            with Client(host, port, policy=ONE_SHOT) as client:
+                client.query("CREATE (n:Acct {k: 1, v: 0})")
+                client.query(POINT, {"k": 1})
+                paths = _Paths(thread)
+                for v in (1, 2, 3):
+                    client.query(SET_V, {"k": 1, "v": v})
+                assert paths.moved() == (0, 3)
+                client.query(POINT, {"k": 1})   # a read never waits
+                client.begin()                  # no gate
+                client.query(POINT, {"k": 1})
+                client.commit()                 # read-only: no fsync
+                assert paths.moved() == (4, 3)
+                client.begin()
+                client.query("CREATE (n:Acct {k: 2, v: 0})")  # unseen
+                client.commit()                 # waits on the device
+                assert paths.moved() == (5, 5)
+        finally:
+            thread.stop()
+            engine.close()
+
+    def test_gate_sends_begin_and_autocommit_to_the_pool(self, server):
+        thread, host, port = server
+        with Client(host, port, policy=ONE_SHOT) as client:
+            client.query("CREATE (n:Acct {k: 1, v: 0})")
+            paths = _Paths(thread)
+            for _ in range(3):
+                client.query(POINT, {"k": 1})
+            assert paths.moved() == (0, 3)
+            client.begin()                      # queues at the gate
+            client.query(POINT, {"k": 1})       # in-txn: inline
+            client.commit()                     # read-only, flush: inline
+            assert paths.moved() == (2, 4)
+
+    def test_timeout_sends_the_request_to_the_pool(self, served):
+        _engine, thread, host, port = served
+        with Client(host, port, policy=ONE_SHOT) as client:
+            client.query("CREATE (n:Acct {k: 1, v: 0})")
+            client.query(POINT, {"k": 1})
+            paths = _Paths(thread)
+            client.query(POINT, {"k": 1}, timeout=5.0)
+            client.query(SET_V, {"k": 1, "v": 1}, timeout=5.0)
+            client.begin(timeout=5.0)
+            client.abort()
+            assert paths.moved() == (1, 3)
+
+    def test_conflicting_inline_write_is_redispatched(
+        self, served, monkeypatch
+    ):
+        engine, thread, host, port = served
+        real = executor.execute_query
+        raced = []
+
+        def racing(engine_, txn, text, params=None):
+            if text == SET_V and params["v"] == 2 and not raced:
+                raced.append(threading.current_thread().name)
+                # A competing write commits after this attempt's
+                # snapshot, so the attempt's own write conflicts.
+                with engine.transaction() as other:
+                    real(engine, other, SET_V, {"k": 1, "v": -1})
+            return real(engine_, txn, text, params)
+
+        with Client(host, port, policy=ONE_SHOT) as client:
+            client.query("CREATE (n:Acct {k: 1, v: 0})")
+            client.query(SET_V, {"k": 1, "v": 1})
+            monkeypatch.setattr(executor, "execute_query", racing)
+            conflicts = engine.metrics()["resilience"]["conflict_retries"]
+            paths = _Paths(thread)
+            client.query(SET_V, {"k": 1, "v": 2})
+            assert raced == ["aeong-server-loop"]
+            assert paths.moved() == (0, 1)
+            resilience = engine.metrics()["resilience"]
+            assert resilience["conflict_retries"] == conflicts + 1
+            assert resilience["retries_exhausted"] == 0
+            assert client.query(POINT, {"k": 1}) == [{"n.v": 2}]
+
+    def test_slow_statement_moves_to_the_pool(self, served, monkeypatch):
+        _engine, thread, host, port = served
+        real = executor.execute_query
+        entered = threading.Event()
+        release = threading.Event()
+        release.set()
+        stall = [0.0]
+
+        def slowed(engine_, txn, text, params=None):
+            if text == POINT:
+                entered.set()
+                time.sleep(stall[0])
+                assert release.wait(10.0)
+            return real(engine_, txn, text, params)
+
+        monkeypatch.setattr(executor, "execute_query", slowed)
+        with Client(host, port, policy=ONE_SHOT) as client:
+            client.query("CREATE (n:Acct {k: 1, v: 0})")
+            client.query(POINT, {"k": 1})
+            paths = _Paths(thread)
+            # Slowed past one switch interval: this run is still inline
+            # (its last run was short), the next one is pooled.
+            stall[0] = 2 * sys.getswitchinterval()
+            client.query(POINT, {"k": 1})
+            assert paths.moved() == (1, 0)
+            stall[0] = 0.0
+            entered.clear()
+            release.clear()
+            answer = []
+            slow = threading.Thread(
+                target=lambda: answer.append(client.query(POINT, {"k": 1}))
+            )
+            slow.start()
+            try:
+                assert entered.wait(5.0)
+                with Client(host, port, policy=ONE_SHOT) as other:
+                    assert other.ping()
+                assert slow.is_alive()  # answered while the scan runs
+            finally:
+                release.set()
+                slow.join(10.0)
+            assert answer == [[{"n.v": 0}]]
+            assert paths.moved() == (1, 1)
+
+    def test_inline_read_reports_degraded(self):
+        engine = AeonG(
+            gc_interval_transactions=0,
+            anchor_interval=2,
+            resilience=ResilienceConfig(
+                watchdog_interval=0,
+                breaker_failure_threshold=1,
+                breaker_reset_timeout=100.0,
+                degraded_reads="current-only",
+            ),
+        )
+        with engine.transaction() as txn:
+            gid = engine.create_vertex(txn, ["B"], {"v": 0})
+        created_at = engine.now() - 1
+        for value in (1, 2, 3):
+            with engine.transaction() as txn:
+                engine.set_vertex_property(txn, gid, "v", value)
+        engine.collect_garbage()  # old versions live only in the KV store
+        thread = ServerThread(engine)
+        host, port = thread.start()
+        try:
+            FAILPOINTS.activate("history.fetch", "error")
+            txn = engine.begin()
+            with pytest.raises(FaultInjected):
+                list(engine.vertex_versions(
+                    txn, gid, TemporalCondition.as_of(created_at)
+                ))
+            engine.abort(txn)
+            FAILPOINTS.clear()
+            assert engine.resilience.degraded
+            text = f"MATCH (n) TT SNAPSHOT {created_at} RETURN n.v"
+            with Client(host, port, policy=ONE_SHOT) as client:
+                pooled = client.request({"op": "query", "text": text})
+                paths = _Paths(thread)
+                inline = client.request({"op": "query", "text": text})
+                assert paths.moved() == (1, 0)
+            for response in (pooled, inline):
+                assert response["rows"] == []
+                assert response["degraded"] is True
+            assert thread.server.counters["requests_degraded"] == 2
+        finally:
+            FAILPOINTS.clear()
+            thread.stop()
+            engine.close()
