@@ -199,21 +199,15 @@ def run(
     return shell.engine
 
 
-def _open_for_verify(path: str) -> AeonG:
-    """Open a closed database directory for verification.
-
-    Accepts either an engine snapshot (``save()`` layout, ``meta.bin``
-    present) or a durability directory (WAL + optional checkpoint, the
-    ``durability_dir`` layout) — whichever the path turns out to be.
-    """
+def _open_database(path: str) -> AeonG:
+    """Open an existing engine directory (``save()``, ``checkpoint()``
+    or a durable engine's WAL) with :meth:`AeonG.open`; a missing path
+    is an error, never created."""
     from pathlib import Path
 
-    directory = Path(path)
-    if not directory.is_dir():
+    if not Path(path).is_dir():
         raise ReproError(f"{path} is not a database directory")
-    if (directory / "meta.bin").exists():
-        return AeonG.load(directory)
-    return AeonG.open(directory)
+    return AeonG.open(path)
 
 
 def _verify_main(argv: list[str]) -> int:
@@ -233,8 +227,7 @@ def _verify_main(argv: list[str]) -> int:
         ),
     )
     parser.add_argument(
-        "path", help="snapshot, durability, or (with --backup) archive "
-        "directory"
+        "path", help="database or (with --backup) archive directory"
     )
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -242,8 +235,7 @@ def _verify_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--repair", action="store_true",
-        help="repair what can be repaired and write the snapshot back "
-        "(snapshot directories only)",
+        help="repair what can be repaired and checkpoint the result",
     )
     parser.add_argument(
         "--strict", action="store_true",
@@ -259,7 +251,7 @@ def _verify_main(argv: list[str]) -> int:
     if options.as_backup:
         return _verify_backup(options)
     try:
-        engine = _open_for_verify(options.path)
+        engine = _open_database(options.path)
     except ReproError as exc:
         print(f"error: cannot open {options.path}: {exc}", file=sys.stderr)
         return 2
@@ -267,16 +259,7 @@ def _verify_main(argv: list[str]) -> int:
         engine.scrubber.auto_repair = options.repair
         report = engine.scrub_full()
         if options.repair:
-            from pathlib import Path
-
-            if (Path(options.path) / "meta.bin").exists():
-                engine.save(options.path)
-            else:
-                print(
-                    "note: --repair on a durability directory fixes the "
-                    "open engine only; checkpoint to persist",
-                    file=sys.stderr,
-                )
+            engine.checkpoint()
         if options.as_json:
             print(json.dumps(report.as_dict(), indent=2))
         else:
@@ -516,14 +499,14 @@ def _metrics_main(argv: list[str]) -> int:
             "(Prometheus text format, or JSON with --json)."
         ),
     )
-    parser.add_argument("path", help="snapshot or durability directory")
+    parser.add_argument("path", help="database directory")
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
         help="print the registry snapshot as JSON",
     )
     options = parser.parse_args(argv)
     try:
-        engine = _open_for_verify(options.path)
+        engine = _open_database(options.path)
     except ReproError as exc:
         print(f"error: cannot open {options.path}: {exc}", file=sys.stderr)
         return 2
@@ -647,7 +630,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         description="Interactive shell for the AeonG temporal graph database",
     )
     parser.add_argument(
-        "--data", metavar="DIR", help="open an engine snapshot directory"
+        "--data", metavar="DIR", help="open a database directory"
     )
     parser.add_argument(
         "--query", "-q", action="append", default=[],
@@ -660,18 +643,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     options = parser.parse_args(argv)
     try:
         if options.data:
-            engine = AeonG.load(options.data)
+            engine = _open_database(options.data)
         else:
             engine = AeonG(temporal=not options.no_temporal)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if options.query:
-        run(options.query, engine)
-        return 0
-    print("AeonG temporal graph shell — .help for help, .quit to exit")
-    shell = Shell(engine, sys.stdout)
     try:
+        if options.query:
+            run(options.query, engine)
+            return 0
+        print("AeonG temporal graph shell — .help for help, .quit to exit")
+        shell = Shell(engine, sys.stdout)
         while shell.running:
             try:
                 line = input(PROMPT)
@@ -680,6 +663,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             shell.handle(line)
     except KeyboardInterrupt:
         pass
+    finally:
+        engine.close()
     return 0
 
 

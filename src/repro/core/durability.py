@@ -10,9 +10,11 @@ the WAL — *forcing the original commit timestamps and gids*, so the
 recovered engine's transaction-time history is bit-for-bit the
 original, including versions that were migrated to the history store.
 
-``checkpoint()`` snapshots the engine (see
-:mod:`repro.core.persistence`) and truncates the WAL, bounding
-recovery time.
+:func:`install_checkpoint` snapshots the engine (see
+:mod:`repro.core.persistence`) into ``checkpoint/``: ``checkpoint()``
+installs one and truncates the WAL, bounding recovery time, and
+``save(dir)`` installs one into a directory with no live WAL, so
+:meth:`AeonG.open` reads every engine directory.
 
 Crash-consistency contract
 --------------------------
@@ -59,7 +61,13 @@ from typing import Any, Optional
 from repro.common.framing import FrameScan, frame, scan_frames
 from repro.common.serde import decode_value, encode_value
 from repro.errors import CorruptionError, StorageError
-from repro.faults import FAILPOINTS, MODE_PARTIAL_FSYNC, MODE_TORN_WRITE
+from repro.core.persistence import load_engine, save_engine
+from repro.faults import (
+    FAILPOINTS,
+    MODE_PARTIAL_FSYNC,
+    MODE_TORN_WRITE,
+    StorageIO,
+)
 from repro.kvstore.wal import WriteAheadLog, decode_batch, encode_batch
 
 WAL_FILENAME = "engine.wal"
@@ -74,18 +82,12 @@ CHECKPOINT_OLD_DIRNAME = "checkpoint.old"
 SITE_GROUP_APPEND = "wal.group.append"
 SITE_GROUP_FSYNC = "wal.group.fsync"
 
-# ``checkpoint.current.write`` / ``checkpoint.meta.write`` live in
-# :mod:`repro.core.persistence`, which is imported lazily; registering
-# them here too (idempotent) keeps the full site list discoverable the
-# moment :mod:`repro` is imported.
 FAILPOINTS.register(
     "engine.wal.append",
     "engine.wal.sync",
     "engine.wal.truncate",
     SITE_GROUP_APPEND,
     SITE_GROUP_FSYNC,
-    "checkpoint.current.write",
-    "checkpoint.meta.write",
     "checkpoint.retire",
     "checkpoint.install",
     "checkpoint.cleanup",
@@ -379,6 +381,39 @@ def _apply_op(engine, txn, op: tuple) -> None:
         raise StorageError(f"unknown WAL opcode {code!r}")
 
 
+def install_checkpoint(engine, directory, io: StorageIO) -> None:
+    """Crash-safely install a snapshot of quiescent ``engine`` as
+    ``directory/checkpoint``.
+
+    1. the snapshot is written to ``checkpoint.tmp`` (each file
+       atomically; ``meta.bin`` last);
+    2. the current ``checkpoint`` is retired to ``checkpoint.old``;
+    3. ``checkpoint.tmp`` is atomically renamed to ``checkpoint``;
+    4. ``checkpoint.old`` is removed.
+
+    A crash at any step leaves :func:`open_engine` exactly the old
+    snapshot (``checkpoint``, or the ``checkpoint.old`` fallback) or
+    exactly the new one.
+    """
+    directory = Path(directory)
+    primary = directory / CHECKPOINT_DIRNAME
+    tmp = directory / CHECKPOINT_TMP_DIRNAME
+    old = directory / CHECKPOINT_OLD_DIRNAME
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    # Without a primary, checkpoint.old is the newest snapshot (a crash
+    # between retire and install): it stays until step 3 replaces it.
+    if old.exists() and primary.exists():
+        shutil.rmtree(old)
+    save_engine(engine, tmp, io)
+    if primary.exists():
+        io.rename(primary, old, "checkpoint.retire")
+    io.rename(tmp, primary, "checkpoint.install")
+    FAILPOINTS.check("checkpoint.cleanup")
+    if old.exists():
+        shutil.rmtree(old)
+
+
 def _resolve_checkpoint(directory: Path, engine_kwargs: dict):
     """Load the newest usable checkpoint under ``directory``.
 
@@ -389,8 +424,6 @@ def _resolve_checkpoint(directory: Path, engine_kwargs: dict):
     the damage is not survivable and :class:`CorruptionError`
     propagates — silently starting fresh would drop committed data.
     """
-    from repro.core.persistence import load_engine
-
     primary = directory / CHECKPOINT_DIRNAME
     retired = directory / CHECKPOINT_OLD_DIRNAME
     primary_error: Optional[Exception] = None

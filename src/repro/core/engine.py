@@ -1136,30 +1136,15 @@ class AeonG:
         """Snapshot the engine and truncate the WAL (bounds recovery).
 
         Requires durability to be enabled and quiescence (like
-        :meth:`save`).  The install is crash-safe at every step:
-
-        1. the snapshot is written to ``checkpoint.tmp`` (each file
-           atomically; ``meta.bin`` last);
-        2. the current ``checkpoint`` is retired to ``checkpoint.old``;
-        3. ``checkpoint.tmp`` is atomically renamed to ``checkpoint``;
-        4. ``checkpoint.old`` is removed;
-        5. the WAL is truncated.
-
-        A crash before (3) recovers from the old checkpoint (directly
-        or via the ``checkpoint.old`` fallback) plus the intact WAL; a
-        crash after (3) recovers from the new checkpoint, and any WAL
-        records it already contains are skipped by the replay fence —
-        so no window loses or double-applies a committed transaction.
+        :meth:`save`).  The snapshot is installed crash-safely by
+        :func:`~repro.core.durability.install_checkpoint`, then the WAL
+        is truncated.  A crash before the install recovers from the old
+        checkpoint plus the intact WAL; a crash after it recovers from
+        the new checkpoint, and any WAL records it already contains are
+        skipped by the replay fence — so no window loses or
+        double-applies a committed transaction.
         """
-        import shutil
-
-        from repro.core.durability import (
-            CHECKPOINT_DIRNAME,
-            CHECKPOINT_OLD_DIRNAME,
-            CHECKPOINT_TMP_DIRNAME,
-        )
-        from repro.core.persistence import save_engine
-        from repro.faults import FAILPOINTS
+        from repro.core.durability import install_checkpoint
 
         writer = self._wal_writer
         if writer is None or self._durability_dir is None:
@@ -1167,19 +1152,7 @@ class AeonG:
         # Quiesce the write path: every acknowledged commit must be in
         # the WAL before the snapshot that supersedes it.
         writer.flush()
-        primary = self._durability_dir / CHECKPOINT_DIRNAME
-        tmp = self._durability_dir / CHECKPOINT_TMP_DIRNAME
-        old = self._durability_dir / CHECKPOINT_OLD_DIRNAME
-        for stale in (tmp, old):
-            if stale.exists():
-                shutil.rmtree(stale)
-        save_engine(self, tmp, storage_io=self._storage_io)
-        if primary.exists():
-            self._storage_io.rename(primary, old, "checkpoint.retire")
-        self._storage_io.rename(tmp, primary, "checkpoint.install")
-        FAILPOINTS.check("checkpoint.cleanup")
-        if old.exists():
-            shutil.rmtree(old)
+        install_checkpoint(self, self._durability_dir, self._storage_io)
         # WAL truncation is fenced by replication: records a registered
         # replica has not acknowledged must survive the checkpoint, or
         # the replica could never catch up without a full resync.
@@ -1239,20 +1212,21 @@ class AeonG:
     # -- persistence ----------------------------------------------------------------
 
     def save(self, directory) -> None:
-        """Snapshot the whole engine (current store + history + clocks)
-        to a directory.  Requires quiescence; see
-        :mod:`repro.core.persistence`."""
-        from repro.core.persistence import save_engine
+        """Install a snapshot of the whole engine (current store +
+        history + clocks) as ``directory``'s checkpoint, which
+        :meth:`open` reads.  Requires quiescence.  A directory whose
+        ``engine.wal`` holds records belongs to a live engine, which
+        must :meth:`checkpoint` instead: :class:`StorageError`."""
+        from pathlib import Path
 
-        save_engine(self, directory)
+        from repro.core.durability import WAL_FILENAME, install_checkpoint
 
-    @classmethod
-    def load(cls, directory, **engine_kwargs) -> "AeonG":
-        """Rebuild an engine saved with :meth:`save`.  Indexes are not
-        persisted — recreate them after loading."""
-        from repro.core.persistence import load_engine
-
-        return load_engine(directory, **engine_kwargs)
+        wal = Path(directory) / WAL_FILENAME
+        if wal.exists() and wal.stat().st_size:
+            raise StorageError(
+                f"{wal} is a live engine's log: checkpoint() that engine"
+            )
+        install_checkpoint(self, directory, self._storage_io)
 
     def metrics_text(self) -> str:
         """Every metric in the Prometheus text exposition format.
@@ -1326,7 +1300,7 @@ class AeonG:
         """Enforce uniqueness of ``prop`` among ``:label`` vertices.
 
         Like indexes, constraints are in-memory schema: recreate them
-        after :meth:`load`/:meth:`open`.
+        after :meth:`open`.
         """
         self.storage.create_unique_constraint(label, prop)
 

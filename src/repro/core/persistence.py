@@ -1,8 +1,8 @@
-"""Whole-engine persistence: snapshot the hybrid store to a directory.
+"""Whole-engine snapshot format: the files inside a checkpoint.
 
 Memgraph persists via periodic snapshots + WAL; RocksDB persists its
-SSTables.  This module provides the equivalent for the embedded
-engine: ``save()`` writes
+SSTables.  This module owns the snapshot half for the embedded engine:
+:func:`save_engine` writes
 
 - ``current.bin`` — every committed vertex/edge record of the current
   store (labels, properties, adjacency, transaction-time fields);
@@ -11,22 +11,24 @@ engine: ``save()`` writes
 - ``meta.bin`` — the timestamp oracle position and gid allocator
   frontier, so recovered engines continue the same timelines.
 
-``load()`` rebuilds an engine whose current state, history, and
-*future* commit timestamps are consistent with the saved one.  Saving
-requires quiescence (no active transactions): like Memgraph's snapshot,
-it captures the latest committed state; pending undo chains are
-flushed through one final garbage-collection epoch first, so every
-historical version lands in the (persisted) history store.
+:func:`load_engine` rebuilds an engine whose current state, history,
+and *future* commit timestamps are consistent with the saved one.
+Neither is an entry point: ``save()`` and ``checkpoint()`` write
+through :func:`repro.core.durability.install_checkpoint`, and
+:meth:`AeonG.open` is the one reader.  Saving requires quiescence (no
+active transactions); pending undo chains are flushed through one
+final garbage-collection epoch first, so every historical version
+lands in the (persisted) history store.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 from repro.common.serde import decode_value, encode_value
 from repro.errors import CorruptionError, StorageError
-from repro.faults import DEFAULT_IO, FAILPOINTS, StorageIO
+from repro.faults import FAILPOINTS, StorageIO
 from repro.graph.edge import EdgeRecord
 from repro.graph.vertex import EdgeRef, VertexRecord
 
@@ -35,9 +37,7 @@ _FORMAT_VERSION = 1
 FAILPOINTS.register("checkpoint.current.write", "checkpoint.meta.write")
 
 
-def save_engine(
-    engine, directory: Path, storage_io: Optional[StorageIO] = None
-) -> None:
+def save_engine(engine, directory: Path, io: StorageIO) -> None:
     """Persist a quiescent engine to ``directory``.
 
     Write order is the crash-safety contract: history and the current
@@ -50,12 +50,6 @@ def save_engine(
             "cannot save with active transactions "
             f"({engine.manager.active_count} running)"
         )
-    io = (
-        storage_io
-        if storage_io is not None
-        else getattr(engine, "_storage_io", DEFAULT_IO)
-    )
-    directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     # Flush every reclaimable undo chain into the history store so the
     # persisted KV data is the complete historical record.
@@ -90,20 +84,17 @@ def save_engine(
 
 
 def load_engine(directory: Path, **engine_kwargs):
-    """Rebuild an engine saved by :func:`save_engine`.
+    """Rebuild an engine from a checkpoint written by :func:`save_engine`.
 
-    Raises :class:`StorageError` when no snapshot exists and
-    :class:`CorruptionError` when one exists but fails integrity
-    checks (truncated ``meta.bin``, unreadable sstables, …).
+    The caller has checked that ``meta.bin`` exists.  Raises
+    :class:`CorruptionError` when the snapshot fails integrity checks
+    (truncated ``meta.bin``, unreadable sstables, …).
     """
     from repro.core.engine import AeonG
     from repro.core.temporal import GraphModel
     from repro.kvstore import KVStore
 
-    directory = Path(directory)
     meta_path = directory / "meta.bin"
-    if not meta_path.exists():
-        raise StorageError(f"no engine snapshot in {directory}")
     meta = _decode_or_corrupt(meta_path.read_bytes(), meta_path)
     if meta.get("version") != _FORMAT_VERSION:
         raise StorageError(f"unsupported snapshot version {meta.get('version')}")

@@ -119,7 +119,7 @@ class TestShell:
             ["CREATE (n:Person {name: 'Saved'})", f".save {target}"]
         )
         assert "saved to" in output
-        loaded = AeonG.load(target)
+        loaded = AeonG.open(target)
         rows = loaded.execute("MATCH (n:Person) RETURN n.name")
         assert rows == [{"n.name": "Saved"}]
 
@@ -146,6 +146,21 @@ class TestSubprocess:
             text=True,
             timeout=60,
         )
+        assert result.returncode == 0
+        assert "Oslo" in result.stdout
+
+    def test_data_dir_journals_across_processes(self, tmp_path):
+        def shell(statement):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", "--data", str(tmp_path),
+                 "-q", statement],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+
+        assert shell("CREATE (n:City {name: 'Oslo'})").returncode == 0
+        result = shell("MATCH (n:City) RETURN n.name")
         assert result.returncode == 0
         assert "Oslo" in result.stdout
 

@@ -1,6 +1,7 @@
 """Docs-check: execute the fenced code in the documentation.
 
-Two guarantees, enforced per documentation file:
+Two guarantees, enforced per documentation file (the ``docs/`` files
+and the top-level ``README.md``):
 
 - every ```python fence runs clean, executed **in document order in one
   shared namespace** (so a later block may use names an earlier block
@@ -25,14 +26,18 @@ from repro.faults import FAILPOINTS
 
 pytestmark = pytest.mark.docs
 
-DOCS_DIR = Path(__file__).resolve().parent.parent / "docs"
-DOC_FILES = [
-    "API.md",
-    "OBSERVABILITY.md",
-    "SERVING.md",
-    "REPLICATION.md",
-    "OPERATIONS.md",
-]
+ROOT = Path(__file__).resolve().parent.parent
+DOC_PATHS = {
+    name: ROOT / "docs" / name
+    for name in (
+        "API.md",
+        "OBSERVABILITY.md",
+        "SERVING.md",
+        "REPLICATION.md",
+        "OPERATIONS.md",
+    )
+}
+DOC_PATHS["README.md"] = ROOT / "README.md"
 
 _FENCE = re.compile(
     r"^```(?P<lang>[a-zA-Z]*)[ \t]*\n(?P<body>.*?)^```[ \t]*$",
@@ -70,10 +75,10 @@ def iter_doc_steps(text):
         index += 1
 
 
-@pytest.mark.parametrize("doc_name", DOC_FILES)
+@pytest.mark.parametrize("doc_name", list(DOC_PATHS))
 def test_documentation_blocks_execute(doc_name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    text = (DOCS_DIR / doc_name).read_text()
+    text = DOC_PATHS[doc_name].read_text()
     steps = list(iter_doc_steps(text))
     assert steps, "no runnable fences found in %s" % doc_name
 

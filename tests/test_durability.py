@@ -15,6 +15,7 @@ from repro.core.durability import (
     WAL_FILENAME,
 )
 from repro.errors import CorruptionError, StorageError
+from repro.faults import FAILPOINTS, SimulatedCrash
 
 
 def _history_signature(db: AeonG):
@@ -316,6 +317,30 @@ class TestRecoveryEdgeCases:
         # Silently starting fresh would drop committed data.
         with pytest.raises(CorruptionError):
             AeonG.open(tmp_path / "data", gc_interval_transactions=0)
+
+    def test_checkpoint_after_a_crashed_swap_keeps_the_fallback(
+        self, tmp_path
+    ):
+        """A crash between retire and install leaves checkpoint.old as
+        the only snapshot.  The next checkpoint must keep it until its
+        own install, or a crash there loses what the WAL no longer
+        holds."""
+        home = tmp_path / "data"
+        db = AeonG.open(home, gc_interval_transactions=0)
+        ids = _workload(db)
+        db.checkpoint()  # the WAL no longer holds the workload
+        with FAILPOINTS.active("checkpoint.install", "crash"):
+            with pytest.raises(SimulatedCrash):
+                db.checkpoint()
+        db = AeonG.open(home, gc_interval_transactions=0)
+        assert db.last_recovery.checkpoint_fallback
+        with FAILPOINTS.active("checkpoint.current.write", "crash"):
+            with pytest.raises(SimulatedCrash):
+                db.checkpoint()
+        db = AeonG.open(home, gc_interval_transactions=0)
+        with db.transaction() as txn:
+            assert db.get_vertex(txn, ids["a"]).properties["v"] == 3
+        db.close()
 
     def test_double_close_is_idempotent(self, tmp_path):
         db = AeonG.open(tmp_path / "data", gc_interval_transactions=0)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AeonG
+from repro import AeonG, TemporalCondition
 from repro.errors import FaultInjected
 from repro.faults import FAILPOINTS, SimulatedCrash
 from repro.kvstore import KVStore
@@ -197,6 +197,68 @@ class TestEngineCrashMatrix:
         with db.transaction() as txn:
             assert db.get_vertex(txn, gid).properties["j"] == 990
         db.close()
+
+
+# -- save() over an already-saved directory ---------------------------------
+
+#: Every site a second ``save()`` into the same directory passes: the
+#: snapshot files, the history SSTables, and the checkpoint swap.
+SAVE_MATRIX = [
+    ("checkpoint.current.write", "crash"),
+    ("checkpoint.meta.write", "crash"),
+    ("kv.save.sst", "crash"),
+    ("kv.save.manifest", "crash"),
+    ("checkpoint.retire", "crash"),
+    ("checkpoint.install", "crash"),
+    ("checkpoint.cleanup", "crash"),
+]
+
+
+def _saved_state(db: AeonG, watched: int) -> tuple:
+    """What a reopened directory must reproduce exactly: the live
+    vertices and every version of ``watched``."""
+    with db.transaction() as txn:
+        versions = [
+            dict(view.properties)
+            for view in db.vertex_versions(
+                txn, watched, TemporalCondition.between(0, db.now())
+            )
+        ]
+    return _recovered_vertices(db), versions
+
+
+class TestSaveCrashMatrix:
+    @pytest.mark.parametrize("site,mode", SAVE_MATRIX)
+    def test_reopen_sees_old_or_new_save(self, tmp_path, site, mode):
+        path = tmp_path / "snap"
+        db = AeonG(gc_interval_transactions=0, anchor_interval=2)
+        watched = _commit_one(db, 0)
+        for i in range(1, 3):
+            _commit_one(db, i)
+        db.save(path)
+        old = _saved_state(db, watched)
+        for i in range(3, 6):
+            _commit_one(db, i)
+        with db.transaction() as txn:
+            db.set_vertex_property(txn, watched, "j", -1)
+        new = _saved_state(db, watched)
+
+        FAILPOINTS.activate(site, mode, nth=1, times=None)
+        try:
+            with pytest.raises(SimulatedCrash):
+                db.save(path)
+        finally:
+            FAILPOINTS.clear()
+
+        reopened = AeonG.open(
+            path, gc_interval_transactions=0, anchor_interval=2
+        )
+        state = _saved_state(reopened, watched)
+        assert state in (old, new), "reopened a mix of two saves"
+        with reopened.transaction() as txn:
+            gid = reopened.create_vertex(txn, ["T"], {"i": 99})
+        assert gid not in state[0], f"gid {gid} handed out twice"
+        reopened.close()
 
 
 # -- group-commit batch faults ----------------------------------------------
@@ -933,6 +995,7 @@ def test_matrix_covers_every_registered_site():
     """Adding a failpoint without crash-matrix coverage fails here."""
     covered = (
         {site for site, _mode in ENGINE_MATRIX}
+        | {site for site, _mode in SAVE_MATRIX}
         | {site for site, _mode in KV_MATRIX}
         | {site for site, _mode in SOCKET_MATRIX}
         | {site for site, _mode in REPL_MATRIX}

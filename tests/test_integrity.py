@@ -580,12 +580,43 @@ class TestOfflineVerify:
         _corrupt_value(db, key, value)
         snap = tmp_path / "snap"
         db.save(snap)
-        assert cli_main(["verify", str(snap), "--repair"]) == 1 or True
+        # A repaired error is still reported (exit 1) ...
+        assert cli_main(["verify", str(snap), "--repair"]) == 1
         capsys.readouterr()
-        # whatever the repair pass returned, the snapshot must now be clean
+        # ... and the repair was written back: the snapshot is now clean.
         assert cli_main(["verify", str(snap), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
+
+    def test_verify_repair_keeps_commits_after_the_checkpoint(
+        self, tmp_path, capsys
+    ):
+        home = tmp_path / "data"
+        db = AeonG.open(home, anchor_interval=4, gc_interval_transactions=0)
+        gid = _build_versioned_vertex(db)
+        key, value = _content_deltas(db, gid)[2]
+        _corrupt_value(db, key, value)
+        db.checkpoint()
+        with db.transaction() as txn:
+            db.set_vertex_property(txn, gid, "n", 100)
+        late = []
+        for i in range(3):
+            with db.transaction() as txn:
+                late.append(db.create_vertex(txn, ["Late"], {"i": i}))
+        db.close()
+
+        assert cli_main(["verify", str(home), "--repair"]) == 1
+        capsys.readouterr()
+        assert cli_main(["verify", str(home), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        db = AeonG.open(home, gc_interval_transactions=0)
+        with db.transaction() as txn:
+            assert db.get_vertex(txn, gid).properties["n"] == 100
+            assert [
+                db.get_vertex(txn, late_gid).properties["i"]
+                for late_gid in late
+            ] == [0, 1, 2]
+        db.close()
 
     def test_verify_unreadable_exit_2(self, tmp_path, capsys):
         assert cli_main(["verify", str(tmp_path / "nowhere")]) == 2

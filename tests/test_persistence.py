@@ -1,4 +1,4 @@
-"""Engine persistence tests: save/load round trips, temporal history
+"""Engine persistence tests: save/open round trips, temporal history
 surviving restarts, clock/gid continuity, failure cases."""
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class TestSaveLoad:
         db = AeonG(gc_interval_transactions=0)
         ids = _build_sample(db)
         db.save(tmp_path / "snap")
-        loaded = AeonG.load(tmp_path / "snap")
+        loaded = AeonG.open(tmp_path / "snap")
         with loaded.transaction() as txn:
             card = loaded.get_vertex(txn, ids["card"])
             assert card.properties["balance"] == 210
@@ -44,7 +44,7 @@ class TestSaveLoad:
         db = AeonG(anchor_interval=2, gc_interval_transactions=0)
         ids = _build_sample(db)
         db.save(tmp_path / "snap")  # save() flushes history via GC
-        loaded = AeonG.load(tmp_path / "snap")
+        loaded = AeonG.open(tmp_path / "snap")
         with loaded.transaction() as txn:
             old = next(
                 loaded.vertex_versions(
@@ -65,7 +65,7 @@ class TestSaveLoad:
         db = AeonG(gc_interval_transactions=0)
         _build_sample(db)
         db.save(tmp_path / "snap")
-        loaded = AeonG.load(tmp_path / "snap")
+        loaded = AeonG.open(tmp_path / "snap")
         rows = loaded.execute("MATCH (n:Person) RETURN n.name ORDER BY n.name")
         assert rows == [{"n.name": "Jack"}]
         rows = loaded.execute(
@@ -79,7 +79,7 @@ class TestSaveLoad:
         ids = _build_sample(db)
         before = db.now()
         db.save(tmp_path / "snap")
-        loaded = AeonG.load(tmp_path / "snap")
+        loaded = AeonG.open(tmp_path / "snap")
         assert loaded.now() >= before
         with loaded.transaction() as txn:
             new_gid = loaded.create_vertex(txn, ["Person"], {"name": "New"})
@@ -100,7 +100,7 @@ class TestSaveLoad:
         db = AeonG(anchor_interval=3, gc_interval_transactions=0)
         ids = _build_sample(db)
         db.save(tmp_path / "snap")
-        loaded = AeonG.load(tmp_path / "snap")
+        loaded = AeonG.open(tmp_path / "snap")
         with loaded.transaction() as txn:
             loaded.set_vertex_property(txn, ids["card"], "balance", 100)
         loaded.collect_garbage()
@@ -122,28 +122,35 @@ class TestSaveLoad:
             db.save(tmp_path / "snap")
         db.abort(txn)
 
-    def test_load_missing_directory(self, tmp_path):
-        with pytest.raises(StorageError):
-            AeonG.load(tmp_path / "nothing")
+    def test_save_refuses_a_live_engines_log(self, tmp_path):
+        live = AeonG.open(tmp_path / "data", gc_interval_transactions=0)
+        _build_sample(live)
+        other = AeonG(gc_interval_transactions=0)
+        with pytest.raises(StorageError, match="checkpoint"):
+            other.save(tmp_path / "data")
+        live.checkpoint()  # an empty log no longer belongs to anyone
+        other.save(tmp_path / "data")
+        live.close()
 
     def test_config_overrides_on_load(self, tmp_path):
         db = AeonG(anchor_interval=7, gc_interval_transactions=0)
         _build_sample(db)
         db.save(tmp_path / "snap")
-        loaded = AeonG.load(tmp_path / "snap")
+        loaded = AeonG.open(tmp_path / "snap")
         assert loaded.anchor_policy.interval == 7  # persisted default
-        overridden = AeonG.load(tmp_path / "snap", anchor_interval=3)
+        loaded.close()
+        overridden = AeonG.open(tmp_path / "snap", anchor_interval=3)
         assert overridden.anchor_policy.interval == 3
 
     def test_double_save_load_cycle(self, tmp_path):
         db = AeonG(gc_interval_transactions=0)
         ids = _build_sample(db)
         db.save(tmp_path / "a")
-        first = AeonG.load(tmp_path / "a")
+        first = AeonG.open(tmp_path / "a")
         with first.transaction() as txn:
             first.set_vertex_property(txn, ids["card"], "balance", 50)
         first.save(tmp_path / "b")
-        second = AeonG.load(tmp_path / "b")
+        second = AeonG.open(tmp_path / "b")
         with second.transaction() as txn:
             versions = list(
                 second.vertex_versions(

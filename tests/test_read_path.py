@@ -883,10 +883,11 @@ class TestRosterDifferential:
         tl.check()
         db.save(tmp_path / "snap")
         db.close()
-        tl.db = db = AeonG.load(tmp_path / "snap", gc_interval_transactions=0)
-        tl.check()  # save / load
+        tl.db = db = AeonG.open(tmp_path / "snap", gc_interval_transactions=0)
+        tl.check()  # save / open
+        db.close()
         host = AeonG(gc_interval_transactions=0)
-        host.adopt_snapshot_state(AeonG.load(tmp_path / "snap"))
+        host.adopt_snapshot_state(AeonG.open(tmp_path / "snap"))
         tl.db = host
         tl.check()  # adopt_snapshot_state
         tl.run(lambda txn: host.add_label(txn, a, "Q"))
