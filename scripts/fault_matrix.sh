@@ -1,7 +1,10 @@
 #!/usr/bin/env sh
 # Run the crash/fault matrix standalone: for every registered failpoint
 # site, inject there mid-workload and check the committed-prefix
-# contract — storage sites crash-and-recover, serving-layer socket
+# contract — storage sites crash-and-recover through AeonG.open (the
+# engine log's engine.wal.append / .sync / .truncate are the only WAL
+# sites; the kv.* sites crash inside an engine whose history store
+# flushes every GC epoch), serving-layer socket
 # sites (server.conn.read / server.conn.write) fault under error,
 # delay, disconnect, short-read and torn-write modes with a live
 # server and a retrying client; backup sites (backup.copy,

@@ -268,8 +268,8 @@ def _capture_source(source: Path) -> tuple[list, int, bytes, list]:
                          path.read_bytes())
                     )
                 fence = decode_value(meta_before)["next_timestamp"]
-            wal_path = source / WAL_FILENAME
-            wal_bytes = wal_path.read_bytes() if wal_path.exists() else b""
+            wal_file = source / WAL_FILENAME
+            wal_bytes = wal_file.read_bytes() if wal_file.exists() else b""
             # Checkpoint *after* WAL: if the checkpoint swapped while
             # we walked it, the copied files may mix two checkpoints —
             # retry the whole capture.  (A swap after the WAL read only
@@ -285,7 +285,7 @@ def _capture_source(source: Path) -> tuple[list, int, bytes, list]:
             scan = parse_wal(wal_bytes, strict=True)
         except CorruptionError as exc:
             raise CorruptionError(
-                f"refusing to back up {wal_path}: {exc}"
+                f"refusing to back up {wal_file}: {exc}"
             ) from exc
         return files, fence, wal_bytes[:scan.valid_bytes], flatten(scan)
     raise StorageError(

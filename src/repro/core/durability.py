@@ -38,9 +38,12 @@ Engine-WAL record
 -----------------
 
 This module owns the record; :mod:`repro.common.framing` owns the
-frame around it.  A frame's payload is a KV-WAL batch
-(:func:`repro.kvstore.wal.encode_batch`) holding one ``b"txn"`` op per
-committed transaction, whose value is the serde record::
+frame around it.  A frame's payload is a batch (:func:`encode_batch`)::
+
+    payload := varint(op_count) entry*    (entry: repro.kvstore.sstable)
+
+holding one ``b"txn"`` op per committed transaction, whose value is the
+serde record::
 
     {"ts": commit_ts, "ops": [[opcode, ...args], ...]}
 
@@ -52,6 +55,7 @@ record body, sealed.
 
 from __future__ import annotations
 
+import os
 import shutil
 import threading
 from dataclasses import asdict, dataclass
@@ -62,41 +66,50 @@ from repro.common.framing import FrameScan, frame, scan_frames
 from repro.common.serde import decode_value, encode_value
 from repro.errors import CorruptionError, StorageError
 from repro.core.persistence import load_engine, save_engine
-from repro.faults import (
-    FAILPOINTS,
-    MODE_PARTIAL_FSYNC,
-    MODE_TORN_WRITE,
-    StorageIO,
+from repro.faults import FAILPOINTS, StorageIO
+from repro.kvstore.sstable import (
+    _decode_entries,
+    _encode_entries,
+    _read_varint,
+    _write_varint,
 )
-from repro.kvstore.wal import WriteAheadLog, decode_batch, encode_batch
 
 WAL_FILENAME = "engine.wal"
 CHECKPOINT_DIRNAME = "checkpoint"
 CHECKPOINT_TMP_DIRNAME = "checkpoint.tmp"
 CHECKPOINT_OLD_DIRNAME = "checkpoint.old"
 
-#: Batch-level failpoint sites on the group-commit write path: one hit
-#: per *batch* (vs ``engine.wal.append``/``engine.wal.sync``, which fire
-#: per physical frame write / fsync).  A fault here kills a whole
-#: group-commit epoch before any of its commits is acknowledged.
-SITE_GROUP_APPEND = "wal.group.append"
-SITE_GROUP_FSYNC = "wal.group.fsync"
-
 FAILPOINTS.register(
     "engine.wal.append",
     "engine.wal.sync",
     "engine.wal.truncate",
-    SITE_GROUP_APPEND,
-    SITE_GROUP_FSYNC,
     "checkpoint.retire",
     "checkpoint.install",
     "checkpoint.cleanup",
 )
 
-#: The KV-batch key every engine-WAL record is stored under.
+#: The batch key every engine-WAL record is stored under.
 _TXN_KEY = b"txn"
 
 Record = tuple[int, list[tuple]]
+
+
+def encode_batch(ops: list[tuple[bytes, Optional[bytes]]]) -> bytes:
+    """A frame payload: ``varint(op_count)`` then the ops as sstable
+    entries (a ``None`` value is a tombstone)."""
+    payload = bytearray()
+    _write_varint(len(ops), payload)
+    _encode_entries(ops, payload)
+    return bytes(payload)
+
+
+def decode_batch(payload: bytes) -> list[tuple[bytes, Optional[bytes]]]:
+    """Inverse of :func:`encode_batch`."""
+    count, pos = _read_varint(payload, 0)
+    ops, pos = _decode_entries(payload, pos, count)
+    if pos != len(payload):
+        raise CorruptionError("trailing bytes in WAL record")
+    return ops
 
 
 def encode_txn(commit_ts: int, ops: list) -> bytes:
@@ -115,10 +128,20 @@ def decode_txn(body: bytes) -> Record:
         raise CorruptionError(f"undecodable engine-WAL record: {exc}") from exc
 
 
+def batch_frame(records: list[Record]) -> bytes:
+    """``[(commit_ts, ops), ...]`` as one frame — byte-for-byte what
+    :meth:`EngineWal.append_batch` writes for them."""
+    return frame(
+        encode_batch(
+            [(_TXN_KEY, encode_txn(ts, ops)) for ts, ops in records]
+        )
+    )
+
+
 def txn_frame(commit_ts: int, ops: list) -> bytes:
     """One record as a standalone frame — byte-for-byte what
     :meth:`EngineWal.append` writes for it."""
-    return frame(encode_batch([(_TXN_KEY, encode_txn(commit_ts, ops))]))
+    return batch_frame([(commit_ts, ops)])
 
 
 def _decode_frame(payload: bytes) -> list[Record]:
@@ -174,17 +197,23 @@ class RecoveryReport:
 
 
 class EngineWal:
-    """Append-only log of committed transactions.
+    """Append-only log of committed transactions: the ``engine.wal``
+    file under ``directory``.
 
     One physical WAL frame holds one *or more* logical transaction
     records: the commit path (:meth:`append_batch`, called by a
     group-commit leader) packs every commit pending at the time into
     one frame — one append, one fsync, shared by every commit in the
-    batch; an uncontended commit gets a frame of its own.  Because a frame is the unit of the
-    framing checksum, a crash mid-batch tears the *whole* frame, and
-    none of its commits was acknowledged (acks wait for the shared
-    fsync) — recovery discards the torn frame and lands exactly on the
-    acked prefix.
+    batch; an uncontended commit gets a frame of its own.  Because a
+    frame is the unit of the framing checksum, a crash mid-batch tears
+    the *whole* frame, and none of its commits was acknowledged (acks
+    wait for the shared fsync) — recovery discards the torn frame and
+    lands exactly on the acked prefix.
+
+    Every physical I/O goes through :class:`~repro.faults.StorageIO` at
+    the ``engine.wal.append`` / ``engine.wal.sync`` /
+    ``engine.wal.truncate`` failpoint sites.  ``durability_mode="flush"``
+    stops at the OS buffer; ``"fsync"`` syncs every batch to the device.
 
     Thread-safe: group-commit leaders, checkpoint truncation, and
     catch-up scans serialize on an internal lock.
@@ -195,11 +224,15 @@ class EngineWal:
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._wal = WriteAheadLog(
-            self.directory / WAL_FILENAME,
-            durability_mode=durability_mode,
-            site_prefix="engine.wal",
-        )
+        self._path = self.directory / WAL_FILENAME
+        self._tmp = self.directory / (WAL_FILENAME + ".tmp")
+        self._io = StorageIO(durability_mode)
+        # A stale .tmp is the residue of a crash mid-truncate; the
+        # rename never happened, so the log itself is authoritative.
+        self._tmp.unlink(missing_ok=True)
+        self._file = open(self._path, "ab")
+        #: bytes known durable: where a partial fsync cuts back to
+        self._synced = self._file.tell()
         self._lock = threading.RLock()
         self.records_appended = 0
         #: group-commit accounting: physical frames written / fsyncs
@@ -209,7 +242,7 @@ class EngineWal:
 
     @property
     def durability_mode(self) -> str:
-        return self._wal.durability_mode
+        return self._io.durability_mode
 
     def append(self, commit_ts: int, journal: list[tuple]) -> None:
         """Durably record one committed transaction."""
@@ -220,59 +253,53 @@ class EngineWal:
 
         ``records`` is ``[(commit_ts, ops), ...]`` in commit-timestamp
         order.  The batch is encoded into a single checksummed WAL
-        frame, appended once, and (in ``"fsync"`` mode) synced once —
-        the group-commit amortization.  Two batch-level failpoint
-        sites, ``wal.group.append`` and ``wal.group.fsync``, fire once
-        per batch on top of the physical ``engine.wal.append`` /
-        ``engine.wal.sync`` sites, so tests can kill a whole epoch
-        mid-write (torn batch frame) or mid-sync (half-lost OS buffer).
+        frame, appended once at ``engine.wal.append``, and (in
+        ``"fsync"`` mode) synced once at ``engine.wal.sync`` — the
+        group-commit amortization.  Each site therefore fires once per
+        batch: a torn write tears the whole batch frame, a partial
+        fsync half-loses it.
         """
         if not records:
             return
-        ops = [(_TXN_KEY, encode_txn(ts, journal)) for ts, journal in records]
+        data = batch_frame(records)
         with self._lock:
-            mode = FAILPOINTS.check(SITE_GROUP_APPEND)
-            if mode == MODE_TORN_WRITE:
-                self._wal.append_torn(ops, SITE_GROUP_APPEND)
-            self._wal.append(ops, sync=False)
+            self._io.append(self._file, data, "engine.wal.append")
             self.frames_appended += 1
-            if self._wal.fsync_enabled:
-                mode = FAILPOINTS.check(SITE_GROUP_FSYNC)
-                if mode == MODE_PARTIAL_FSYNC:
-                    self._wal.simulate_partial_fsync(SITE_GROUP_FSYNC)
-                self._wal.sync()
+            if self._io.fsync_enabled:
+                self._synced = self._io.sync(
+                    self._file, "engine.wal.sync", self._synced
+                )
                 self.fsyncs += 1
             self.records_appended += len(records)
 
     def _scan_frames(self, strict: bool = False) -> FrameScan:
-        """The live log through :func:`parse_wal`'s decoder.
-
-        Frames are the unit of checksumming and truncation; the scan
-        is also what :meth:`repair` cuts back to.
-        """
+        """The live log through :func:`parse_wal`."""
         with self._lock:
-            return self._wal.scan(strict, decode=_decode_frame)
+            self._file.flush()
+            return parse_wal(self._path.read_bytes(), strict)
 
     def scan(self, strict: bool = False) -> tuple[list[Record], FrameScan]:
         """Parse the log into ``[(commit_ts, ops), ...]`` plus the raw
         :class:`~repro.common.framing.FrameScan`.
 
         ``strict=True`` raises :class:`CorruptionError` on corruption;
-        otherwise replay stops there and the scan is flagged.
+        otherwise the records stop there and the scan is flagged.
         """
         scan = self._scan_frames(strict=strict)
         return flatten(scan), scan
 
-    def replay(self, strict: bool = False):
-        """Yield ``(commit_ts, ops)`` in commit order; stops at a torn
-        or corrupted tail (crash semantics)."""
-        records, _scan = self.scan(strict=strict)
-        yield from records
+    def repair(self, scan: FrameScan) -> bool:
+        """Crash-safely cut the log back to ``scan``'s intact prefix.
 
-    def repair(self) -> bool:
-        """Crash-safely drop a damaged tail found by the last scan."""
+        Returns True when a damaged tail was discarded.  Without this,
+        appends after recovery would land *behind* unreadable garbage
+        and be lost on the next replay.
+        """
+        if scan.bytes_discarded == 0:
+            return False
         with self._lock:
-            return self._wal.repair()
+            self._rewrite(0, scan.valid_bytes)
+        return True
 
     def records_from(self, from_ts: int) -> list[Record]:
         """Records with ``commit_ts >= from_ts``, oldest first — the
@@ -281,8 +308,9 @@ class EngineWal:
         return [(ts, ops) for ts, ops in self.scan()[0] if ts >= from_ts]
 
     def truncate(self) -> None:
+        """Discard every record (called after a successful checkpoint)."""
         with self._lock:
-            self._wal.truncate()
+            self._rewrite(0, 0)
 
     def truncate_keep_from(self, retain_ts: int) -> tuple[int, int]:
         """Drop every record with ``commit_ts < retain_ts``; keep the rest.
@@ -309,12 +337,37 @@ class EngineWal:
                 dropped += len(records)
                 fence = max([fence] + [ts for ts, _ops in records])
             if drop_bytes:
-                self._wal.drop_prefix(drop_bytes)
+                self._rewrite(drop_bytes, None)
             return dropped, fence
+
+    def _rewrite(self, start: int, stop: Optional[int]) -> None:
+        """Replace the log with its own bytes ``[start:stop]``.
+
+        Write-new + atomic rename: the kept bytes are written to a temp
+        file and renamed over the log, so a crash at any instant leaves
+        either the full old log or the exact new one — never a
+        half-valid file (the failure mode of truncating the live file
+        in place).  The rename is the ``engine.wal.truncate`` site.
+        """
+        self._file.flush()
+        # truncate() keeps nothing: skip reading the whole log.
+        kept = self._path.read_bytes()[start:stop] if stop != 0 else b""
+        with open(self._tmp, "wb") as handle:
+            handle.write(kept)
+            handle.flush()
+            if self._io.fsync_enabled:
+                os.fsync(handle.fileno())
+        # The dangerous window: new file durable, old still in place.
+        # A crash here leaves the original log plus a stray .tmp that
+        # the next open discards — recovery sees the full old log.
+        self._io.rename(self._tmp, self._path, "engine.wal.truncate")
+        self._file.close()
+        self._file = open(self._path, "ab")
+        self._synced = self._file.tell()
 
     def close(self) -> None:
         with self._lock:
-            self._wal.close()
+            self._file.close()
 
 
 def replay_into(engine, wal: EngineWal, min_commit_ts: int = 0,
@@ -476,15 +529,18 @@ def open_engine(directory, strict_recovery: bool = False, **engine_kwargs):
     replayed, skipped, scan = replay_into(
         engine, wal, min_commit_ts=fence_ts, strict=strict_recovery
     )
-    repaired = wal.repair()
+    repaired = wal.repair(scan)
     engine.attach_wal(directory, wal)
     if loaded:
         # A checkpoint implies the WAL has been truncated at some
         # point; replicas fetching below the oldest surviving record
         # must resync.  (A replication-fenced checkpoint keeps records
-        # below the checkpoint fence, so key off the log itself.)
-        remaining, _scan = wal.scan()
-        oldest = remaining[0][0] if remaining else fence_ts
+        # below the checkpoint fence, so key off the log itself: the
+        # repair kept exactly the replay scan's intact frames.)
+        oldest = next(
+            (ts for records in scan.payloads for ts, _ops in records),
+            fence_ts,
+        )
         engine._wal_truncation_fence = max(
             engine._wal_truncation_fence, oldest - 1
         )

@@ -89,7 +89,8 @@ class AeonG:
         time must lie within both endpoints' — on edge creation and
         valid-time updates.
     kv:
-        Inject a pre-configured key-value store (e.g. with a WAL).
+        Inject a pre-configured key-value store (e.g. a small
+        ``memtable_limit_bytes``).
     reconstruction_cache_size:
         Maximum objects the history store keeps in memory: each one's
         record lists, scan mentions and reconstructed version list, in

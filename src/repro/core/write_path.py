@@ -31,7 +31,7 @@ queueing.  The leader never takes the close lock, so it always drains.
 
 Failure semantics: any exception a leader hits while persisting a
 batch (including injected :class:`~repro.faults.SimulatedCrash` /
-:class:`~repro.faults.FaultInjected` at the ``wal.group.*`` sites) is
+:class:`~repro.faults.FaultInjected` at the ``engine.wal.*`` sites) is
 delivered to **every ticket in that batch** — none of those commits is
 acknowledged, and recovery lands on the acked prefix.
 """

@@ -72,7 +72,7 @@ Programmatic::
 
 or via the environment (picked up at import time)::
 
-    REPRO_FAILPOINTS="engine.wal.append=crash:3;kv.wal.sync=error"
+    REPRO_FAILPOINTS="engine.wal.append=crash:3;engine.wal.sync=error"
 
 :class:`StorageIO` is the injectable file abstraction the disk-touching
 modules route through; it owns the fsync-vs-flush durability discipline

@@ -10,7 +10,7 @@ provides the subset of RocksDB behaviour the paper's design relies on:
 - atomic write batches, used by ``Migrate()`` (Algorithm 1) to install
   a whole garbage-collection epoch at once;
 - byte-accurate size accounting for the storage-overhead experiments;
-- optional durability via a write-ahead log plus immutable sorted runs.
+- persistence as immutable sorted runs saved with a manifest.
 
 The implementation is a small LSM tree: an in-memory skiplist memtable
 that flushes to immutable SSTable runs, with k-way merge iterators and

@@ -59,7 +59,7 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
 
 def _encode_entries(entries, out: bytearray) -> None:
     """Append ``entry`` encodings (the layout above) to ``out``; the
-    KV WAL's batch payload reuses it."""
+    engine WAL's batch payload reuses it."""
     for key, value in entries:
         _write_varint(len(key), out)
         out += key

@@ -16,6 +16,10 @@ Provides the RocksDB operations AeonG's historical store depends on:
 ``save / load``
     whole-store persistence to a directory (sstables + manifest).
 
+The store keeps no log of its own: it holds only migrated history,
+which the engine's checkpoint plus the engine WAL
+(:mod:`repro.core.durability`) rebuild after a crash.
+
 Thread safety: all public methods take the store lock, which is enough
 for the maintenance thread and query threads to interleave (the paper's
 late-migration strategy writes from it while queries read).
@@ -28,14 +32,12 @@ import threading
 from pathlib import Path
 from typing import Iterator, Optional
 
-from repro.common.framing import FrameScan
 from repro.errors import KVStoreError
-from repro.faults import FAILPOINTS, DEFAULT_IO, StorageIO
+from repro.faults import FAILPOINTS, StorageIO
 from repro.kvstore.api import StoreStats, WriteBatch, _check_key
 from repro.kvstore.iterator import bounded, merge_runs
 from repro.kvstore.memtable import MemTable
 from repro.kvstore.sstable import SSTable
-from repro.kvstore.wal import WriteAheadLog
 from repro.observability import NULL_SPAN
 
 _DEFAULT_MEMTABLE_LIMIT = 4 * 1024 * 1024  # bytes, like a small RocksDB
@@ -62,23 +64,15 @@ class KVStore:
     max_runs:
         When the number of immutable runs exceeds this, a full
         compaction merges them into one.
-    wal_path:
-        If given, every write is journaled there and can be recovered
-        with :meth:`recover`.
     seed:
         Seed for the memtable skiplists (determinism in benchmarks).
-    durability_mode:
-        ``"fsync"`` syncs every WAL append to the device; ``"flush"``
-        (default) stops at the OS buffer.
     """
 
     def __init__(
         self,
         memtable_limit_bytes: int = _DEFAULT_MEMTABLE_LIMIT,
         max_runs: int = 8,
-        wal_path: Optional[Path] = None,
         seed: Optional[int] = 0,
-        durability_mode: str = "flush",
     ) -> None:
         if memtable_limit_bytes <= 0:
             raise ValueError("memtable_limit_bytes must be positive")
@@ -90,14 +84,7 @@ class KVStore:
         self._memtable = MemTable(seed=seed)
         self._runs: list[SSTable] = []  # newest first
         self._lock = threading.RLock()
-        self._io = StorageIO(durability_mode)
-        self._wal = (
-            WriteAheadLog(wal_path, storage_io=self._io)
-            if wal_path is not None
-            else None
-        )
         self.stats = StoreStats()
-        self.last_recovery_scan: Optional[FrameScan] = None
         #: the owning engine's Tracer (or None): brackets flush and
         #: compaction with ``kv.*`` spans (see repro.observability)
         self.tracer = None
@@ -110,8 +97,6 @@ class KVStore:
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError("value must be bytes")
         with self._lock:
-            if self._wal is not None:
-                self._wal.append([(bytes(key), bytes(value))])
             self._memtable.put(bytes(key), bytes(value))
             self.stats.puts += 1
             self._maybe_flush()
@@ -120,8 +105,6 @@ class KVStore:
         """Remove a key (writes a tombstone)."""
         _check_key(key)
         with self._lock:
-            if self._wal is not None:
-                self._wal.append([(bytes(key), None)])
             self._memtable.put(bytes(key), None)
             self.stats.deletes += 1
             self._maybe_flush()
@@ -129,16 +112,13 @@ class KVStore:
     def write(self, batch: WriteBatch) -> None:
         """Apply a whole batch atomically.
 
-        One WAL append for the batch, then one sorted insertion pass
-        over the memtable (:meth:`MemTable.put_many`) instead of a
+        One sorted insertion pass over the memtable (:meth:`MemTable.put_many`) instead of a
         full-height skiplist descent per key — the write-batching half
         of the group-commit work: a GC epoch's ``commit_batch`` costs
         one pass however many records it staged.
         """
         with self._lock:
             ops = list(batch.items())
-            if self._wal is not None and ops:
-                self._wal.append(ops)
             self._memtable.put_many(ops)
             for _key, value in ops:
                 if value is None:
@@ -244,22 +224,10 @@ class KVStore:
             total += sum(run.approximate_bytes for run in self._runs)
             return total
 
-    def compacted_bytes(self) -> int:
-        """Bytes after a full compaction (steady-state disk footprint)."""
-        with self._lock:
-            self.compact()
-            return self.approximate_bytes()
-
     # -- maintenance ------------------------------------------------------
 
     def flush(self) -> None:
-        """Freeze the memtable into an immutable run.
-
-        The WAL is deliberately *not* truncated here: runs live in
-        memory, so journaled writes stay replayable until :meth:`save`
-        has made them durable (truncating at flush time was a crash
-        window that silently lost every flushed-but-unsaved write).
-        """
+        """Freeze the memtable into an immutable run."""
         with self._lock:
             if len(self._memtable) == 0:
                 return
@@ -329,7 +297,7 @@ class KVStore:
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        io = storage_io if storage_io is not None else self._io
+        io = storage_io if storage_io is not None else StorageIO()
         with self._lock:
             self.compact()
             names = []
@@ -357,30 +325,3 @@ class KVStore:
             data = (directory / name).read_bytes()
             store._runs.append(SSTable.decode(data))
         return store
-
-    def recover(self, strict: bool = False) -> int:
-        """Replay the WAL into the memtable; returns replayed op count.
-
-        Called on a fresh store whose ``wal_path`` points at a log left
-        by a crashed predecessor.  A torn tail is discarded and the log
-        is repaired (crash-safely truncated to the valid prefix) so new
-        appends never land behind garbage; the scan details land in
-        :attr:`last_recovery_scan`.  With ``strict=True``, interior
-        corruption raises :class:`~repro.errors.CorruptionError`.
-        """
-        if self._wal is None:
-            raise KVStoreError("store has no WAL to recover from")
-        count = 0
-        with self._lock:
-            scan = self._wal.scan(strict=strict)
-            for ops in scan.payloads:
-                for key, value in ops:
-                    self._memtable.put(key, value)
-                    count += 1
-            self._wal.repair()
-            self.last_recovery_scan = scan
-        return count
-
-    def close(self) -> None:
-        if self._wal is not None:
-            self._wal.close()

@@ -296,10 +296,9 @@ class TestViewCopyOnWrite:
 
 
 class TestHybridKVInjection:
-    def test_engine_accepts_preconfigured_store(self, tmp_path):
-        kv = KVStore(wal_path=tmp_path / "history.wal")
+    def test_engine_accepts_preconfigured_store(self):
+        kv = KVStore()
         db = AeonG(kv=kv, gc_interval_transactions=0)
         gid = _versioned_vertex(db, [0, 1])
         db.collect_garbage()
         assert kv.stats.batch_writes >= 1
-        kv.close()

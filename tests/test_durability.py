@@ -191,7 +191,7 @@ class TestCheckpoint:
         expected = _history_signature(db)
         db.checkpoint()
         wal = EngineWal(tmp_path / "data")
-        assert list(wal.replay()) == []
+        assert wal.scan()[0] == []
         wal.close()
         db.close()
         recovered = AeonG.open(tmp_path / "data", gc_interval_transactions=0)

@@ -71,13 +71,6 @@ ENGINE_MATRIX = [
     ("kv.save.sst", "crash"),
     ("kv.save.manifest", "crash"),
     ("migration.commit_batch", "crash"),
-    # Batch-level sites on the group-commit write path: one hit per
-    # group-commit *epoch*, killing the whole batch frame before any
-    # of its commits is acknowledged.
-    ("wal.group.append", "crash"),
-    ("wal.group.append", "torn-write"),
-    ("wal.group.fsync", "crash"),
-    ("wal.group.fsync", "partial-fsync"),
 ]
 
 #: WAL-tearing combinations whose recovery must flag (and repair) a
@@ -85,9 +78,12 @@ ENGINE_MATRIX = [
 _TEARS_ENGINE_WAL = {
     ("engine.wal.append", "torn-write"),
     ("engine.wal.sync", "partial-fsync"),
-    ("wal.group.append", "torn-write"),
-    ("wal.group.fsync", "partial-fsync"),
 }
+
+
+_ENGINE_SETTINGS = dict(
+    durability_mode="fsync", gc_interval_transactions=0, anchor_interval=2
+)
 
 
 def _commit_one(db: AeonG, i: int) -> int:
@@ -113,16 +109,17 @@ def _recovered_vertices(db: AeonG) -> dict[int, dict]:
         db.abort(txn)
 
 
-def _engine_crash_run(path, site, mode):
+def _engine_crash_run(path, site, mode, kv=None):
     """Workload with ``site`` armed after a healthy prefix (3 commits,
     one GC epoch, one installed checkpoint — so retire/fence paths are
-    live).  Returns what was acked before the simulated crash."""
-    db = AeonG.open(
-        path,
-        durability_mode="fsync",
-        gc_interval_transactions=0,
-        anchor_interval=2,
-    )
+    live).  Returns what was acked before the simulated crash.
+
+    ``kv`` injects the history store of a fresh engine at ``path``
+    (e.g. one whose memtable flushes every GC epoch)."""
+    if kv is None:
+        db = AeonG.open(path, **_ENGINE_SETTINGS)
+    else:
+        db = AeonG(durability_dir=path, kv=kv, **_ENGINE_SETTINGS)
     acked: dict[int, int] = {}
     for i in range(3):
         acked[_commit_one(db, i)] = i
@@ -154,6 +151,41 @@ def _engine_crash_run(path, site, mode):
     return acked, inflight, crashed, fired
 
 
+def _assert_committed_prefix(path, site, mode, acked, inflight):
+    """Reopen ``path`` through :meth:`AeonG.open` and check the
+    committed-prefix contract, then that the engine takes writes."""
+    db = AeonG.open(path, **_ENGINE_SETTINGS)
+    report = db.last_recovery
+    assert report is not None
+    # Crash residue must never read as interior corruption.
+    assert not report.corruption_detected
+    if (site, mode) in _TEARS_ENGINE_WAL:
+        assert report.torn_tail
+        assert report.wal_repaired
+        assert report.bytes_discarded > 0
+
+    recovered = _recovered_vertices(db)
+    for gid, i in acked.items():
+        assert gid in recovered, f"acked commit {i} lost"
+        assert recovered[gid] == {"i": i, "j": i * 10}, (
+            f"acked commit {i} recovered incomplete"
+        )
+    allowed = set(acked)
+    if inflight is not None:
+        allowed.add(inflight[0])
+    assert set(recovered) <= allowed, "phantom transaction recovered"
+    if inflight is not None and inflight[0] in recovered:
+        # A surviving in-flight txn must still be all-or-nothing.
+        gid, i = inflight
+        assert recovered[gid] == {"i": i, "j": i * 10}
+
+    # The reopened engine must be fully writable again.
+    gid = _commit_one(db, 99)
+    with db.transaction() as txn:
+        assert db.get_vertex(txn, gid).properties["j"] == 990
+    db.close()
+
+
 class TestEngineCrashMatrix:
     @pytest.mark.parametrize("site,mode", ENGINE_MATRIX)
     def test_committed_prefix_survives(self, tmp_path, site, mode):
@@ -161,42 +193,55 @@ class TestEngineCrashMatrix:
         acked, inflight, crashed, fired = _engine_crash_run(path, site, mode)
         assert crashed, f"site {site} never fired in the workload"
         assert fired >= 1
+        _assert_committed_prefix(path, site, mode, acked, inflight)
 
-        db = AeonG.open(
-            path,
-            durability_mode="fsync",
-            gc_interval_transactions=0,
-            anchor_interval=2,
+    def test_crash_during_recovery_truncation(self, tmp_path):
+        """engine.wal.truncate inside recovery: the repair of a torn
+        tail dies mid-swap; a second open still lands on the same
+        committed prefix."""
+        path = tmp_path / "data"
+        db = AeonG.open(path, **_ENGINE_SETTINGS)
+        acked = {_commit_one(db, i): i for i in range(4)}
+        FAILPOINTS.activate("engine.wal.append", "torn-write")
+        with pytest.raises(SimulatedCrash):
+            _commit_one(db, 4)
+        FAILPOINTS.clear()
+
+        FAILPOINTS.activate("engine.wal.truncate", "crash")
+        with pytest.raises(SimulatedCrash):
+            AeonG.open(path, **_ENGINE_SETTINGS)
+        FAILPOINTS.clear()
+
+        _assert_committed_prefix(
+            path, "engine.wal.append", "torn-write", acked, None
         )
-        report = db.last_recovery
-        assert report is not None
-        # Crash residue must never read as interior corruption.
-        assert not report.corruption_detected
-        if (site, mode) in _TEARS_ENGINE_WAL:
-            assert report.torn_tail
-            assert report.wal_repaired
-            assert report.bytes_discarded > 0
 
-        recovered = _recovered_vertices(db)
-        for gid, i in acked.items():
-            assert gid in recovered, f"acked commit {i} lost"
-            assert recovered[gid] == {"i": i, "j": i * 10}, (
-                f"acked commit {i} recovered incomplete"
-            )
-        allowed = set(acked)
-        if inflight is not None:
-            allowed.add(inflight[0])
-        assert set(recovered) <= allowed, "phantom transaction recovered"
-        if inflight is not None and inflight[0] in recovered:
-            # A surviving in-flight txn must still be all-or-nothing.
-            gid, i = inflight
-            assert recovered[gid] == {"i": i, "j": i * 10}
 
-        # The reopened engine must be fully writable again.
-        gid = _commit_one(db, 99)
-        with db.transaction() as txn:
-            assert db.get_vertex(txn, gid).properties["j"] == 990
-        db.close()
+# -- kv.* storage sites, crashed inside an engine ---------------------------
+
+#: The history store's own maintenance sites.  The engine's KV store
+#: has a 128-byte memtable, smaller than one GC epoch's migration
+#: batch, so every epoch flushes it (``kv.flush``) and a checkpoint
+#: compacts and encodes its runs (``kv.compact``,
+#: ``kv.sstable.encode``).  The store keeps no log:
+#: recovery rebuilds it from the checkpoint and the engine WAL.
+KV_MATRIX = [
+    ("kv.flush", "crash"),
+    ("kv.compact", "crash"),
+    ("kv.sstable.encode", "crash"),
+]
+
+
+class TestKVStoreCrashMatrix:
+    @pytest.mark.parametrize("site,mode", KV_MATRIX)
+    def test_committed_prefix_survives(self, tmp_path, site, mode):
+        path = tmp_path / "data"
+        acked, inflight, crashed, fired = _engine_crash_run(
+            path, site, mode, kv=KVStore(memtable_limit_bytes=128)
+        )
+        assert crashed, f"site {site} never fired in the workload"
+        assert fired >= 1
+        _assert_committed_prefix(path, site, mode, acked, inflight)
 
 
 # -- save() over an already-saved directory ---------------------------------
@@ -265,13 +310,14 @@ class TestSaveCrashMatrix:
 
 
 class TestGroupCommitBatchFaults:
-    """Deeper coverage of the ``wal.group.*`` batch sites beyond the
+    """Deeper coverage of the ``engine.wal.*`` sites on the
+    group-commit path (each fires once per batch) beyond the
     parametrized loop: error-mode delivery to every committer in the
     batch, and a genuinely concurrent crash mid-batch recovering to a
     prefix of *acked* commits only."""
 
     @pytest.mark.parametrize(
-        "site", ["wal.group.append", "wal.group.fsync"]
+        "site", ["engine.wal.append", "engine.wal.sync"]
     )
     def test_error_mode_fails_the_commit_without_acking(
         self, tmp_path, site
@@ -298,7 +344,7 @@ class TestGroupCommitBatchFaults:
         )
         recovered = _recovered_vertices(db)
         assert gid in recovered and recovered[gid] == {"i": 2, "j": 20}
-        if site == "wal.group.append":
+        if site == "engine.wal.append":
             # The fault fired before the frame was written: the
             # errored, never-acked commit must not be durable.
             assert all(props["i"] != 1 for props in recovered.values())
@@ -314,10 +360,10 @@ class TestGroupCommitBatchFaults:
     @pytest.mark.parametrize(
         "site,mode",
         [
-            ("wal.group.append", "crash"),
-            ("wal.group.append", "torn-write"),
-            ("wal.group.fsync", "crash"),
-            ("wal.group.fsync", "partial-fsync"),
+            ("engine.wal.append", "crash"),
+            ("engine.wal.append", "torn-write"),
+            ("engine.wal.sync", "crash"),
+            ("engine.wal.sync", "partial-fsync"),
         ],
     )
     def test_concurrent_crash_mid_batch_keeps_acked_prefix(
@@ -405,122 +451,6 @@ class TestGroupCommitBatchFaults:
         with db2.transaction() as txn:
             assert db2.get_vertex(txn, gid).properties["j"] == 77770
         db2.close()
-
-
-# -- kvstore-level matrix ---------------------------------------------------
-
-KV_MATRIX = [
-    ("kv.wal.append", "crash"),
-    ("kv.wal.append", "torn-write"),
-    ("kv.wal.sync", "crash"),
-    ("kv.wal.sync", "partial-fsync"),
-    ("kv.flush", "crash"),
-    ("kv.compact", "crash"),
-    ("kv.sstable.encode", "crash"),
-]
-
-_TEARS_KV_WAL = {
-    ("kv.wal.append", "torn-write"),
-    ("kv.wal.sync", "partial-fsync"),
-}
-
-
-def _k(i: int) -> bytes:
-    return f"key-{i:04d}".encode()
-
-
-def _v(i: int) -> bytes:
-    return f"value-{i:04d}".encode() * 3
-
-
-def _kv_crash_run(tmp_path, site, mode):
-    wal = tmp_path / "kv.log"
-    store = KVStore(wal_path=wal, durability_mode="fsync")
-    acked: list[int] = []
-    for i in range(5):
-        store.put(_k(i), _v(i))
-        acked.append(i)
-    store.flush()  # a healthy on-memory run under the armed phase
-
-    crashed = False
-    inflight: int | None = None
-    FAILPOINTS.activate(site, mode, nth=1, times=None)
-    try:
-        for i in range(5, 16):
-            inflight = i
-            store.put(_k(i), _v(i))
-            acked.append(i)
-            inflight = None
-            if i == 9:
-                store.flush()
-            if i == 12:
-                store.compact()
-                store.save(tmp_path / "snap")
-    except SimulatedCrash:
-        crashed = True
-    finally:
-        fired = FAILPOINTS.stats(site).fired
-        FAILPOINTS.clear()
-    return wal, acked, inflight, crashed, fired
-
-
-class TestKVStoreCrashMatrix:
-    @pytest.mark.parametrize("site,mode", KV_MATRIX)
-    def test_committed_prefix_survives(self, tmp_path, site, mode):
-        wal, acked, inflight, crashed, fired = _kv_crash_run(
-            tmp_path, site, mode
-        )
-        assert crashed, f"site {site} never fired in the workload"
-        assert fired >= 1
-
-        rec = KVStore(wal_path=wal, durability_mode="fsync")
-        rec.recover()
-        scan = rec.last_recovery_scan
-        assert scan is not None
-        assert not scan.corruption
-        if (site, mode) in _TEARS_KV_WAL:
-            assert scan.torn_tail
-            assert scan.bytes_discarded > 0
-
-        for i in acked:
-            assert rec.get(_k(i)) == _v(i), f"acked put {i} lost"
-        keys = {key for key, _value in rec.scan_all()}
-        allowed = {_k(i) for i in acked}
-        if inflight is not None:
-            allowed.add(_k(inflight))
-            value = rec.get(_k(inflight))
-            assert value in (None, _v(inflight))
-        assert keys <= allowed, "phantom key recovered"
-
-        # Writable again, and the repair left a clean appendable tail.
-        rec.put(b"post-crash", b"ok")
-        assert rec.get(b"post-crash") == b"ok"
-        rec.close()
-
-    def test_crash_during_recovery_truncation(self, tmp_path):
-        """kv.wal.truncate: the repair itself dies mid-swap; a second
-        recovery still lands on the same committed prefix."""
-        wal = tmp_path / "kv.log"
-        store = KVStore(wal_path=wal, durability_mode="fsync")
-        for i in range(4):
-            store.put(_k(i), _v(i))
-        FAILPOINTS.activate("kv.wal.append", "torn-write")
-        with pytest.raises(SimulatedCrash):
-            store.put(_k(4), _v(4))
-        FAILPOINTS.clear()
-
-        FAILPOINTS.activate("kv.wal.truncate", "crash")
-        first = KVStore(wal_path=wal, durability_mode="fsync")
-        with pytest.raises(SimulatedCrash):
-            first.recover()
-        FAILPOINTS.clear()
-
-        rec = KVStore(wal_path=wal, durability_mode="fsync")
-        assert rec.recover() == 4
-        for i in range(4):
-            assert rec.get(_k(i)) == _v(i)
-        assert rec.get(_k(4)) is None
-        rec.close()
 
 
 class TestErrorOnlySites:
@@ -986,10 +916,6 @@ class TestSnapshotStreamMatrix:
 #: degenerates to "the open failed" rather than a durability question.
 ERROR_ONLY_SITES = {"kv.sstable.decode", "history.fetch"}
 
-#: Sites exercised by a bespoke scenario above rather than the
-#: parametrized loops.
-BESPOKE_SITES = {"kv.wal.truncate"}
-
 
 def test_matrix_covers_every_registered_site():
     """Adding a failpoint without crash-matrix coverage fails here."""
@@ -1002,6 +928,5 @@ def test_matrix_covers_every_registered_site():
         | {site for site, _mode in BACKUP_MATRIX}
         | {site for site, _mode in SNAPSHOT_MATRIX}
         | ERROR_ONLY_SITES
-        | BESPOKE_SITES
     )
     assert covered == set(FAILPOINTS.sites())

@@ -16,8 +16,8 @@ from repro.faults import (
     corrupt_bytes,
     torn_prefix,
 )
+from repro.core.durability import EngineWal
 from repro.kvstore import KVStore
-from repro.kvstore.wal import WriteAheadLog
 
 
 @pytest.fixture(autouse=True)
@@ -35,7 +35,6 @@ class TestRegistry:
             "engine.wal.append",
             "engine.wal.sync",
             "engine.wal.truncate",
-            "kv.wal.append",
             "kv.flush",
             "kv.compact",
             "kv.save.sst",
@@ -213,144 +212,126 @@ class TestCorruptBytes:
         assert corrupt_bytes(b"") == b"\xff"
 
 
+def _ops(i: int) -> list[tuple]:
+    return [("svp", 1, "v", i)]
+
+
 class TestWalFaults:
+    """The engine WAL's own fault handling at the ``engine.wal.*``
+    sites: error, torn write, partial fsync, crash mid-truncate, and
+    the torn-tail vs interior-corruption split of its scan."""
+
     def test_error_mode_append_leaves_log_intact(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.log")
-        wal.append([(b"a", b"1")])
-        FAILPOINTS.activate("kv.wal.append", "error")
+        wal = EngineWal(tmp_path)
+        wal.append(1, _ops(1))
+        FAILPOINTS.activate("engine.wal.append", "error")
         with pytest.raises(FaultInjected):
-            wal.append([(b"b", b"2")])
-        wal.append([(b"b", b"2")])  # retries cleanly
-        assert [ops for ops in wal.replay()] == [
-            [(b"a", b"1")], [(b"b", b"2")],
-        ]
+            wal.append(2, _ops(2))
+        wal.append(2, _ops(2))  # retries cleanly
+        assert wal.scan()[0] == [(1, _ops(1)), (2, _ops(2))]
         wal.close()
 
     def test_torn_write_leaves_recoverable_prefix(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.log")
-        wal.append([(b"a", b"1")])
-        FAILPOINTS.activate("kv.wal.append", "torn-write")
+        wal = EngineWal(tmp_path)
+        wal.append(1, _ops(1))
+        FAILPOINTS.activate("engine.wal.append", "torn-write")
         with pytest.raises(SimulatedCrash):
-            wal.append([(b"b", b"2")])
-        recovered = WriteAheadLog(tmp_path / "w.log")
-        scan = recovered.scan()
-        assert scan.payloads == [[(b"a", b"1")]]
+            wal.append(2, _ops(2))
+        recovered = EngineWal(tmp_path)
+        records, scan = recovered.scan()
+        assert records == [(1, _ops(1))]
         assert scan.torn_tail and not scan.corruption
         assert scan.bytes_discarded > 0
         recovered.close()
         wal.close()
 
     def test_repair_truncates_torn_tail(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.log")
-        wal.append([(b"a", b"1")])
-        FAILPOINTS.activate("kv.wal.append", "torn-write")
+        wal = EngineWal(tmp_path)
+        wal.append(1, _ops(1))
+        FAILPOINTS.activate("engine.wal.append", "torn-write")
         with pytest.raises(SimulatedCrash):
-            wal.append([(b"b", b"2")])
-        recovered = WriteAheadLog(tmp_path / "w.log")
-        recovered.scan()
-        assert recovered.repair() is True
+            wal.append(2, _ops(2))
+        recovered = EngineWal(tmp_path)
+        _records, scan = recovered.scan()
+        assert recovered.repair(scan) is True
         # Appends after repair land on a clean prefix and replay fully.
-        recovered.append([(b"c", b"3")])
-        assert list(recovered.replay()) == [[(b"a", b"1")], [(b"c", b"3")]]
-        assert recovered.repair() is False
+        recovered.append(3, _ops(3))
+        records, scan = recovered.scan()
+        assert records == [(1, _ops(1)), (3, _ops(3))]
+        assert recovered.repair(scan) is False
         recovered.close()
         wal.close()
 
     def test_partial_fsync_loses_unsynced_suffix(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.log", durability_mode="fsync")
-        wal.append([(b"a", b"1")])
-        FAILPOINTS.activate("kv.wal.sync", "partial-fsync")
+        wal = EngineWal(tmp_path, durability_mode="fsync")
+        wal.append(1, _ops(1))
+        FAILPOINTS.activate("engine.wal.sync", "partial-fsync")
         with pytest.raises(SimulatedCrash):
-            wal.append([(b"b", b"2")])
-        recovered = WriteAheadLog(tmp_path / "w.log")
-        scan = recovered.scan()
-        assert scan.payloads == [[(b"a", b"1")]]
+            wal.append(2, _ops(2))
+        recovered = EngineWal(tmp_path)
+        records, scan = recovered.scan()
+        assert records == [(1, _ops(1))]
         assert scan.torn_tail
         recovered.close()
         wal.close()
 
     def test_crash_mid_truncate_preserves_old_log(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.log")
-        wal.append([(b"a", b"1")])
-        wal.append([(b"b", b"2")])
-        FAILPOINTS.activate("kv.wal.truncate", "crash")
+        wal = EngineWal(tmp_path)
+        wal.append(1, _ops(1))
+        wal.append(2, _ops(2))
+        FAILPOINTS.activate("engine.wal.truncate", "crash")
         with pytest.raises(SimulatedCrash):
             wal.truncate()
+        assert (tmp_path / "engine.wal.tmp").exists()
         # The rename never happened: the full old log must survive, and
         # the stray .tmp must be discarded on reopen.
-        recovered = WriteAheadLog(tmp_path / "w.log")
-        assert list(recovered.replay()) == [[(b"a", b"1")], [(b"b", b"2")]]
-        assert not (tmp_path / "w.log.tmp").exists()
+        recovered = EngineWal(tmp_path)
+        assert recovered.scan()[0] == [(1, _ops(1)), (2, _ops(2))]
+        assert not (tmp_path / "engine.wal.tmp").exists()
         recovered.close()
         wal.close()
 
     def test_interior_corruption_distinguished_from_torn_tail(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.log")
-        wal.append([(b"a", b"1")])
-        wal.append([(b"b", b"2")])
-        wal.append([(b"c", b"3")])
+        wal = EngineWal(tmp_path)
+        for i in (1, 2, 3):
+            wal.append(i, _ops(i))
         wal.close()
-        data = bytearray((tmp_path / "w.log").read_bytes())
+        path = tmp_path / "engine.wal"
+        data = bytearray(path.read_bytes())
         # Flip a payload bit in the MIDDLE record: damage followed by a
         # valid record — never producible by a crash of an append-only
         # writer.
         record_len = len(data) // 3
         data[record_len + record_len // 2] ^= 0xFF
-        (tmp_path / "w.log").write_bytes(bytes(data))
-        recovered = WriteAheadLog(tmp_path / "w.log")
-        scan = recovered.scan()
-        assert scan.payloads == [[(b"a", b"1")]]
+        path.write_bytes(bytes(data))
+        recovered = EngineWal(tmp_path)
+        records, scan = recovered.scan()
+        assert records == [(1, _ops(1))]
         assert scan.corruption and not scan.torn_tail
         with pytest.raises(CorruptionError):
             recovered.scan(strict=True)
         recovered.close()
 
     def test_last_record_bitflip_is_torn_tail_not_corruption(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.log")
-        wal.append([(b"a", b"1")])
-        wal.append([(b"b", b"2")])
+        wal = EngineWal(tmp_path)
+        wal.append(1, _ops(1))
+        wal.append(2, _ops(2))
         wal.close()
-        data = bytearray((tmp_path / "w.log").read_bytes())
+        path = tmp_path / "engine.wal"
+        data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF
-        (tmp_path / "w.log").write_bytes(bytes(data))
-        recovered = WriteAheadLog(tmp_path / "w.log")
-        scan = recovered.scan(strict=True)  # strict tolerates torn tails
-        assert scan.payloads == [[(b"a", b"1")]]
+        path.write_bytes(bytes(data))
+        recovered = EngineWal(tmp_path)
+        # strict tolerates torn tails
+        records, scan = recovered.scan(strict=True)
+        assert records == [(1, _ops(1))]
         assert scan.torn_tail and not scan.corruption
         recovered.close()
 
 
 class TestKVStoreFaults:
-    def test_flush_no_longer_truncates_wal(self, tmp_path):
-        """Flushed runs are memory-only, so the WAL must keep covering
-        them — truncating at flush time lost them on crash."""
-        store = KVStore(wal_path=tmp_path / "w.log", memtable_limit_bytes=64)
-        for i in range(50):
-            store.put(f"k{i:03d}".encode(), b"v" * 8)
-        assert store.stats.flushes > 0  # runs exist, WAL survived
-        store.close()
-        crashed = KVStore(wal_path=tmp_path / "w.log")
-        assert crashed.recover() == 50
-        for i in range(50):
-            assert crashed.get(f"k{i:03d}".encode()) == b"v" * 8
-        crashed.close()
-
-    def test_recover_repairs_torn_tail_and_reports(self, tmp_path):
-        store = KVStore(wal_path=tmp_path / "w.log")
-        store.put(b"a", b"1")
-        FAILPOINTS.activate("kv.wal.append", "torn-write")
-        with pytest.raises(SimulatedCrash):
-            store.put(b"b", b"2")
-        crashed = KVStore(wal_path=tmp_path / "w.log")
-        assert crashed.recover() == 1
-        assert crashed.last_recovery_scan.torn_tail
-        assert crashed.get(b"a") == b"1"
-        assert crashed.get(b"b") is None
-        crashed.close()
-        store.close()
-
-    def test_error_during_flush_is_recoverable(self, tmp_path):
-        store = KVStore(wal_path=tmp_path / "w.log")
+    def test_error_during_flush_is_recoverable(self):
+        store = KVStore()
         store.put(b"a", b"1")
         FAILPOINTS.activate("kv.flush", "error")
         with pytest.raises(FaultInjected):
@@ -358,7 +339,6 @@ class TestKVStoreFaults:
         assert store.get(b"a") == b"1"  # state intact
         store.flush()  # clean retry
         assert store.get(b"a") == b"1"
-        store.close()
 
     def test_save_error_leaves_no_manifest(self, tmp_path):
         store = KVStore()

@@ -1,15 +1,16 @@
-"""Tests for the key-value store: memtable, sstables, WAL, LSM facade."""
+"""Tests for the key-value store: memtable, sstables, LSM facade, and
+the engine WAL whose batches reuse the sstable entry codec."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.durability import EngineWal
 from repro.errors import CorruptionError, KVStoreError
 from repro.kvstore import KVStore, WriteBatch
 from repro.kvstore.memtable import MemTable
 from repro.kvstore.sstable import SSTable
-from repro.kvstore.wal import WriteAheadLog
 
 
 class TestMemTable:
@@ -113,52 +114,51 @@ class TestSSTable:
             SSTable.decode(b"tiny")
 
 
-class TestWAL:
-    def test_in_memory_replay(self):
-        wal = WriteAheadLog()
-        wal.append([(b"a", b"1"), (b"b", None)])
-        wal.append([(b"c", b"3")])
-        batches = list(wal.replay())
-        assert batches == [[(b"a", b"1"), (b"b", None)], [(b"c", b"3")]]
+def _ops(i: int) -> list[tuple]:
+    return [("svp", 1, "v", i)]
 
-    def test_truncate_clears(self):
-        wal = WriteAheadLog()
-        wal.append([(b"a", b"1")])
+
+class TestWAL:
+    """The engine WAL, whose frame payload is a batch of sstable
+    entries: reopen, truncate, and the torn tail a crash leaves."""
+
+    def test_truncate_clears(self, tmp_path):
+        wal = EngineWal(tmp_path)
+        wal.append(1, _ops(1))
         wal.truncate()
-        assert list(wal.replay()) == []
+        assert wal.scan()[0] == []
+        wal.close()
 
     def test_file_backed_replay(self, tmp_path):
-        path = tmp_path / "wal.log"
-        wal = WriteAheadLog(path)
-        wal.append([(b"k", b"v")])
+        wal = EngineWal(tmp_path)
+        wal.append(1, _ops(1))
         wal.close()
-        recovered = WriteAheadLog(path)
-        assert list(recovered.replay()) == [[(b"k", b"v")]]
+        recovered = EngineWal(tmp_path)
+        assert recovered.scan()[0] == [(1, _ops(1))]
         recovered.close()
 
     def test_torn_tail_is_ignored(self, tmp_path):
-        path = tmp_path / "wal.log"
-        wal = WriteAheadLog(path)
-        wal.append([(b"a", b"1")])
-        wal.append([(b"b", b"2")])
+        wal = EngineWal(tmp_path)
+        wal.append(1, _ops(1))
+        wal.append(2, _ops(2))
         wal.close()
-        data = path.read_bytes()
-        path.write_bytes(data[:-3])  # crash mid-write of record 2
-        recovered = WriteAheadLog(path)
-        assert list(recovered.replay()) == [[(b"a", b"1")]]
+        path = tmp_path / "engine.wal"
+        path.write_bytes(path.read_bytes()[:-3])  # crash mid-write of record 2
+        recovered = EngineWal(tmp_path)
+        assert recovered.scan()[0] == [(1, _ops(1))]
         recovered.close()
 
     def test_corrupted_record_stops_replay(self, tmp_path):
-        path = tmp_path / "wal.log"
-        wal = WriteAheadLog(path)
-        wal.append([(b"a", b"1")])
-        wal.append([(b"b", b"2")])
+        wal = EngineWal(tmp_path)
+        wal.append(1, _ops(1))
+        wal.append(2, _ops(2))
         wal.close()
+        path = tmp_path / "engine.wal"
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF  # flip a bit in the last record's payload
         path.write_bytes(bytes(data))
-        recovered = WriteAheadLog(path)
-        assert list(recovered.replay()) == [[(b"a", b"1")]]
+        recovered = EngineWal(tmp_path)
+        assert recovered.scan()[0] == [(1, _ops(1))]
         recovered.close()
 
 
@@ -261,26 +261,6 @@ class TestKVStore:
     def test_load_missing_manifest(self, tmp_path):
         with pytest.raises(KVStoreError):
             KVStore.load(tmp_path / "nope")
-
-    def test_wal_recovery(self, tmp_path):
-        path = tmp_path / "wal.log"
-        store = KVStore(wal_path=path)
-        store.put(b"a", b"1")
-        batch = WriteBatch()
-        batch.put(b"b", b"2")
-        store.write(batch)
-        # Simulate crash: new store over the same WAL.
-        crashed = KVStore(wal_path=path)
-        replayed = crashed.recover()
-        assert replayed == 2
-        assert crashed.get(b"a") == b"1"
-        assert crashed.get(b"b") == b"2"
-        store.close()
-        crashed.close()
-
-    def test_recover_without_wal_raises(self):
-        with pytest.raises(KVStoreError):
-            KVStore().recover()
 
     def test_tail_compaction_preserves_newest_wins(self):
         store = KVStore()

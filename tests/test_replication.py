@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro import AeonG, FAILPOINTS
-from repro.core.durability import open_engine
+from repro.core.durability import EngineWal, open_engine
 from repro.errors import (
     CorruptionError,
     ReplicationDivergedError,
@@ -462,6 +462,33 @@ class TestCheckpointFence:
             ] == surviving
             with pytest.raises(ReplicationResyncRequired):
                 db.replication.records_from(refence, 100)
+        finally:
+            db.close()
+
+
+    def test_reopen_scans_the_wal_once(self, tmp_path, monkeypatch):
+        """Recovery derives the fence from its replay scan: opening a
+        directory whose checkpoint kept unacked records reads the log
+        exactly once."""
+        db = open_engine(tmp_path / "data", gc_interval_transactions=0)
+        _write_people(db, 4)
+        db.replication.register_replica("r1", 2, 1)
+        db.checkpoint()
+        surviving = [ts for ts, _ in db.wal_records_from(0)]
+        assert surviving
+        db.close()
+        scans = []
+        original = EngineWal._scan_frames
+
+        def counting_scan(wal, *args, **kwargs):
+            scans.append(args)
+            return original(wal, *args, **kwargs)
+
+        monkeypatch.setattr(EngineWal, "_scan_frames", counting_scan)
+        db = open_engine(tmp_path / "data", gc_interval_transactions=0)
+        try:
+            assert len(scans) == 1
+            assert 0 < db.wal_truncation_fence() < surviving[0]
         finally:
             db.close()
 

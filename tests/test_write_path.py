@@ -300,7 +300,7 @@ class TestGroupCommitBatching:
             durability_mode="fsync",
             gc_interval_transactions=0,
         )
-        FAILPOINTS.activate("wal.group.append", "error", nth=1, times=1)
+        FAILPOINTS.activate("engine.wal.append", "error", nth=1, times=1)
         with pytest.raises(FaultInjected):
             _commit_one(db, 0)
         FAILPOINTS.clear()
