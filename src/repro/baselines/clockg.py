@@ -410,18 +410,3 @@ def _encode_op(op: GraphOp) -> bytes:
             "v": op.value,
         }
     )
-
-
-def _decode_op(data: bytes) -> GraphOp:
-    raw = decode_value(data)
-    return GraphOp(
-        kind=raw["k"],
-        ts=raw["t"],
-        ext_id=raw["i"],
-        label=raw["l"],
-        src=raw["s"],
-        dst=raw["d"],
-        properties=raw["p"],
-        prop=raw["n"],
-        value=raw["v"],
-    )

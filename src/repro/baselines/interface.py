@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 # Operation kinds.
 ADD_VERTEX = "add_vertex"
@@ -79,14 +79,6 @@ class TemporalBackend(abc.ABC):
     @abc.abstractmethod
     def apply(self, op: GraphOp) -> None:
         """Apply one timestamped operation."""
-
-    def apply_all(self, ops: Iterable[GraphOp]) -> int:
-        """Apply an operation stream; returns the count applied."""
-        count = 0
-        for op in ops:
-            self.apply(op)
-            count += 1
-        return count
 
     # -- time ---------------------------------------------------------------
 

@@ -1278,15 +1278,10 @@ class AeonG:
             kind = "SNAPSHOT" if plan.tt.kind == "snapshot" else "BETWEEN"
             lines.append(f"Temporal(TT {kind})")
         if plan.returns is not None:
-            modifiers = []
-            if plan.returns.distinct:
-                modifiers.append("DISTINCT")
-            if plan.returns.order_by:
-                modifiers.append("ORDER BY")
-            if plan.returns.limit is not None:
-                modifiers.append("LIMIT")
-            suffix = f" [{', '.join(modifiers)}]" if modifiers else ""
-            lines.append(f"Produce({len(plan.returns.items)} columns){suffix}")
+            lines.append(
+                f"Produce({len(plan.returns.names)} columns)"
+                f"{plan.returns.modifiers()}"
+            )
         return lines
 
     # -- indexes -------------------------------------------------------------------

@@ -45,9 +45,6 @@ class ConstraintRegistry:
     def __len__(self) -> int:
         return len(self._unique)
 
-    def has_unique(self, label: str, prop: str) -> bool:
-        return (label, prop) in self._unique
-
     def create_unique(self, label: str, prop: str, records) -> None:
         """Install a constraint, validating existing committed data."""
         with self._lock:

@@ -1,16 +1,13 @@
-"""Property-map helpers: validation, diffing and size accounting.
+"""Property-map validation.
 
 Properties are plain ``dict[str, value]`` with values restricted to the
-types the serializer understands.  The diff helpers produce the
-*backward* diffs the history store persists ("we only maintain the
-difference compared to the new version", paper Example 3).
+types the serializer understands.  The history store's backward diffs
+are built in ``repro.core.deltas``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-from repro.common.serde import encode_value
+from typing import Any
 
 #: Types allowed as property values (lists/dicts may nest these).
 ALLOWED_SCALARS = (type(None), bool, int, float, str, bytes)
@@ -39,41 +36,3 @@ def validate_properties(properties: dict[str, Any]) -> None:
         if not isinstance(name, str) or not name:
             raise TypeError("property names must be non-empty strings")
         validate_value(value)
-
-
-def backward_diff(
-    new: dict[str, Any], old: dict[str, Any]
-) -> dict[str, Optional[Any]]:
-    """Diff that turns ``new`` back into ``old`` when applied.
-
-    Keys present in the result map to the value they must take in the
-    older version; ``None`` under the reserved marker semantics used by
-    the delta payloads means "property absent in the older version".
-    The diff is minimal: unchanged keys are omitted.
-    """
-    diff: dict[str, Optional[Any]] = {}
-    for name, old_value in old.items():
-        if name not in new or new[name] != old_value:
-            diff[name] = old_value
-    for name in new:
-        if name not in old:
-            diff[name] = None
-    return diff
-
-
-def apply_diff(
-    properties: dict[str, Any], diff: dict[str, Optional[Any]]
-) -> dict[str, Any]:
-    """Apply a backward diff, returning the older property map."""
-    result = dict(properties)
-    for name, value in diff.items():
-        if value is None:
-            result.pop(name, None)
-        else:
-            result[name] = value
-    return result
-
-
-def properties_size(properties: dict[str, Any]) -> int:
-    """Bytes the map would occupy on the wire (storage accounting)."""
-    return len(encode_value(properties))

@@ -205,20 +205,12 @@ class OrderItem:
 
 
 @dataclass(frozen=True)
-class ReturnClause:
-    items: tuple[ReturnItem, ...]
-    distinct: bool = False
-    order_by: tuple[OrderItem, ...] = ()
-    skip: Optional[Expression] = None
-    limit: Optional[Expression] = None
+class Projection:
+    """``RETURN`` or ``WITH``: items, then DISTINCT, ORDER BY, SKIP, LIMIT.
 
-
-@dataclass(frozen=True)
-class WithClause:
-    """``WITH items [WHERE predicate]`` — a pipeline stage boundary.
-
-    Projects (and possibly aggregates/orders/limits) the frames, then
-    the following stage continues with only the projected names bound.
+    ``WITH`` is a pipeline stage boundary: the following stage continues
+    with only the projected names bound.  Only ``WITH`` sets ``where``,
+    which filters the projected frames.
     """
 
     items: tuple[ReturnItem, ...]
@@ -251,7 +243,7 @@ class Stage:
     creates: tuple[CreateClause, ...] = ()
     sets: tuple[SetClause, ...] = ()
     deletes: tuple[DeleteClause, ...] = ()
-    with_clause: Optional[WithClause] = None
+    with_clause: Optional[Projection] = None
 
     @property
     def matches(self) -> tuple["MatchClause", ...]:
@@ -272,7 +264,7 @@ class Query:
 
     stages: tuple[Stage, ...] = ()
     tt: Optional[TTClause] = None
-    returns: Optional[ReturnClause] = None
+    returns: Optional[Projection] = None
 
     @property
     def is_write(self) -> bool:

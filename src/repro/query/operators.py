@@ -65,6 +65,8 @@ def evaluate(expr: ast.Expression, ctx: ExecutionContext, frame: Frame) -> Any:
             raise ExecutionError(f"unbound variable {expr.variable}")
         if entity is None:
             return None
+        if isinstance(entity, dict):  # a map value reads its key
+            return entity.get(expr.name)
         return entity.properties.get(expr.name)
     if isinstance(expr, ast.Comparison):
         return _compare(
@@ -752,121 +754,159 @@ def compute_aggregate(ctx, expr: ast.FunctionCall, frames: list[Frame]) -> Any:
     raise ExecutionError(f"unknown aggregate {expr.name}()")
 
 
-class WithOp(PhysicalOperator):
-    """``WITH`` — project the pipeline onto new bindings.
-
-    Implicit grouping applies when any item aggregates (like RETURN);
-    ``WHERE`` filters the projected frames; ``ORDER BY``/``SKIP``/
-    ``LIMIT`` apply to the projected stream.  Downstream operators see
-    only the projected names.
-    """
-
-    def describe(self) -> str:
-        return "With(" + ", ".join(self.names) + ")"
-
-    def __init__(self, clause: ast.WithClause):
-        self.clause = clause
-        self.names = []
-        for item in clause.items:
-            if item.alias is not None:
-                self.names.append(item.alias)
-            elif isinstance(item.expression, ast.Variable):
-                self.names.append(item.expression.name)
-            else:  # pragma: no cover - parser enforces aliasing
-                raise PlanningError("WITH expressions require an AS alias")
-        if len(set(self.names)) != len(self.names):
-            raise PlanningError("duplicate names in WITH")
-
-    def execute(self, ctx, frames):
-        clause = self.clause
-        if any(has_aggregate(item.expression) for item in clause.items):
-            projected = self._aggregate(ctx, frames)
-        else:
-            projected = (
-                {
-                    name: evaluate(item.expression, ctx, frame)
-                    for name, item in zip(self.names, clause.items)
-                }
-                for frame in frames
-            )
-        if clause.where is not None:
-            projected = (
-                frame
-                for frame in projected
-                if bool(evaluate(clause.where, ctx, frame))
-            )
-        if clause.distinct:
-            projected = self._distinct(projected)
-        needs_list = clause.order_by or clause.skip or clause.limit
-        if not needs_list:
-            yield from projected
-            return
-        rows = list(projected)
-        for item in reversed(clause.order_by):
-            rows.sort(
-                key=lambda frame: _order_key(evaluate(item.expression, ctx, frame)),
-                reverse=item.descending,
-            )
-        if clause.skip is not None:
-            rows = rows[_require_count(ctx, clause.skip, "SKIP"):]
-        if clause.limit is not None:
-            rows = rows[: _require_count(ctx, clause.limit, "LIMIT")]
-        yield from rows
-
-    def _aggregate(self, ctx, frames):
-        group_items = [
-            (name, item)
-            for name, item in zip(self.names, self.clause.items)
-            if not has_aggregate(item.expression)
-        ]
-        agg_items = [
-            (name, item)
-            for name, item in zip(self.names, self.clause.items)
-            if has_aggregate(item.expression)
-        ]
-        groups: dict[tuple, dict] = {}
-        members: dict[tuple, list[Frame]] = {}
-        for frame in frames:
-            values = {
-                name: evaluate(item.expression, ctx, frame)
-                for name, item in group_items
-            }
-            key = tuple(hashable_key(values[name]) for name, _ in group_items)
-            if key not in groups:
-                groups[key] = values
-                members[key] = []
-            members[key].append(frame)
-        if not groups and not group_items:
-            groups[()] = {}
-            members[()] = []
-        for key, values in groups.items():
-            row = dict(values)
-            for name, item in agg_items:
-                row[name] = compute_aggregate(ctx, item.expression, members[key])
-            yield row
-
-    @staticmethod
-    def _distinct(frames):
-        seen = set()
-        for frame in frames:
-            key = tuple(sorted((k, hashable_key(v)) for k, v in frame.items()))
-            if key not in seen:
-                seen.add(key)
-                yield frame
+def item_name(item: ast.ReturnItem, position: int) -> str:
+    """A projection column's name: its alias, else the expression's
+    text (``n``, ``n.name``, ``count(*)``), else ``column<position>``."""
+    if item.alias is not None:
+        return item.alias
+    return _expression_name(item.expression) or f"column{position}"
 
 
-def _order_key(value):
-    """Total order over mixed-type values: None last, numbers before
-    strings before everything else (by repr)."""
+def _expression_name(expr: ast.Expression) -> Optional[str]:
+    if isinstance(expr, ast.Variable):
+        return expr.name
+    if isinstance(expr, ast.PropertyAccess):
+        return f"{expr.variable}.{expr.name}"
+    if isinstance(expr, ast.FunctionCall):
+        inner = "*" if expr.star else ", ".join(
+            _expression_name(arg) or "column0" for arg in expr.args
+        )
+        return f"{expr.name}({inner})"
+    return None
+
+
+def order_key(value):
+    """ORDER BY's one value order: numbers (bools as 0/1), strings,
+    bytes, then lists (element by element), each in its natural order;
+    anything else after them by ``repr``; ``None`` last."""
     if value is None:
-        return (3, 0)
-    if isinstance(value, bool):
-        return (0, int(value))
+        return (5,)
     if isinstance(value, (int, float)):
         return (0, value)
     if isinstance(value, str):
         return (1, value)
-    return (2, repr(value))
+    if isinstance(value, bytes):
+        return (2, value)
+    if isinstance(value, (list, tuple)):
+        return (3, [order_key(item) for item in value])
+    return (4, repr(value))
+
+
+class Project(PhysicalOperator):
+    """``WITH`` or ``RETURN`` — project the pipeline onto named columns.
+
+    Implicit grouping applies when any item aggregates: the other items
+    are the group key.  Then ``WHERE`` (``WITH`` only) filters the
+    projected frames, ``DISTINCT`` drops repeats, ``ORDER BY`` sorts and
+    ``SKIP``/``LIMIT`` slice.  Downstream operators see only the
+    projected names.  Column names, the duplicate-name check and
+    aggregate detection are settled once, when the planner builds the
+    operator.  An ORDER BY expression whose text names a column reads
+    that column; any other is evaluated on the projected frame.
+    """
+
+    def __init__(self, clause: ast.Projection):
+        self.clause = clause
+        self.names = [item_name(item, pos) for pos, item in enumerate(clause.items)]
+        repeated = sorted({name for name in self.names if self.names.count(name) > 1})
+        if repeated:
+            raise PlanningError(f"duplicate column names: {', '.join(repeated)}")
+        self.columns = [
+            (name, item.expression) for name, item in zip(self.names, clause.items)
+        ]
+        self.keys = [(n, e) for n, e in self.columns if not has_aggregate(e)]
+        self.aggregates = [(n, e) for n, e in self.columns if has_aggregate(e)]
+        self.order = [
+            (
+                ast.Variable(name)
+                if (name := _expression_name(item.expression)) in self.names
+                else item.expression,
+                item.descending,
+            )
+            for item in clause.order_by
+        ]
+        # ORDER BY, SKIP and LIMIT need the whole stream
+        self.buffered = bool(self.order) or clause.skip is not None or (
+            clause.limit is not None
+        )
+
+    def describe(self) -> str:
+        """The ``WITH`` operator line (the plan root renders the final
+        ``RETURN`` as ``Produce``)."""
+        return "With(" + ", ".join(self.names) + ")"
+
+    def modifiers(self) -> str:
+        """EXPLAIN's `` [DISTINCT, ORDER BY, SKIP, LIMIT]`` suffix: the
+        modifiers present, or ``""``."""
+        clause = self.clause
+        present = [
+            word
+            for word, on in (
+                ("DISTINCT", clause.distinct),
+                ("ORDER BY", bool(clause.order_by)),
+                ("SKIP", clause.skip is not None),
+                ("LIMIT", clause.limit is not None),
+            )
+            if on
+        ]
+        return f" [{', '.join(present)}]" if present else ""
+
+    def execute(self, ctx, frames):
+        clause = self.clause
+        if self.aggregates:
+            rows = self._aggregate(ctx, frames)
+        else:
+            columns = self.columns
+            rows = (
+                {name: evaluate(expr, ctx, frame) for name, expr in columns}
+                for frame in frames
+            )
+        if clause.where is not None:
+            rows = (row for row in rows if bool(evaluate(clause.where, ctx, row)))
+        if clause.distinct:
+            rows = _distinct(rows)
+        if self.buffered:
+            rows = list(rows)
+            for expr, descending in reversed(self.order):
+                rows.sort(
+                    key=lambda row: order_key(evaluate(expr, ctx, row)),
+                    reverse=descending,
+                )
+            if clause.skip is not None:
+                rows = rows[_require_count(ctx, clause.skip, "SKIP"):]
+            if clause.limit is not None:
+                rows = rows[: _require_count(ctx, clause.limit, "LIMIT")]
+        yield from rows
+
+    def _aggregate(self, ctx, frames):
+        keys = self.keys
+        groups: dict[tuple, dict] = {}
+        members: dict[tuple, list[Frame]] = {}
+        for frame in frames:
+            values = {name: evaluate(expr, ctx, frame) for name, expr in keys}
+            key = tuple(hashable_key(value) for value in values.values())
+            if key not in groups:
+                groups[key] = values
+                members[key] = []
+            members[key].append(frame)
+        if not groups and not keys:
+            # Aggregates over an empty stream still produce one row.
+            groups[()] = {}
+            members[()] = []
+        for key, values in groups.items():
+            row = dict(values)
+            for name, expr in self.aggregates:
+                row[name] = compute_aggregate(ctx, expr, members[key])
+            yield row
+
+
+def _distinct(rows):
+    seen = set()
+    for row in rows:
+        key = tuple(hashable_key(value) for value in row.values())
+        if key not in seen:
+            seen.add(key)
+            yield row
 
 
 def _require_count(ctx, expr, what: str) -> int:

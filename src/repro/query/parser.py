@@ -3,7 +3,8 @@
 Grammar sketch (clauses appear in this order, each optional unless a
 statement would otherwise be empty)::
 
-    query  := match* where? tt? (create | set | delete)* return?
+    query  := stage (WITH projection [WHERE expr] stage)* (RETURN projection)?
+    stage  := (match | unwind)* where? tt? (create | set | delete)*
     match  := [OPTIONAL] MATCH pattern (',' pattern)*
     pattern:= node (rel node)*
     node   := '(' var? (':' label)* map? ')'
@@ -15,7 +16,8 @@ statement would otherwise be empty)::
               item may end with VALID PERIOD(e1, e2)
     set    := SET var.prop '=' expr (',' ...)*
     delete := [DETACH] DELETE var (',' var)*
-    return := RETURN [DISTINCT] item (',' item)*
+    unwind := UNWIND expr AS var
+    projection := [DISTINCT] item (',' item)*
               [ORDER BY expr [ASC|DESC] (',' ...)*] [SKIP expr] [LIMIT expr]
 
 Valid-time predicates are parsed as ``<var>.VT <ALLEN-OP> <expr>``
@@ -138,7 +140,7 @@ class _Parser:
     def parse_query(self) -> ast.Query:
         stages: list[ast.Stage] = []
         tt: Optional[ast.TTClause] = None
-        returns: Optional[ast.ReturnClause] = None
+        returns: Optional[ast.Projection] = None
 
         while True:
             stage, stage_tt, has_with = self._parse_stage(first=not stages)
@@ -149,7 +151,7 @@ class _Parser:
                 break
 
         if self._accept_keyword("RETURN"):
-            returns = self._parse_return()
+            returns = self._parse_projection(with_=False)
 
         if self._current.type != TokenType.END:
             raise ParseError(
@@ -215,7 +217,7 @@ class _Parser:
 
         with_clause = None
         if self._accept_keyword("WITH"):
-            with_clause = self._parse_with()
+            with_clause = self._parse_projection(with_=True)
         return (
             ast.Stage(
                 reading=tuple(reading),
@@ -228,41 +230,6 @@ class _Parser:
             tt,
             with_clause is not None,
         )
-
-    def _parse_with(self) -> ast.WithClause:
-        distinct = self._accept_keyword("DISTINCT")
-        items = [self._parse_with_item()]
-        while self._accept_punct(","):
-            items.append(self._parse_with_item())
-        order: list[ast.OrderItem] = []
-        if self._accept_keyword("ORDER"):
-            self._expect_keyword("BY")
-            while True:
-                expr = self._parse_expression()
-                descending = False
-                if self._accept_keyword("DESC"):
-                    descending = True
-                else:
-                    self._accept_keyword("ASC")
-                order.append(ast.OrderItem(expr, descending))
-                if not self._accept_punct(","):
-                    break
-        skip = self._parse_expression() if self._accept_keyword("SKIP") else None
-        limit = self._parse_expression() if self._accept_keyword("LIMIT") else None
-        where = None
-        if self._accept_keyword("WHERE"):
-            where = self._parse_expression()
-        return ast.WithClause(
-            tuple(items), distinct, tuple(order), skip, limit, where
-        )
-
-    def _parse_with_item(self) -> ast.ReturnItem:
-        item = self._parse_return_item()
-        # Cypher's rule: anything but a bare variable needs an alias,
-        # since the projected name becomes a binding.
-        if item.alias is None and not isinstance(item.expression, ast.Variable):
-            raise ParseError("WITH expressions require an AS alias")
-        return item
 
     # -- MATCH --------------------------------------------------------------------
 
@@ -455,13 +422,15 @@ class _Parser:
             variables.append(self._expect_ident())
         return ast.DeleteClause(tuple(variables), detach=detach)
 
-    # -- RETURN ---------------------------------------------------------------------------
+    # -- RETURN / WITH ----------------------------------------------------------------------
 
-    def _parse_return(self) -> ast.ReturnClause:
+    def _parse_projection(self, with_: bool) -> ast.Projection:
+        """The items and modifiers after ``RETURN`` or ``WITH``; only
+        ``WITH`` takes a trailing ``WHERE``."""
         distinct = self._accept_keyword("DISTINCT")
-        items = [self._parse_return_item()]
+        items = [self._parse_projection_item(with_)]
         while self._accept_punct(","):
-            items.append(self._parse_return_item())
+            items.append(self._parse_projection_item(with_))
         order: list[ast.OrderItem] = []
         if self._accept_keyword("ORDER"):
             self._expect_keyword("BY")
@@ -477,15 +446,22 @@ class _Parser:
                     break
         skip = self._parse_expression() if self._accept_keyword("SKIP") else None
         limit = self._parse_expression() if self._accept_keyword("LIMIT") else None
-        return ast.ReturnClause(
-            tuple(items), distinct, tuple(order), skip, limit
+        where = None
+        if with_ and self._accept_keyword("WHERE"):
+            where = self._parse_expression()
+        return ast.Projection(
+            tuple(items), distinct, tuple(order), skip, limit, where
         )
 
-    def _parse_return_item(self) -> ast.ReturnItem:
+    def _parse_projection_item(self, with_: bool) -> ast.ReturnItem:
         expression = self._parse_expression()
         alias = None
         if self._accept_keyword("AS"):
             alias = self._name()
+        # Cypher's rule: anything but a bare variable needs an alias in
+        # WITH, since the projected name becomes a binding.
+        if with_ and alias is None and not isinstance(expression, ast.Variable):
+            raise ParseError("WITH expressions require an AS alias")
         return ast.ReturnItem(expression, alias)
 
     # -- expressions ----------------------------------------------------------------------

@@ -34,11 +34,11 @@ from repro.query.operators import (
     Once,
     OptionalMatch,
     PhysicalOperator,
+    Project,
     RelFilter,
     SetOp,
     Unwind,
     VarExpand,
-    WithOp,
 )
 from repro.query.translate import translate_query
 
@@ -53,6 +53,12 @@ class Plan:
     serves every execution of its statement (the engine caches plans
     by statement text, see ``repro.query.cache.PlanCache``).
 
+    ``ops`` is the operator chain, ``WITH`` projections included;
+    ``returns`` is the final ``RETURN`` projection (``None`` for a
+    statement without one), the same :class:`Project` operator kept
+    outside the chain: the executor pulls result rows from it, and
+    EXPLAIN and PROFILE render it as the tree's ``Produce`` root.
+
     ``describe()`` lists the operator chain in pipeline order (source
     first) — the flat ``engine.explain`` format; the profiler's
     ``EXPLAIN`` tree renders the same chain root-first (see
@@ -60,7 +66,7 @@ class Plan:
     """
 
     ops: tuple[PhysicalOperator, ...]
-    returns: Optional[ast.ReturnClause]
+    returns: Optional[Project]
     tt: Optional[ast.TTClause]
     is_write: bool
 
@@ -82,7 +88,8 @@ def plan_query(query: ast.Query, engine) -> Plan:
     names = itertools.count()
     for stage in query.stages:
         _plan_stage(stage, engine, ops, bound, names)
-    return Plan(tuple(ops), query.returns, query.tt, query.is_write)
+    returns = None if query.returns is None else Project(query.returns)
+    return Plan(tuple(ops), returns, query.tt, query.is_write)
 
 
 def _plan_stage(
@@ -146,11 +153,11 @@ def _plan_stage(
                 )
         ops.append(DeleteOp(delete))
     if stage.with_clause is not None:
-        with_op = WithOp(stage.with_clause)
-        ops.append(with_op)
+        project = Project(stage.with_clause)
+        ops.append(project)
         # Downstream stages see only the projected names.
         bound.clear()
-        bound.update(with_op.names)
+        bound.update(project.names)
 
 
 def _push_equalities(predicate: ast.Expression, scans: dict) -> None:

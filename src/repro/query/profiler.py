@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.query import ast
-from repro.query.executor import _item_name, run_plan
+from repro.query.executor import run_plan
 from repro.query.operators import ProfiledOperator
 from repro.query.planner import Plan
 
@@ -72,20 +72,7 @@ def _root_describe(plan: Plan) -> str:
     returns = plan.returns
     if returns is None:
         return "EmptyResult"
-    names = ", ".join(
-        _item_name(item, pos) for pos, item in enumerate(returns.items)
-    )
-    modifiers = []
-    if returns.distinct:
-        modifiers.append("DISTINCT")
-    if returns.order_by:
-        modifiers.append("ORDER BY")
-    if returns.skip is not None:
-        modifiers.append("SKIP")
-    if returns.limit is not None:
-        modifiers.append("LIMIT")
-    suffix = f" [{', '.join(modifiers)}]" if modifiers else ""
-    return f"Produce({names}){suffix}"
+    return f"Produce({', '.join(returns.names)}){returns.modifiers()}"
 
 
 def _temporal_describe(tt: ast.TTClause) -> str:

@@ -181,6 +181,70 @@ class TestTemporalConstraints:
         assert db.history.storage_bytes() == 0
 
 
+class TestSetValidTime:
+    """``set_valid_time`` rewrites the user-maintained VT of one object."""
+
+    VT = "RETURN vt_start({v}) AS s, vt_end({v}) AS e"
+
+    def _vt(self, db, pattern, var, at=None):
+        tt = "" if at is None else f" TT SNAPSHOT {at}"
+        rows = db.execute(f"MATCH {pattern}{tt} " + self.VT.format(v=var))
+        return [(row["s"], row["e"]) for row in rows]
+
+    def _pair(self, db):
+        with db.transaction() as txn:
+            a = db.create_vertex(txn, ["P"], valid_time=(10, 20))
+            b = db.create_vertex(txn, ["P"], valid_time=(10, 20))
+            e = db.create_edge(txn, a, b, "T", valid_time=(12, 18))
+        return a, b, e
+
+    def test_updates_are_current_not_historical(self, db):
+        a, _b, e = self._pair(db)
+        before = db.now()
+        with db.transaction() as txn:
+            db.set_valid_time(txn, "vertex", a, 11, 19)
+            db.set_valid_time(txn, "edge", e, 13, 17)
+        assert (11, 19) in self._vt(db, "(n:P)", "n")
+        assert self._vt(db, "()-[r:T]->()", "r") == [(13, 17)]
+        assert (11, 19) not in self._vt(db, "(n:P)", "n", at=before)
+        assert self._vt(db, "()-[r:T]->()", "r", at=before) == [(12, 18)]
+
+    def test_rejected_in_tt_model(self):
+        db = AeonG(model=GraphModel.TRANSACTION_TIME, gc_interval_transactions=0)
+        with db.transaction() as txn:
+            gid = db.create_vertex(txn, ["C"])
+            with pytest.raises(TemporalError):
+                db.set_valid_time(txn, "vertex", gid, 1, 5)
+
+    def test_edge_outside_endpoint_vt_is_a_violation(self):
+        db = AeonG(enforce_vt_constraints=True, gc_interval_transactions=0)
+        _a, _b, e = self._pair(db)
+        with db.transaction() as txn:
+            db.set_valid_time(txn, "edge", e, 10, 20)  # fine
+            with pytest.raises(ConstraintViolation):
+                db.set_valid_time(txn, "edge", e, 5, 18)
+
+    def test_unknown_kind(self, db):
+        a, _b, _e = self._pair(db)
+        with db.transaction() as txn:
+            with pytest.raises(ValueError):
+                db.set_valid_time(txn, "path", a, 1, 5)
+
+    def test_survives_close_and_open(self, tmp_path):
+        db = AeonG.open(tmp_path / "db", gc_interval_transactions=0)
+        a, _b, e = self._pair(db)
+        with db.transaction() as txn:
+            db.set_valid_time(txn, "vertex", a, 11, 19)
+            db.set_valid_time(txn, "edge", e, 13, 17)
+        db.close()
+        reopened = AeonG.open(tmp_path / "db", gc_interval_transactions=0)
+        try:
+            assert sorted(self._vt(reopened, "(n:P)", "n")) == [(10, 20), (11, 19)]
+            assert self._vt(reopened, "()-[r:T]->()", "r") == [(13, 17)]
+        finally:
+            reopened.close()
+
+
 class TestOracleRandomHistories:
     """Compare the engine against an exhaustive remembered history."""
 

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import EdgeNotFound, GraphError, VertexNotFound
 from repro.graph import GraphStorage
-from repro.graph.properties import apply_diff, backward_diff, validate_properties
+from repro.graph.properties import validate_properties
 from repro.graph.views import version_iterator
 
 
@@ -277,24 +276,5 @@ class TestIndexes:
 
 
 class TestPropertyDiffs:
-    def test_backward_diff_roundtrip(self):
-        old = {"a": 1, "b": "x"}
-        new = {"a": 2, "c": True}
-        diff = backward_diff(new, old)
-        assert apply_diff(new, diff) == old
-
-    def test_diff_is_minimal(self):
-        old = {"a": 1, "b": 2}
-        new = {"a": 1, "b": 3}
-        assert backward_diff(new, old) == {"b": 2}
-
     def test_validate_accepts_nested(self):
         validate_properties({"a": [1, {"b": (2, 3)}], "c": b"bytes"})
-
-    @given(
-        st.dictionaries(st.text(min_size=1, max_size=5), st.integers(), max_size=8),
-        st.dictionaries(st.text(min_size=1, max_size=5), st.integers(), max_size=8),
-    )
-    @settings(max_examples=200)
-    def test_diff_roundtrip_property(self, old, new):
-        assert apply_diff(new, backward_diff(new, old)) == old
