@@ -113,6 +113,24 @@ class TestSSTable:
         with pytest.raises(CorruptionError):
             SSTable.decode(b"tiny")
 
+    def test_golden_table_bytes(self):
+        """The table format, byte for byte: entries, filter block,
+        footer (entries, payload crc, filter length, magic)."""
+        assert self._table().encode() == GOLDEN_TABLE
+
+    def test_golden_table_decodes(self):
+        assert list(SSTable.decode(GOLDEN_TABLE)) == GOLDEN_ENTRIES
+
+
+#: ``[(b"a", b"1"), (b"c", tombstone), (b"e", b"5")]`` as a table with
+#: a 20-byte filter block (``bloom_len`` 20 in the footer).
+GOLDEN_ENTRIES = [(b"a", b"1"), (b"c", None), (b"e", b"5")]
+GOLDEN_TABLE = bytes.fromhex(
+    "01610001310163010165000135"  # entries
+    "0000001c000000060000000000000003b26ac805"  # filter block
+    "0000000374055e6f00000014524550524f535354"  # footer
+)
+
 
 def _ops(i: int) -> list[tuple]:
     return [("svp", 1, "v", i)]
