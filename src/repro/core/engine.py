@@ -89,8 +89,8 @@ class AeonG:
         time must lie within both endpoints' — on edge creation and
         valid-time updates.
     kv:
-        Inject a pre-configured key-value store (e.g. a small
-        ``memtable_limit_bytes``).
+        Inject the history store's key-value store (e.g. one a test
+        already holds, to read its stats or data directly).
     reconstruction_cache_size:
         Maximum objects the history store keeps in memory: each one's
         record lists, scan mentions and reconstructed version list, in

@@ -1,13 +1,13 @@
 """Whole-engine snapshot format: the files inside a checkpoint.
 
 Memgraph persists via periodic snapshots + WAL; RocksDB persists its
-SSTables.  This module owns the snapshot half for the embedded engine:
+sorted tables.  This module owns the snapshot half for the embedded engine:
 :func:`save_engine` writes
 
 - ``current.bin`` — every committed vertex/edge record of the current
   store (labels, properties, adjacency, transaction-time fields);
-- ``history/`` — the history store's key-value data (compacted
-  SSTables + manifest, via :meth:`repro.kvstore.KVStore.save`);
+- ``history/`` — the history store's key-value data (one compacted
+  sorted table + manifest, via :meth:`repro.kvstore.KVStore.save`);
 - ``meta.bin`` — the timestamp oracle position and gid allocator
   frontier, so recovered engines continue the same timelines.
 
@@ -88,7 +88,7 @@ def load_engine(directory: Path, **engine_kwargs):
 
     The caller has checked that ``meta.bin`` exists.  Raises
     :class:`CorruptionError` when the snapshot fails integrity checks
-    (truncated ``meta.bin``, unreadable sstables, …).
+    (truncated ``meta.bin``, an unreadable history table, …).
     """
     from repro.core.engine import AeonG
     from repro.core.temporal import GraphModel

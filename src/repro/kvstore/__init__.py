@@ -10,11 +10,11 @@ provides the subset of RocksDB behaviour the paper's design relies on:
 - atomic write batches, used by ``Migrate()`` (Algorithm 1) to install
   a whole garbage-collection epoch at once;
 - byte-accurate size accounting for the storage-overhead experiments;
-- persistence as immutable sorted runs saved with a manifest.
+- persistence as one checksummed sorted table saved with a manifest.
 
-The implementation is a small LSM tree: an in-memory skiplist memtable
-that flushes to immutable SSTable runs, with k-way merge iterators and
-a simple full compaction.
+The implementation is one sorted run held in fixed-size chunks, with a
+dict of the writes made since the last flush in front of it; a flush
+inserts those writes into their chunks in key order.
 """
 
 from repro.kvstore.api import WriteBatch

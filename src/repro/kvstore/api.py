@@ -1,23 +1,15 @@
-"""Public datatypes of the key-value store: write batches and entries.
+"""Public datatypes of the key-value store: write batches and stats.
 
 Keys and values are ``bytes``.  A deletion is represented internally by
-a *tombstone* (value ``None``); tombstones flow through memtables,
-SSTables and merge iterators and are dropped at the final read surface
-and during full compaction, exactly like RocksDB's delete markers.
+a *tombstone* (value ``None``); tombstones stay in the store's sorted
+run, are dropped at the read surface and removed by compaction, exactly
+like RocksDB's delete markers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
-
-
-@dataclass(frozen=True)
-class Entry:
-    """One key-value pair as seen by iterators (never a tombstone)."""
-
-    key: bytes
-    value: bytes
 
 
 class WriteBatch:
@@ -62,7 +54,12 @@ class WriteBatch:
 
 @dataclass
 class StoreStats:
-    """Counters exposed by the store for tests and benchmarks."""
+    """Counters exposed by the store for tests and benchmarks.
+
+    ``flushes`` counts memtable folds into the run (one per write
+    batch, or per read that found staged single-key writes);
+    ``compactions`` counts compactions that dropped tombstones.
+    """
 
     puts: int = 0
     deletes: int = 0
@@ -72,7 +69,6 @@ class StoreStats:
     flushes: int = 0
     compactions: int = 0
     batch_writes: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def _check_key(key: bytes) -> None:

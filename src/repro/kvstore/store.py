@@ -1,4 +1,4 @@
-"""The key-value store facade: LSM memtable + immutable runs.
+"""The key-value store: one sorted run in fixed-size chunks.
 
 Provides the RocksDB operations AeonG's historical store depends on:
 
@@ -6,15 +6,23 @@ Provides the RocksDB operations AeonG's historical store depends on:
     point operations;
 ``write``
     atomic batch install (used by ``Migrate()``);
-``seek / scan_prefix``
+``seek / scan_prefix / scan_range``
     ordered iteration from an arbitrary key, the workhorse behind
     anchor seeks and version-chain scans;
 ``approximate_bytes``
     byte-accurate size of everything held, for the storage benchmarks;
 ``flush / compact``
-    LSM maintenance;
+    fold the memtable into the run; drop tombstones;
 ``save / load``
-    whole-store persistence to a directory (sstables + manifest).
+    whole-store persistence to a directory (one table + manifest).
+
+The run is a list of chunks: parallel key and value lists, plus each
+chunk's last key, which a bisect uses to find the chunk holding a key.
+Writes land in the memtable, a dict of the writes made since the last
+flush; ``flush`` inserts them in key order into their chunks, which
+costs O(log n + CHUNK) per key however large the store is, and splits a
+chunk that reaches ``2 * CHUNK`` keys.  A delete leaves a tombstone
+(value ``None``) in the run until :meth:`KVStore.compact`.
 
 The store keeps no log of its own: it holds only migrated history,
 which the engine's checkpoint plus the engine WAL
@@ -22,25 +30,28 @@ which the engine's checkpoint plus the engine WAL
 
 Thread safety: all public methods take the store lock, which is enough
 for the maintenance thread and query threads to interleave (the paper's
-late-migration strategy writes from it while queries read).
+late-migration strategy writes from it while queries read).  A read
+flushes first and copies the rows it returns under the lock, so
+``get``, ``scan_prefix`` and ``scan_range`` see the store as of the
+call; ``seek`` copies one chunk at a time and resumes by key.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.errors import KVStoreError
 from repro.faults import FAILPOINTS, StorageIO
 from repro.kvstore.api import StoreStats, WriteBatch, _check_key
-from repro.kvstore.iterator import bounded, merge_runs
-from repro.kvstore.memtable import MemTable
-from repro.kvstore.sstable import SSTable
+from repro.kvstore.sstable import decode_table, encode_table
 from repro.observability import NULL_SPAN
 
-_DEFAULT_MEMTABLE_LIMIT = 4 * 1024 * 1024  # bytes, like a small RocksDB
+#: keys per chunk of the run; a chunk splits when it reaches twice this
+CHUNK = 512
 
 FAILPOINTS.register(
     "kv.flush", "kv.compact", "kv.save.sst", "kv.save.manifest"
@@ -54,35 +65,29 @@ def _maybe_span(tracer, name: str):
     return tracer.span(name)
 
 
+def _size(value: Optional[bytes]) -> int:
+    return len(value) if value is not None else 0
+
+
+def _prefix_stop(prefix: bytes) -> Optional[bytes]:
+    """The smallest key above every key starting with ``prefix``
+    (``None`` when there is none: the prefix is all ``0xff``)."""
+    stem = prefix.rstrip(b"\xff")
+    if not stem:
+        return None
+    return stem[:-1] + bytes([stem[-1] + 1])
+
+
 class KVStore:
-    """Ordered key-value store with LSM internals.
+    """Ordered key-value store: a memtable dict over one sorted run."""
 
-    Parameters
-    ----------
-    memtable_limit_bytes:
-        Flush threshold for the mutable memtable.
-    max_runs:
-        When the number of immutable runs exceeds this, a full
-        compaction merges them into one.
-    seed:
-        Seed for the memtable skiplists (determinism in benchmarks).
-    """
-
-    def __init__(
-        self,
-        memtable_limit_bytes: int = _DEFAULT_MEMTABLE_LIMIT,
-        max_runs: int = 8,
-        seed: Optional[int] = 0,
-    ) -> None:
-        if memtable_limit_bytes <= 0:
-            raise ValueError("memtable_limit_bytes must be positive")
-        if max_runs < 1:
-            raise ValueError("max_runs must be at least 1")
-        self._memtable_limit = memtable_limit_bytes
-        self._max_runs = max_runs
-        self._seed = seed
-        self._memtable = MemTable(seed=seed)
-        self._runs: list[SSTable] = []  # newest first
+    def __init__(self) -> None:
+        self._keys: list[list[bytes]] = []  # one sorted key list per chunk
+        self._values: list[list[Optional[bytes]]] = []
+        self._lasts: list[bytes] = []  # each chunk's last key
+        self._memtable: dict[bytes, Optional[bytes]] = {}
+        self._bytes = 0  # key + value bytes in the run
+        self._tombstones = 0
         self._lock = threading.RLock()
         self.stats = StoreStats()
         #: the owning engine's Tracer (or None): brackets flush and
@@ -97,190 +102,203 @@ class KVStore:
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError("value must be bytes")
         with self._lock:
-            self._memtable.put(bytes(key), bytes(value))
+            self._memtable[bytes(key)] = bytes(value)
             self.stats.puts += 1
-            self._maybe_flush()
 
     def delete(self, key: bytes) -> None:
         """Remove a key (writes a tombstone)."""
         _check_key(key)
         with self._lock:
-            self._memtable.put(bytes(key), None)
+            self._memtable[bytes(key)] = None
             self.stats.deletes += 1
-            self._maybe_flush()
 
     def write(self, batch: WriteBatch) -> None:
-        """Apply a whole batch atomically.
-
-        One sorted insertion pass over the memtable (:meth:`MemTable.put_many`) instead of a
-        full-height skiplist descent per key — the write-batching half
-        of the group-commit work: a GC epoch's ``commit_batch`` costs
-        one pass however many records it staged.
-        """
+        """Apply a whole batch atomically: stage it, then one flush
+        folds it into the run (a GC epoch's ``commit_batch`` costs one
+        sort of the batch plus one insertion per key)."""
         with self._lock:
-            ops = list(batch.items())
-            self._memtable.put_many(ops)
-            for _key, value in ops:
+            for key, value in batch.items():
+                self._memtable[key] = value
                 if value is None:
                     self.stats.deletes += 1
                 else:
                     self.stats.puts += 1
             self.stats.batch_writes += 1
-            self._maybe_flush()
+            self.flush()
 
     # -- read path ------------------------------------------------------
 
     def get(self, key: bytes) -> Optional[bytes]:
-        """Return the newest value for ``key`` or ``None``."""
+        """Return the value for ``key`` or ``None``."""
         _check_key(key)
+        key = bytes(key)
         with self._lock:
             self.stats.gets += 1
-            found, value = self._memtable.get(bytes(key))
-            if found:
-                return value
-            for run in self._runs:
-                found, value = run.get(bytes(key))
-                if found:
-                    return value
-            return None
+            if self._memtable:
+                self.flush()
+            chunk = bisect_left(self._lasts, key)
+            if chunk == len(self._lasts):
+                return None
+            keys = self._keys[chunk]
+            index = bisect_left(keys, key)
+            return self._values[chunk][index] if keys[index] == key else None
 
     def seek(self, key: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Iterate live entries with key >= ``key`` in ascending order.
 
-        The iterator works over a point-in-time view of the runs taken
-        at call time (writes arriving later may or may not be seen,
-        matching RocksDB iterator semantics without an explicit
+        Copies one chunk at a time under the lock and resumes after the
+        last key it yielded, so a long scan never holds the lock or a
+        copy of the whole store; writes arriving after the call may or
+        may not be seen (RocksDB iterator semantics without an explicit
         snapshot pin).
         """
+        key = bytes(key)
         with self._lock:
             self.stats.seeks += 1
-            single = not self._runs
-            if single:
-                source = self._memtable.seek(bytes(key))
-            else:
-                runs = [self._memtable.seek(bytes(key))] + [
-                    run.seek(bytes(key)) for run in self._runs
-                ]
-        if single:
-            # Fast path: everything lives in the memtable, no merge
-            # needed — just drop tombstones.
-            for pair_key, value in source:
-                if value is not None:
-                    yield pair_key, value
-            return
-        for pair_key, value in merge_runs(runs):
-            yield pair_key, value  # value is not None: tombstones dropped
+        find = bisect_left
+        while True:
+            with self._lock:
+                if self._memtable:
+                    self.flush()
+                chunk = find(self._lasts, key)
+                if chunk == len(self._lasts):
+                    return
+                keys = self._keys[chunk]
+                start = find(keys, key)
+                rows = self._live(keys[start:], self._values[chunk][start:])
+                key = keys[-1]
+            yield from rows
+            find = bisect_right
 
     def scan_prefix(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Iterate live entries whose key starts with ``prefix``."""
+        prefix = bytes(prefix)
         with self._lock:
             self.stats.seeks += 1
-            runs = [self._memtable.seek(bytes(prefix))] + [
-                run.seek(bytes(prefix)) for run in self._runs
-            ]
-        yield from bounded(merge_runs(runs), bytes(prefix))
+            return iter(self._copy(prefix, _prefix_stop(prefix)))
 
     def scan_range(
         self, start: bytes, stop: bytes
     ) -> Iterator[tuple[bytes, bytes]]:
         """Iterate live entries with ``start <= key < stop``.
 
-        One seek serves the whole range: SSTable runs position both
-        bounds by binary search, so a batched reader (e.g. the history
-        store preloading every candidate edge of an expand) pays one
-        merge instead of one seek per object.
+        One seek serves the whole range: both bounds are found by
+        bisection, so a batched reader (e.g. the history store
+        preloading every candidate edge of an expand) pays one copy
+        instead of one seek per object.
         """
         with self._lock:
             self.stats.seeks += 1
             self.stats.range_scans += 1
-            runs = [self._memtable.seek(bytes(start))] + [
-                run.seek_range(bytes(start), bytes(stop))
-                for run in self._runs
-            ]
-        for key, value in merge_runs(runs):
-            if key >= stop:
-                return
-            yield key, value
+            return iter(self._copy(bytes(start), bytes(stop)))
 
     def scan_all(self) -> Iterator[tuple[bytes, bytes]]:
         """Iterate every live entry in key order."""
         return self.seek(b"\x00")
 
     def __len__(self) -> int:
-        """Number of live keys (requires a full merge; test helper)."""
+        """Number of live keys (a full scan; test helper)."""
         return sum(1 for _ in self.scan_all())
+
+    def _copy(
+        self, start: bytes, stop: Optional[bytes]
+    ) -> list[tuple[bytes, bytes]]:
+        """Live rows with ``start <= key < stop`` (no upper bound when
+        ``stop`` is None); the caller holds the lock."""
+        if self._memtable:
+            self.flush()
+        rows: list[tuple[bytes, bytes]] = []
+        for chunk in range(bisect_left(self._lasts, start), len(self._lasts)):
+            keys = self._keys[chunk]
+            low = bisect_left(keys, start)
+            high = len(keys) if stop is None else bisect_left(keys, stop, low)
+            rows += self._live(keys[low:high], self._values[chunk][low:high])
+            if high < len(keys):
+                break
+        return rows
+
+    def _live(self, keys: list, values: list) -> list[tuple[bytes, bytes]]:
+        if self._tombstones:
+            return [(k, v) for k, v in zip(keys, values) if v is not None]
+        return list(zip(keys, values))
 
     # -- size accounting --------------------------------------------------
 
     def approximate_bytes(self) -> int:
-        """Bytes held across the memtable and all runs.
-
-        Runs that have not been compacted may double-count superseded
-        versions, exactly as physical space in an LSM tree does; call
-        :meth:`compact` first for a post-compaction figure.
-        """
+        """Key + value bytes held; a tombstone's key counts until
+        :meth:`compact` drops it."""
         with self._lock:
-            total = self._memtable.approximate_bytes
-            total += sum(run.approximate_bytes for run in self._runs)
-            return total
+            if self._memtable:
+                self.flush()
+            return self._bytes
 
     # -- maintenance ------------------------------------------------------
 
     def flush(self) -> None:
-        """Freeze the memtable into an immutable run."""
+        """Fold the memtable into the run, in key order."""
         with self._lock:
-            if len(self._memtable) == 0:
+            if not self._memtable:
                 return
             with _maybe_span(self.tracer, "kv.flush"):
                 FAILPOINTS.check("kv.flush")
-                self._runs.insert(0, SSTable.from_memtable(self._memtable))
-                self._memtable = MemTable(seed=self._seed)
+                memtable, self._memtable = self._memtable, {}
+                for key in sorted(memtable):
+                    self._insert(key, memtable[key])
                 self.stats.flushes += 1
 
-    def _maybe_flush(self) -> None:
-        if self._memtable.approximate_bytes >= self._memtable_limit:
-            self.flush()
-            if len(self._runs) > self._max_runs:
-                # Bounded maintenance: fold the oldest half of the runs
-                # instead of rewriting everything (full compaction is
-                # still available explicitly via compact()).
-                self.compact_tail(len(self._runs) // 2 + 1)
+    def _insert(self, key: bytes, value: Optional[bytes]) -> None:
+        lasts = self._lasts
+        if not lasts:
+            self._install([(key, value)])
+            return
+        chunk = min(bisect_left(lasts, key), len(lasts) - 1)
+        keys, values = self._keys[chunk], self._values[chunk]
+        index = bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
+            old = values[index]
+            values[index] = value
+            self._bytes += _size(value) - _size(old)
+            self._tombstones += (value is None) - (old is None)
+            return
+        keys.insert(index, key)
+        values.insert(index, value)
+        self._bytes += len(key) + _size(value)
+        self._tombstones += value is None
+        if index == len(keys) - 1:
+            lasts[chunk] = key
+        if len(keys) >= 2 * CHUNK:
+            self._keys[chunk:chunk + 1] = [keys[:CHUNK], keys[CHUNK:]]
+            self._values[chunk:chunk + 1] = [values[:CHUNK], values[CHUNK:]]
+            lasts[chunk:chunk + 1] = [keys[CHUNK - 1], keys[-1]]
 
-    def compact_tail(self, count: int) -> None:
-        """Merge the ``count`` *oldest* runs into one.
+    def _install(self, rows: list[tuple[bytes, Optional[bytes]]]) -> None:
+        """Replace the run with ``rows`` (strictly sorted by key)."""
+        keys = [key for key, _ in rows]
+        values = [value for _, value in rows]
+        self._keys = [keys[i:i + CHUNK] for i in range(0, len(keys), CHUNK)]
+        self._values = [values[i:i + CHUNK] for i in range(0, len(keys), CHUNK)]
+        self._lasts = [chunk[-1] for chunk in self._keys]
+        self._bytes = sum(map(len, keys)) + sum(map(_size, values))
+        self._tombstones = values.count(None)
 
-        Keeps write amplification bounded: newer runs are untouched.
-        Tombstones in the merged tail shadow nothing older (there is
-        nothing below the tail), so they are dropped — the reclamation
-        a full compaction would do, limited to the cold end.
-        """
-        with self._lock:
-            count = min(count, len(self._runs))
-            if count < 2:
-                return
-            tail = self._runs[-count:]
-            merged = list(
-                merge_runs([iter(run) for run in tail], keep_tombstones=False)
-            )
-            self._runs = self._runs[:-count] + (
-                [SSTable(merged)] if merged else []
-            )
-            self.stats.compactions += 1
+    def _rows(self) -> list[tuple[bytes, Optional[bytes]]]:
+        """Every run entry, tombstones included, in key order."""
+        return [
+            row
+            for keys, values in zip(self._keys, self._values)
+            for row in zip(keys, values)
+        ]
 
     def compact(self) -> None:
-        """Merge every run (and the memtable) into one, dropping
-        tombstones and superseded versions."""
+        """Drop the run's tombstones (nothing to do when it has none)."""
         with self._lock:
-            if len(self._memtable) == 0 and len(self._runs) <= 1:
+            if self._memtable:
+                self.flush()
+            if not self._tombstones:
                 return
             with _maybe_span(self.tracer, "kv.compact"):
                 FAILPOINTS.check("kv.compact")
-                runs = [iter(self._memtable)] + [
-                    iter(run) for run in self._runs
-                ]
-                merged = list(merge_runs(runs, keep_tombstones=False))
-                self._memtable = MemTable(seed=self._seed)
-                self._runs = [SSTable(merged)] if merged else []
+                self._install([row for row in self._rows() if row[1] is not None])
                 self.stats.compactions += 1
 
     # -- persistence ------------------------------------------------------
@@ -292,7 +310,7 @@ class KVStore:
 
         Every file is written atomically (temp + rename, fsync'd in
         ``fsync`` mode) and the manifest goes last, so a directory with
-        a readable ``MANIFEST.json`` always names complete sstables; a
+        a readable ``MANIFEST.json`` always names complete tables; a
         crash mid-save leaves no manifest and the directory is ignored.
         """
         directory = Path(directory)
@@ -301,9 +319,11 @@ class KVStore:
         with self._lock:
             self.compact()
             names = []
-            for index, run in enumerate(self._runs):
-                name = f"run-{index:06d}.sst"
-                io.write_file(directory / name, run.encode(), "kv.save.sst")
+            if self._lasts:
+                name = "run-000000.sst"
+                io.write_file(
+                    directory / name, encode_table(self._rows()), "kv.save.sst"
+                )
                 names.append(name)
             manifest = {"format": 1, "runs": names}
             io.write_file(
@@ -313,15 +333,16 @@ class KVStore:
             )
 
     @classmethod
-    def load(cls, directory: Path, **kwargs) -> "KVStore":
+    def load(cls, directory: Path) -> "KVStore":
         """Open a store previously written by :meth:`save`."""
         directory = Path(directory)
         manifest_path = directory / "MANIFEST.json"
         if not manifest_path.exists():
             raise KVStoreError(f"no manifest in {directory}")
-        manifest = json.loads(manifest_path.read_text())
-        store = cls(**kwargs)
-        for name in manifest["runs"]:
-            data = (directory / name).read_bytes()
-            store._runs.append(SSTable.decode(data))
+        runs = json.loads(manifest_path.read_text())["runs"]
+        if len(runs) > 1:
+            raise KVStoreError(f"{directory} names {len(runs)} runs, not one")
+        store = cls()
+        for name in runs:
+            store._install(decode_table((directory / name).read_bytes()))
         return store

@@ -24,7 +24,7 @@ from repro import AeonG, TemporalCondition
 from repro.errors import FaultInjected
 from repro.faults import FAILPOINTS, SimulatedCrash
 from repro.kvstore import KVStore
-from repro.kvstore.sstable import SSTable
+from repro.kvstore.sstable import decode_table, encode_table
 # Importing the protocol module registers the server.conn.* socket
 # sites, so the completeness check below sees (and demands) them.
 from repro.server.protocol import SITE_CONN_READ, SITE_CONN_WRITE
@@ -109,13 +109,15 @@ def _recovered_vertices(db: AeonG) -> dict[int, dict]:
         db.abort(txn)
 
 
-def _engine_crash_run(path, site, mode, kv=None):
+def _engine_crash_run(path, site, mode, kv=None, prune=False):
     """Workload with ``site`` armed after a healthy prefix (3 commits,
     one GC epoch, one installed checkpoint — so retire/fence paths are
     live).  Returns what was acked before the simulated crash.
 
-    ``kv`` injects the history store of a fresh engine at ``path``
-    (e.g. one whose memtable flushes every GC epoch)."""
+    ``kv`` injects the history store of a fresh engine at ``path``.
+    ``prune`` drops the history the healthy prefix migrated before
+    each later checkpoint (``prune_history``), so the store compacts
+    tombstones away."""
     if kv is None:
         db = AeonG.open(path, **_ENGINE_SETTINGS)
     else:
@@ -124,6 +126,7 @@ def _engine_crash_run(path, site, mode, kv=None):
     for i in range(3):
         acked[_commit_one(db, i)] = i
     db.collect_garbage()
+    cut = db.now()
     db.checkpoint()
 
     crashed = False
@@ -140,6 +143,8 @@ def _engine_crash_run(path, site, mode, kv=None):
             inflight = None
             if i in (5, 8):
                 db.collect_garbage()
+                if prune:
+                    db.prune_history(cut)
                 db.checkpoint()
     except SimulatedCrash:
         crashed = True
@@ -219,12 +224,12 @@ class TestEngineCrashMatrix:
 
 # -- kv.* storage sites, crashed inside an engine ---------------------------
 
-#: The history store's own maintenance sites.  The engine's KV store
-#: has a 128-byte memtable, smaller than one GC epoch's migration
-#: batch, so every epoch flushes it (``kv.flush``) and a checkpoint
-#: compacts and encodes its runs (``kv.compact``,
-#: ``kv.sstable.encode``).  The store keeps no log:
-#: recovery rebuilds it from the checkpoint and the engine WAL.
+#: The history store's own maintenance sites.  Every GC epoch's
+#: migration batch is one KV write, which flushes (``kv.flush``); the
+#: workload prunes the oldest history, whose tombstones compaction
+#: drops (``kv.compact``), and each checkpoint encodes the store's
+#: table (``kv.sstable.encode``).  The store keeps no log: recovery
+#: rebuilds it from the checkpoint and the engine WAL.
 KV_MATRIX = [
     ("kv.flush", "crash"),
     ("kv.compact", "crash"),
@@ -237,7 +242,7 @@ class TestKVStoreCrashMatrix:
     def test_committed_prefix_survives(self, tmp_path, site, mode):
         path = tmp_path / "data"
         acked, inflight, crashed, fired = _engine_crash_run(
-            path, site, mode, kv=KVStore(memtable_limit_bytes=128)
+            path, site, mode, kv=KVStore(), prune=True
         )
         assert crashed, f"site {site} never fired in the workload"
         assert fired >= 1
@@ -468,24 +473,25 @@ class TestErrorOnlySites:
         assert KVStore.load(tmp_path / "snap").get(b"a") == b"1"
 
     def test_sstable_decode_registered(self):
-        data = SSTable([(b"k", b"v")]).encode()
+        data = encode_table([(b"k", b"v")])
         FAILPOINTS.activate("kv.sstable.decode", "error")
         with pytest.raises(FaultInjected):
-            SSTable.decode(data)
+            decode_table(data)
 
     def test_sstable_decode_corrupt_surfaces_as_corruption(self):
-        """corrupt mode damages bytes inside the CRC-protected region,
-        so it must surface as CorruptionError — never as silently wrong
+        """corrupt mode damages a byte the decoder verifies (the
+        checksummed entries, or an empty table's entry count), so it
+        must surface as CorruptionError — never as silently wrong
         data."""
         from repro.errors import CorruptionError
 
-        data = SSTable([(b"k", b"v")]).encode()
-        FAILPOINTS.activate("kv.sstable.decode", "corrupt")
-        with pytest.raises(CorruptionError):
-            SSTable.decode(data)
-        FAILPOINTS.clear()
-        table = SSTable.decode(data)
-        assert table.get(b"k") == (True, b"v")
+        for entries in ([(b"k", b"v")], []):
+            data = encode_table(entries)
+            FAILPOINTS.activate("kv.sstable.decode", "corrupt")
+            with pytest.raises(CorruptionError):
+                decode_table(data)
+            FAILPOINTS.clear()
+            assert decode_table(data) == entries
 
     def test_history_fetch_corrupt_heals_via_scrubber(self):
         """corrupt mode flips a bit in a stored history record (at-rest

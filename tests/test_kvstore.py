@@ -1,135 +1,191 @@
-"""Tests for the key-value store: memtable, sstables, LSM facade, and
-the engine WAL whose batches reuse the sstable entry codec."""
+"""Tests for the key-value store: the memtable, the table codec, the
+sorted run behind them, and the engine WAL whose batches reuse the
+table's entry codec."""
 
 from __future__ import annotations
+
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import AeonG, TemporalCondition
 from repro.core.durability import EngineWal
 from repro.errors import CorruptionError, KVStoreError
 from repro.kvstore import KVStore, WriteBatch
-from repro.kvstore.memtable import MemTable
-from repro.kvstore.sstable import SSTable
+from repro.kvstore.sstable import decode_table, encode_table
+from repro.kvstore.store import CHUNK
 
 
 class TestMemTable:
+    """The memtable: the dict of writes made since the last flush,
+    which every read folds into the sorted run first."""
+
     def test_put_get(self):
-        table = MemTable(seed=0)
-        table.put(b"a", b"1")
-        assert table.get(b"a") == (True, b"1")
-        assert table.get(b"b") == (False, None)
+        store = KVStore()
+        store.put(b"a", b"1")
+        assert store.get(b"a") == b"1"
+        assert store.get(b"b") is None
 
     def test_overwrite_keeps_count(self):
-        table = MemTable(seed=0)
-        table.put(b"a", b"1")
-        table.put(b"a", b"22")
-        assert len(table) == 1
-        assert table.get(b"a") == (True, b"22")
+        store = KVStore()
+        store.put(b"a", b"1")
+        store.put(b"a", b"22")
+        assert len(store) == 1
+        assert store.get(b"a") == b"22"
 
     def test_tombstone_is_found(self):
-        table = MemTable(seed=0)
-        table.put(b"a", b"1")
-        table.put(b"a", None)
-        assert table.get(b"a") == (True, None)
+        store = KVStore()
+        store.put(b"a", b"1")
+        store.flush()
+        store.delete(b"a")
+        assert store.get(b"a") is None
+        # The tombstone sits in the run (its key still counted) until
+        # compaction drops it.
+        assert store.approximate_bytes() == 1
+        store.compact()
+        assert store.approximate_bytes() == 0
 
     def test_iteration_is_sorted(self):
-        table = MemTable(seed=0)
+        store = KVStore()
         for key in [b"m", b"a", b"z", b"c", b"b"]:
-            table.put(key, key)
-        assert [k for k, _ in table] == [b"a", b"b", b"c", b"m", b"z"]
+            store.put(key, key)
+        assert [k for k, _ in store.scan_all()] == [b"a", b"b", b"c", b"m", b"z"]
 
     def test_seek_starts_at_key(self):
-        table = MemTable(seed=0)
+        store = KVStore()
         for key in [b"a", b"c", b"e"]:
-            table.put(key, key)
-        assert [k for k, _ in table.seek(b"b")] == [b"c", b"e"]
-        assert [k for k, _ in table.seek(b"c")] == [b"c", b"e"]
-        assert list(table.seek(b"f")) == []
+            store.put(key, key)
+        assert [k for k, _ in store.seek(b"b")] == [b"c", b"e"]
+        assert [k for k, _ in store.seek(b"c")] == [b"c", b"e"]
+        assert list(store.seek(b"f")) == []
 
     def test_byte_accounting(self):
-        table = MemTable(seed=0)
-        table.put(b"key", b"value")
-        assert table.approximate_bytes == 8
-        table.put(b"key", b"v")
-        assert table.approximate_bytes == 4
-        table.put(b"key", None)
-        assert table.approximate_bytes == 3
+        store = KVStore()
+        store.put(b"key", b"value")
+        assert store.approximate_bytes() == 8
+        store.put(b"key", b"v")
+        assert store.approximate_bytes() == 4
+        store.delete(b"key")
+        assert store.approximate_bytes() == 3
 
     @given(st.dictionaries(st.binary(min_size=1, max_size=8), st.binary(max_size=8), max_size=60))
     @settings(max_examples=100)
     def test_behaves_like_dict(self, mapping):
-        table = MemTable(seed=1)
+        store = KVStore()
         for key, value in mapping.items():
-            table.put(key, value)
+            store.put(key, value)
         for key, value in mapping.items():
-            assert table.get(key) == (True, value)
-        assert [k for k, _ in table] == sorted(mapping)
+            assert store.get(key) == value
+        assert [k for k, _ in store.scan_all()] == sorted(mapping)
+
+
+#: ``[(b"a", b"1"), (b"c", tombstone), (b"e", b"5")]`` as an older
+#: writer stored it, with a 20-byte Bloom filter block between the
+#: entries and the footer (``bloom_len`` 20).
+GOLDEN_ENTRIES = [(b"a", b"1"), (b"c", None), (b"e", b"5")]
+_GOLDEN_PAYLOAD = "01610001310163010165000135"
+_GOLDEN_FILTER = "0000001c000000060000000000000003b26ac805"
+GOLDEN_TABLE = bytes.fromhex(
+    _GOLDEN_PAYLOAD
+    + _GOLDEN_FILTER
+    + "0000000374055e6f00000014524550524f535354"  # footer
+)
+#: The same entries as :func:`encode_table` writes them: no filter
+#: block, ``bloom_len`` 0.
+GOLDEN_TABLE_NO_FILTER = bytes.fromhex(
+    _GOLDEN_PAYLOAD + "0000000374055e6f00000000524550524f535354"
+)
+_FOOTER = struct.Struct(">III8s")
+
+
+def _with_filter_block(table: bytes, block: bytes) -> bytes:
+    """``table`` rewritten the way older writers laid it out: a filter
+    block between the entries and the footer."""
+    count, crc, bloom_len, magic = _FOOTER.unpack(table[-_FOOTER.size:])
+    assert bloom_len == 0
+    footer = _FOOTER.pack(count, crc, len(block), magic)
+    return table[:-_FOOTER.size] + block + footer
 
 
 class TestSSTable:
-    def _table(self):
-        return SSTable([(b"a", b"1"), (b"c", None), (b"e", b"5")])
+    """The table codec (``encode_table`` / ``decode_table``)."""
 
     def test_requires_sorted_unique_keys(self):
         with pytest.raises(ValueError):
-            SSTable([(b"b", b"1"), (b"a", b"2")])
+            encode_table([(b"b", b"1"), (b"a", b"2")])
         with pytest.raises(ValueError):
-            SSTable([(b"a", b"1"), (b"a", b"2")])
-
-    def test_get(self):
-        table = self._table()
-        assert table.get(b"a") == (True, b"1")
-        assert table.get(b"c") == (True, None)  # tombstone
-        assert table.get(b"d") == (False, None)
-
-    def test_seek(self):
-        table = self._table()
-        assert [k for k, _ in table.seek(b"b")] == [b"c", b"e"]
-
-    def test_bounds(self):
-        table = self._table()
-        assert table.smallest_key == b"a"
-        assert table.largest_key == b"e"
-        assert SSTable([]).smallest_key is None
+            encode_table([(b"a", b"1"), (b"a", b"2")])
 
     def test_encode_decode_roundtrip(self):
-        table = self._table()
-        clone = SSTable.decode(table.encode())
-        assert list(clone) == list(table)
+        assert decode_table(encode_table(GOLDEN_ENTRIES)) == GOLDEN_ENTRIES
+        assert decode_table(encode_table([])) == []
 
     def test_decode_detects_corruption(self):
-        encoded = bytearray(self._table().encode())
+        encoded = bytearray(encode_table(GOLDEN_ENTRIES))
         encoded[0] ^= 0xFF
         with pytest.raises(CorruptionError):
-            SSTable.decode(bytes(encoded))
+            decode_table(bytes(encoded))
 
     def test_decode_detects_bad_magic(self):
-        encoded = self._table().encode()[:-1] + b"X"
+        encoded = encode_table(GOLDEN_ENTRIES)[:-1] + b"X"
         with pytest.raises(CorruptionError):
-            SSTable.decode(encoded)
+            decode_table(encoded)
 
     def test_decode_rejects_short_input(self):
         with pytest.raises(CorruptionError):
-            SSTable.decode(b"tiny")
+            decode_table(b"tiny")
+
+    def test_decode_rejects_unsorted_entries(self):
+        """A checksum-valid table whose keys are out of order is
+        corruption, not data."""
+        good = encode_table([(b"a", b"1"), (b"b", b"2")])
+        payload = good[:-_FOOTER.size]
+        swapped = payload[len(payload) // 2:] + payload[: len(payload) // 2]
+        footer = _FOOTER.pack(2, zlib.crc32(swapped), 0, b"REPROSST")
+        with pytest.raises(CorruptionError):
+            decode_table(swapped + footer)
 
     def test_golden_table_bytes(self):
-        """The table format, byte for byte: entries, filter block,
-        footer (entries, payload crc, filter length, magic)."""
-        assert self._table().encode() == GOLDEN_TABLE
+        """The writer's bytes: entries, no filter block, footer
+        (entries, payload crc, ``bloom_len`` 0, magic)."""
+        assert encode_table(GOLDEN_ENTRIES) == GOLDEN_TABLE_NO_FILTER
 
     def test_golden_table_decodes(self):
-        assert list(SSTable.decode(GOLDEN_TABLE)) == GOLDEN_ENTRIES
+        """A table written with a Bloom filter block still reads."""
+        assert decode_table(GOLDEN_TABLE) == GOLDEN_ENTRIES
 
+    def test_checkpoint_with_filter_blocks_opens(self, tmp_path):
+        """A checkpoint whose history table carries a filter block (as
+        older writers saved it) opens through ``AeonG.open`` with the
+        same history."""
+        db = AeonG(gc_interval_transactions=0, anchor_interval=2)
+        with db.transaction() as txn:
+            gid = db.create_vertex(txn, ["T"], {"v": 0})
+        for i in range(1, 6):
+            with db.transaction() as txn:
+                db.set_vertex_property(txn, gid, "v", i)
+        db.collect_garbage()
+        cond = TemporalCondition.between(0, db.now())
 
-#: ``[(b"a", b"1"), (b"c", tombstone), (b"e", b"5")]`` as a table with
-#: a 20-byte filter block (``bloom_len`` 20 in the footer).
-GOLDEN_ENTRIES = [(b"a", b"1"), (b"c", None), (b"e", b"5")]
-GOLDEN_TABLE = bytes.fromhex(
-    "01610001310163010165000135"  # entries
-    "0000001c000000060000000000000003b26ac805"  # filter block
-    "0000000374055e6f00000014524550524f535354"  # footer
-)
+        def versions(engine):
+            with engine.transaction() as txn:
+                return [
+                    dict(view.properties)
+                    for view in engine.vertex_versions(txn, gid, cond)
+                ]
+
+        expected = versions(db)
+        db.save(tmp_path / "snap")
+        db.close()
+        (table,) = (tmp_path / "snap").rglob("*.sst")
+        block = bytes.fromhex(_GOLDEN_FILTER)
+        table.write_bytes(_with_filter_block(table.read_bytes(), block))
+        reopened = AeonG.open(tmp_path / "snap")
+        assert len(expected) == 6
+        assert versions(reopened) == expected
+        reopened.close()
 
 
 def _ops(i: int) -> list[tuple]:
@@ -198,10 +254,12 @@ class TestKVStore:
             store.put(b"k", "str")
 
     def test_read_through_flushed_runs(self):
-        store = KVStore(memtable_limit_bytes=64)
+        store = KVStore()
         for i in range(100):
             store.put(f"key{i:03d}".encode(), f"value{i}".encode())
-        assert store.stats.flushes > 0
+            if i % 10 == 9:
+                store.flush()
+        assert store.stats.flushes == 10
         for i in range(100):
             assert store.get(f"key{i:03d}".encode()) == f"value{i}".encode()
 
@@ -281,45 +339,93 @@ class TestKVStore:
             KVStore.load(tmp_path / "nope")
 
     def test_tail_compaction_preserves_newest_wins(self):
+        """The store is one run, so ``compact()`` folds its whole tail:
+        a key's newest write survives the tombstone before it."""
         store = KVStore()
         store.put(b"k", b"v1")
         store.flush()
         store.delete(b"k")
         store.flush()
+        store.put(b"dead", b"x")
+        store.flush()
+        store.delete(b"dead")
         store.put(b"k", b"v3")
         store.flush()
         store.put(b"other", b"x")
         store.flush()
-        # Fold the two oldest runs (delete + v1): the tombstone wins
-        # inside the tail and both disappear; the newer v3 survives.
-        store.compact_tail(2)
+        store.compact()
+        assert store.stats.compactions == 1
         assert store.get(b"k") == b"v3"
         assert store.get(b"other") == b"x"
+        assert store.get(b"dead") is None
+        assert store.approximate_bytes() == len(b"kv3otherx")
 
     def test_tail_compaction_noop_on_single_run(self):
+        """Compaction only drops tombstones: a run without any is left
+        alone and not counted."""
         store = KVStore()
         store.put(b"k", b"v")
         store.flush()
         before = store.stats.compactions
-        store.compact_tail(5)
+        store.compact()
         assert store.stats.compactions == before
+
+    def test_single_puts_cost_one_flush(self):
+        """Single-key writes (Clock-G puts one key per op) are staged:
+        the read that follows folds all of them in one flush."""
+        store = KVStore()
+        for i in range(1000):
+            store.put(f"log{i:04d}".encode(), b"op")
+        assert store.stats.flushes == 0
+        assert len(list(store.scan_prefix(b"log"))) == 1000
+        assert store.stats.flushes == 1
+
+    def test_scan_result_survives_a_splitting_write(self):
+        """A ``scan_prefix`` result is the store as of the call, even
+        when a later write splits the chunk it was read from."""
+        store = KVStore()
+        batch = WriteBatch()
+        for i in range(0, 2 * CHUNK - 1):
+            batch.put(f"k{i:05d}".encode(), b"old")
+        store.write(batch)
+        assert len(store._lasts) == 1
+        rows = store.scan_prefix(b"k000")
+        expected = [(f"k{i:05d}".encode(), b"old") for i in range(100)]
+        batch = WriteBatch()
+        batch.put(b"k00050", b"new")
+        batch.put(b"k00050a", b"new")
+        batch.delete(b"k00051")
+        store.write(batch)
+        assert len(store._lasts) == 2  # the write split the chunk
+        assert list(rows) == expected
+        assert store.get(b"k00050") == b"new"
 
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from([b"a", b"b", b"c", b"dd", b"ee", b"long-key"]),
+                st.integers(min_value=0, max_value=1599),
                 st.one_of(st.none(), st.binary(max_size=6)),
             ),
             max_size=80,
         )
     )
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     def test_model_based_against_dict(self, ops):
         """The store behaves like a dict under arbitrary op interleaving
-        with periodic flush/compact (full and tail)."""
-        store = KVStore(memtable_limit_bytes=48)
+        with periodic flush/compact, over enough keys (1,200 preloaded)
+        that its run splits into several chunks."""
+        keys = [f"key-{i:04d}".encode() for i in range(1600)]
+        store = KVStore()
         model: dict[bytes, bytes] = {}
-        for index, (key, value) in enumerate(ops):
+        preload = WriteBatch()
+        for i in range(1600):
+            if i % 4 != 3:
+                preload.put(keys[i], b"base")
+                model[keys[i]] = b"base"
+        store.write(preload)
+        assert len(store._lasts) > 1
+        for index, (slot, value) in enumerate(ops):
+            key = keys[slot]
             if value is None:
                 store.delete(key)
                 model.pop(key, None)
@@ -328,10 +434,14 @@ class TestKVStore:
                 model[key] = value
             if index % 13 == 7:
                 store.flush()
-            if index % 17 == 5:
-                store.compact_tail(2)
             if index % 29 == 11:
                 store.compact()
-        for key in [b"a", b"b", b"c", b"dd", b"ee", b"long-key"]:
-            assert store.get(key) == model.get(key)
+        for slot, _value in ops:
+            assert store.get(keys[slot]) == model.get(keys[slot])
         assert dict(store.scan_all()) == model
+        assert list(store.scan_prefix(b"key-08")) == sorted(
+            (k, v) for k, v in model.items() if k.startswith(b"key-08")
+        )
+        assert list(store.scan_range(keys[500], keys[1100])) == sorted(
+            (k, v) for k, v in model.items() if keys[500] <= k < keys[1100]
+        )

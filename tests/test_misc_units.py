@@ -1,5 +1,6 @@
-"""Assorted unit tests: merge iterators, id allocation, latency
-recorder, rendering, and temporal label-change corners."""
+"""Assorted unit tests: how the KV store merges writes into its run,
+id allocation, latency recorder, rendering, and temporal label-change
+corners."""
 
 from __future__ import annotations
 
@@ -8,40 +9,67 @@ import pytest
 from repro import AeonG
 from repro.common.ids import GidAllocator
 from repro.core.stats import LatencyRecorder, StorageReport
-from repro.kvstore.api import Entry, WriteBatch
-from repro.kvstore.iterator import bounded, entries, merge_runs
+from repro.kvstore import KVStore
+from repro.kvstore.api import WriteBatch
 
 
 class TestMergeRuns:
+    """A flush merges the memtable into the store's one sorted run."""
+
     def test_newest_run_wins(self):
-        newest = [(b"a", b"new"), (b"b", b"1")]
-        oldest = [(b"a", b"old"), (b"c", b"2")]
-        merged = dict(merge_runs([iter(newest), iter(oldest)]))
-        assert merged == {b"a": b"new", b"b": b"1", b"c": b"2"}
+        store = KVStore()
+        store.put(b"a", b"old")
+        store.put(b"c", b"2")
+        store.flush()
+        store.put(b"a", b"new")
+        store.put(b"b", b"1")
+        assert dict(store.scan_all()) == {b"a": b"new", b"b": b"1", b"c": b"2"}
 
     def test_tombstone_suppresses_key(self):
-        newest = [(b"a", None)]
-        oldest = [(b"a", b"old")]
-        assert list(merge_runs([iter(newest), iter(oldest)])) == []
+        store = KVStore()
+        store.put(b"a", b"old")
+        store.flush()
+        store.delete(b"a")
+        assert list(store.scan_all()) == []
+        assert store.get(b"a") is None
 
     def test_keep_tombstones_for_compaction(self):
-        newest = [(b"a", None)]
-        oldest = [(b"a", b"old")]
-        merged = list(
-            merge_runs([iter(newest), iter(oldest)], keep_tombstones=True)
-        )
-        assert merged == [(b"a", None)]
+        """The tombstone stays in the run (its key still counted) until
+        compaction drops it."""
+        store = KVStore()
+        store.put(b"a", b"old")
+        store.flush()
+        store.delete(b"a")
+        store.flush()
+        assert store.approximate_bytes() == 1
+        store.compact()
+        assert store.approximate_bytes() == 0
+        assert store.stats.compactions == 1
 
     def test_bounded_stops_at_prefix_end(self):
-        source = iter([(b"p1", b"x"), (b"p2", b"y"), (b"q", b"z")])
-        assert list(bounded(source, b"p")) == [(b"p1", b"x"), (b"p2", b"y")]
+        store = KVStore()
+        for key, value in [(b"p1", b"x"), (b"p2", b"y"), (b"q", b"z")]:
+            store.put(key, value)
+        assert list(store.scan_prefix(b"p")) == [(b"p1", b"x"), (b"p2", b"y")]
+        store.put(b"\xff\xff", b"top")
+        assert list(store.scan_prefix(b"\xff")) == [(b"\xff\xff", b"top")]
 
     def test_entries_drops_tombstones(self):
-        source = iter([(b"a", b"1"), (b"b", None)])
-        assert list(entries(source)) == [Entry(b"a", b"1")]
+        store = KVStore()
+        store.put(b"a", b"1")
+        store.put(b"b", b"2")
+        store.flush()
+        store.delete(b"b")
+        assert list(store.seek(b"a")) == [(b"a", b"1")]
+        assert list(store.scan_range(b"a", b"c")) == [(b"a", b"1")]
 
     def test_empty_runs(self):
-        assert list(merge_runs([iter([]), iter([])])) == []
+        store = KVStore()
+        store.flush()
+        store.compact()
+        assert list(store.scan_all()) == []
+        assert list(store.scan_prefix(b"a")) == []
+        assert store.stats.flushes == 0
 
 
 class TestGidAllocator:

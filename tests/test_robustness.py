@@ -120,9 +120,9 @@ class TestBaselineRobustness:
 
 
 class TestKVStoreScale:
-    def test_many_keys_with_flushes_and_blooms(self):
+    def test_many_keys_with_flushes(self):
         rng = random.Random(3)
-        store = KVStore(memtable_limit_bytes=2048, max_runs=4)
+        store = KVStore()
         model = {}
         for i in range(3000):
             key = f"key-{rng.randrange(800):04d}".encode()
@@ -133,14 +133,18 @@ class TestKVStoreScale:
                 value = f"value-{i}".encode()
                 store.put(key, value)
                 model[key] = value
+            if i % 97 == 0:
+                store.flush()
         assert dict(store.scan_all()) == model
-        # Point reads across memtable + multiple bloom-guarded runs.
+        # Point reads across the memtable and the flushed run.
+        store.put(b"key-0000", b"staged")
+        model[b"key-0000"] = b"staged"
         for probe in range(800):
             key = f"key-{probe:04d}".encode()
             assert store.get(key) == model.get(key)
 
     def test_save_load_large(self, tmp_path):
-        store = KVStore(memtable_limit_bytes=1024)
+        store = KVStore()
         for i in range(1500):
             store.put(f"k{i:05d}".encode(), (b"v" * (i % 17)) or b"-")
         store.save(tmp_path / "big")

@@ -17,8 +17,8 @@ Covers the write path's contracts:
 - **durability**: every acked commit survives close/reopen in both
   durability modes, and so does every record a durable replica
   applied;
-- **bulk KV insert**: ``MemTable.put_many`` is behaviourally identical
-  to repeated ``put``;
+- **bulk KV insert**: ``KVStore.write`` of a batch is behaviourally
+  identical to repeated ``put``/``delete``;
 - **parallel migration**: a worker-pool epoch produces byte-identical
   history to a serial one.
 """
@@ -38,7 +38,7 @@ from repro.core.durability import EngineWal
 from repro.core.write_path import CommitTicket, GroupCommitWriter
 from repro.errors import FaultInjected
 from repro.faults import FAILPOINTS
-from repro.kvstore.memtable import MemTable
+from repro.kvstore import KVStore, WriteBatch
 from repro.observability import Tracer
 from repro.replication import ReplicationConfig
 from repro.resilience import ResilienceConfig
@@ -591,8 +591,8 @@ class TestMemtableBulkInsert:
         import random
 
         rng = random.Random(7)
-        reference = MemTable(seed=3)
-        bulk = MemTable(seed=3)
+        reference = KVStore()
+        bulk = KVStore()
         # Pre-populate both identically so the bulk pass hits existing
         # keys (overwrites + tombstones), not just fresh inserts.
         base = [
@@ -602,26 +602,30 @@ class TestMemtableBulkInsert:
         for key, value in base:
             reference.put(key, value)
             bulk.put(key, value)
-        batch = []
+        reference.flush()
+        bulk.flush()
+        batch = WriteBatch()
         for _ in range(80):
             key = f"k{rng.randrange(80):03d}".encode()
-            value = (
-                None
-                if rng.random() < 0.2
-                else f"v{rng.randrange(1000)}".encode()
-            )
-            batch.append((key, value))
-        for key, value in batch:
-            reference.put(key, value)
-        bulk.put_many(batch)
-        assert list(bulk) == list(reference)
+            if rng.random() < 0.2:
+                reference.delete(key)
+                batch.delete(key)
+            else:
+                value = f"v{rng.randrange(1000)}".encode()
+                reference.put(key, value)
+                batch.put(key, value)
+        bulk.write(batch)
+        assert list(bulk.scan_all()) == list(reference.scan_all())
         assert len(bulk) == len(reference)
-        assert bulk.approximate_bytes == reference.approximate_bytes
-        for key, _value in batch:
+        assert bulk.approximate_bytes() == reference.approximate_bytes()
+        for key, _value in batch.items():
             assert bulk.get(key) == reference.get(key)
 
     def test_put_many_duplicate_keys_last_wins(self):
-        table = MemTable(seed=1)
-        table.put_many([(b"a", b"1"), (b"a", b"2"), (b"a", b"3")])
-        assert table.get(b"a") == (True, b"3")
-        assert len(table) == 1
+        store = KVStore()
+        batch = WriteBatch()
+        for value in (b"1", b"2", b"3"):
+            batch.put(b"a", value)
+        store.write(batch)
+        assert store.get(b"a") == b"3"
+        assert len(store) == 1
