@@ -1,8 +1,8 @@
 """Whole-engine snapshot format: the files inside a checkpoint.
 
 Memgraph persists via periodic snapshots + WAL; RocksDB persists its
-sorted tables.  This module owns the snapshot half for the embedded engine:
-:func:`save_engine` writes
+sorted tables.  This module owns the snapshot half for the embedded
+engine: :func:`save_engine` writes
 
 - ``current.bin`` — every committed vertex/edge record of the current
   store (labels, properties, adjacency, transaction-time fields);

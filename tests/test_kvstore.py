@@ -5,6 +5,8 @@ table's entry codec."""
 from __future__ import annotations
 
 import struct
+import sys
+import threading
 import zlib
 
 import pytest
@@ -445,3 +447,55 @@ class TestKVStore:
         assert list(store.scan_range(keys[500], keys[1100])) == sorted(
             (k, v) for k, v in model.items() if keys[500] <= k < keys[1100]
         )
+
+
+class TestConcurrentReaders:
+    def test_readers_see_sorted_whole_rows_while_writers_split_chunks(self):
+        """Writers fold batches and single puts (splitting chunks) while
+        readers scan: every scan is strictly ascending and returns only
+        values that were written for its keys, and no write is lost."""
+        store = KVStore()
+        writers, readers, per_writer = 3, 3, 5000
+        stop = threading.Event()
+        failures: list[str] = []
+
+        def value_of(key: bytes) -> bytes:
+            return b"v" + key
+
+        def writer(w: int) -> None:
+            for i in range(per_writer):
+                key = f"{(i * 7919 + w) % 10000:05d}-{w}".encode()
+                if i % 3:
+                    store.put(key, value_of(key))
+                else:
+                    batch = WriteBatch()
+                    batch.put(key, value_of(key))
+                    store.write(batch)
+
+        def reader() -> None:
+            while not stop.is_set():
+                for rows in (list(store.scan_all()), list(store.scan_prefix(b"0"))):
+                    keys = [key for key, _ in rows]
+                    if any(a >= b for a, b in zip(keys, keys[1:])):
+                        failures.append("scan not strictly ascending")
+                    if any(value != value_of(key) for key, value in rows):
+                        failures.append("scan returned a torn row")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(w,)) for w in range(writers)]
+            scanners = [threading.Thread(target=reader) for _ in range(readers)]
+            for thread in threads + scanners:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            stop.set()
+            for thread in scanners:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads + scanners)
+        assert failures == []
+        assert len(store._lasts) > 2  # the run split while readers ran
+        assert len(store) == writers * per_writer
