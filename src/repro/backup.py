@@ -148,6 +148,14 @@ def restore_metrics() -> dict[str, Any]:
         return dict(_RESTORE_COUNTERS)
 
 
+def metrics_sections() -> dict[str, Any]:
+    """The ``backup`` and ``restore`` sections.  They count this
+    process's work, which no engine owns, so the exporters that serve
+    an operator register them: the server's provider and
+    ``aeong metrics``."""
+    return {"backup": backup_metrics(), "restore": restore_metrics()}
+
+
 # -- manifest ---------------------------------------------------------------
 
 
@@ -764,5 +772,6 @@ __all__ = [
     "write_manifest",
     "backup_metrics",
     "restore_metrics",
+    "metrics_sections",
     "reset_metrics",
 ]

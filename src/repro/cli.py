@@ -38,6 +38,7 @@ from typing import Any, Iterable, Optional, TextIO
 
 from repro.core.engine import AeonG
 from repro.errors import ReproError
+from repro.integrity import Scrubber
 
 PROMPT = "aeong> "
 
@@ -256,8 +257,7 @@ def _verify_main(argv: list[str]) -> int:
         print(f"error: cannot open {options.path}: {exc}", file=sys.stderr)
         return 2
     try:
-        engine.scrubber.auto_repair = options.repair
-        report = engine.scrub_full()
+        report = Scrubber(engine, auto_repair=options.repair).scrub_full()
         if options.repair:
             engine.checkpoint()
         if options.as_json:
@@ -331,7 +331,7 @@ def _verify_backup(options) -> int:
         restore_backup(options.path, target)
         engine = AeonG.open(target)
         try:
-            report = engine.scrub_full()
+            report = Scrubber(engine).scrub_full()
             summary = report.as_dict()
         finally:
             engine.close()
@@ -511,6 +511,9 @@ def _metrics_main(argv: list[str]) -> int:
         print(f"error: cannot open {options.path}: {exc}", file=sys.stderr)
         return 2
     try:
+        from repro.backup import metrics_sections
+
+        engine.observability.registry.register_provider(metrics_sections)
         if options.as_json:
             snapshot = engine.observability.registry.as_dict()
             print(json.dumps(snapshot, indent=2, default=str))

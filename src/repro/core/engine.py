@@ -45,6 +45,8 @@ from repro.core.temporal import (
     check_valid_time_value,
     valid_time_of,
 )
+from repro.core.write_path import GroupCommitWriter
+from repro.core.write_path import metrics as write_path_metrics
 from repro.errors import (
     ConstraintViolation,
     DegradedModeError,
@@ -56,7 +58,6 @@ from repro.errors import (
 )
 from repro.graph.storage import GraphStorage
 from repro.graph.views import EdgeView, VertexView
-from repro.integrity import IntegrityReport, Scrubber
 from repro.kvstore import KVStore
 from repro.mvcc.gc import GarbageCollector
 from repro.mvcc.transaction import Transaction
@@ -162,17 +163,11 @@ class AeonG:
         self.operators = TemporalOperators(self.storage, self.history)
         #: statement text -> plan (see :meth:`compile`)
         self.plans = PlanCache()
-        self.scrubber = Scrubber(
-            self.history,
-            storage=self.storage,
-            anchor_interval=anchor_interval,
-        )
         self._wire_components()
         self._gc_interval = gc_interval_transactions
-        #: The one background thread: watchdog, GC epochs, scrub passes.
-        self.maintenance = Maintenance(
-            self.sweep_expired, self.collect_garbage, self.scrub
-        )
+        #: The one background thread: watchdog, GC epochs, and the
+        #: tasks satellites add (an attached scrubber's passes).
+        self.maintenance = Maintenance(self.sweep_expired, self.collect_garbage)
         self._closed = False
         # Serializes the closed-state transition against transaction
         # starts and the commit+WAL critical section, so a shutdown
@@ -185,16 +180,18 @@ class AeonG:
         self._durability_dir = None
         #: RecoveryReport from :meth:`open`, None for a fresh engine.
         self.last_recovery = None
-        #: Replication role/epoch/fence/peer state (every engine has
-        #: one; a standalone node is a primary with no replicas).
-        self.replication = ReplicationState(replication)
-        self.replication.engine = self
         #: Highest commit timestamp known to have been truncated out of
         #: the WAL — a replica fetching at or below this must resync.
         self._wal_truncation_fence = 0
-        # Every metrics() section flows through the registry, so the
-        # Prometheus/JSON exporters cover the whole engine.
-        self.observability.registry.register_provider(self.metrics)
+        # metrics() is the registry's sections: the core's first, then
+        # those each satellite registers when it attaches.
+        self.observability.registry.register_provider(
+            lambda: _core_sections(self)
+        )
+        #: Replication role/epoch/fence/peer state (every engine has
+        #: one; a standalone node is a primary with no replicas).
+        self.replication = ReplicationState(replication)
+        self.replication.attach(self)
         if durability_dir is not None:
             from repro.core.durability import EngineWal
 
@@ -480,44 +477,11 @@ class AeonG:
         if self.maintenance.unschedule(self.maintenance.gc) and not self._closed:
             self.gc.collect()
 
-    # -- integrity scrubbing ------------------------------------------------
-
-    def scrub(self, budget: Optional[int] = None) -> IntegrityReport:
-        """One incremental integrity pass over the history store.
-
-        Checks up to ``budget`` objects (freshly migrated ones first,
-        then resuming a round-robin cursor), repairing and quarantining
-        as needed; see :mod:`repro.integrity` and
-        ``metrics()["integrity"]``.
-        """
-        return self.scrubber.scrub(budget)
-
-    def scrub_full(self) -> IntegrityReport:
-        """Verify (and repair) every object in the history store."""
-        return self.scrubber.scrub_full()
-
-    def start_background_scrub(
-        self,
-        interval_seconds: float = 0.1,
-        budget: Optional[int] = None,
-        max_backoff_seconds: float = 2.0,
-    ) -> None:
-        """Run a budgeted scrub pass every ``interval_seconds`` on the
-        maintenance thread, backing off like :meth:`start_background_gc`."""
-        m = self.maintenance
-        m.schedule(m.scrub, interval_seconds, max_backoff_seconds, budget)
-
-    def stop_background_scrub(self) -> None:
-        """Stop the periodic scrub passes (no final pass — scrub state
-        is resumable, the next pass picks up where this left off)."""
-        self.maintenance.unschedule(self.maintenance.scrub)
-
     def _wire_components(self) -> None:
         """Wire the storage components to this engine's services and
         build their collector (at construction and after a resync)."""
-        self.history.resilience = self.scrubber.resilience = self.resilience
+        self.history.resilience = self.resilience
         self.history.tracer = self.history.kv.tracer = self.observability.tracer
-        self.migrator.on_migrated = self.scrubber.note_migrated
         self.gc = GarbageCollector(
             self.manager,
             migrate_hook=self._migrate_guarded if self.temporal else None,
@@ -818,118 +782,13 @@ class AeonG:
         }
 
     def metrics(self) -> dict[str, Any]:
-        """Operational counters across every component (monitoring).
-
-        Safe to call at any time, even on a closed engine or racing
-        :meth:`close`.  It first waits out the GC epochs requested
-        before the call (at most two), so the counters cover every
-        commit acknowledged before it.
-        """
-        from repro import backup as backup_module
-
-        maintenance = self.maintenance
-        maintenance.settle()
-        gc_task, scrub_task = maintenance.gc, maintenance.scrub
-        kv_stats = self.history.kv.stats
-        writer = self._wal_writer
-        wal = writer.wal if writer is not None else None
-        if writer is not None:
-            write_path = writer.metrics()
-        else:
-            write_path = {
-                "enabled": False,
-                "commits_submitted": 0,
-                "batches_written": 0,
-                "records_written": 0,
-                "max_batch": 0,
-                "avg_batch": 0.0,
-                "queue_depth": 0,
-                "queue_limit": 0,
-                "backpressure_waits": 0,
-                "batch_errors": 0,
-            }
-        records = wal.records_appended if wal is not None else 0
-        fsyncs = wal.fsyncs if wal is not None else 0
-        write_path.update(
-            {
-                "frames_appended": (
-                    wal.frames_appended if wal is not None else 0
-                ),
-                "fsyncs": fsyncs,
-                "fsyncs_per_commit": (
-                    round(fsyncs / records, 4) if records else 0.0
-                ),
-            }
-        )
-        return {
-            "transactions": {
-                "active": self.manager.active_count,
-                "pending_gc": len(self.manager.committed_pending_gc),
-                "next_timestamp": self.manager.oracle.peek(),
-            },
-            "gc": {
-                "runs": self.gc.runs,
-                "deltas_reclaimed": self.gc.deltas_reclaimed,
-                "epochs_paused": self.gc.epochs_paused,
-                "background_running": gc_task.interval is not None
-                and maintenance.alive,
-                "background_errors": gc_task.errors,
-                "background_last_error": gc_task.last_error,
-                "deferred_errors": gc_task.request_errors,
-            },
-            "maintenance": {"backlog_waits": maintenance.backlog_waits},
-            "migration": {
-                "epochs": self.migrator.migrations,
-                "failed_epochs": self.migrator.failed_epochs,
-                "transactions_migrated": self.migrator.transactions_migrated,
-                "records_written": self.history.records_written,
-                "anchors_written": self.history.anchors_written,
-            },
-            "resilience": self.resilience.metrics(),
-            "integrity": {
-                **self.scrubber.metrics(),
-                "background_running": scrub_task.interval is not None
-                and maintenance.alive,
-                "background_errors": scrub_task.errors,
-                "background_last_error": scrub_task.last_error,
-            },
-            "history_kv": {
-                "puts": kv_stats.puts,
-                "gets": kv_stats.gets,
-                "seeks": kv_stats.seeks,
-                "range_scans": kv_stats.range_scans,
-                "flushes": kv_stats.flushes,
-                "compactions": kv_stats.compactions,
-                "batch_writes": kv_stats.batch_writes,
-                "bytes": self.history.storage_bytes(),
-            },
-            "read_path": self.history.read_path_metrics(),
-            "operators": self.operators.stats.as_dict(),
-            "query": self.plans.metrics(),
-            "observability": self.observability.self_metrics(),
-            "current_store": {
-                "vertices": self.storage.vertex_count(),
-                "edges": self.storage.edge_count(),
-                "bytes": self.storage.approximate_bytes(),
-            },
-            "wal": {
-                "enabled": wal is not None,
-                "records": (wal.records_appended if wal is not None else 0),
-                "durability_mode": self.durability_mode,
-            },
-            "write_path": write_path,
-            "replication": self.replication.metrics(),
-            "backup": backup_module.backup_metrics(),
-            "restore": backup_module.restore_metrics(),
-            "resync": self.replication.resync_metrics(
-                self.observability.registry
-            ),
-            "recovery": (
-                self.last_recovery.as_dict()
-                if self.last_recovery is not None
-                else None
-            ),
-        }
+        """Every section registered on the metrics registry: the core's
+        (:func:`_core_sections`), then those satellites add when they
+        attach (``replication``/``resync``, a scrubber's ``integrity``,
+        a server's ``server``/``backup``/``restore``).  Safe at any
+        time, even racing :meth:`close`; it first waits out the GC
+        epochs requested before the call (at most two)."""
+        return self.observability.registry.sections()
 
     # -- query language -----------------------------------------------------------
 
@@ -997,8 +856,6 @@ class AeonG:
         self._wal_writer = self._writer_for(wal)
 
     def _writer_for(self, wal):
-        from repro.core.write_path import GroupCommitWriter
-
         return GroupCommitWriter(
             wal,
             replication=self.replication,
@@ -1074,13 +931,14 @@ class AeonG:
         ``donor`` is a freshly opened engine (typically
         :meth:`AeonG.open` over a just-restored snapshot) that is
         *consumed*: its storage, transaction manager, history store,
-        migrator, operators, scrubber, and WAL now belong to this
-        engine, and the donor shell is marked closed so a stray
-        ``close()`` on it cannot close the adopted components.  The
-        adopting engine keeps its own identity — resilience controller,
-        observability registry, replication state (role/epoch/peers),
-        maintenance thread — so the serving layer's references and the
-        registered metrics provider stay valid across the swap.
+        migrator, operators, and WAL now belong to this engine, and the
+        donor shell is marked closed so a stray ``close()`` on it
+        cannot close the adopted components.  The adopting engine keeps
+        its own identity — resilience controller, observability
+        registry, replication state (role/epoch/peers), maintenance
+        thread, the migrator's ``on_migrated`` hook — so the serving
+        layer's references, registered metrics providers and attached
+        satellites (a scrubber) stay valid across the swap.
 
         Callers must have detached/discarded this engine's previous
         WAL (see :meth:`detach_wal`) before adopting a durable donor.
@@ -1091,13 +949,13 @@ class AeonG:
             if self._closed:
                 raise StorageError("engine is closed")
             old_writer = self._wal_writer
+            donor.migrator.on_migrated = self.migrator.on_migrated
             self.storage = donor.storage
             self.manager = donor.manager
             self.history = donor.history
             self.anchor_policy = donor.anchor_policy
             self.migrator = donor.migrator
             self.operators = donor.operators
-            self.scrubber = donor.scrubber
             # Cached plans were keyed by the old storage's index epoch.
             self.plans.clear()
             self._wire_components()
@@ -1315,3 +1173,27 @@ class AeonG:
             history_records=self.history.records_written,
             anchors=self.history.anchors_written,
         )
+
+
+def _core_sections(engine: AeonG) -> dict[str, Any]:
+    """The metrics sections of the core components, each built by the
+    component that owns it, after the requested GC epochs settle."""
+    maintenance = engine.maintenance
+    maintenance.settle()
+    history = engine.history
+    recovery = engine.last_recovery
+    return {
+        "transactions": engine.manager.metrics(),
+        "gc": {**engine.gc.metrics(), **maintenance.task_metrics(maintenance.gc)},
+        "maintenance": {"backlog_waits": maintenance.backlog_waits},
+        "migration": engine.migrator.metrics(),
+        "resilience": engine.resilience.metrics(),
+        "history_kv": history.kv_metrics(),
+        "read_path": history.read_path_metrics(),
+        "operators": engine.operators.stats.as_dict(),
+        "query": engine.plans.metrics(),
+        "observability": engine.observability.self_metrics(),
+        "current_store": engine.storage.metrics(),
+        **write_path_metrics(engine._wal_writer, engine.durability_mode),
+        "recovery": recovery.as_dict() if recovery is not None else None,
+    }

@@ -16,6 +16,7 @@ import bisect
 import threading
 from collections import OrderedDict
 from contextlib import nullcontext
+from dataclasses import asdict
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -28,7 +29,6 @@ from repro.core.deltas import (
     decode_record_payload,
     encode_record_payload,
 )
-from repro.integrity import QuarantineSet
 from repro.core.reconstruct import (
     apply_content_record,
     apply_topology_record,
@@ -138,6 +138,63 @@ class ReadMetrics:
 
     def as_dict(self) -> dict[str, int]:
         return {slot: getattr(self, slot) for slot in self.__slots__}
+
+
+class QuarantineSet:
+    """Transaction-time ranges whose reconstructions are untrusted.
+
+    Keyed by ``(object_kind, gid)``; each entry holds one or more
+    ``(tt_start, tt_end)`` ranges.  ``fetch_many`` refuses (or
+    degrades) any temporal read whose condition overlaps a quarantined
+    range, because reconstruction replays *through* damaged records:
+    a corrupt delta at ``(s, e)`` taints every version older than
+    ``e``, so the blast radius of most findings is ``(0, e)``.
+    """
+
+    def __init__(self) -> None:
+        self._ranges: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        self._lock = threading.Lock()
+
+    def add(self, object_kind: str, gid: int, tt_start: int, tt_end: int) -> None:
+        with self._lock:
+            ranges = self._ranges.setdefault((object_kind, gid), [])
+            if (tt_start, tt_end) not in ranges:
+                ranges.append((tt_start, tt_end))
+
+    def blocks(self, object_kind: str, gid: int, t1: int, t2: int) -> bool:
+        """Whether a read over ``[t1, t2]`` touches a quarantined range.
+
+        A version with interval inside a quarantined ``(qs, qe)`` can
+        only be surfaced when the condition admits versions ending at
+        or before ``qe`` — i.e. when ``t1 < qe`` — and beginning at or
+        after ``qs`` — i.e. when ``t2 >= qs``.
+        """
+        # Unlocked fast path: a racing add() that has not landed yet is
+        # indistinguishable from this read landing just before it.
+        if not self._ranges:
+            return False
+        with self._lock:
+            ranges = self._ranges.get((object_kind, gid))
+            if not ranges:
+                return False
+            return any(t1 < qe and t2 >= qs for qs, qe in ranges)
+
+    def ranges(self, object_kind: str, gid: int) -> list[tuple[int, int]]:
+        with self._lock:
+            return list(self._ranges.get((object_kind, gid), ()))
+
+    def clear_object(self, object_kind: str, gid: int) -> None:
+        with self._lock:
+            self._ranges.pop((object_kind, gid), None)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._ranges.clear()
+
+    def count(self) -> int:
+        """Number of objects with at least one quarantined range."""
+        with self._lock:
+            return len(self._ranges)
 
 
 def _merge_mentions(payload: dict, labels: set, values: dict) -> None:
@@ -1053,12 +1110,21 @@ class HistoricalStore:
     # -- accounting --------------------------------------------------------------
 
     def read_path_metrics(self) -> dict[str, int]:
-        """Read-path counters plus cache occupancy (monitoring)."""
+        """The ``read_path`` section: read counters, cache occupancy,
+        the checksum tally and the quarantine size (monitoring)."""
         report = self.read_metrics.as_dict()
         report["epoch"] = self._epoch
         report["cache_entries"] = len(self._cache)
         report["cache_capacity"] = self.reconstruction_cache_size
+        report["checksums_verified"] = self.checksums_verified
+        report["legacy_records"] = self.legacy_records
+        report["quarantined_objects"] = self.quarantine.count()
         return report
+
+    def kv_metrics(self) -> dict[str, int]:
+        """The ``history_kv`` section: the KV store's operation counters
+        and the history store's physical footprint."""
+        return {**asdict(self.kv.stats), "bytes": self.storage_bytes()}
 
     def storage_bytes(self) -> int:
         """Physical footprint of the history store."""

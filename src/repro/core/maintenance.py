@@ -1,10 +1,10 @@
 """One maintenance thread runs ``Migrate()`` "periodically ...
 asynchronously to user transactions", and the engine's other
 background work: a lazily started daemon (``aeong-maintenance``) runs
-the watchdog, GC epochs and scrub passes, each when requested (commit
-asks for an epoch every ``gc_interval`` commits) or periodic and due;
-overdue periodic tasks go first, so GC requests cannot starve the
-rest.  A failed periodic run retries with doubling delay, capped.  A
+the watchdog, GC epochs and any task a satellite adds (the integrity
+scrubber's passes), each when requested (commit asks for an epoch
+every ``gc_interval`` commits) or periodic and due; overdue periodic
+tasks go first, so GC requests cannot starve the rest.  A failed periodic run retries with doubling delay, capped.  A
 request waits only while the one before it is unfinished: at most two
 intervals of commits wait unmigrated.  The thread exits when idle."""
 
@@ -34,21 +34,41 @@ class Task:
 
 
 class Maintenance:
-    """Owns the maintenance thread and its three tasks."""
+    """Owns the maintenance thread and its tasks: the watchdog and GC
+    epochs, then those added with :meth:`add`, in that priority."""
 
-    def __init__(self, watchdog, gc, scrub) -> None:
-        self.watchdog, self.gc, self.scrub = Task(watchdog), Task(gc), Task(scrub)
-        self._tasks = (self.watchdog, self.gc, self.scrub)
+    def __init__(self, watchdog, gc) -> None:
+        self._tasks: dict[str, Task] = {}
         self._cond = threading.Condition()
         self._thread: Optional[threading.Thread] = None
         self._running: Optional[Task] = None
         self._stopped = False
         #: requests that waited for the previous requested run
         self.backlog_waits = 0
+        self.watchdog = self.add("watchdog", watchdog)
+        self.gc = self.add("gc", gc)
 
     @property
     def alive(self) -> bool:
         return self._thread is not None
+
+    def add(self, name: str, work: Callable[..., Any]) -> Task:
+        """A new task running ``work``, after every task added before
+        it; one task per ``name`` (:class:`ValueError` otherwise)."""
+        with self._cond:
+            if name in self._tasks:
+                raise ValueError(f"maintenance task {name!r} already exists")
+            task = self._tasks[name] = Task(work)
+        return task
+
+    def task_metrics(self, task: Task) -> dict[str, Any]:
+        """``task``'s background state, for its owner's metrics section."""
+        return {
+            "background_running": task.interval is not None and self.alive,
+            "background_errors": task.errors,
+            "background_last_error": task.last_error,
+            "deferred_errors": task.request_errors,
+        }
 
     def schedule(self, task: Task, interval: float, max_backoff=None, *args) -> None:
         """Run ``task(*args)`` every ``interval`` seconds from now on
@@ -89,7 +109,7 @@ class Maintenance:
     def settle(self) -> None:
         """Wait until every run requested before this call has finished."""
         with self._cond:
-            owed = [(t, t.requested) for t in self._tasks]
+            owed = [(t, t.requested) for t in self._tasks.values()]
             self._wait_while(lambda: any(t.completed < n for t, n in owed))
 
     def stop(self) -> None:
@@ -128,9 +148,10 @@ class Maintenance:
                 with self._cond:
                     while True:
                         now = time.monotonic()
-                        ready = [t for t in self._tasks if t.interval and now >= t.next_at]
-                        ready += [t for t in self._tasks if t.requested > t.completed]
-                        periodic = [t.next_at for t in self._tasks if t.interval]
+                        tasks = self._tasks.values()
+                        ready = [t for t in tasks if t.interval and now >= t.next_at]
+                        ready += [t for t in tasks if t.requested > t.completed]
+                        periodic = [t.next_at for t in tasks if t.interval]
                         if self._stopped or ready or not periodic:
                             break
                         self._cond.wait(min(periodic) - now)

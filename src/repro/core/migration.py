@@ -47,8 +47,9 @@ class Migrator:
         #: transactions were requeued by the GC; nothing was lost)
         self.failed_epochs = 0
         #: callback ``(object_kind, gid)`` invoked once per object
-        #: touched by a successfully installed epoch — the scrubber
-        #: hooks this to prioritize freshly written records
+        #: touched by a successfully installed epoch; None unless a
+        #: satellite hooks it (an attached scrubber does, to check
+        #: freshly written records first)
         self.on_migrated = None
         #: newest migrated *content* version-end per object.  An
         #: anchor's interval is its content validity: it starts where
@@ -121,6 +122,16 @@ class Migrator:
             for object_kind, gid in sorted(content_end_before):
                 self.on_migrated(object_kind, gid)
         return staged
+
+    def metrics(self) -> dict[str, int]:
+        """The ``migration`` metrics section."""
+        return {
+            "epochs": self.migrations,
+            "failed_epochs": self.failed_epochs,
+            "transactions_migrated": self.transactions_migrated,
+            "records_written": self.history.records_written,
+            "anchors_written": self.history.anchors_written,
+        }
 
     def _encode_epoch(
         self, ordered: list[Transaction]

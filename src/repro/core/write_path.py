@@ -42,7 +42,37 @@ import contextvars
 import threading
 from typing import Optional
 
-__all__ = ["CommitTicket", "GroupCommitWriter"]
+__all__ = ["CommitTicket", "GroupCommitWriter", "metrics"]
+
+#: The writer's counters in the ``write_path`` metrics section.
+_COUNTERS = (
+    "commits_submitted", "batches_written", "records_written", "max_batch",
+    "queue_depth", "queue_limit", "backpressure_waits", "batch_errors",
+)
+
+
+def metrics(writer: Optional["GroupCommitWriter"], durability_mode: str) -> dict:
+    """The ``write_path`` and ``wal`` metrics sections of an engine whose
+    commits go through ``writer``; with none (no WAL) every count is 0."""
+    wal = getattr(writer, "wal", None)
+    section = {"enabled": writer is not None}
+    section.update((name, getattr(writer, name, 0)) for name in _COUNTERS)
+    batches, records = section["batches_written"], section["records_written"]
+    appended, fsyncs = (getattr(wal, n, 0) for n in ("records_appended", "fsyncs"))
+    section.update(
+        avg_batch=round(records / batches, 3) if batches else 0.0,
+        frames_appended=getattr(wal, "frames_appended", 0),
+        fsyncs=fsyncs,
+        fsyncs_per_commit=round(fsyncs / appended, 4) if appended else 0.0,
+    )
+    return {
+        "wal": {
+            "enabled": wal is not None,
+            "records": appended,
+            "durability_mode": durability_mode,
+        },
+        "write_path": section,
+    }
 
 
 class CommitTicket:
@@ -203,23 +233,6 @@ class GroupCommitWriter:
     @property
     def queue_depth(self) -> int:
         return len(self._pending)
-
-    def metrics(self) -> dict:
-        batches = self.batches_written
-        return {
-            "enabled": True,
-            "commits_submitted": self.commits_submitted,
-            "batches_written": batches,
-            "records_written": self.records_written,
-            "max_batch": self.max_batch,
-            "avg_batch": (
-                round(self.records_written / batches, 3) if batches else 0.0
-            ),
-            "queue_depth": self.queue_depth,
-            "queue_limit": self.queue_limit,
-            "backpressure_waits": self.backpressure_waits,
-            "batch_errors": self.batch_errors,
-        }
 
     # -- the leader --------------------------------------------------------
 

@@ -465,6 +465,14 @@ class GraphStorage:
     def edge_count(self) -> int:
         return len(self._edges)
 
+    def metrics(self) -> dict[str, int]:
+        """The ``current_store`` metrics section."""
+        return {
+            "vertices": self.vertex_count(),
+            "edges": self.edge_count(),
+            "bytes": self.approximate_bytes(),
+        }
+
     def approximate_bytes(self) -> int:
         """Wire-size model of the whole current store (records only;
         undo deltas are transient and excluded, as in the paper where

@@ -4,6 +4,12 @@ Documented in ``docs/API.md`` ("Integrity") — scrub scheduling,
 quarantine semantics, the ``aeong verify`` subcommand, and the
 ``metrics()["integrity"]`` counters live there.
 
+The scrubber is a satellite of the engine, not a part of it: an engine
+has none until ``Scrubber(engine)`` attaches one, which hooks the
+migrator's ``on_migrated``, adds its task to the engine's maintenance
+thread and registers its metrics section.  The engine never imports
+this module.
+
 The history store is append-mostly and immutable by design, which makes
 it verifiable: every record carries a payload checksum (see
 :mod:`repro.core.deltas`), and the temporal layout obeys invariants
@@ -33,10 +39,11 @@ truncated below the damage, which is exactly the shape of a retention
 prune and therefore leaves a consistent (if shorter) history.
 
 Damage that has been found but not yet repaired is *quarantined*: the
-affected transaction-time range of the object is registered in a
-:class:`QuarantineSet` that ``fetch_many`` consults, so a temporal
-read can never silently return a version reconstructed through a bad
-record.  Reads over a quarantined range raise
+affected transaction-time range of the object is registered in the
+history store's :class:`~repro.core.history_store.QuarantineSet`
+(read-path state, so it lives in the core), which ``fetch_many``
+consults, so a temporal read can never silently return a version
+reconstructed through a bad record.  Reads over a quarantined range raise
 :class:`~repro.errors.IntegrityError` (feeding the history circuit
 breaker) or degrade to current-only results, per the engine's
 ``degraded_reads`` policy.
@@ -57,6 +64,7 @@ from repro.core.deltas import (
     decode_record_payload,
     encode_record_payload,
 )
+from repro.core.history_store import QuarantineSet
 from repro.core.reconstruct import (
     anchor_payload_from_view,
     apply_content_record,
@@ -167,70 +175,6 @@ class IntegrityReport:
         }
 
 
-class QuarantineSet:
-    """Transaction-time ranges whose reconstructions are untrusted.
-
-    Keyed by ``(object_kind, gid)``; each entry holds one or more
-    ``(tt_start, tt_end)`` ranges.  ``fetch_many`` refuses (or
-    degrades) any temporal read whose condition overlaps a quarantined
-    range, because reconstruction replays *through* damaged records:
-    a corrupt delta at ``(s, e)`` taints every version older than
-    ``e``, so the blast radius of most findings is ``(0, e)``.
-    """
-
-    def __init__(self) -> None:
-        self._ranges: dict[tuple[str, int], list[tuple[int, int]]] = {}
-        self._lock = threading.Lock()
-
-    def add(self, object_kind: str, gid: int, tt_start: int, tt_end: int) -> None:
-        with self._lock:
-            ranges = self._ranges.setdefault((object_kind, gid), [])
-            if (tt_start, tt_end) not in ranges:
-                ranges.append((tt_start, tt_end))
-
-    def blocks(self, object_kind: str, gid: int, t1: int, t2: int) -> bool:
-        """Whether a read over ``[t1, t2]`` touches a quarantined range.
-
-        A version with interval inside a quarantined ``(qs, qe)`` can
-        only be surfaced when the condition admits versions ending at
-        or before ``qe`` — i.e. when ``t1 < qe`` — and beginning at or
-        after ``qs`` — i.e. when ``t2 >= qs``.
-        """
-        # Unlocked fast path: a racing add() that has not landed yet is
-        # indistinguishable from this read landing just before it.
-        if not self._ranges:
-            return False
-        with self._lock:
-            ranges = self._ranges.get((object_kind, gid))
-            if not ranges:
-                return False
-            return any(t1 < qe and t2 >= qs for qs, qe in ranges)
-
-    def ranges(self, object_kind: str, gid: int) -> list[tuple[int, int]]:
-        with self._lock:
-            return list(self._ranges.get((object_kind, gid), ()))
-
-    def clear_object(self, object_kind: str, gid: int) -> None:
-        with self._lock:
-            self._ranges.pop((object_kind, gid), None)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._ranges.clear()
-
-    def count(self) -> int:
-        """Number of objects with at least one quarantined range."""
-        with self._lock:
-            return len(self._ranges)
-
-    def as_dict(self) -> dict[str, list[tuple[int, int]]]:
-        with self._lock:
-            return {
-                f"{kind}:{gid}": list(ranges)
-                for (kind, gid), ranges in self._ranges.items()
-            }
-
-
 @dataclass
 class _Rec:
     """One raw history record as seen by the scrubber.
@@ -285,60 +229,91 @@ def backward_content_diff(newer, older) -> dict[str, Any]:
     return payload
 
 
+#: :class:`IntegrityReport` fields the scrubber sums over its passes
+_SUMMED = (
+    "gids_checked", "records_checked", "repairs_applied", "repairs_failed",
+    "records_dropped", "anchors_inserted",
+)
+#: the ``integrity`` section's lifetime totals
+_TOTALS = (
+    "passes", "full_passes", "findings", "errors", "warnings",
+    "checksum_failures",
+) + _SUMMED
+
+
+def _check_budget(budget: int) -> int:
+    if budget < 1:
+        raise ValueError(f"scrub budget must be >= 1, got {budget}")
+    return budget
+
+
 class Scrubber:
     """Budgeted, resumable verifier and self-healer for the history store.
 
-    One instance per engine.  ``scrub()`` checks up to ``budget``
-    objects per call — dirty objects (freshly migrated, reported via
-    :meth:`note_migrated`) first, then a round-robin cursor over every
-    known object, resuming where the previous pass stopped.
-    ``scrub_full()`` ignores the budget and checks everything (the
-    offline ``aeong verify`` path).
+    ``Scrubber(engine)`` attaches to an engine, at most one per engine
+    (:class:`ValueError` otherwise): it hooks the migrator's
+    ``on_migrated``, adds the ``scrub`` maintenance task and registers
+    the ``integrity`` metrics section.  It reads the engine's history
+    store, current store and anchor interval when it runs, so it keeps
+    working after the engine adopts a resync snapshot.
+
+    ``scrub()`` checks up to ``budget`` objects per call — dirty
+    objects (freshly migrated, reported via :meth:`note_migrated`)
+    first, then a round-robin cursor over every known object, resuming
+    where the previous pass stopped.  ``scrub_full()`` ignores the
+    budget and checks everything (the offline ``aeong verify`` path).
+    :meth:`start_background` runs budgeted passes on the engine's
+    maintenance thread.
 
     With ``auto_repair`` enabled (the default online), error findings
     are quarantined, repaired, and re-verified in one pass; quarantine
     is lifted only when the re-verification comes back clean.
     """
 
-    def __init__(
-        self,
-        history,
-        storage=None,
-        anchor_interval: Optional[int] = None,
-        resilience=None,
-        auto_repair: bool = True,
-        budget: int = 64,
-    ) -> None:
-        self.history = history
-        self.storage = storage
-        self.anchor_interval = anchor_interval
-        self.resilience = resilience
+    def __init__(self, engine, auto_repair: bool = True, budget: int = 64) -> None:
+        self.engine = engine
         self.auto_repair = auto_repair
-        self.budget = budget
-        # lifetime totals (scrub passes accumulate into these)
-        self.passes = 0
-        self.full_passes = 0
-        self.gids_checked = 0
-        self.records_checked = 0
-        self.findings_total = 0
-        self.errors_total = 0
-        self.warnings_total = 0
-        self.checksum_failures = 0
-        self.repairs_applied = 0
-        self.repairs_failed = 0
-        self.records_dropped = 0
-        self.anchors_inserted = 0
+        self.budget = _check_budget(budget)
+        #: lifetime totals, the ``integrity`` section's counters
+        self.totals = dict.fromkeys(_TOTALS, 0)
         self.cycles = {"vertex": 0, "edge": 0}
         self._cursor: dict[str, int] = {"vertex": -1, "edge": -1}
         self._dirty: dict[tuple[str, int], None] = {}
         self._lock = threading.Lock()  # dirty set + cursor
         self._scrub_lock = threading.Lock()  # serializes passes
+        self._task = engine.maintenance.add("scrub", self.scrub)
+        engine.migrator.on_migrated = self.note_migrated
+        engine.observability.registry.register_provider(
+            lambda: {"integrity": self.metrics()}
+        )
+
+    @property
+    def history(self):
+        return self.engine.history
 
     @property
     def _kv(self):
         return self.history.kv
 
     # -- pass scheduling -------------------------------------------------
+
+    def start_background(
+        self,
+        interval_seconds: float = 0.1,
+        budget: Optional[int] = None,
+        max_backoff_seconds: float = 2.0,
+    ) -> None:
+        """Run a :meth:`scrub` pass every ``interval_seconds`` on the
+        engine's maintenance thread; a failed pass is recorded and
+        retried with doubling delay, capped at ``max_backoff_seconds``."""
+        self.engine.maintenance.schedule(
+            self._task, interval_seconds, max_backoff_seconds, budget
+        )
+
+    def stop_background(self) -> None:
+        """Stop the periodic passes (no final pass — scrub state is
+        resumable, the next pass picks up where this one left off)."""
+        self.engine.maintenance.unschedule(self._task)
 
     def note_migrated(self, object_kind: str, gid: int) -> None:
         """Mark an object freshly touched by ``Migrate()`` for priority
@@ -371,13 +346,14 @@ class Scrubber:
         return targets
 
     def scrub(self, budget: Optional[int] = None) -> IntegrityReport:
-        """One incremental pass over at most ``budget`` objects."""
+        """One incremental pass over at most ``budget`` objects
+        (``None``: the scrubber's own budget)."""
+        budget = self.budget if budget is None else _check_budget(budget)
         with self._scrub_lock:
             report = IntegrityReport()
-            for object_kind, gid in self._next_targets(budget or self.budget):
+            for object_kind, gid in self._next_targets(budget):
                 self._scrub_object(object_kind, gid, report)
-            self.passes += 1
-            self._absorb(report)
+            self._absorb(report, "passes")
             return report
 
     def scrub_full(self) -> IntegrityReport:
@@ -389,45 +365,31 @@ class Scrubber:
             for kind in ("vertex", "edge"):
                 for gid in self.history.sorted_known_gids(kind):
                     self._scrub_object(kind, gid, report)
-            self.full_passes += 1
-            self._absorb(report)
+            self._absorb(report, "full_passes")
             return report
 
-    def _absorb(self, report: IntegrityReport) -> None:
-        self.gids_checked += report.gids_checked
-        self.records_checked += report.records_checked
-        self.findings_total += len(report.findings)
-        self.errors_total += len(report.errors())
-        self.warnings_total += len(report.warnings())
-        self.checksum_failures += sum(
-            1 for f in report.findings if f.code == "checksum-mismatch"
+    def _absorb(self, report: IntegrityReport, pass_kind: str) -> None:
+        totals = self.totals
+        totals[pass_kind] += 1
+        totals["findings"] += len(report.findings)
+        totals["errors"] += len(report.errors())
+        totals["warnings"] += len(report.warnings())
+        totals["checksum_failures"] += sum(
+            f.code == "checksum-mismatch" for f in report.findings
         )
-        self.repairs_applied += report.repairs_applied
-        self.repairs_failed += report.repairs_failed
-        self.records_dropped += report.records_dropped
-        self.anchors_inserted += report.anchors_inserted
+        for name in _SUMMED:
+            totals[name] += getattr(report, name)
 
     def metrics(self) -> dict[str, Any]:
+        """The ``integrity`` metrics section (history-owned counters —
+        checksums, quarantine — are in ``read_path``)."""
         with self._lock:
             dirty_pending = len(self._dirty)
         return {
-            "passes": self.passes,
-            "full_passes": self.full_passes,
-            "gids_checked": self.gids_checked,
-            "records_checked": self.records_checked,
-            "findings": self.findings_total,
-            "errors": self.errors_total,
-            "warnings": self.warnings_total,
-            "checksum_failures": self.checksum_failures,
-            "repairs_applied": self.repairs_applied,
-            "repairs_failed": self.repairs_failed,
-            "records_dropped": self.records_dropped,
-            "anchors_inserted": self.anchors_inserted,
-            "quarantined_objects": self.history.quarantine.count(),
+            **self.totals,
             "dirty_pending": dirty_pending,
-            "checksums_verified": self.history.checksums_verified,
-            "legacy_records": self.history.legacy_records,
             "cycles": dict(self.cycles),
+            **self.engine.maintenance.task_metrics(self._task),
         }
 
     # -- one object: verify, quarantine, repair, re-verify ----------------
@@ -500,11 +462,9 @@ class Scrubber:
         )
 
     def _current_record(self, object_kind: str, gid: int):
-        if self.storage is None:
-            return None
         if object_kind == "vertex":
-            return self.storage.vertex_record(gid)
-        return self.storage.edge_record(gid)
+            return self.engine.storage.vertex_record(gid)
+        return self.engine.storage.edge_record(gid)
 
     def _load_stream(
         self,
@@ -646,7 +606,7 @@ class Scrubber:
                 continue
             if anchor.payload is not None:
                 clean_anchors.append(anchor)
-        if self.anchor_interval:
+        if self.engine.anchor_policy.interval:
             self._check_spacing(
                 content, anchors, object_kind, gid, segment, findings
             )
@@ -779,7 +739,7 @@ class Scrubber:
         exceed ``u``.  A violation is a warning — reads stay correct,
         only slower — and is healed by inserting synthetic anchors.
         """
-        interval = self.anchor_interval
+        interval = self.engine.anchor_policy.interval
         marks = sorted({a.s for a in anchors if a.s < a.e})
         run = 0
         index = 0
@@ -1206,7 +1166,7 @@ class Scrubber:
         delta's interval is recomputed by replay and written as a
         regular anchor — indistinguishable from one Algorithm 1 staged.
         """
-        interval = self.anchor_interval
+        interval = self.engine.anchor_policy.interval
         if not interval:
             return 0
         segment = self._content_segment(object_kind)

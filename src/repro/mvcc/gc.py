@@ -94,6 +94,14 @@ class GarbageCollector:
             self.deltas_reclaimed += reclaimed
             return reclaimed
 
+    def metrics(self) -> dict[str, int]:
+        """The collector's half of the ``gc`` metrics section."""
+        return {
+            "runs": self.runs,
+            "deltas_reclaimed": self.deltas_reclaimed,
+            "epochs_paused": self.epochs_paused,
+        }
+
     def _unlink(self, transactions: list[Transaction], watermark: int) -> int:
         reclaimed = 0
         touched: dict[int, Any] = {}

@@ -173,6 +173,14 @@ class TransactionManager:
         with self._lock:
             return len(self._active)
 
+    def metrics(self) -> dict[str, int]:
+        """The ``transactions`` metrics section."""
+        return {
+            "active": self.active_count,
+            "pending_gc": len(self.committed_pending_gc),
+            "next_timestamp": self.oracle.peek(),
+        }
+
     def active_transactions(self) -> list[Transaction]:
         """A snapshot of the currently active transactions."""
         with self._lock:

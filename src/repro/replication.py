@@ -257,8 +257,8 @@ class ReplicationState:
         )
         #: Replica: the primary's watermark as of the last fetch.
         self.primary_watermark = 0
-        #: Engine back-reference (set by the engine) for WAL fallback
-        #: scans and watermark reads.
+        #: Engine back-reference (set by :meth:`attach`) for WAL
+        #: fallback scans and watermark reads.
         self.engine = None
         self.counters = {
             "records_shipped": 0,
@@ -291,6 +291,18 @@ class ReplicationState:
         #: Serializes snapshot preparation on the primary (concurrent
         #: ``repl_snapshot`` manifest requests share one archive).
         self.snapshot_lock = threading.Lock()
+
+    def attach(self, engine) -> None:
+        """Bind to ``engine`` and register this state's ``replication``
+        and ``resync`` metrics sections on its registry."""
+        self.engine = engine
+        registry = engine.observability.registry
+        registry.register_provider(
+            lambda: {
+                "replication": self.metrics(),
+                "resync": self.resync_metrics(registry),
+            }
+        )
 
     # -- role ----------------------------------------------------------
 
@@ -488,7 +500,7 @@ class ReplicationState:
 
     # -- metrics -------------------------------------------------------
 
-    def resync_metrics(self, registry=None) -> dict[str, Any]:
+    def resync_metrics(self, registry) -> dict[str, Any]:
         """The ``resync`` metrics section: snapshot-bootstrap counters
         plus the resync duration histogram from ``registry``."""
         with self._lock:
@@ -497,10 +509,7 @@ class ReplicationState:
                 for key, value in self.counters.items()
                 if key.startswith(("resync", "snapshot"))
             }
-        if registry is not None:
-            out["duration_seconds"] = registry.histogram(
-                "resync.seconds"
-            ).summary()
+        out["duration_seconds"] = registry.histogram("resync.seconds").summary()
         return out
 
     def metrics(self) -> dict[str, Any]:

@@ -47,6 +47,7 @@ from typing import Any, Optional
 
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.backup import metrics_sections as backup_metrics_sections
 from repro.errors import (
     DegradedModeError,
     NotPrimaryError,
@@ -231,7 +232,9 @@ class AeonGServer:
         }
         #: Last run time per statement text, sized like the plan cache.
         self._lengths = _StatementLengths(engine.plans.SIZE)
-        engine.observability.registry.register_provider(self._provide_metrics)
+        engine.observability.registry.register_provider(
+            lambda: {"server": self.metrics(), **backup_metrics_sections()}
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -287,9 +290,6 @@ class AeonGServer:
     def metrics(self) -> dict[str, Any]:
         """The server's own operational counters."""
         return dict(self.counters, draining=self._draining)
-
-    def _provide_metrics(self) -> dict[str, Any]:
-        return {"server": self.metrics()}
 
     async def _handle_metrics_http(self, reader, writer) -> None:
         """Minimal HTTP/1.1 handler for Prometheus scrapes.
@@ -597,12 +597,9 @@ class AeonGServer:
         if op == "ready":
             return self._ready(request_id)
         if op == "metrics":
-            # registry.sections() merges every provider: the engine's
-            # full metrics() plus this server's own "server" section.
-            snapshot = await self._run(
-                "server.metrics",
-                self.engine.observability.registry.sections,
-            )
+            # engine.metrics() merges every provider: the engine's own
+            # sections plus this server's "server", "backup", "restore".
+            snapshot = await self._run("server.metrics", self.engine.metrics)
             self.counters["requests_served"] += 1
             return {"ok": True, "id": request_id, "metrics": snapshot}
         if op == "goodbye":

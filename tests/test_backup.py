@@ -35,6 +35,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.faults import FAILPOINTS
+from repro.integrity import Scrubber
 from repro.replication import (
     SITE_SNAPSHOT_READ,
     SITE_SNAPSHOT_WRITE,
@@ -160,7 +161,7 @@ class TestArchive:
             restore_backup(tmp_path / f"arch{n}", tmp_path / f"r{n}")
             restored = AeonG.open(tmp_path / f"r{n}")
             try:
-                assert restored.scrub_full().ok
+                assert Scrubber(restored).scrub_full().ok
                 assert len(
                     restored.execute("MATCH (n:Item) RETURN n")
                 ) == 5
@@ -860,11 +861,18 @@ class TestMetrics:
             create_backup(tmp_path / "src", tmp_path / "arch")
             restore_backup(tmp_path / "arch", tmp_path / "restored")
             sections = db.metrics()
+            # backup and restore count process-wide work no engine owns:
+            # only an exporter that registers them (server, CLI) has them
+            assert "backup" not in sections and "restore" not in sections
+            assert "resyncs_started" in sections["resync"]
+            assert "duration_seconds" in sections["resync"]
+            db.observability.registry.register_provider(
+                backup_module.metrics_sections
+            )
+            sections = db.metrics()
             assert sections["backup"]["backups_completed"] == 1
             assert sections["backup"]["snapshot_age_seconds"] is not None
             assert sections["restore"]["restores_completed"] == 1
-            assert "resyncs_started" in sections["resync"]
-            assert "duration_seconds" in sections["resync"]
             text = db.metrics_text()
             assert "aeong_backup_backups_completed" in text
             assert "aeong_restore_restores_completed" in text

@@ -23,6 +23,7 @@ import pytest
 from repro import AeonG, TemporalCondition
 from repro.errors import FaultInjected
 from repro.faults import FAILPOINTS, SimulatedCrash
+from repro.integrity import Scrubber
 from repro.kvstore import KVStore
 from repro.kvstore.sstable import decode_table, encode_table
 # Importing the protocol module registers the server.conn.* socket
@@ -515,9 +516,10 @@ class TestErrorOnlySites:
         finally:
             db.abort(txn)
             FAILPOINTS.clear()
-        report = db.scrub_full()
+        scrubber = Scrubber(db)
+        report = scrubber.scrub_full()
         assert report.repairs_applied >= 1
-        assert db.scrub_full().ok
+        assert scrubber.scrub_full().ok
         assert db.history.quarantine.count() == 0
         with db.transaction() as txn:
             assert list(db.vertex_versions(txn, gid, cond))

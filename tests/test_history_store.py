@@ -16,6 +16,7 @@ from repro.core.deltas import (
 )
 from repro.errors import CorruptionError
 from repro.graph import GraphStorage
+from repro.integrity import Scrubber
 from repro.mvcc.transaction import Transaction
 
 
@@ -253,14 +254,16 @@ class TestAnchorIntervalBoundaries:
         db = self._engine()
         gid, stamps = self._grow(db, updates=self.U)
         self._assert_exact_roundtrip(db, gid, stamps)
-        assert db.scrub_full().ok
+        scrubber = Scrubber(db)
+        assert scrubber.scrub_full().ok
 
     def test_u_plus_one_deltas_cross_the_anchor(self):
         db = self._engine()
         gid, stamps = self._grow(db, updates=self.U + 1)
         assert self._anchor_count(db, gid) >= 1
         self._assert_exact_roundtrip(db, gid, stamps)
-        report = db.scrub_full()
+        scrubber = Scrubber(db)
+        report = scrubber.scrub_full()
         assert report.ok and not report.warnings()
 
     def test_multiple_of_u_boundary(self):
@@ -268,7 +271,8 @@ class TestAnchorIntervalBoundaries:
         gid, stamps = self._grow(db, updates=3 * self.U)
         assert self._anchor_count(db, gid) >= 2
         self._assert_exact_roundtrip(db, gid, stamps)
-        report = db.scrub_full()
+        scrubber = Scrubber(db)
+        report = scrubber.scrub_full()
         assert report.ok and not report.warnings()
 
     def test_fully_reclaimed_object_reads_from_anchor(self):
@@ -283,4 +287,5 @@ class TestAnchorIntervalBoundaries:
         assert db.storage.vertex_record(gid) is None
         assert self._anchor_count(db, gid) >= 1
         self._assert_exact_roundtrip(db, gid, stamps)
-        assert db.scrub_full().ok
+        scrubber = Scrubber(db)
+        assert scrubber.scrub_full().ok

@@ -40,6 +40,12 @@ def _clean_registry():
     FAILPOINTS.clear()
 
 
+@pytest.fixture
+def scrubber(db):
+    """The scrubber attached to ``db``."""
+    return Scrubber(db)
+
+
 def _build_versioned_vertex(db, updates=12):
     """One vertex with ``updates`` property versions, fully migrated."""
     with db.transaction() as txn:
@@ -134,9 +140,9 @@ class TestQuarantineSet:
 
 
 class TestCleanScrub:
-    def test_clean_store_verifies(self, db):
+    def test_clean_store_verifies(self, db, scrubber):
         gid = _build_versioned_vertex(db)
-        report = db.scrub_full()
+        report = scrubber.scrub_full()
         assert report.ok
         assert report.findings == []
         assert report.gids_checked >= 1
@@ -146,7 +152,7 @@ class TestCleanScrub:
         assert db.history.quarantine.count() == 0
         assert len(_all_versions(db, gid)) == 12
 
-    def test_edges_are_scrubbed_too(self, db):
+    def test_edges_are_scrubbed_too(self, db, scrubber):
         with db.transaction() as txn:
             a = db.create_vertex(txn)
             b = db.create_vertex(txn)
@@ -155,11 +161,11 @@ class TestCleanScrub:
             with db.transaction() as txn:
                 db.set_edge_property(txn, e, "w", i)
         db.collect_garbage()
-        report = db.scrub_full()
+        report = scrubber.scrub_full()
         assert report.ok
         assert e in db.history.known_gids("edge")
 
-    def test_legacy_records_pass_with_counter(self, db):
+    def test_legacy_records_pass_with_counter(self, db, scrubber):
         """Values written before the envelope existed still verify."""
         from repro.common.serde import encode_value
 
@@ -170,7 +176,7 @@ class TestCleanScrub:
         batch.put(key, encode_value(payload))  # strip the envelope
         db.history.kv.write(batch)
         db.history.invalidate_caches()
-        report = db.scrub_full()
+        report = scrubber.scrub_full()
         assert report.ok
         assert report.legacy_records >= 1
         # the read path counts legacy decodes as well
@@ -180,26 +186,26 @@ class TestCleanScrub:
 
 
 class TestDetectionAndQuarantine:
-    def test_checksum_mismatch_detected_and_quarantined(self, db):
+    def test_checksum_mismatch_detected_and_quarantined(self, db, scrubber):
         gid = _build_versioned_vertex(db)
         deltas = _content_deltas(db, gid)
         key, value = deltas[len(deltas) // 2]
         damaged_end = hk.decode_key(key).tt_end
         _corrupt_value(db, key, value)
-        db.scrubber.auto_repair = False
-        report = db.scrub_full()
+        scrubber.auto_repair = False
+        report = scrubber.scrub_full()
         assert not report.ok
         codes = [f.code for f in report.errors()]
         assert codes == ["checksum-mismatch"]
         assert db.history.quarantine.blocks("vertex", gid, 0, db.now())
         assert db.history.quarantine.ranges("vertex", gid) == [(0, damaged_end)]
 
-    def test_quarantined_read_raises_and_feeds_breaker(self, db):
+    def test_quarantined_read_raises_and_feeds_breaker(self, db, scrubber):
         gid = _build_versioned_vertex(db)
         key, value = _content_deltas(db, gid)[2]
         _corrupt_value(db, key, value)
-        db.scrubber.auto_repair = False
-        db.scrub_full()
+        scrubber.auto_repair = False
+        scrubber.scrub_full()
         with pytest.raises(IntegrityError):
             _all_versions(db, gid)
         assert db.metrics()["resilience"]["quarantined_reads"] == 1
@@ -214,8 +220,7 @@ class TestDetectionAndQuarantine:
         gid = _build_versioned_vertex(db)
         key, value = _content_deltas(db, gid)[2]
         _corrupt_value(db, key, value)
-        db.scrubber.auto_repair = False
-        db.scrub_full()
+        Scrubber(db, auto_repair=False).scrub_full()
         versions = _all_versions(db, gid)  # no raise: current-only
         assert versions  # the unreclaimed chain still serves
         full = 12
@@ -223,13 +228,13 @@ class TestDetectionAndQuarantine:
         assert db.metrics()["resilience"]["quarantined_reads"] == 1
         db.close()
 
-    def test_reads_newer_than_quarantine_still_work(self, db):
+    def test_reads_newer_than_quarantine_still_work(self, db, scrubber):
         gid = _build_versioned_vertex(db)
         key, value = _content_deltas(db, gid)[0]  # oldest record
         damaged_end = hk.decode_key(key).tt_end
         _corrupt_value(db, key, value)
-        db.scrubber.auto_repair = False
-        db.scrub_full()
+        scrubber.auto_repair = False
+        scrubber.scrub_full()
         with db.transaction() as txn:
             versions = list(
                 db.vertex_versions(
@@ -238,18 +243,18 @@ class TestDetectionAndQuarantine:
             )
         assert versions  # condition starts past the blast radius
 
-    def test_tt_gap_detected(self, db):
+    def test_tt_gap_detected(self, db, scrubber):
         gid = _build_versioned_vertex(db)
         deltas = _content_deltas(db, gid)
         batch = WriteBatch()
         batch.delete(deltas[len(deltas) // 2][0])  # hole mid-chain
         db.history.kv.write(batch)
         db.history.invalidate_caches()
-        db.scrubber.auto_repair = False
-        report = db.scrub_full()
+        scrubber.auto_repair = False
+        report = scrubber.scrub_full()
         assert "tt-gap" in [f.code for f in report.errors()]
 
-    def test_current_overlap_detected(self, db):
+    def test_current_overlap_detected(self, db, scrubber):
         gid = _build_versioned_vertex(db)
         # forge a content delta claiming time the current store owns
         batch = WriteBatch()
@@ -259,11 +264,11 @@ class TestDetectionAndQuarantine:
         batch.put(bogus_key, encode_record_payload({"p": {"n": -1}}))
         db.history.kv.write(batch)
         db.history.invalidate_caches()
-        db.scrubber.auto_repair = False
-        report = db.scrub_full()
+        scrubber.auto_repair = False
+        report = scrubber.scrub_full()
         assert "current-overlap" in [f.code for f in report.errors()]
 
-    def test_anchor_orphaned_detected(self, db):
+    def test_anchor_orphaned_detected(self, db, scrubber):
         gid = _build_versioned_vertex(db)
         last = hk.decode_key(_content_deltas(db, gid)[-1][0])
         batch = WriteBatch()
@@ -274,11 +279,11 @@ class TestDetectionAndQuarantine:
         batch.put(orphan, encode_record_payload({"l": [], "p": {}}))
         db.history.kv.write(batch)
         db.history.invalidate_caches()
-        db.scrubber.auto_repair = False
-        report = db.scrub_full()
+        scrubber.auto_repair = False
+        report = scrubber.scrub_full()
         assert "anchor-orphaned" in [f.code for f in report.errors()]
 
-    def test_anchor_replay_mismatch_detected(self, db):
+    def test_anchor_replay_mismatch_detected(self, db, scrubber):
         """A wrong-but-well-checksummed anchor is caught by replay."""
         gid = _build_versioned_vertex(db)
         key, _value = _anchors(db, gid)[0]
@@ -286,13 +291,13 @@ class TestDetectionAndQuarantine:
         batch.put(key, encode_record_payload({"l": ["P"], "p": {"n": 999}}))
         db.history.kv.write(batch)
         db.history.invalidate_caches()
-        db.scrubber.auto_repair = False
-        report = db.scrub_full()
+        scrubber.auto_repair = False
+        report = scrubber.scrub_full()
         assert "anchor-replay-mismatch" in [f.code for f in report.errors()]
 
 
 class TestRepair:
-    def test_delta_rewrite_from_companion_anchor(self, db):
+    def test_delta_rewrite_from_companion_anchor(self, db, scrubber):
         """A corrupt delta sharing an anchor's interval is rebuilt in
         place — no history is lost."""
         gid = _build_versioned_vertex(db)
@@ -303,16 +308,16 @@ class TestRepair:
         )
         value = dict(_content_deltas(db, gid))[key]
         _corrupt_value(db, key, value)
-        report = db.scrub_full()
+        report = scrubber.scrub_full()
         repaired = [f for f in report.errors() if f.code == "checksum-mismatch"]
         assert repaired and "rewritten" in repaired[0].repair
-        assert db.scrub_full().ok
+        assert scrubber.scrub_full().ok
         assert db.history.quarantine.count() == 0
         assert [v.properties["n"] for v in _all_versions(db, gid)] == list(
             range(11, -1, -1)
         )
 
-    def test_truncation_when_rewrite_impossible(self, db):
+    def test_truncation_when_rewrite_impossible(self, db, scrubber):
         """A corrupt delta with no companion anchor truncates the chain
         below the damage — prune-shaped, so the survivors verify."""
         gid = _build_versioned_vertex(db)
@@ -323,36 +328,36 @@ class TestRepair:
             if hk.decode_key(k).tt_end not in anchor_ends
         )
         _corrupt_value(db, key, value)
-        report = db.scrub_full()
+        report = scrubber.scrub_full()
         assert report.records_dropped > 0
-        assert db.scrub_full().ok
+        assert scrubber.scrub_full().ok
         assert db.history.quarantine.count() == 0
         versions = _all_versions(db, gid)
         assert versions  # newer history still reconstructs
 
-    def test_corrupt_anchor_dropped_reads_survive(self, db):
+    def test_corrupt_anchor_dropped_reads_survive(self, db, scrubber):
         gid = _build_versioned_vertex(db)
         key, value = _anchors(db, gid)[0]
         _corrupt_value(db, key, value)
-        report = db.scrub_full()
+        report = scrubber.scrub_full()
         assert any(
             f.code == "checksum-mismatch" and f.kind == "A" and f.repair
             for f in report.errors()
         )
-        assert db.scrub_full().ok
+        assert scrubber.scrub_full().ok
         # anchors are an optimization: every version still reconstructs
         assert [v.properties["n"] for v in _all_versions(db, gid)] == list(
             range(11, -1, -1)
         )
 
-    def test_wrong_anchor_reanchored_from_replay(self, db):
+    def test_wrong_anchor_reanchored_from_replay(self, db, scrubber):
         gid = _build_versioned_vertex(db)
         key, good_value = _anchors(db, gid)[0]
         batch = WriteBatch()
         batch.put(key, encode_record_payload({"l": ["P"], "p": {"n": 999}}))
         db.history.kv.write(batch)
         db.history.invalidate_caches()
-        report = db.scrub_full()
+        report = scrubber.scrub_full()
         fixed = [
             f for f in report.errors() if f.code == "anchor-replay-mismatch"
         ]
@@ -361,9 +366,9 @@ class TestRepair:
         assert decode_record_payload(restored)[0] == decode_record_payload(
             good_value
         )[0]
-        assert db.scrub_full().ok
+        assert scrubber.scrub_full().ok
 
-    def test_orphaned_anchor_dropped(self, db):
+    def test_orphaned_anchor_dropped(self, db, scrubber):
         gid = _build_versioned_vertex(db)
         last = hk.decode_key(_content_deltas(db, gid)[-1][0])
         orphan = hk.encode_key(
@@ -374,12 +379,12 @@ class TestRepair:
         batch.put(orphan, encode_record_payload({"l": [], "p": {}}))
         db.history.kv.write(batch)
         db.history.invalidate_caches()
-        report = db.scrub_full()
+        report = scrubber.scrub_full()
         assert any(f.code == "anchor-orphaned" and f.repair for f in report.errors())
         assert orphan not in dict(_anchors(db, gid))
-        assert db.scrub_full().ok
+        assert scrubber.scrub_full().ok
 
-    def test_current_overlap_repaired(self, db):
+    def test_current_overlap_repaired(self, db, scrubber):
         gid = _build_versioned_vertex(db)
         bogus = hk.encode_key(
             hk.SEGMENT_VERTEX, hk.KIND_DELTA, gid, db.now() + 5, db.now() + 9
@@ -388,22 +393,22 @@ class TestRepair:
         batch.put(bogus, encode_record_payload({"p": {"n": -1}}))
         db.history.kv.write(batch)
         db.history.invalidate_caches()
-        report = db.scrub_full()
+        report = scrubber.scrub_full()
         assert any(f.code == "current-overlap" and f.repair for f in report.errors())
-        assert db.scrub_full().ok
+        assert scrubber.scrub_full().ok
         assert [v.properties["n"] for v in _all_versions(db, gid)] == list(
             range(11, -1, -1)
         )
 
-    def test_failed_repair_keeps_quarantine(self, db, monkeypatch):
+    def test_failed_repair_keeps_quarantine(self, db, scrubber, monkeypatch):
         gid = _build_versioned_vertex(db)
         key, value = _content_deltas(db, gid)[2]
         _corrupt_value(db, key, value)
         # sabotage every repair primitive: nothing changes on disk
         monkeypatch.setattr(
-            db.scrubber, "_repair_object", lambda *a, **k: None
+            scrubber, "_repair_object", lambda *a, **k: None
         )
-        report = db.scrub_full()
+        report = scrubber.scrub_full()
         assert report.repairs_failed == 1
         assert db.history.quarantine.blocks("vertex", gid, 0, db.now())
         with pytest.raises(IntegrityError):
@@ -411,42 +416,42 @@ class TestRepair:
 
 
 class TestScheduling:
-    def test_budget_and_cursor_cover_everything(self, db):
+    def test_budget_and_cursor_cover_everything(self, db, scrubber):
         gids = [_build_versioned_vertex(db, updates=3) for _ in range(6)]
-        db.scrubber.note_migrated("vertex", gids[0])  # pretend all clean
-        with db.scrubber._lock:
-            db.scrubber._dirty.clear()
+        scrubber.note_migrated("vertex", gids[0])  # pretend all clean
+        with scrubber._lock:
+            scrubber._dirty.clear()
         seen: set[int] = set()
         for _ in range(10):
-            report = db.scrub(budget=2)
+            report = scrubber.scrub(budget=2)
             assert report.gids_checked <= 2
-            if db.scrubber.cycles["vertex"] >= 1:
+            if scrubber.cycles["vertex"] >= 1:
                 break
-        assert db.scrubber.cycles["vertex"] >= 1
-        assert db.scrubber.gids_checked >= len(gids)
+        assert scrubber.cycles["vertex"] >= 1
+        assert scrubber.totals["gids_checked"] >= len(gids)
 
-    def test_migration_feeds_dirty_queue(self, db):
+    def test_migration_feeds_dirty_queue(self, db, scrubber):
         _build_versioned_vertex(db)
         metrics = db.metrics()["integrity"]
         assert metrics["dirty_pending"] >= 1
-        db.scrub(budget=100)
+        scrubber.scrub(budget=100)
         assert db.metrics()["integrity"]["dirty_pending"] == 0
 
-    def test_dirty_objects_scrubbed_first(self, db):
+    def test_dirty_objects_scrubbed_first(self, db, scrubber):
         gids = [_build_versioned_vertex(db, updates=3) for _ in range(4)]
-        with db.scrubber._lock:
-            db.scrubber._dirty.clear()
-        db.scrubber.note_migrated("vertex", gids[-1])
-        report = db.scrub(budget=1)
+        with scrubber._lock:
+            scrubber._dirty.clear()
+        scrubber.note_migrated("vertex", gids[-1])
+        report = scrubber.scrub(budget=1)
         assert report.gids_checked == 1
         # the dirty one was taken before the cursor's lowest gid
-        assert db.scrubber._cursor["vertex"] == -1
+        assert scrubber._cursor["vertex"] == -1
 
-    def test_background_scrub_thread(self, db):
+    def test_background_scrub_thread(self, db, scrubber):
         gid = _build_versioned_vertex(db)
         key, value = _content_deltas(db, gid)[2]
         _corrupt_value(db, key, value)
-        db.start_background_scrub(interval_seconds=0.01, budget=50)
+        scrubber.start_background(interval_seconds=0.01, budget=50)
         import time
 
         deadline = time.time() + 5.0
@@ -454,14 +459,14 @@ class TestScheduling:
             if db.metrics()["integrity"]["repairs_applied"] >= 1:
                 break
             time.sleep(0.01)
-        db.stop_background_scrub()
+        scrubber.stop_background()
         assert db.metrics()["integrity"]["repairs_applied"] >= 1
-        assert db.scrub_full().ok
+        assert scrubber.scrub_full().ok
         db.close()  # idempotent with the stopped thread
 
-    def test_metrics_shape(self, db):
+    def test_metrics_shape(self, db, scrubber):
         _build_versioned_vertex(db)
-        db.scrub_full()
+        scrubber.scrub_full()
         metrics = db.metrics()["integrity"]
         for key in (
             "passes",
@@ -476,29 +481,113 @@ class TestScheduling:
             "repairs_failed",
             "records_dropped",
             "anchors_inserted",
-            "quarantined_objects",
             "dirty_pending",
-            "checksums_verified",
-            "legacy_records",
             "background_running",
         ):
             assert key in metrics, key
+        # the history store owns these, scrubber attached or not
+        read_path = db.metrics()["read_path"]
+        for key in ("quarantined_objects", "checksums_verified", "legacy_records"):
+            assert key in read_path, key
+
+
+class TestAttach:
+    """The scrubber is a satellite: an engine has none until one
+    attaches, and an attached one follows the engine's components."""
+
+    def test_engine_without_scrubber_keeps_no_scrub_state(self, db):
+        _build_versioned_vertex(db)
+        assert db.migrator.on_migrated is None
+        assert not hasattr(db, "scrubber")
+        assert "integrity" not in db.metrics()
+        assert "aeong_integrity_" not in db.metrics_text()
+
+    def test_attach_hooks_migration_metrics_and_maintenance(self, db):
+        scrubber = Scrubber(db)
+        assert db.migrator.on_migrated == scrubber.note_migrated
+        _build_versioned_vertex(db)
+        assert db.metrics()["integrity"]["dirty_pending"] == 1
+        assert "aeong_integrity_dirty_pending 1.0" in db.metrics_text()
+        scrubber.start_background(interval_seconds=60.0)
+        assert db.metrics()["integrity"]["background_running"]
+        scrubber.stop_background()
+        assert not db.metrics()["integrity"]["background_running"]
+
+    def test_one_scrubber_per_engine(self, db, scrubber):
+        with pytest.raises(ValueError):
+            Scrubber(db)
+        assert db.migrator.on_migrated == scrubber.note_migrated
+
+    def test_budget_below_one_is_rejected(self, db):
+        with pytest.raises(ValueError):
+            Scrubber(db, budget=0)
+        scrubber = Scrubber(db)  # the refused attach left nothing behind
+        for budget in (0, -1):
+            with pytest.raises(ValueError):
+                scrubber.scrub(budget)
+
+    def test_scrub_one_checks_exactly_one_object(self, db, scrubber):
+        for _ in range(3):
+            _build_versioned_vertex(db, updates=3)
+        assert scrubber.scrub(1).gids_checked == 1
+        assert scrubber.scrub(budget=1).gids_checked == 1
+
+    def test_scrub_none_uses_the_scrubbers_budget(self, db):
+        scrubber = Scrubber(db, budget=2)
+        for _ in range(4):
+            _build_versioned_vertex(db, updates=3)
+        assert scrubber.scrub().gids_checked == 2
+        assert scrubber.scrub(None).gids_checked == 2
+
+    def test_survives_snapshot_adoption(self, tmp_path):
+        """A replica resync swaps in the donor's stores: the attached
+        scrubber reads, hooks and repairs the adopted ones."""
+        source = AeonG.open(
+            tmp_path / "src", anchor_interval=4, gc_interval_transactions=0
+        )
+        gid = _build_versioned_vertex(source)
+        source.checkpoint()
+        source.close()
+        db = AeonG(anchor_interval=4, gc_interval_transactions=0)
+        scrubber = Scrubber(db)
+        db.adopt_snapshot_state(
+            AeonG.open(tmp_path / "src", anchor_interval=4, gc_interval_transactions=0)
+        )
+        try:
+            assert db.migrator.on_migrated == scrubber.note_migrated
+            key, value = _content_deltas(db, gid)[2]
+            _corrupt_value(db, key, value)
+            report = scrubber.scrub_full()
+            assert [f.code for f in report.errors()] == ["checksum-mismatch"]
+            assert report.repairs_applied >= 1 and report.repairs_failed == 0
+            assert scrubber.scrub_full().ok
+            # the damage sat below the first anchor: truncated there
+            versions = [v.properties["n"] for v in _all_versions(db, gid)]
+            assert versions == list(range(11, 1, -1))
+            with db.transaction() as txn:
+                db.set_vertex_property(txn, gid, "n", 99)
+            db.collect_garbage()
+            assert db.metrics()["integrity"]["dirty_pending"] == 1
+            assert scrubber.scrub(1).gids_checked == 1
+            assert db.metrics()["integrity"]["dirty_pending"] == 0
+        finally:
+            db.close()
 
 
 class TestSpacingRepair:
-    def test_missing_anchors_reinserted(self, db):
+    def test_missing_anchors_reinserted(self, db, scrubber):
         gid = _build_versioned_vertex(db)
         batch = WriteBatch()
         for key, _value in _anchors(db, gid):
             batch.delete(key)
         db.history.kv.write(batch)
         db.history.invalidate_caches()
-        report = db.scrub_full()
+        report = scrubber.scrub_full()
         assert any(f.code == "anchor-spacing" for f in report.warnings())
         assert report.ok  # warnings do not fail verification
         assert report.anchors_inserted >= 1
         assert _anchors(db, gid)  # synthetic anchors in place
-        follow_up = db.scrub_full()
+        follow_up = scrubber.scrub_full()
         assert follow_up.ok
         assert not follow_up.warnings()
         assert [v.properties["n"] for v in _all_versions(db, gid)] == list(
@@ -507,7 +596,7 @@ class TestSpacingRepair:
 
 
 class TestEndToEnd:
-    def test_corrupt_failpoint_detect_quarantine_repair(self, db):
+    def test_corrupt_failpoint_detect_quarantine_repair(self, db, scrubber):
         """The acceptance scenario: the ``corrupt`` failpoint flips a
         bit in a stored history delta; the next temporal read fails its
         checksum; the scrubber detects, quarantines, repairs; a full
@@ -519,27 +608,27 @@ class TestEndToEnd:
                 _all_versions(db, gid)
         assert db.metrics()["resilience"]["breaker"]["failures_total"] >= 1
         # 2. scrubber detects and quarantines
-        db.scrubber.auto_repair = False
-        report = db.scrub_full()
+        scrubber.auto_repair = False
+        report = scrubber.scrub_full()
         assert [f.code for f in report.errors()] == ["checksum-mismatch"]
         assert db.history.quarantine.blocks("vertex", gid, 0, db.now())
         with pytest.raises(IntegrityError):
             _all_versions(db, gid)
         # 3. repair pass heals and lifts the quarantine
-        db.scrubber.auto_repair = True
-        repair_report = db.scrub_full()
+        scrubber.auto_repair = True
+        repair_report = scrubber.scrub_full()
         assert repair_report.repairs_applied >= 1
         assert repair_report.repairs_failed == 0
         assert db.history.quarantine.count() == 0
         # 4. subsequent full scrub is clean and reads work again
-        clean = db.scrub_full()
+        clean = scrubber.scrub_full()
         assert clean.ok and not clean.findings
         assert _all_versions(db, gid)
         # 5. counters surfaced in metrics()["integrity"]
         metrics = db.metrics()["integrity"]
         assert metrics["checksum_failures"] >= 1
         assert metrics["repairs_applied"] >= 1
-        assert metrics["quarantined_objects"] == 0
+        assert db.metrics()["read_path"]["quarantined_objects"] == 0
 
 
 class TestOfflineVerify:

@@ -35,6 +35,7 @@ from repro import faults
 from repro.core.maintenance import THREAD_NAME, Maintenance
 from repro.core.temporal import TemporalCondition
 from repro.faults import FAILPOINTS
+from repro.integrity import Scrubber
 from repro.mvcc.gc import GarbageCollector
 from repro.resilience import ResilienceConfig
 
@@ -362,7 +363,7 @@ class TestScheduler:
             resilience=ResilienceConfig(watchdog_interval=0.01),
         )
         db.start_background_gc(interval_seconds=0.01)
-        db.start_background_scrub(interval_seconds=0.01)
+        Scrubber(db).start_background(interval_seconds=0.01)
         deadline = db.begin(timeout=30.0)
         for i in range(6):
             _commit(db, lambda txn: db.create_vertex(txn, ["T"], {"i": i}))
@@ -454,14 +455,15 @@ class TestScheduler:
             resilience=ResilienceConfig(watchdog_interval=0.002),
         )
         stop = _endless_epochs(db)
-        db.start_background_scrub(interval_seconds=0.002)
+        scrubber = Scrubber(db)
+        scrubber.start_background(interval_seconds=0.002)
         db.abort(db.begin(timeout=30.0))  # schedules the watchdog
-        m = db.maintenance
+        m, scrub = db.maintenance, scrubber._task
         _commit(db, lambda txn: db.create_vertex(txn, ["T"], {}))
-        runs = [m.gc.runs, m.scrub.runs, m.watchdog.runs]
+        runs = [m.gc.runs, scrub.runs, m.watchdog.runs]
         time.sleep(0.2)
         epochs, scrubs, sweeps = (
-            b - a for a, b in zip(runs, [m.gc.runs, m.scrub.runs, m.watchdog.runs])
+            b - a for a, b in zip(runs, [m.gc.runs, scrub.runs, m.watchdog.runs])
         )
         stop.set()
         db.close()
@@ -486,12 +488,13 @@ class TestScheduler:
 
     @pytest.mark.parametrize("late", ["request", "schedule"])
     def test_a_wakeup_racing_the_idle_exit_is_not_lost(self, late):
-        m = Maintenance(lambda: None, lambda: None, lambda: None)
+        m = Maintenance(lambda: None, lambda: None)
+        scrub = m.add("scrub", lambda: None)
         sent = threading.Event()
 
         def send():
             if late == "request":
-                m.request(m.scrub)
+                m.request(scrub)
             else:
                 m.schedule(m.watchdog, 0.01)
             sent.set()
@@ -500,13 +503,32 @@ class TestScheduler:
         # between deciding to exit and exiting.
         m._cond = _ExitGap(lambda: _join(threading.Thread(target=send)))
         m.request(m.gc)
-        task = m.scrub if late == "request" else m.watchdog
+        task = scrub if late == "request" else m.watchdog
         deadline = time.time() + 5.0
         while task.runs == 0 and time.time() < deadline:
             time.sleep(0.005)
         m.stop()
         assert sent.is_set()
         assert task.runs > 0, "the wakeup was lost"
+
+    def test_added_tasks_run_after_the_core_ones(self):
+        ran = []
+        m = Maintenance(lambda: ran.append("watchdog"), lambda: ran.append("gc"))
+        extra = m.add("extra", lambda: ran.append("extra"))
+        with pytest.raises(ValueError):
+            m.add("gc", lambda: None)
+        with m._cond:  # the thread starts, then waits for all three
+            for task in (extra, m.gc, m.watchdog):
+                m.request(task)
+        m.settle()
+        m.stop()
+        assert ran == ["watchdog", "gc", "extra"]
+        assert m.task_metrics(extra) == {
+            "background_running": False,
+            "background_errors": 0,
+            "background_last_error": None,
+            "deferred_errors": 0,
+        }
 
     def test_replica_resync_leaks_no_thread(self, tmp_path):
         from tests.test_backup import TestResyncSelfHeal

@@ -306,7 +306,10 @@ class TestEngineMetricsSurface:
         assert main(["metrics", str(tmp_path / "snap")]) == 0
         out = capsys.readouterr().out
         assert "aeong_current_store_vertices 1.0" in out
+        assert "aeong_backup_backups_completed" in out
+        assert "aeong_restore_restores_completed" in out
         assert main(["metrics", str(tmp_path / "snap"), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["sections"]["current_store"]["vertices"] == 1
+        assert "backups_completed" in payload["sections"]["backup"]
         assert main(["metrics", str(tmp_path / "missing")]) == 2

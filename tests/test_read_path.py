@@ -36,6 +36,7 @@ from repro.core.history_store import HistoricalStore
 from repro.faults import FAILPOINTS, corrupt_bytes
 from repro.graph.vertex import EdgeRef
 from repro.graph.views import VertexView, version_iterator
+from repro.integrity import Scrubber
 from repro.kvstore import KVStore, WriteBatch
 from repro.mvcc.delta import Delta, DeltaAction
 
@@ -268,14 +269,14 @@ class TestEpochInvalidation:
         with FAILPOINTS.active("history.fetch", "corrupt"):
             with pytest.raises(IntegrityError):
                 _versions(db, "vertex", gid, TemporalCondition.between(0, hi))
-        db.scrubber.auto_repair = True
-        report = db.scrub_full()
+        scrubber = Scrubber(db)
+        report = scrubber.scrub_full()
         assert report.repairs_applied >= 1 and report.repairs_failed == 0
         assert db.history.epoch > warm_epoch
         assert db.history.quarantine.count() == 0
         healed = _versions(db, "vertex", gid, TemporalCondition.between(0, hi))
         assert healed == full  # anchor replay restored the exact chain
-        assert db.scrub_full().ok
+        assert scrubber.scrub_full().ok
 
     def test_a_record_list_read_across_an_epoch_is_not_kept(self):
         db, a, _b, _e = _history_rich_db()
@@ -313,7 +314,8 @@ class TestEpochInvalidation:
         hi = db.now()
         _versions(db, "vertex", a, TemporalCondition.between(0, hi))  # warm
         before = db.history.read_path_metrics()
-        report = db.scrub_full()
+        scrubber = Scrubber(db)
+        report = scrubber.scrub_full()
         assert report.ok
         after = db.history.read_path_metrics()
         assert after["epoch"] == before["epoch"]
@@ -870,8 +872,8 @@ class TestRosterDifferential:
         with FAILPOINTS.active("history.fetch", "corrupt"):
             with pytest.raises(IntegrityError):
                 _versions(db, "vertex", a, TemporalCondition.between(0, db.now()))
-        db.scrubber.auto_repair = True
-        report = db.scrub_full()
+        scrubber = Scrubber(db)
+        report = scrubber.scrub_full()
         assert report.repairs_applied >= 1 and report.repairs_failed == 0
         tl.check()  # a scrub repair
         db.checkpoint()

@@ -6,6 +6,7 @@ import pytest
 
 from repro import AeonG, TemporalCondition
 from repro.errors import TemporalError
+from repro.integrity import Scrubber
 
 
 @pytest.fixture
@@ -156,9 +157,10 @@ class TestPruneChainSafety:
 
     def test_scrub_clean_after_prune(self, db):
         gid, stamps = _build(db)
-        assert db.scrub_full().ok  # sanity: clean before
+        scrubber = Scrubber(db)
+        assert scrubber.scrub_full().ok  # sanity: clean before
         db.prune_history(stamps[3][0])
-        report = db.scrub_full()
+        report = scrubber.scrub_full()
         assert report.ok, [f.as_dict() for f in report.errors()]
         assert db.history.quarantine.count() == 0
 
@@ -171,7 +173,8 @@ class TestPruneChainSafety:
             with db.transaction() as txn:
                 db.set_vertex_property(txn, gid, "v", value)
         db.collect_garbage()
-        report = db.scrub_full()
+        scrubber = Scrubber(db)
+        report = scrubber.scrub_full()
         assert report.ok, [f.as_dict() for f in report.errors()]
         reader = db.begin()
         try:

@@ -48,6 +48,65 @@ class TestScalars:
         assert len(encode_value(-1)) <= len(encode_value(-(2**40)))
 
 
+#: ``(value, hex)`` from the encoder as it stands: one case or more per
+#: type tag (N T F i d s b l m), with multi-byte varints, big ints past
+#: 64 bits, non-ASCII strings and nested lists and maps.  A faster
+#: encoder must produce these bytes exactly: history records, WAL
+#: frames and ``store_bytes_per_op`` are all made of them.
+GOLDEN = [
+    (None, "4e"),
+    (True, "54"),
+    (False, "46"),
+    (0, "6900"),
+    (1, "6902"),
+    (-1, "6901"),
+    (63, "697e"),
+    (-64, "697f"),
+    (64, "698001"),
+    (300, "69d804"),
+    (-301, "69d904"),
+    (2**40, "69808080808040"),
+    (-(2**40), "69ffffffffff3f"),
+    (2**64, "6980808080808080808004"),
+    (10**30, "6980808080c8faf6f48cc1e6c9e5a706"),
+    (-(10**30), "69ffffffffc7faf6f48cc1e6c9e5a706"),
+    (1.5, "643ff8000000000000"),
+    (-0.0, "648000000000000000"),
+    (1e300, "647e37e43c8800759c"),
+    ("", "7300"),
+    ("hello", "730568656c6c6f"),
+    ("héllo wörld", "730d68c3a96c6c6f2077c3b6726c64"),
+    ("日本語", "7309e697a5e69cace8aa9e"),
+    ("\U0001f642", "7304f09f9982"),
+    (b"", "6200"),
+    (b"\x00\x7f\x80\xff", "6204007f80ff"),
+    ([], "6c00"),
+    ([1, "a", None], "6c0369027301614e"),
+    ([[1, [2, [True]]], {}], "6c026c0269026c0269046c01546d00"),
+    ({}, "6d00"),
+    ({"a": 1}, "6d017301616902"),
+    (
+        {"p": {"n": [1, {"x": None}]}, "la": ["X", "Y"]},
+        "6d027301706d0173016e6c0269026d017301784e73026c616c02730158730159",
+    ),
+    ({1: "int key", None: b"\x01"}, "6d0269027307696e74206b65794e620101"),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("value,hex_", GOLDEN, ids=lambda v: repr(v)[:24])
+    def test_encoding_is_pinned(self, value, hex_):
+        assert encode_value(value).hex() == hex_
+
+    @pytest.mark.parametrize("value,hex_", GOLDEN, ids=lambda v: repr(v)[:24])
+    def test_golden_decodes_to_value(self, value, hex_):
+        decoded = decode_value(bytes.fromhex(hex_))
+        assert decoded == value and type(decoded) is type(value)
+
+    def test_tuple_shares_the_list_encoding(self):
+        assert encode_value((1, "a", None)).hex() == "6c0369027301614e"
+
+
 class TestContainers:
     def test_roundtrip_list(self):
         value = [1, "two", 3.0, None, True, [4, 5]]

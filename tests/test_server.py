@@ -155,6 +155,7 @@ class TestSessions:
             assert client.ready() is True
             metrics = client.metrics()
             assert "server" in metrics and "resilience" in metrics
+            assert "backup" in metrics and "restore" in metrics
 
     def test_autocommit_and_interactive_transaction(self, server, engine):
         _, host, port = server
