@@ -4,9 +4,10 @@ background work: a lazily started daemon (``aeong-maintenance``) runs
 the watchdog, GC epochs and any task a satellite adds (the integrity
 scrubber's passes), each when requested (commit asks for an epoch
 every ``gc_interval`` commits) or periodic and due; overdue periodic
-tasks go first, so GC requests cannot starve the rest.  A failed periodic run retries with doubling delay, capped.  A
-request waits only while the one before it is unfinished: at most two
-intervals of commits wait unmigrated.  The thread exits when idle."""
+tasks go first, so GC requests cannot starve the rest.  A failed
+periodic run retries with doubling delay, capped.  A request waits
+only while the one before it is unfinished: at most two intervals of
+commits wait unmigrated.  The thread exits when idle."""
 
 from __future__ import annotations
 
