@@ -690,7 +690,9 @@ class HistoricalStore:
                 if base is None:
                     return [], 0
             segment = _SEGMENT[object_kind]
-            records = self._collect_records(segment, gid, -1, base.tt_start, entry)
+            records = self._collect_records(
+                segment, gid, -1, base.tt_start, MAX_TIMESTAMP, entry
+            )
             versions: list[tuple[int, int, Optional[object]]] = []
             for tt_start, tt_end, seg, payload in records:
                 self.reconstructions += 1
@@ -753,7 +755,18 @@ class HistoricalStore:
         )
         if base is None:
             return
-        records = self._collect_records(segment, gid, cond.t1, base.tt_start, entry)
+        # A current-store or blank base holds the adjacency left by
+        # every migrated structural change, whatever its content start:
+        # undo each one newer than t1.  An anchor holds no adjacency,
+        # so its replay stays bounded like its content.
+        records = self._collect_records(
+            segment,
+            gid,
+            cond.t1,
+            base.tt_start,
+            base.tt_start if include_base else MAX_TIMESTAMP,
+            entry,
+        )
         if cond.is_point:
             # State-at-t semantics: undo *every* change that happened
             # after t (both the content and the topology timeline) and
@@ -961,18 +974,31 @@ class HistoricalStore:
         return None
 
     def _collect_records(
-        self, segment: bytes, gid: int, t1: int, boundary: int, entry: _Entry
+        self,
+        segment: bytes,
+        gid: int,
+        t1: int,
+        boundary: int,
+        topology_boundary: int,
+        entry: _Entry,
     ) -> list[tuple[int, int, bytes, dict]]:
-        """All delta records with ``t1 < tt_end <= boundary``, newest
-        first, merging the content and (for vertices) topology segments."""
+        """All delta records with ``t1 < tt_end``, newest first: content
+        records up to ``boundary`` and (for vertices) topology records
+        up to ``topology_boundary``."""
         collected: list[tuple[int, int, bytes, dict]] = []
         for seg in _STREAMS[segment]:
             records = self._records_for(seg, history_keys.KIND_DELTA, gid, entry)
             low = bisect.bisect_right(records, t1, key=_END)
-            for tt_start, tt_end, payload in records[low:]:
-                if tt_end > boundary:
-                    break
-                collected.append((tt_start, tt_end, seg, payload))
+            high = bisect.bisect_right(
+                records,
+                topology_boundary if seg == history_keys.SEGMENT_TOPOLOGY else boundary,
+                lo=low,
+                key=_END,
+            )
+            collected.extend(
+                (tt_start, tt_end, seg, payload)
+                for tt_start, tt_end, payload in records[low:high]
+            )
         collected.sort(key=_END, reverse=True)
         return collected
 
