@@ -29,7 +29,6 @@ from repro.graph.views import (
     EdgeView,
     VertexView,
     current_view,
-    oldest_unreclaimed_view,
     version_iterator,
 )
 from repro.mvcc.delta import DeltaAction
@@ -178,19 +177,20 @@ class TemporalOperators:
             else:
                 current = []
         else:
-            base = None
             current = []
-            for version in version_iterator(record, txn):
+            # The base comes from the same walk, so a GC epoch cutting
+            # the chain meanwhile cannot serve a version twice.
+            oldest: list = []
+            for version in version_iterator(record, txn, oldest):
                 if cond.matches(version.tt_start, version.tt_end):
                     self.stats.current_hits += 1
                     current.append(version)
                     if cond.is_point:
                         return current, None  # flag := false
+            (base,) = oldest
         # Older reclaimed versions, reconstructed from the KV store.
         if not self.history.has_history(object_kind, gid):
             return current, None
-        if base is None:
-            base = oldest_unreclaimed_view(record)
         # Reclaimed records tile the content timeline up to the base's
         # start with half-open intervals, so when the window only abuts
         # the seam (t1 == base.tt_start) nothing older can match — but

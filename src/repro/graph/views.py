@@ -317,7 +317,7 @@ def current_view(record):
     return VertexView(record) if isinstance(record, VertexRecord) else EdgeView(record)
 
 
-def version_iterator(record, txn: Transaction) -> Iterator:
+def version_iterator(record, txn: Transaction, oldest: Optional[list] = None) -> Iterator:
     """Yield every version of ``record`` in the current store, newest
     first, starting from the version visible to ``txn``.
 
@@ -326,6 +326,12 @@ def version_iterator(record, txn: Transaction) -> Iterator:
     skipped via the snapshot check, then each unreclaimed historical
     version is surfaced for the temporal check.  Versions where the
     object did not exist are not yielded.
+
+    Run to the end, the iterator appends to ``oldest`` (when given) the
+    view after every delta it applied: what :func:`oldest_unreclaimed_view`
+    returns for the chain as this walk read it.  A GC epoch may cut the
+    chain while the walk runs; a base read from the record afterwards
+    would start above versions the walk already surfaced.
     """
     view = current_view(record)
     delta = record.delta_head
@@ -354,18 +360,22 @@ def version_iterator(record, txn: Transaction) -> Iterator:
     # what the separate structural transaction-time field is for), so
     # a group is only surfaced when it touched content, and the
     # surfaced interval is the content timeline's.
+    oldest_tt = content_tt
     while delta is not None:
         commit_info = delta.commit_info
         content_tt = None
         while delta is not None and delta.commit_info is commit_info:
             view.step_back(delta)
             if not delta.is_structural:
-                content_tt = (delta.tt_start, delta.tt_end)
+                content_tt = oldest_tt = (delta.tt_start, delta.tt_end)
             delta = delta.next
         if content_tt is not None and view.exists:
             view.tt_start, view.tt_end = content_tt
             yield view
             view = view.fork()
+    if oldest is not None:
+        view.tt_start, view.tt_end = oldest_tt
+        oldest.append(view)
 
 
 def oldest_unreclaimed_view(record):

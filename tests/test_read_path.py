@@ -615,6 +615,41 @@ def _scan_matches_per_object_truth(db, txn, cond):
 
 
 class TestScanWithWriters:
+    @pytest.mark.parametrize("cache_size", [0, 4096])
+    def test_a_slice_racing_an_epoch_serves_each_version_once(
+        self, cache_size, monkeypatch
+    ):
+        """An epoch that migrates and unlinks the chain while a reader
+        walks it: the reader's base is where its own walk ended, so the
+        versions it surfaced from the chain are not fetched again."""
+        from repro.core import operators
+
+        db = AeonG(gc_interval_transactions=0, reconstruction_cache_size=cache_size)
+        with db.transaction() as txn:
+            gid = db.create_vertex(txn, ["P"], {"x": 0})
+        for x in (1, 2, 3):
+            with db.transaction() as txn:
+                db.set_vertex_property(txn, gid, "x", x)
+        db.collect_garbage()  # some history, and a chain on top of it
+        for x in (4, 5):
+            with db.transaction() as txn:
+                db.set_vertex_property(txn, gid, "x", x)
+        whole = TemporalCondition.between(0, db.now())
+        walk = operators.version_iterator
+
+        def racing(record, txn, *args):
+            versions = walk(record, txn, *args)
+            yield next(versions)
+            db.collect_garbage()
+            yield from versions
+
+        monkeypatch.setattr(operators, "version_iterator", racing)
+        raced = _versions(db, "vertex", gid, whole)
+        monkeypatch.undo()
+        assert db.migrator.migrations == 2  # the epoch ran mid-walk
+        assert raced == _versions(db, "vertex", gid, whole)
+        assert [sig[3] for sig in raced] == [(("x", x),) for x in (5, 4, 3, 2, 1, 0)]
+
     def _sweep(self, db, txn):
         hi = db.now()
         for t in range(hi + 1):
