@@ -18,7 +18,7 @@ from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import asdict
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.common.timeutil import MAX_TIMESTAMP
 from repro.core import keys as history_keys
@@ -65,6 +65,14 @@ def _base_sig(base_view) -> Optional[tuple[int, int]]:
     return None if base_view is None else (base_view.tt_start, base_view.tt_end)
 
 
+def _count_below(content: list, topology: Sequence, t: int) -> tuple[int, int]:
+    """How many content and topology records end at or before ``t``."""
+    return (
+        bisect.bisect_right(content, t, key=_END),
+        bisect.bisect_right(topology, t, key=_END),
+    )
+
+
 class _CorruptPayload:
     """Cache placeholder for a record value that failed its checksum.
 
@@ -88,22 +96,42 @@ class _CorruptPayload:
         )
 
 
+class _Built(NamedTuple):
+    """A version list and what it was built from: the base's content
+    interval, the object's ``generation`` (the delta rows published to
+    it), and how many content and topology records ended at or before
+    the base's start (the splice's proof that nothing older arrived)."""
+
+    base_sig: Optional[tuple[int, int]]
+    #: ``[(tt_start, tt_end, frozen view or None)]`` ascending by tt_end;
+    #: None where the chain failed to decode
+    versions: Optional[list]
+    #: records a full build replays: what a hit saves
+    replays: int
+    generation: int
+    below_base: tuple[int, int]
+
+
 class _Entry:
     """Everything the history cache holds about one object: its record
     lists by ``(segment, kind)``, each ``[(tt_start, tt_end, payload)]``
-    ascending by tt_end (immutable: consumers must not mutate the
-    decoded dicts); ``damaged``, set once any list was read with an
-    undecodable payload; the scan's ``mentions``; and ``built``, the
-    version list stamped ``(base_sig, versions, replays, epoch)``
-    (``versions`` is None where the chain failed to decode)."""
+    ascending by tt_end (immutable: a list grows by replacement, and
+    consumers must not mutate the decoded dicts); ``fresh``, per cached
+    list, the newest ``(tt_end, tt_start)`` published after it was read
+    (the next reader fetches only the rows after its tail); ``damaged``,
+    set once any list was read with an undecodable payload; the scan's
+    ``mentions``; ``generation``, advanced by every delta row published
+    to the object; and ``built``, its stamped version list."""
 
-    __slots__ = ("records", "damaged", "mentions", "built")
+    __slots__ = ("records", "fresh", "damaged", "mentions", "generation", "built")
 
     def __init__(self) -> None:
         self.records: dict[tuple[bytes, bytes], list] = {}
+        self.fresh: dict[tuple[bytes, bytes], tuple[int, int]] = {}
         self.damaged = False
         self.mentions: Optional[tuple[set, dict]] = None
-        self.built: Optional[tuple] = None
+        self.generation = 0
+        self.built: Optional[_Built] = None
 
 
 class ReadMetrics:
@@ -112,7 +140,10 @@ class ReadMetrics:
     ``deltas_replayed`` counts backward-record applications actually
     paid; ``reconstructions_avoided`` counts the applications a cache
     hit saved (the hit entry's build cost — what serving the same fetch
-    cold would have replayed).  ``versions_served`` counts reclaimed
+    cold would have replayed).  ``versions_extended`` counts the misses
+    served by growing the object's stale version list by the records
+    published since, instead of replaying its whole history.
+    ``versions_served`` counts reclaimed
     versions materialized for callers — the history-store side of the
     current-vs-reclaimed split whose current-store half is
     ``metrics()["operators"]["current_hits"]``.
@@ -126,6 +157,7 @@ class ReadMetrics:
         "cache_evictions",
         "anchor_seeks",
         "deltas_replayed",
+        "versions_extended",
         "reconstructions_avoided",
         "preload_batches",
         "preload_objects",
@@ -335,10 +367,12 @@ class HistoricalStore:
 
     def _publish(self, segment, kind, gid, tt_start, tt_end) -> None:
         """(Under ``_cache_lock``.)  Add one committed record to the
-        known-object set and the key index, and drop the object's cached
-        record list of that stream and, for content, its mentions (the
-        next reader rebuilds them; the epoch bump that follows makes its
-        version list stale)."""
+        known-object set and the key index, and tell the object's cache
+        entry: a row newer than its cached list's tail is noted for the
+        next reader to fetch; an older one (integrity repair, a record
+        staged out of order) drops the list and the version list.  A
+        delta row advances the entry's generation, which makes its
+        version list stale, and a content row drops its mentions."""
         object_kind = _OBJECT_KIND[segment]
         if kind == history_keys.KIND_DELTA and gid not in self._known[object_kind]:
             self._known[object_kind].add(gid)
@@ -351,8 +385,22 @@ class HistoricalStore:
                 self._sorted.pop((segment, kind), None)
             rows.append((tt_start, tt_end))
         entry = self._cache.get((object_kind, gid))
-        if entry is not None:
-            entry.records.pop((segment, kind), None)
+        if entry is None:
+            return
+        stream = (segment, kind)
+        records = entry.records.get(stream)
+        if records is not None:
+            newest = entry.fresh.get(stream)
+            if newest is None and records:
+                newest = (records[-1][1], records[-1][0])
+            if newest is None or (tt_end, tt_start) > newest:
+                entry.fresh[stream] = (tt_end, tt_start)
+            else:
+                del entry.records[stream]
+                entry.fresh.pop(stream, None)
+                entry.built = None
+        if kind == history_keys.KIND_DELTA:
+            entry.generation += 1
             if segment == history_keys.SEGMENT_VERTEX:
                 entry.mentions = None
 
@@ -367,9 +415,8 @@ class HistoricalStore:
         return cached
 
     def _bump_epoch(self) -> None:
-        """(Under ``_cache_lock``.)  Every built version list is now stale
-        by its stamp; record lists and mentions stay (publish drops the
-        ones the epoch changed)."""
+        """(Under ``_cache_lock``.)  Fills read before the bump are not
+        kept; cached lists stay (publish told the entries it changed)."""
         self._epoch += 1
         self._sorted.clear()
 
@@ -437,8 +484,10 @@ class HistoricalStore:
         """Atomically install a migration epoch (``putMultiples``).
 
         The staged rows reach the read structures here, atomically with
-        the write, and the read-cache epoch advances: cached version
-        lists and memoized scan lists rebuild on next use.
+        the write, and the read-cache epoch advances: fills read before
+        it are not kept, memoized scan lists rebuild on next use, and
+        the version lists of the objects the epoch wrote grow by its
+        records on their next read.
         """
         staged, self._staged = self._staged, []
         if batch:
@@ -514,7 +563,7 @@ class HistoricalStore:
         check = FAILPOINTS.check
         blocks = self.quarantine.blocks
         t1, t2, is_point = cond.t1, cond.t2, cond.is_point
-        built: list[tuple[_Entry, tuple]] = []
+        built: list[tuple[_Entry, _Built]] = []
         out: list[list] = []
         # Counted per object, added to the shared counters once.
         fetches = hits = misses = avoided = served = 0
@@ -541,23 +590,26 @@ class HistoricalStore:
                     out.append([])
                     continue
                 fetches += 1
-                versions = None if stamped is None else stamped[1]
+                versions = None if stamped is None else stamped.versions
                 if stamped is None and caching:
                     misses += 1
+                    generation = entry.generation
                     try:
-                        versions, replays = self._build_versions(
+                        stamped = self._build_versions(
                             object_kind, gid, base_view, entry
                         )
                     except IntegrityError:
-                        # Unbuildable this epoch: the bounded per-query
-                        # replay below may still avoid the damaged record.
-                        versions, replays = None, 0
-                    built.append(
-                        (entry, (_base_sig(base_view), versions, replays, epoch))
-                    )
+                        # Unbuildable until the object changes: the bounded
+                        # per-query replay below may still avoid the
+                        # damaged record.
+                        stamped = _Built(
+                            _base_sig(base_view), None, 0, generation, (0, 0)
+                        )
+                    versions = stamped.versions
+                    built.append((entry, stamped))
                 elif versions is not None:
                     hits += 1
-                    avoided += stamped[2]
+                    avoided += stamped.replays
                 if versions is None:
                     found = list(
                         self._fetch_versions_uncached(
@@ -588,8 +640,8 @@ class HistoricalStore:
             if built:
                 with self._cache_lock:
                     # A migration installed mid-build has bumped the epoch:
-                    # a list built from the older record set must not
-                    # replace one a reader built since.
+                    # a list built from a record set it was changing must
+                    # not be kept, nor replace one a reader built since.
                     if epoch == self._epoch:
                         for entry, stamped in built:
                             entry.built = stamped
@@ -621,11 +673,14 @@ class HistoricalStore:
     # record lists (the RocksDB block cache's role), the scan's
     # mentions, and the *complete* version list, built once from the
     # topmost base down so any later condition is a bisect, not a
-    # replay.  Publishing a record drops its stream's list; a version
-    # list is stale once the epoch or its base moves (GC reclaim
-    # advances the current-store base without a KV write).  A reader
-    # holds its entries, so a batch reads each object once even when
-    # the cache cannot keep it (capacity 0 keeps nothing).
+    # replay.  Publishing a record newer than a list's tail keeps the
+    # list: the next reader reads and decodes only the rows after the
+    # tail.  A version list is stale once its object's generation (the
+    # delta rows published to it) or its base moves; the next reader
+    # replays only the records newer than the old base and splices
+    # their versions on (see _build_versions).  A reader holds its
+    # entries, so a batch reads each object once even when the cache
+    # cannot keep it (capacity 0 keeps nothing).
 
     def _entries(self, object_kind: str, gids: Iterable[int]) -> dict[int, _Entry]:
         """Each gid's entry under one lock, created if missing and moved
@@ -654,32 +709,48 @@ class HistoricalStore:
         self, object_kind: str, requests: Sequence[tuple[int, object]]
     ) -> tuple[dict[int, _Entry], list, dict[int, _Entry], int]:
         """The requests' entries by gid; each request's stamped version
-        list if one was built at the current epoch from its base, else
-        ``None`` (a miss); the entries whose versions must be replayed
-        (misses, and objects unbuildable this epoch); and the epoch."""
+        list if one was built from the object's current records and its
+        base, else ``None`` (a miss); the entries whose versions must be
+        replayed (misses, and objects that failed to build); and the
+        epoch, read first, so a fill straddling an epoch is dropped."""
         epoch = self._epoch
         held = self._entries(object_kind, [gid for gid, _ in requests])
         cached = []
         uncached: dict[int, _Entry] = {}
         for gid, base_view in requests:
-            stamped = held[gid].built
+            entry = held[gid]
+            stamped = entry.built
             if stamped is not None and (
-                stamped[3] != epoch or stamped[0] != _base_sig(base_view)
+                stamped.generation != entry.generation
+                or stamped.base_sig != _base_sig(base_view)
             ):
                 stamped = None
-            if stamped is None or stamped[1] is None:
-                uncached[gid] = held[gid]
+            if stamped is None or stamped.versions is None:
+                uncached[gid] = entry
             cached.append(stamped)
         return held, cached, uncached, epoch
 
     def _build_versions(
         self, object_kind: str, gid: int, base_view, entry: _Entry
-    ) -> tuple[list, int]:
-        """Replay the object's whole record set once, freezing every
-        content state.  The list excludes the base itself (a
-        current-store base is surfaced by the caller's chain walk) and
-        keeps non-existence states as ``None`` placeholders so point
-        lookups can distinguish "deleted at t" from "version at t"."""
+    ) -> _Built:
+        """The object's version list: every content state, frozen.  The
+        list excludes the base itself (a current-store base is surfaced
+        by the caller's chain walk) and keeps non-existence states as
+        ``None`` placeholders so point lookups can distinguish "deleted
+        at t" from "version at t".
+
+        The entry's stale list, if built from an older current-store
+        base, is extended rather than rebuilt when the records ending
+        at or before that base are still exactly the ones it replayed:
+        only the records newer than the old base are replayed, from the
+        new base, and their versions are appended to a copy of it.  Its
+        versions stay valid because GC moves an object's oldest undo
+        deltas into the store in commit order, so the new base with the
+        new records undone is the old base.  A blank base, a list that
+        failed to build and a base that moved back rebuild from
+        scratch."""
+        generation = entry.generation
+        prior = entry.built
         tracer = self.tracer
         traced = tracer is not None and tracer.enabled
         with tracer.span("history.reconstruct") if traced else nullcontext():
@@ -688,10 +759,31 @@ class HistoricalStore:
             else:
                 base = self._blank_base(object_kind, gid)
                 if base is None:
-                    return [], 0
+                    return _Built(None, [], 0, generation, (0, 0))
             segment = _SEGMENT[object_kind]
+            content, topology = self._delta_lists(segment, gid, entry)
+            below = _count_below(content, topology, base.tt_start)
+            sig = _base_sig(base_view)
+            replays = below[0] + len(topology)
+            older: list = []
+            floor = -1
+            if (
+                prior is not None
+                and prior.versions is not None
+                and prior.base_sig is not None
+                and base_view is not None
+                and prior.base_sig[0] <= base.tt_start
+                and _count_below(content, topology, prior.base_sig[0])
+                == prior.below_base
+            ):
+                older, floor = prior.versions, prior.base_sig[0]
+                self.read_metrics.versions_extended += 1
+                if below[0] == prior.below_base[0]:
+                    # No content record since: the prior versions are
+                    # the whole list (topology resolves at serve time).
+                    return _Built(sig, older, replays, generation, below)
             records = self._collect_records(
-                segment, gid, -1, base.tt_start, MAX_TIMESTAMP, entry
+                segment, gid, floor, base.tt_start, MAX_TIMESTAMP, entry
             )
             versions: list[tuple[int, int, Optional[object]]] = []
             for tt_start, tt_end, seg, payload in records:
@@ -703,7 +795,19 @@ class HistoricalStore:
                         (tt_start, tt_end, base.fork() if base.exists else None)
                     )
         versions.reverse()  # ascending by tt_end for bisect serving
-        return versions, len(records)
+        return _Built(sig, older + versions, replays, generation, below)
+
+    def _delta_lists(
+        self, segment: bytes, gid: int, entry: _Entry
+    ) -> tuple[list, Sequence]:
+        """The object's content delta records and (for a vertex) its
+        topology ones."""
+        content = self._records_for(segment, history_keys.KIND_DELTA, gid, entry)
+        if segment != history_keys.SEGMENT_VERTEX:
+            return content, ()
+        return content, self._records_for(
+            history_keys.SEGMENT_TOPOLOGY, history_keys.KIND_DELTA, gid, entry
+        )
 
     def _serve_cached_point(
         self, entry: _Entry, segment: bytes, gid: int, versions: list, t: int
@@ -867,24 +971,43 @@ class HistoricalStore:
     ) -> list[tuple[int, int, dict]]:
         """The object's records in one stream, ascending by tt_end, from
         ``entry`` (default: the object's cache entry), read from the KV
-        store on first use."""
+        store on first use.  A cached list with rows published since is
+        grown by one range read of the rows after its tail."""
         if entry is None:
             entry = self._entries(_OBJECT_KIND[segment], (gid,))[gid]
         stream = (segment, kind)
         records = entry.records.get(stream)
+        if records is not None and stream not in entry.fresh:
+            return records
+        epoch = self._epoch
+        prefix = history_keys.object_prefix(segment, kind, gid)
         if records is None:
-            epoch = self._epoch
             index = self._gid_index
-            records = []
             # The index is authoritative about absence: skip the KV
             # seek entirely for record-less objects.
-            if index is None or gid in (index.get(stream) or ()):
-                prefix = history_keys.object_prefix(segment, kind, gid)
-                for key, value in self.kv.scan_prefix(prefix):
-                    decoded = history_keys.decode_key(key)
-                    payload = self._decode(key, value, entry)
-                    records.append((decoded.tt_start, decoded.tt_end, payload))
-            self._memo(epoch, entry.records, stream, records)
+            rows = (
+                self.kv.scan_prefix(prefix)
+                if index is None or gid in (index.get(stream) or ())
+                else ()
+            )
+            records = []
+        else:
+            start = prefix
+            if records:
+                tail_start, tail_end, _payload = records[-1]
+                start = history_keys.encode_key(
+                    segment, kind, gid, tail_start, tail_end
+                ) + b"\x00"
+            rows = self.kv.scan_range(start, prefix + b"\xff" * 17)
+            records = list(records)
+        for key, value in rows:
+            decoded = history_keys.decode_key(key)
+            payload = self._decode(key, value, entry)
+            records.append((decoded.tt_start, decoded.tt_end, payload))
+        with self._cache_lock:
+            if epoch == self._epoch:
+                entry.records[stream] = records
+                entry.fresh.pop(stream, None)
         return records
 
     def preload_objects(

@@ -5,8 +5,9 @@
   twin collected once by hand and answers alike over the full TT grid
   (every commit ts +-1 as a point, every adjacent pair as a slice,
   expand both ways); a failed epoch fails no commit, is requeued, and
-  changes no byte; readers of a two-object history cache, racing the
-  epochs, answer every settled instant as the twin does;
+  changes no byte; readers of a two-object history cache, and readers
+  extending cached version lists, racing the epochs, answer every
+  settled instant as the twin does;
 - **scheduler**: one engine thread, epochs only on it, the
   2 x ``gc_interval`` backlog bound, no writer blocked by a pinned
   watermark, ``close()`` during a slow epoch, no thread leaked by a
@@ -302,6 +303,71 @@ class TestDifferentialGuard:
             assert compared and [c for c in compared if c is not True] == []
             assert db.migrator.migrations > 2, "the scheduler ran epochs"
             assert db.history.read_metrics.cache_evictions > 0
+        finally:
+            db.close()
+            ref.close()
+
+
+    def test_readers_extending_cached_lists_racing_epochs_agree(self):
+        """Readers keep every object's version list cached while epochs
+        publish to them, so a read after an epoch extends the list by
+        what the epoch migrated, or races the next epoch: every settled
+        instant answers, point and slice, as the finished twin does,
+        and once drained the extended lists answer the whole grid
+        alike."""
+        ref, vertices, stamps = _reference()
+        db = AeonG(gc_interval_transactions=3, anchor_interval=2)
+        stop, errors, compared = threading.Event(), [], []
+
+        def settled(versions):
+            return [_vertex(v)[:2] + _vertex(v)[3:] for v in versions]
+
+        def read(engine, txn, gid, t1, t2):
+            return (
+                settled(engine.vertex_versions(txn, gid, TemporalCondition.as_of(t2))),
+                settled(
+                    engine.vertex_versions(txn, gid, TemporalCondition.between(t1, t2))
+                ),
+            )
+
+        def reader(seed):
+            rng = random.Random(seed)
+            while not stop.is_set():
+                txn = db.manager.begin_readonly()
+                ref_txn = ref.manager.begin_readonly()
+                try:
+                    t2 = rng.randint(0, max(0, txn.start_ts - 2))
+                    t1 = rng.randint(0, t2)
+                    gid = rng.choice(vertices)
+                    got = read(db, txn, gid, t1, t2)
+                    want = read(ref, ref_txn, gid, t1, t2)
+                    compared.append(got == want or (gid, t1, t2, got, want))
+                except Exception as exc:  # noqa: BLE001 — reported by the test
+                    errors.append(exc)
+                finally:
+                    db.abort(txn)
+                    ref.abort(ref_txn)
+
+        readers = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            assert _workload(db, pause=0.002) == (vertices, stamps)
+            _drain(db)
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(switch)
+        try:
+            assert not any(thread.is_alive() for thread in readers)
+            assert errors == []
+            assert compared and [c for c in compared if c is not True] == []
+            assert db.migrator.migrations > 2, "the scheduler ran epochs"
+            assert db.history.read_metrics.versions_extended > 0
+            assert _answers(db, vertices, stamps) == _answers(ref, vertices, stamps)
         finally:
             db.close()
             ref.close()

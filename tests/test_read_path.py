@@ -22,6 +22,7 @@ import hashlib
 import json
 import sys
 import threading
+from contextlib import nullcontext
 from io import StringIO
 
 import pytest
@@ -556,7 +557,7 @@ class TestBoundedHistoryCache:
         within_capacity()
         assert store.read_path_metrics()["cache_evictions"] > 0
 
-    def test_an_epoch_drops_only_what_it_published(self):
+    def test_an_epoch_extends_only_what_it_published(self):
         db = AeonG(anchor_interval=100, gc_interval_transactions=0)
         with db.transaction() as txn:
             x = db.create_vertex(txn, labels=["P"], properties={"n": 0})
@@ -576,26 +577,326 @@ class TestBoundedHistoryCache:
             store.vertex_mentions(gid)
         content = (hk.SEGMENT_VERTEX, hk.KIND_DELTA)
         topology = (hk.SEGMENT_TOPOLOGY, hk.KIND_DELTA)
-        assert set(store._cache[("vertex", x)].records) >= {content, topology}
+        entry_x = store._cache[("vertex", x)]
+        lists_x = dict(entry_x.records)
+        assert set(lists_x) >= {content, topology}
 
         with db.transaction() as txn:  # a GC epoch that migrates x only
             db.set_vertex_property(txn, x, "n", 3)
         epoch = store.epoch
         db.collect_garbage()
         assert store.epoch > epoch
-        entry_x = store._cache[("vertex", x)]
-        assert content not in entry_x.records and topology in entry_x.records
+        # x keeps its lists and notes the published row; y is untouched
+        assert entry_x.records == lists_x
+        assert entry_x.records[content] is lists_x[content]
+        assert set(entry_x.fresh) == {content}
         assert entry_x.mentions is None
-        assert store._cache[("vertex", y)].mentions is not None
+        entry_y = store._cache[("vertex", y)]
+        assert entry_y.fresh == {} and entry_y.mentions is not None
 
-        seeks, misses = store.kv.stats.seeks, store.read_metrics.cache_misses
+        stats, metrics = store.kv.stats, store.read_metrics
+        seeks, hits, misses = stats.seeks, metrics.cache_hits, metrics.cache_misses
+        replayed = metrics.deltas_replayed
         assert _versions(db, "vertex", y, whole) == before[y]
         store.vertex_mentions(y)
-        assert store.kv.stats.seeks == seeks  # record lists and mentions kept
-        assert store.read_metrics.cache_misses == misses + 1  # versions rebuilt
+        assert stats.seeks == seeks  # record lists and mentions kept
+        assert metrics.cache_hits == hits + 1  # and its version list
+        assert (metrics.cache_misses, metrics.deltas_replayed) == (misses, replayed)
+
+        scans, extended = stats.range_scans, metrics.versions_extended
         after = _versions(db, "vertex", x, TemporalCondition.between(0, db.now()))
-        assert len(after) == len(before[x]) + 1
-        assert store.kv.stats.seeks == seeks + 1  # only the published list
+        assert after[2:] == before[x][1:]  # a new current version, the old
+        assert after[1][3] == before[x][0][3]  # one now reclaimed
+        assert stats.seeks == seeks + 1  # one range read, after the tail
+        assert stats.range_scans == scans + 1
+        assert metrics.versions_extended == extended + 1
+        # the new content record, and the edge delete newer than x's old
+        # base (a topology record undone again from the new base)
+        assert metrics.deltas_replayed == replayed + 2
+        assert entry_x.records[content][:-1] == lists_x[content]
+        assert entry_x.fresh == {}
+
+    def test_one_migrated_set_costs_its_own_records_only(self):
+        """The replay budget of an epoch that migrated one SET on ``x``
+        of ``{x, y}``."""
+        db = AeonG(anchor_interval=100, gc_interval_transactions=0)
+        with db.transaction() as txn:
+            x = db.create_vertex(txn, labels=["P"], properties={"n": 0})
+            y = db.create_vertex(txn, labels=["P"], properties={"n": 0})
+        for i in (1, 2, 3):
+            with db.transaction() as txn:
+                db.set_vertex_property(txn, x, "n", i)
+                db.set_vertex_property(txn, y, "n", i)
+        db.collect_garbage()
+        store, metrics, stats = db.history, db.history.read_metrics, db.history.kv.stats
+        hi = db.now()
+        for gid in (x, y):  # warm: every point and slice
+            _grid(db, "vertex", gid, hi)
+        with db.transaction() as txn:
+            db.set_vertex_property(txn, x, "n", 4)
+        db.collect_garbage()
+
+        def cost(gid):
+            replayed, decoded = metrics.deltas_replayed, store.checksums_verified
+            seeks, scans = stats.seeks, stats.range_scans
+            grid = _grid(db, "vertex", gid, hi)
+            return grid, (
+                metrics.deltas_replayed - replayed,
+                store.checksums_verified - decoded,
+                stats.seeks - seeks,
+                stats.range_scans - scans,
+            )
+
+        _grid_y, spent_y = cost(y)
+        assert spent_y == (0, 0, 0, 0)
+        grid_x, spent_x = cost(x)
+        assert spent_x == (1, 1, 1, 1)  # one record replayed, read, decoded
+        store.invalidate_caches()  # and a full rebuild reads the same
+        assert grid_x == _grid(db, "vertex", x, hi)
+
+    def test_a_row_older_than_the_tail_drops_the_list(self):
+        db, a, _b, _e = _history_rich_db(anchor_interval=0)
+        store = db.history
+        whole = TemporalCondition.between(0, db.now())
+        before = _versions(db, "vertex", a, whole)
+        content = (hk.SEGMENT_VERTEX, hk.KIND_DELTA)
+        entry = store._cache[("vertex", a)]
+        assert content in entry.records and entry.built is not None
+        (_s, created, _p), (first, end, _q) = entry.records[content][:2]
+        assert first == created and end > created + 1
+        batch = WriteBatch()  # splits a's first version in two
+        store.stage_record(
+            batch, RecordDraft(hk.SEGMENT_VERTEX, a, first, end - 1, {"p": {"n": -1}})
+        )
+        store.commit_batch(batch)
+        assert content not in entry.records and entry.built is None
+        after = _versions(db, "vertex", a, whole)
+        assert after[:-1] == before
+        assert after[-1] == (first, end - 1, ("P",), (("n", -1),))
+
+
+# -- extended version lists vs full rebuilds ------------------------------------
+
+
+def _frozen_state(view):
+    """Everything a version-list entry reads as, adjacency included."""
+    if view is None:
+        return None
+    if isinstance(view, VertexView):
+        return (
+            view.exists,
+            tuple(sorted(view.labels)),
+            tuple(sorted(view.properties.items())),
+            tuple(sorted(view.out_edges)),
+            tuple(sorted(view.in_edges)),
+        )
+    return (view.exists, tuple(sorted(view.properties.items())))
+
+
+def _current_base(db, kind, gid):
+    from repro.graph.views import oldest_unreclaimed_view
+
+    record = (
+        db.storage.vertex_record(gid) if kind == "vertex" else db.storage.edge_record(gid)
+    )
+    return None if record is None else oldest_unreclaimed_view(record)
+
+
+def _assert_lists_equal_full_rebuilds(db):
+    """Every current version list in the cache equals one rebuilt from
+    scratch from the same base; returns how many were checked."""
+    from repro.core.history_store import _Entry, _base_sig
+
+    store = db.history
+    checked = 0
+    for (kind, gid), entry in list(store._cache.items()):
+        built = entry.built
+        if built is None or built.versions is None:
+            continue
+        base = _current_base(db, kind, gid)
+        if built.generation != entry.generation or built.base_sig != _base_sig(base):
+            continue  # stale: the next read extends or rebuilds it
+        full = store._build_versions(kind, gid, base, _Entry())
+        assert [(s, e, _frozen_state(v)) for s, e, v in built.versions] == [
+            (s, e, _frozen_state(v)) for s, e, v in full.versions
+        ], (kind, gid)
+        assert built.replays == full.replays and built.below_base == full.below_base
+        checked += 1
+    return checked
+
+
+def _answers(db, objects, points, slices):
+    """Every point and slice answer of every object, read in one
+    transaction (so both twins' clocks advance alike)."""
+    txn = db.begin()
+    try:
+        out = []
+        for kind, gid in objects:
+            fetch = db.vertex_versions if kind == "vertex" else db.edge_versions
+            sig = _vsig if kind == "vertex" else _esig
+            for t in points:
+                out.append(
+                    (kind, gid, t, [sig(v) for v in fetch(txn, gid, TemporalCondition.as_of(t))])
+                )
+            for t1, t2 in slices:
+                cond = TemporalCondition.between(t1, t2)
+                out.append((kind, gid, t1, t2, [sig(v) for v in fetch(txn, gid, cond)]))
+        return out
+    finally:
+        db.abort(txn)
+
+
+class _Twins:
+    """The same random history applied to a cached engine and an
+    uncached one: the uncached replay is the reference answer."""
+
+    def __init__(self, seed):
+        import random
+
+        self.rng = random.Random(seed)
+        self.warm = AeonG(anchor_interval=3, gc_interval_transactions=0)
+        self.cold = AeonG(
+            anchor_interval=3, gc_interval_transactions=0, reconstruction_cache_size=0
+        )
+        self.scrubbers = [Scrubber(self.warm), Scrubber(self.cold)]
+        self.commits: list[int] = []
+        self.vertices = self.both(
+            lambda db, txn: [
+                db.create_vertex(txn, ["P"], {"x": 0, "i": i}) for i in range(5)
+            ]
+        )
+        self.edges: list[int] = []
+        self.live: list[int] = []
+        self.held = None
+
+    def both(self, work):
+        results = []
+        for db in (self.warm, self.cold):
+            with db.transaction() as txn:
+                results.append(work(db, txn))
+        assert results[0] == results[1]
+        self.commits.append(self.warm.now())
+        return results[0]
+
+    def boundaries(self):
+        """Every instant an answer can change at: around each write."""
+        hi = self.warm.now()
+        return sorted(
+            {0, hi} | {t + d for t in self.commits for d in (-1, 0, 1) if 0 <= t + d <= hi}
+        )
+
+    def each(self, work, fault=None):
+        """``work(db)`` on each twin, with the failpoint ``(site, mode)``
+        armed for each in turn; the twins must fail alike."""
+        outcomes = []
+        for db in (self.warm, self.cold):
+            try:
+                with FAILPOINTS.active(*fault) if fault else nullcontext():
+                    work(db)
+                outcomes.append(None)
+            except Exception as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def step(self):
+        rng = self.rng
+        roll = rng.random()
+        gid = rng.choice(self.vertices)
+        if roll < 0.25:
+            value = rng.randrange(1000)
+            self.both(lambda db, txn: db.set_vertex_property(txn, gid, "x", value))
+        elif roll < 0.35:
+            label = rng.choice(["A", "B"])
+            add = rng.random() < 0.6
+            self.both(
+                lambda db, txn: (db.add_label if add else db.remove_label)(txn, gid, label)
+            )
+        elif roll < 0.48:
+            dst = rng.choice(self.vertices)
+            edge = self.both(lambda db, txn: db.create_edge(txn, gid, dst, "L", {"w": 0}))
+            self.edges.append(edge)
+            self.live.append(edge)
+        elif roll < 0.56 and self.live:
+            edge = self.live.pop(rng.randrange(len(self.live)))
+            self.both(lambda db, txn: db.delete_edge(txn, edge))
+        elif roll < 0.62 and self.live:
+            edge = rng.choice(self.live)
+            value = rng.randrange(100)
+            self.both(lambda db, txn: db.set_edge_property(txn, edge, "w", value))
+        elif roll < 0.8:
+            self.each(lambda db: db.collect_garbage())
+        elif roll < 0.84:
+            self.each(
+                lambda db: db.collect_garbage(), ("migration.commit_batch", "error")
+            )
+        elif roll < 0.87:
+            cutoff = rng.randrange(max(1, self.warm.now() // 3))
+            self.each(lambda db: db.prune_history(cutoff))
+        elif roll < 0.9:
+            self.each(lambda db: db.history.invalidate_caches())
+        elif roll < 0.92:
+            self.scrub_repair(gid)
+        elif roll < 0.96:
+            # a reader holding its snapshot keeps later chains unreclaimed
+            if self.held is None:
+                self.held = (self.warm.begin(), self.cold.begin())
+            else:
+                for db, txn in zip((self.warm, self.cold), self.held):
+                    db.abort(txn)
+                self.held = None
+        else:
+            self.each(lambda db: db.history.commit_batch(WriteBatch()))
+
+    def scrub_repair(self, gid):
+        """Damage one stored record of ``gid`` on both twins, read
+        through it, and let each scrubber repair it."""
+        def damage(db):
+            txn = db.begin()
+            try:
+                list(db.vertex_versions(txn, gid, TemporalCondition.between(0, db.now())))
+            finally:
+                db.abort(txn)
+
+        self.each(damage, ("history.fetch", "corrupt"))
+        for scrubber in self.scrubbers:
+            scrubber.scrub_full()
+
+    def objects(self):
+        return [("vertex", g) for g in self.vertices] + [("edge", g) for g in self.edges]
+
+
+class TestSpliceDifferential:
+    """Random interleavings of SET, label and edge writes, GC epochs,
+    failed epochs, prunes, cache invalidations and scrub repairs: every
+    extended version list equals a full rebuild from the same base, and
+    the cached engine answers exactly as the uncached one, on a point
+    sweep after every step and over the full TT grid at the end (every
+    slice between instants an answer can change at)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extended_lists_equal_full_rebuilds(self, seed):
+        twins = _Twins(seed)
+        checked = 0
+        for _step in range(36):
+            twins.step()
+            hi = twins.warm.now()
+            assert twins.cold.now() == hi
+            points = range(hi + 1)
+            slices = [(0, hi)]
+            assert _answers(twins.warm, twins.objects(), points, slices) == _answers(
+                twins.cold, twins.objects(), points, slices
+            )
+            checked += _assert_lists_equal_full_rebuilds(twins.warm)
+        if twins.held is not None:
+            for db, txn in zip((twins.warm, twins.cold), twins.held):
+                db.abort(txn)
+        stamps = twins.boundaries()
+        grid = [(t1, t2) for t1 in stamps for t2 in stamps if t1 <= t2]
+        assert _answers(twins.warm, twins.objects(), stamps, grid) == _answers(
+            twins.cold, twins.objects(), stamps, grid
+        )
+        assert checked > 0
+        assert twins.warm.history.read_metrics.versions_extended > 0
 
 
 # -- satellite: scan-at-t with concurrent / aborted writers -------------------
@@ -1460,7 +1761,7 @@ def _state(view):
 
 
 def _frozen_entry(db, gid, t):
-    _sig, versions, _replays, _epoch = db.history._cache[("vertex", gid)].built
+    versions = db.history._cache[("vertex", gid)].built.versions
     (frozen,) = [view for s, e, view in versions if view is not None and s <= t < e]
     return frozen
 
