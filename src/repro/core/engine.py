@@ -936,9 +936,11 @@ class AeonG:
         cannot close the adopted components.  The adopting engine keeps
         its own identity — resilience controller, observability
         registry, replication state (role/epoch/peers), maintenance
-        thread, the migrator's ``on_migrated`` hook — so the serving
+        thread, the migrator's ``on_migrated`` hook, and the lifetime
+        counts of its ``gc`` and ``migration`` sections — so the serving
         layer's references, registered metrics providers and attached
-        satellites (a scrubber) stay valid across the swap.
+        satellites (a scrubber) stay valid across the swap, and no
+        exported counter goes backwards.
 
         Callers must have detached/discarded this engine's previous
         WAL (see :meth:`detach_wal`) before adopting a durable donor.
@@ -949,16 +951,21 @@ class AeonG:
             if self._closed:
                 raise StorageError("engine is closed")
             old_writer = self._wal_writer
+            old_gc, old_migrator = self.gc, self.migrator
             donor.migrator.on_migrated = self.migrator.on_migrated
             self.storage = donor.storage
             self.manager = donor.manager
             self.history = donor.history
             self.anchor_policy = donor.anchor_policy
             self.migrator = donor.migrator
+            self.migrator.carry_counts(old_migrator)
             self.operators = donor.operators
             # Cached plans were keyed by the old storage's index epoch.
             self.plans.clear()
             self._wire_components()
+            # The gc and migration sections are exported as gauges: they
+            # continue this engine's counts, plus the donor's own epochs.
+            self.gc.carry_counts(old_gc, donor.gc)
             # The donor's writer publishes to the donor's replication
             # state (and never served a commit); write the donor's WAL
             # through a writer bound to this engine instead.

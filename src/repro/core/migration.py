@@ -123,6 +123,16 @@ class Migrator:
                 self.on_migrated(object_kind, gid)
         return staged
 
+    def carry_counts(self, previous: "Migrator") -> None:
+        """Add the lifetime counters of the migrator this one replaces
+        (a replica resync adopts a donor's), so the ``migration``
+        section never goes backwards."""
+        self.migrations += previous.migrations
+        self.failed_epochs += previous.failed_epochs
+        self.transactions_migrated += previous.transactions_migrated
+        self.history.records_written += previous.history.records_written
+        self.history.anchors_written += previous.history.anchors_written
+
     def metrics(self) -> dict[str, int]:
         """The ``migration`` metrics section."""
         return {

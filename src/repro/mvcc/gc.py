@@ -94,6 +94,15 @@ class GarbageCollector:
             self.deltas_reclaimed += reclaimed
             return reclaimed
 
+    def carry_counts(self, *previous: "GarbageCollector") -> None:
+        """Add the lifetime counters of the collectors this one replaces
+        (a replica resync builds a new one), so the ``gc`` section never
+        goes backwards."""
+        for gc in previous:
+            self.runs += gc.runs
+            self.deltas_reclaimed += gc.deltas_reclaimed
+            self.epochs_paused += gc.epochs_paused
+
     def metrics(self) -> dict[str, int]:
         """The collector's half of the ``gc`` metrics section."""
         return {

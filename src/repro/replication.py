@@ -124,6 +124,10 @@ SNAPSHOT_CHUNK_RETRIES = 8
 #: Retry schedule for a runner's reconnect attempts between lease checks.
 RUNNER_POLICY = RetryPolicy(max_attempts=3, base_delay=0.02, max_delay=0.2)
 
+#: counter-name prefixes of the ``resync`` section (the rest are
+#: ``replication``'s)
+_RESYNC_PREFIXES = ("resync", "snapshot")
+
 
 # -- record envelope --------------------------------------------------------
 
@@ -500,19 +504,26 @@ class ReplicationState:
 
     # -- metrics -------------------------------------------------------
 
+    def resync_counters(self) -> dict[str, int]:
+        """The snapshot-bootstrap (resync) counters."""
+        with self._lock:
+            return {
+                key: value
+                for key, value in self.counters.items()
+                if key.startswith(_RESYNC_PREFIXES)
+            }
+
     def resync_metrics(self, registry) -> dict[str, Any]:
         """The ``resync`` metrics section: snapshot-bootstrap counters
         plus the resync duration histogram from ``registry``."""
-        with self._lock:
-            out = {
-                key: value
-                for key, value in self.counters.items()
-                if key.startswith(("resync", "snapshot"))
-            }
+        out: dict[str, Any] = self.resync_counters()
         out["duration_seconds"] = registry.histogram("resync.seconds").summary()
         return out
 
     def metrics(self) -> dict[str, Any]:
+        """The ``replication`` metrics section: role, watermarks, lag,
+        per-replica state and the streaming counters (the resync ones
+        are the ``resync`` section's)."""
         with self._lock:
             watermark = self.watermark()
             replicas = {
@@ -545,7 +556,11 @@ class ReplicationState:
                 "watermark": watermark,
                 "lag": lag,
                 "replicas": replicas,
-                **self.counters,
+                **{
+                    key: value
+                    for key, value in self.counters.items()
+                    if not key.startswith(_RESYNC_PREFIXES)
+                },
             }
 
 

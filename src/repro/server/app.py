@@ -799,7 +799,7 @@ class AeonGServer:
         return {
             "ok": True,
             "id": request_id,
-            "replication": state.metrics(),
+            "replication": {**state.metrics(), **state.resync_counters()},
             "primary_hint": self.primary_hint,
         }
 

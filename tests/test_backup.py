@@ -880,6 +880,69 @@ class TestMetrics:
         finally:
             db.close()
 
+    def test_a_resync_keeps_the_gc_and_migration_counts(self, tmp_path):
+        """The sections are exported as gauges: adopting a snapshot must
+        not send a replica's epoch counts back to the donor's."""
+        source = AeonG(gc_interval_transactions=0)
+        with source.transaction() as txn:
+            gid = source.create_vertex(txn, ["P"], {"n": 0})
+        source.collect_garbage()
+        source.save(tmp_path / "snap")
+        source.close()
+        db = AeonG(anchor_interval=2, gc_interval_transactions=0)
+        with db.transaction() as txn:
+            mine = db.create_vertex(txn, ["P"], {"n": 0})
+        for n in range(1, 6):  # five epochs, each migrating one SET
+            with db.transaction() as txn:
+                db.set_vertex_property(txn, mine, "n", n)
+            db.collect_garbage()
+        before = db.metrics()
+        assert before["gc"]["runs"] == 5 and before["migration"]["epochs"] == 5
+        db.adopt_snapshot_state(AeonG.open(tmp_path / "snap", gc_interval_transactions=0))
+        try:
+            after = db.metrics()
+            for section in ("gc", "migration"):
+                for key, value in before[section].items():
+                    if isinstance(value, (int, float)) and not isinstance(value, bool):
+                        assert after[section][key] >= value, (section, key)
+            with db.transaction() as txn:
+                db.set_vertex_property(txn, gid, "n", 1)
+            db.collect_garbage()
+            later = db.metrics()
+            assert later["gc"]["runs"] == after["gc"]["runs"] + 1
+            assert later["migration"]["epochs"] == after["migration"]["epochs"] + 1
+            assert later["migration"]["records_written"] > after["migration"]["records_written"]
+        finally:
+            db.close()
+
+    def test_resync_counters_are_exported_once(self):
+        db = AeonG(gc_interval_transactions=0)
+        try:
+            sections = db.metrics()
+            assert sections["resync"]["resyncs_started"] == 0
+            assert not set(sections["replication"]) & set(sections["resync"])
+            names = [
+                line.split(" ")[0]
+                for line in db.metrics_text().splitlines()
+                if line.startswith("aeong_")
+            ]
+            assert len(names) == len(set(names))
+            suffixes = {
+                name[len(prefix):]
+                for name in names
+                for prefix in ("aeong_replication_", "aeong_resync_")
+                if name.startswith(prefix)
+            }
+            assert "resyncs_started" in suffixes
+            for suffix in suffixes:
+                exported = [
+                    name for name in names
+                    if name in ("aeong_replication_" + suffix, "aeong_resync_" + suffix)
+                ]
+                assert len(exported) == 1, exported
+        finally:
+            db.close()
+
     def test_resync_duration_histogram_observed(self, tmp_path):
         primary, thread, addr, replica, runner = _cluster(tmp_path)
         try:
