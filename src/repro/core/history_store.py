@@ -65,6 +65,14 @@ def _base_sig(base_view) -> Optional[tuple[int, int]]:
     return None if base_view is None else (base_view.tt_start, base_view.tt_end)
 
 
+def _topology_boundary(base_view) -> int:
+    """The newest topology record a current-store or blank base still
+    needs undone: every one, unless the base is an undo-chain walk's that
+    undid structural changes itself (``VertexView.topology_end``)."""
+    end = getattr(base_view, "topology_end", None)
+    return MAX_TIMESTAMP if end is None else end - 1
+
+
 def _count_below(content: list, topology: Sequence, t: int) -> tuple[int, int]:
     """How many content and topology records end at or before ``t``."""
     return (
@@ -358,13 +366,6 @@ class HistoricalStore:
         index = self._gid_index
         return self._rebuild_index() if index is None else index
 
-    def _memo(self, epoch: int, table: dict, key, value):
-        """Memoize ``value``, read at ``epoch``, unless an epoch landed since."""
-        with self._cache_lock:
-            if epoch == self._epoch:
-                table[key] = value
-        return value
-
     def _publish(self, segment, kind, gid, tt_start, tt_end) -> None:
         """(Under ``_cache_lock``.)  Add one committed record to the
         known-object set and the key index, and tell the object's cache
@@ -411,7 +412,10 @@ class HistoricalStore:
         cached = self._sorted.get(key)
         if cached is None:
             epoch = self._epoch
-            cached = self._memo(epoch, self._sorted, key, sorted(source))
+            cached = sorted(source)
+            with self._cache_lock:
+                if epoch == self._epoch:  # else an epoch landed since
+                    self._sorted[key] = cached
         return cached
 
     def _bump_epoch(self) -> None:
@@ -783,7 +787,7 @@ class HistoricalStore:
                     # the whole list (topology resolves at serve time).
                     return _Built(sig, older, replays, generation, below)
             records = self._collect_records(
-                segment, gid, floor, base.tt_start, MAX_TIMESTAMP, entry
+                segment, gid, floor, base.tt_start, _topology_boundary(base_view), entry
             )
             versions: list[tuple[int, int, Optional[object]]] = []
             for tt_start, tt_end, seg, payload in records:
@@ -861,14 +865,15 @@ class HistoricalStore:
             return
         # A current-store or blank base holds the adjacency left by
         # every migrated structural change, whatever its content start:
-        # undo each one newer than t1.  An anchor holds no adjacency,
-        # so its replay stays bounded like its content.
+        # undo each one newer than t1 that it has not undone itself.  An
+        # anchor holds no adjacency, so its replay stays bounded like
+        # its content.
         records = self._collect_records(
             segment,
             gid,
             cond.t1,
             base.tt_start,
-            base.tt_start if include_base else MAX_TIMESTAMP,
+            base.tt_start if include_base else _topology_boundary(base_view),
             entry,
         )
         if cond.is_point:

@@ -40,6 +40,12 @@ class VertexView:
     never reads them — it takes candidate edges from the record and the
     ``VE`` segment).  Treat views as read-only snapshots; mutate
     through the engine API.
+
+    ``topology_end`` is set only on a reconstruction base that
+    :func:`version_iterator` read from an undo chain: the commit
+    timestamp of the oldest structural change the walk undid.  History
+    topology records from that instant on are already undone in the
+    base's adjacency (a GC epoch may migrate them while the read runs).
     """
 
     __slots__ = (
@@ -54,6 +60,7 @@ class VertexView:
         "_owns_content",
         "_owns_edges",
         "_pending",
+        "topology_end",
     )
 
     def __init__(self, record: VertexRecord) -> None:
@@ -329,9 +336,11 @@ def version_iterator(record, txn: Transaction, oldest: Optional[list] = None) ->
 
     Run to the end, the iterator appends to ``oldest`` (when given) the
     view after every delta it applied: what :func:`oldest_unreclaimed_view`
-    returns for the chain as this walk read it.  A GC epoch may cut the
-    chain while the walk runs; a base read from the record afterwards
-    would start above versions the walk already surfaced.
+    returns for the chain as this walk read it, with ``topology_end``
+    set if it undid a structural change.  A GC epoch may cut the chain,
+    or migrate what the walk undid, while the read runs; a base read
+    from the record afterwards would start above versions the walk
+    already surfaced.
     """
     view = current_view(record)
     delta = record.delta_head
@@ -339,9 +348,12 @@ def version_iterator(record, txn: Transaction, oldest: Optional[list] = None) ->
     # The visible version's interval is the content timeline's: undoing
     # another writer's edge create or delete restores adjacency only.
     content_tt = (view.tt_start, view.tt_end)
+    topology_end = None
     while delta is not None and not delta_visible_at(delta, txn.start_ts, txn):
         view.step_back(delta)
-        if not delta.is_structural:
+        if delta.is_structural:
+            topology_end = delta.tt_end
+        else:
             content_tt = (delta.tt_start, delta.tt_end)
         delta = delta.next
     view.tt_start, view.tt_end = content_tt
@@ -366,7 +378,9 @@ def version_iterator(record, txn: Transaction, oldest: Optional[list] = None) ->
         content_tt = None
         while delta is not None and delta.commit_info is commit_info:
             view.step_back(delta)
-            if not delta.is_structural:
+            if delta.is_structural:
+                topology_end = delta.tt_end
+            else:
                 content_tt = oldest_tt = (delta.tt_start, delta.tt_end)
             delta = delta.next
         if content_tt is not None and view.exists:
@@ -375,6 +389,8 @@ def version_iterator(record, txn: Transaction, oldest: Optional[list] = None) ->
             view = view.fork()
     if oldest is not None:
         view.tt_start, view.tt_end = oldest_tt
+        if topology_end is not None:
+            view.topology_end = topology_end
         oldest.append(view)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 import threading
 from contextlib import nullcontext
@@ -32,11 +33,12 @@ from repro import AeonG, IntegrityError, TemporalCondition
 from repro.cli import run as cli_run
 from repro.common.timeutil import MAX_TIMESTAMP
 from repro.core import keys as hk
+from repro.core import operators
 from repro.core.deltas import RecordDraft
-from repro.core.history_store import HistoricalStore
+from repro.core.history_store import HistoricalStore, _base_sig, _Entry
 from repro.faults import FAILPOINTS, corrupt_bytes
 from repro.graph.vertex import EdgeRef
-from repro.graph.views import VertexView, version_iterator
+from repro.graph.views import VertexView, oldest_unreclaimed_view, version_iterator
 from repro.integrity import Scrubber
 from repro.kvstore import KVStore, WriteBatch
 from repro.mvcc.delta import Delta, DeltaAction
@@ -694,8 +696,6 @@ def _frozen_state(view):
 
 
 def _current_base(db, kind, gid):
-    from repro.graph.views import oldest_unreclaimed_view
-
     record = (
         db.storage.vertex_record(gid) if kind == "vertex" else db.storage.edge_record(gid)
     )
@@ -705,8 +705,6 @@ def _current_base(db, kind, gid):
 def _assert_lists_equal_full_rebuilds(db):
     """Every current version list in the cache equals one rebuilt from
     scratch from the same base; returns how many were checked."""
-    from repro.core.history_store import _Entry, _base_sig
-
     store = db.history
     checked = 0
     for (kind, gid), entry in list(store._cache.items()):
@@ -751,8 +749,6 @@ class _Twins:
     uncached one: the uncached replay is the reference answer."""
 
     def __init__(self, seed):
-        import random
-
         self.rng = random.Random(seed)
         self.warm = AeonG(anchor_interval=3, gc_interval_transactions=0)
         self.cold = AeonG(
@@ -923,8 +919,6 @@ class TestScanWithWriters:
         """An epoch that migrates and unlinks the chain while a reader
         walks it: the reader's base is where its own walk ended, so the
         versions it surfaced from the chain are not fetched again."""
-        from repro.core import operators
-
         db = AeonG(gc_interval_transactions=0, reconstruction_cache_size=cache_size)
         with db.transaction() as txn:
             gid = db.create_vertex(txn, ["P"], {"x": 0})
@@ -1638,8 +1632,6 @@ def _random_links_db(seed, cache_size, anchor_interval=0, vertices=4, steps=40):
     with GC epochs in between, ending in one that reclaims every chain:
     structural changes often land after a vertex's last content write.
     Returns the timeline, the vertex gids and the edge lifetimes."""
-    import random
-
     rng = random.Random(seed)
     tl = _Timeline(
         AeonG(
@@ -1720,6 +1712,42 @@ class TestReclaimedAdjacency:
         assert db.history.read_metrics.versions_served == 0
         assert older() == [[(s, e, [], [])] for s, e in versions]
         assert db.history.read_metrics.versions_served == 2
+
+    @pytest.mark.parametrize("cache_size", [0, 4096])
+    def test_a_read_racing_the_migration_of_what_its_walk_undid(
+        self, cache_size, monkeypatch
+    ):
+        """The walk undoes an edge delete still on the chain; an epoch
+        migrates that delete before the history read.  The base already
+        holds the edge, so its topology record is not undone again."""
+        db = AeonG(gc_interval_transactions=0, reconstruction_cache_size=cache_size)
+        with db.transaction() as txn:
+            v = db.create_vertex(txn, ["P"], {"x": 0})
+            w = db.create_vertex(txn, ["P"], {})
+        with db.transaction() as txn:
+            edge = db.create_edge(txn, v, w, "L")
+        linked = txn.commit_ts
+        with db.transaction() as txn:
+            db.set_vertex_property(txn, v, "x", 1)
+        db.collect_garbage()
+        with db.transaction() as txn:
+            db.delete_edge(txn, edge)
+        with db.transaction() as txn:  # a later snapshot: the delete is reclaimable
+            db.set_vertex_property(txn, w, "y", 1)
+        walk = operators.version_iterator
+
+        def racing(record, txn, *args):
+            yield from walk(record, txn, *args)
+            monkeypatch.undo()
+            db.collect_garbage()
+
+        monkeypatch.setattr(operators, "version_iterator", racing)
+        at = TemporalCondition.as_of(linked)
+        raced = _adjacency_versions(db, v, at)
+        assert db.migrator.migrations == 2  # the epoch ran after the walk
+        expected = [(linked - 2, linked + 2, [EdgeRef("L", w, edge)], [])]
+        assert [(s, e, out, inn) for s, e, out, inn in raced] == expected
+        assert _adjacency_versions(db, v, at) == expected  # and what it cached
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("cache_size", [0, 4096])
