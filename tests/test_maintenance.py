@@ -307,7 +307,6 @@ class TestDifferentialGuard:
             db.close()
             ref.close()
 
-
     def test_readers_extending_cached_lists_racing_epochs_agree(self):
         """Readers keep every object's version list cached while epochs
         publish to them, so a read after an epoch extends the list by
