@@ -35,6 +35,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+#: observations a histogram keeps for its percentiles
+HISTOGRAM_RESERVOIR = 128
+#: entries the slow-query log keeps
+SLOW_QUERY_CAPACITY = 128
+
 
 @dataclass
 class ObservabilityConfig:
@@ -49,9 +54,7 @@ class ObservabilityConfig:
     enabled: bool = True
     clock: Callable[[], float] = time.perf_counter
     max_spans: int = 512
-    histogram_reservoir: int = 128
     slow_query_threshold: float = 0.25
-    slow_query_capacity: int = 128
 
 
 class Counter:
@@ -164,7 +167,7 @@ class MetricsRegistry:
     dict of sections, merged into every export.
     """
 
-    def __init__(self, default_reservoir: int = 128) -> None:
+    def __init__(self, default_reservoir: int = HISTOGRAM_RESERVOIR) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -405,7 +408,9 @@ class SlowQuery:
 class SlowQueryLog:
     """Ring buffer of the slowest recent statements."""
 
-    def __init__(self, threshold: float = 0.25, capacity: int = 128) -> None:
+    def __init__(
+        self, threshold: float = 0.25, capacity: int = SLOW_QUERY_CAPACITY
+    ) -> None:
         self.threshold = threshold
         self.entries: deque[SlowQuery] = deque(maxlen=capacity)
 
@@ -433,16 +438,14 @@ class Observability:
         self.config = config if config is not None else ObservabilityConfig()
         self.enabled = self.config.enabled
         self.clock = self.config.clock
-        self.registry = MetricsRegistry(self.config.histogram_reservoir)
+        self.registry = MetricsRegistry()
         self.tracer = Tracer(
             clock=self.config.clock,
             max_spans=self.config.max_spans,
             registry=self.registry,
             enabled=self.enabled,
         )
-        self.slow_queries = SlowQueryLog(
-            self.config.slow_query_threshold, self.config.slow_query_capacity
-        )
+        self.slow_queries = SlowQueryLog(self.config.slow_query_threshold)
         # resolved on the first statement, like the tracer's instruments
         self._statements: Optional[Counter] = None
         self._statement_seconds: Optional[Histogram] = None

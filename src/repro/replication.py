@@ -121,6 +121,12 @@ SNAPSHOT_CHUNK_BYTES = 1 << 20
 #: attempt is abandoned (it retries from scratch on the next loop).
 SNAPSHOT_CHUNK_RETRIES = 8
 
+#: Records a replica asks for per fetch.
+FETCH_BATCH = 512
+#: Recent records kept in memory on the primary so steady-state
+#: fetches never re-scan the WAL file.
+RING_SIZE = 4096
+
 #: Retry schedule for a runner's reconnect attempts between lease checks.
 RUNNER_POLICY = RetryPolicy(max_attempts=3, base_delay=0.02, max_delay=0.2)
 
@@ -193,11 +199,6 @@ class ReplicationConfig:
     #: How long a synchronous commit waits for a replica ack before
     #: raising :class:`~repro.errors.ReplicationTimeout`.
     sync_timeout: float = 5.0
-    #: Records per fetch response.
-    fetch_batch: int = 512
-    #: Recent records kept in memory on the primary so steady-state
-    #: fetches never re-scan the WAL file.
-    ring_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.role not in ("primary", "replica"):
@@ -208,8 +209,6 @@ class ReplicationConfig:
             raise ValueError("replica role requires primary_host/primary_port")
         if self.lease_timeout <= 0 or self.poll_interval < 0:
             raise ValueError("lease_timeout must be > 0, poll_interval >= 0")
-        if self.fetch_batch < 1 or self.ring_size < 1:
-            raise ValueError("fetch_batch and ring_size must be >= 1")
 
 
 @dataclass
@@ -256,9 +255,7 @@ class ReplicationState:
         self.replicas: dict[str, ReplicaInfo] = {}
         #: Recent committed records ``(commit_ts, ops)`` — the fast
         #: path for fetches; older ranges fall back to the WAL file.
-        self._ring: deque[tuple[int, list[tuple]]] = deque(
-            maxlen=self.config.ring_size
-        )
+        self._ring: deque[tuple[int, list[tuple]]] = deque(maxlen=RING_SIZE)
         #: Replica: the primary's watermark as of the last fetch.
         self.primary_watermark = 0
         #: Engine back-reference (set by :meth:`attach`) for WAL
@@ -676,7 +673,7 @@ class ReplicaRunner:
                         "ack": self.state.watermark(),
                         "epoch": self.state.epoch,
                         "wait": self.config.poll_interval,
-                        "limit": self.config.fetch_batch,
+                        "limit": FETCH_BATCH,
                     }
                 )
             except ServerError as exc:

@@ -92,8 +92,6 @@ class ServerConfig:
     #: this port (0 = ephemeral; read back from
     #: ``server.metrics_address``).  ``None`` disables the endpoint.
     metrics_port: Optional[int] = None
-    #: Longest long-poll window a ``repl_fetch`` may request.
-    repl_max_wait: float = 5.0
 
     def __post_init__(self) -> None:
         if self.max_connections < 1:
@@ -164,6 +162,9 @@ def _set_nodelay(writer: asyncio.StreamWriter) -> None:
         except OSError:  # pragma: no cover - non-TCP transports
             pass
 
+
+#: Longest long-poll window a ``repl_fetch`` may request.
+REPL_MAX_WAIT = 5.0
 
 #: Ops a client may send before the ``hello`` handshake completes.
 _PRE_HANDSHAKE_OPS = frozenset({"hello", "ping", "health", "ready"})
@@ -747,7 +748,7 @@ class AeonGServer:
             from_ts,
             ack,
             epoch,
-            min(float(wait), self.config.repl_max_wait),
+            min(float(wait), REPL_MAX_WAIT),
             max(1, min(limit, 4096)),
             executor=self._repl_executor,
         )
