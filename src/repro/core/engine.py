@@ -1107,8 +1107,8 @@ class AeonG:
     def explain_tree(self, query: str) -> list[str]:
         """The operator tree for a statement, rendered as the indented
         ``EXPLAIN`` lines (see ``docs/OBSERVABILITY.md``), without
-        executing anything.  :meth:`explain` keeps the original flat
-        one-operator-per-line format."""
+        executing anything.  Plans against the current schema (indexes
+        change scan choices)."""
         from repro.query.profiler import explain_tree
 
         return explain_tree(self, query)
@@ -1130,24 +1130,6 @@ class AeonG:
         return self.run_transaction(
             lambda own: execute_profiled(self, own, query, parameters)
         )
-
-    def explain(self, query: str) -> list[str]:
-        """The physical plan for a statement, one operator per line.
-
-        Plans against the current schema (indexes change scan choices),
-        without executing anything.
-        """
-        plan = self.compile(query)
-        lines = plan.describe()
-        if plan.tt is not None:
-            kind = "SNAPSHOT" if plan.tt.kind == "snapshot" else "BETWEEN"
-            lines.append(f"Temporal(TT {kind})")
-        if plan.returns is not None:
-            lines.append(
-                f"Produce({len(plan.returns.names)} columns)"
-                f"{plan.returns.modifiers()}"
-            )
-        return lines
 
     # -- indexes -------------------------------------------------------------------
 

@@ -70,10 +70,6 @@ class Plan:
     tt: Optional[ast.TTClause]
     is_write: bool
 
-    def describe(self) -> list[str]:
-        """One line per physical operator, pipeline order."""
-        return [op.describe() for op in self.ops]
-
 
 def plan_query(query: ast.Query, engine) -> Plan:
     """Lower a parsed statement against ``engine``'s schema (indexes)."""

@@ -66,43 +66,46 @@ class TestUnwind:
         assert rows == [{"m.id": 10}, {"m.id": 11}]
 
 
+def _nodes(db, query):
+    """The EXPLAIN tree's operators, root first, without the tree art."""
+    return [line.split("└─ ")[-1] for line in db.explain_tree(query)]
+
+
 class TestExplain:
     def test_scan_plan(self, db):
-        lines = db.explain("MATCH (n:P) RETURN n")
-        assert lines[0] == "Once"
-        assert "NodeScan(n:P)" in lines[1]
-        assert lines[-1].startswith("Produce(1 columns)")
+        nodes = _nodes(db, "MATCH (n:P) RETURN n")
+        assert nodes[-1] == "Once"
+        assert "NodeScan(n:P)" in nodes[-2]
+        assert nodes[0] == "Produce(n)"
 
     def test_expand_plan(self, db):
-        lines = db.explain("MATCH (a:P)-[r:KNOWS]->(b) WHERE a.id = 1 RETURN b")
-        assert any(line.startswith("Expand(a)->[r:KNOWS](b)") for line in lines)
-        assert any(line.startswith("Filter") for line in lines)
+        nodes = _nodes(db, "MATCH (a:P)-[r:KNOWS]->(b) WHERE a.id = 1 RETURN b")
+        assert any(node.startswith("Expand(a)->[r:KNOWS](b)") for node in nodes)
+        assert any(node.startswith("Filter") for node in nodes)
 
     def test_var_length_plan(self, db):
-        lines = db.explain("MATCH (a:P)-[:T*2..4]->(b) RETURN b")
-        assert any("*2..4" in line for line in lines)
+        nodes = _nodes(db, "MATCH (a:P)-[:T*2..4]->(b) RETURN b")
+        assert any("*2..4" in node for node in nodes)
 
     def test_temporal_marker(self, db):
-        lines = db.explain("MATCH (n:P) TT SNAPSHOT 5 RETURN n")
-        assert "Temporal(TT SNAPSHOT)" in lines
+        nodes = _nodes(db, "MATCH (n:P) TT SNAPSHOT 5 RETURN n")
+        assert "Temporal(TT SNAPSHOT)" in nodes
 
     def test_with_and_unwind_markers(self, db):
-        lines = db.explain(
-            "MATCH (n:P) WITH n.id AS i UNWIND [1] AS x RETURN i, x"
-        )
-        assert "With(i)" in lines
-        assert "Unwind(... AS x)" in lines
+        nodes = _nodes(db, "MATCH (n:P) WITH n.id AS i UNWIND [1] AS x RETURN i, x")
+        assert "With(i)" in nodes
+        assert "Unwind(... AS x)" in nodes
 
     def test_index_changes_plan_shape(self, db):
         """EXPLAIN reflects the planner's anchor choice: with an index
         on the right-hand label+property, the pattern is planned from
         that end."""
-        before = db.explain("MATCH (a)-[:R]->(b:P {id: 1}) RETURN a")
+        before = _nodes(db, "MATCH (a)-[:R]->(b:P {id: 1}) RETURN a")
         db.create_label_property_index("P", "id")
-        after = db.explain("MATCH (a)-[:R]->(b:P {id: 1}) RETURN a")
+        after = _nodes(db, "MATCH (a)-[:R]->(b:P {id: 1}) RETURN a")
         assert before == after  # anchor scoring already prefers (b)
-        assert any("NodeScan(b:P" in line for line in after)
+        assert any("NodeScan(b:P" in node for node in after)
 
     def test_explain_does_not_execute(self, db):
-        db.explain("CREATE (n:Never)")
+        db.explain_tree("CREATE (n:Never)")
         assert db.execute("MATCH (n:Never) RETURN count(*) AS c") == [{"c": 0}]

@@ -163,9 +163,9 @@ class TestMaintenanceDoesNotChangeAnswers:
 
     def test_explain_runs_on_real_queries(self, session):
         db, epochs = session
-        lines = db.explain(
+        lines = db.explain_tree(
             "MATCH (a:Person {name:'ada'})-[:KNOWS*1..2]-(x) "
             f"TT SNAPSHOT {epochs['founded']} RETURN x.name"
         )
         assert any("VarExpand" in line for line in lines)
-        assert "Temporal(TT SNAPSHOT)" in lines
+        assert lines[1] == "└─ Temporal(TT SNAPSHOT)"

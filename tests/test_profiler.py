@@ -178,11 +178,11 @@ class TestExplain:
             "   └─ Once",
         ]
 
-    def test_flat_explain_backward_compatible(self, db):
-        lines = db.explain("MATCH (p:Person) TT SNAPSHOT 1 RETURN p")
-        assert lines[0] == "Once"
-        assert "Temporal(TT SNAPSHOT)" in lines
-        assert lines[-1].startswith("Produce(")
+    def test_explain_tree_runs_from_produce_to_once(self, db):
+        lines = db.explain_tree("MATCH (p:Person) TT SNAPSHOT 1 RETURN p")
+        assert lines[-1].endswith("└─ Once")
+        assert "└─ Temporal(TT SNAPSHOT)" in lines
+        assert lines[0].startswith("Produce(")
 
     def test_prefix_requires_statement(self, db):
         with pytest.raises(ExecutionError):

@@ -168,5 +168,5 @@ class TestCompileTime:
             db.execute("EXPLAIN MATCH (n) RETURN n, n")
 
     def test_explain_lists_skip(self, db):
-        lines = db.explain("MATCH (n:T) RETURN DISTINCT n.v AS v SKIP 1 LIMIT 2")
-        assert lines[-1] == "Produce(1 columns) [DISTINCT, SKIP, LIMIT]"
+        lines = db.explain_tree("MATCH (n:T) RETURN DISTINCT n.v AS v SKIP 1 LIMIT 2")
+        assert lines[0] == "Produce(v) [DISTINCT, SKIP, LIMIT]"
