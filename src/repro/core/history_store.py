@@ -55,6 +55,21 @@ _STREAMS = {
     ),
     history_keys.SEGMENT_EDGE: (history_keys.SEGMENT_EDGE,),
 }
+#: every ``(segment, kind)`` stream of an object kind, deltas first
+_KIND_STREAMS = {
+    "vertex": (
+        (history_keys.SEGMENT_VERTEX, history_keys.KIND_DELTA),
+        (history_keys.SEGMENT_TOPOLOGY, history_keys.KIND_DELTA),
+        (history_keys.SEGMENT_VERTEX, history_keys.KIND_ANCHOR),
+        (history_keys.SEGMENT_TOPOLOGY, history_keys.KIND_ANCHOR),
+    ),
+    "edge": (
+        (history_keys.SEGMENT_EDGE, history_keys.KIND_DELTA),
+        (history_keys.SEGMENT_EDGE, history_keys.KIND_ANCHOR),
+    ),
+}
+_VD, _TD, _VA, _TA = _KIND_STREAMS["vertex"]
+_ED, _EA = _KIND_STREAMS["edge"]
 #: sort / bisect key of record and version rows ``(tt_start, tt_end, ...)``
 _END = itemgetter(1)
 
@@ -278,50 +293,44 @@ class HistoricalStore:
         #: not yet repaired; fetches overlapping them refuse to serve
         #: silently-wrong reconstructions (see repro.integrity)
         self.quarantine = QuarantineSet()
-        # Which objects have any migrated record, by kind.  Scans use
-        # this to skip the KV store entirely for never-migrated objects
-        # (the overwhelmingly common case in a mostly-static graph).
-        self._known: dict[str, set[int]] = {"vertex": set(), "edge": set()}
         #: read-path performance counters (surfaced via engine metrics)
         self.read_metrics = ReadMetrics()
         #: maximum objects the history cache keeps; 0 keeps none
         self.reconstruction_cache_size = reconstruction_cache_size
         # Invalidation epoch for the derived read structures below.  It
         # advances whenever the stored record set can have changed — a
-        # migration commit, prune(), invalidate_caches() (which repair
-        # paths route through) — so correctness never depends on a
-        # caller remembering to flush a specific cache.
+        # migration commit, write() (repairs, prune), invalidate_caches()
+        # — so correctness never depends on a caller remembering to
+        # flush a specific cache.
         self._epoch = 0
         # (object_kind, gid) -> _Entry: the history cache, one LRU of
         # at most reconstruction_cache_size objects (see _entries).
         self._cache: OrderedDict[tuple[str, int], _Entry] = OrderedDict()
-        # Guards the history cache's LRU order and every fill of it.
-        # Epochs (on the maintenance thread) publish staged rows to the
-        # read structures only in commit_batch, under this lock with the
-        # KV write and the epoch bump; readers fill them epoch-checked.
+        # Guards the history cache's LRU order, every fill of it and
+        # the record counts.  The KV store is written only under it, by
+        # commit_batch and write(), together with the counts and the
+        # epoch bump; readers fill the cache epoch-checked.
         self._cache_lock = threading.Lock()
         #: the epoch in flight's records, published by commit_batch
         self._staged: list[tuple] = []
-        # (segment, kind) -> {gid: [(tt_start, tt_end)] ascending by
-        # tt_end}: the key index, built from one key-only scan at open
-        # and appended to by commit_batch (records arrive in commit order).
-        # Serves absence checks, newest-record lookups, gid enumeration
-        # and preload sizing without touching the KV store.  ``None``
-        # means dropped by invalidation; rebuilt lazily.
-        self._gid_index: Optional[
-            dict[tuple[bytes, bytes], dict[int, list[tuple[int, int]]]]
-        ] = None
-        # The index's range side: ``(segment, kind)`` -> ascending gids
-        # of that per-gid mapping, object_kind -> ascending known gids.
-        # Derived state: staging a *new* gid pops the affected entries
-        # (O(1)), every epoch bump and discard_known() drops them, and
-        # _sorted_gids() re-sorts on the next read — so the gids in a
-        # range are two bisects away, never a pass over the mapping.
+        # (segment, kind) -> {gid: records stored}: what the store
+        # holds, counted by one key-only pass here, then grown by
+        # commit_batch and recounted per touched object by write(); a
+        # gid without records has no entry.  Serves absence checks, gid
+        # enumeration and preload sizing without touching the KV store.
+        self._counts: dict[tuple[bytes, bytes], dict[int, int]] = {
+            stream: {} for streams in _KIND_STREAMS.values() for stream in streams
+        }
+        for key, _value in self.kv.scan_all():
+            decoded = history_keys.decode_key(key)
+            counts = self._counts[(decoded.segment, decoded.kind)]
+            counts[decoded.gid] = counts.get(decoded.gid, 0) + 1
+        # The counts' range side: ``(segment, kind)`` -> its ascending
+        # gids, object_kind -> the ascending gids of all its streams.
+        # Memoized by _sorted_gids() and dropped by every epoch bump, so
+        # the gids in a range are two bisects away, never a pass over
+        # a count map.
         self._sorted: dict[object, list[int]] = {}
-        if len(self.kv) > 0:
-            self._rebuild_index()
-        else:
-            self._gid_index = {}
 
     def _decode(self, key: bytes, value: bytes, entry: _Entry):
         """The record's payload, or a :class:`_CorruptPayload` that flags
@@ -338,53 +347,16 @@ class HistoricalStore:
             self.legacy_records += 1
         return payload
 
-    def _rebuild_index(self) -> dict:
-        """One key-only pass over the store rebuilding the known-object
-        sets and the per-(segment, kind) key index together."""
-        epoch = self._epoch
-        known: dict[str, set[int]] = {"vertex": set(), "edge": set()}
-        index: dict[tuple[bytes, bytes], dict[int, list[tuple[int, int]]]] = {}
-        for key, _value in self.kv.scan_all():
-            decoded = history_keys.decode_key(key)
-            known[_OBJECT_KIND[decoded.segment]].add(decoded.gid)
-            per_gid = index.setdefault((decoded.segment, decoded.kind), {})
-            # scan_all yields keys ascending, so per-gid rows arrive
-            # sorted by tt_end (the key order within an object).
-            per_gid.setdefault(decoded.gid, []).append(
-                (decoded.tt_start, decoded.tt_end)
-            )
-        with self._cache_lock:
-            if epoch == self._epoch:
-                self._known = known
-                self._gid_index = index
-                self._sorted.clear()
-        return index
-
-    def _ensure_index(
-        self,
-    ) -> dict[tuple[bytes, bytes], dict[int, list[tuple[int, int]]]]:
-        index = self._gid_index
-        return self._rebuild_index() if index is None else index
-
     def _publish(self, segment, kind, gid, tt_start, tt_end) -> None:
-        """(Under ``_cache_lock``.)  Add one committed record to the
-        known-object set and the key index, and tell the object's cache
-        entry: a row newer than its cached list's tail is noted for the
-        next reader to fetch; an older one (integrity repair, a record
-        staged out of order) drops the list and the version list.  A
-        delta row advances the entry's generation, which makes its
-        version list stale, and a content row drops its mentions."""
+        """(Under ``_cache_lock``.)  Count one committed record and tell
+        the object's cache entry: a row newer than its cached list's
+        tail is noted for the next reader to fetch; an older one (a
+        record staged out of order) drops the list and the version
+        list.  A delta row advances the entry's generation, which makes
+        its version list stale, and a content row drops its mentions."""
+        counts = self._counts[(segment, kind)]
+        counts[gid] = counts.get(gid, 0) + 1
         object_kind = _OBJECT_KIND[segment]
-        if kind == history_keys.KIND_DELTA and gid not in self._known[object_kind]:
-            self._known[object_kind].add(gid)
-            self._sorted.pop(object_kind, None)
-        if self._gid_index is not None:
-            per_gid = self._gid_index.setdefault((segment, kind), {})
-            rows = per_gid.get(gid)
-            if rows is None:
-                rows = per_gid[gid] = []
-                self._sorted.pop((segment, kind), None)
-            rows.append((tt_start, tt_end))
         entry = self._cache.get((object_kind, gid))
         if entry is None:
             return
@@ -405,14 +377,17 @@ class HistoricalStore:
             if segment == history_keys.SEGMENT_VERTEX:
                 entry.mentions = None
 
-    def _sorted_gids(self, key, source: Iterable[int]) -> list[int]:
-        """Memoized ``sorted(source)``: ``key`` is the ``(segment,
-        kind)`` of a per-gid mapping or the object kind of a
-        known-object set.  Treat the list as read-only."""
+    def _sorted_gids(self, key) -> list[int]:
+        """Memoized ascending gids of one ``(segment, kind)`` stream, or
+        (``key`` an object kind) of every stream of that kind.  Treat
+        the list as read-only."""
         cached = self._sorted.get(key)
         if cached is None:
             epoch = self._epoch
-            cached = sorted(source)
+            if isinstance(key, str):
+                cached = sorted(self.known_gids(key))
+            else:
+                cached = sorted(self._counts[key])
             with self._cache_lock:
                 if epoch == self._epoch:  # else an epoch landed since
                     self._sorted[key] = cached
@@ -430,22 +405,27 @@ class HistoricalStore:
         return self._epoch
 
     def known_gids(self, object_kind: str) -> set[int]:
-        """Gids with at least one migrated record (live reference)."""
-        return self._known[object_kind]
+        """Gids with at least one stored record (a new set)."""
+        counts = self._counts
+        return set().union(*(counts[stream] for stream in _KIND_STREAMS[object_kind]))
 
     def sorted_known_gids(self, object_kind: str) -> list[int]:
         """Memoized ascending list of :meth:`known_gids` (treat as
         read-only — scans iterate it on every unindexed query)."""
-        return self._sorted_gids(object_kind, self._known[object_kind])
+        return self._sorted_gids(object_kind)
 
-    def discard_known(self, object_kind: str, gid: int) -> None:
-        """Drop one gid from the known-object set and the history cache
-        (used by integrity repairs after they empty an object's record
-        set)."""
-        with self._cache_lock:
-            self._known[object_kind].discard(gid)
-            self._sorted.pop(object_kind, None)
-            self._cache.pop((object_kind, gid), None)
+    def has_history(self, object_kind: str, gid: int) -> bool:
+        """Whether any reclaimed record exists for the object (unrolled:
+        scans ask this of every candidate, mostly record-less ones)."""
+        counts = self._counts
+        if object_kind == "vertex":
+            return (
+                gid in counts[_VD]
+                or gid in counts[_TD]
+                or gid in counts[_VA]
+                or gid in counts[_TA]
+            )
+        return gid in counts[_ED] or gid in counts[_EA]
 
     # -- write side (used by Migrate) ------------------------------------
 
@@ -495,13 +475,39 @@ class HistoricalStore:
         """
         staged, self._staged = self._staged, []
         if batch:
-            # Locked write: a racing _rebuild_index that saw these rows must
-            # find the epoch bumped, not install them for publish to re-add.
+            # Locked write: a reader sees the rows and their counts together.
             with self._cache_lock:
                 self.kv.write(batch)
                 for row in staged:
                     self._publish(*row)
                 self._bump_epoch()
+
+    def write(self, batch: WriteBatch) -> None:
+        """Install a batch outside a migration epoch (an integrity
+        repair, a retention cut, the ``corrupt`` failpoint): the store's
+        one other writer of its KV store.  Under the cache lock it
+        writes the batch, recounts each stream the batch touched of
+        each object it names, drops those objects' cache entries and
+        bumps the epoch; every other object keeps what it cached."""
+        if not batch:
+            return
+        touched = set()
+        for key, _value in batch.items():
+            stream = (key[:1], key[1:2])
+            if stream in self._counts:
+                touched.add((stream, int.from_bytes(key[2:10], "big")))
+        with self._cache_lock:
+            self.kv.write(batch)
+            for (segment, kind), gid in touched:
+                prefix = history_keys.object_prefix(segment, kind, gid)
+                stored = sum(1 for _row in self.kv.scan_prefix(prefix))
+                counts = self._counts[(segment, kind)]
+                if stored:
+                    counts[gid] = stored
+                else:
+                    counts.pop(gid, None)
+                self._cache.pop((_OBJECT_KIND[segment], gid), None)
+            self._bump_epoch()
 
     # -- read side (FetchFromKV) ---------------------------------------------
 
@@ -663,10 +669,9 @@ class HistoricalStore:
         for key, value in self.kv.scan_prefix(prefix):
             batch = WriteBatch()
             batch.put(key, corrupt_bytes(value))
-            self.kv.write(batch)
-            # decoded payloads may already be cached; drop them so the
-            # damaged bytes are actually re-read and re-verified
-            self.invalidate_caches()
+            # drops the object's cached payloads, so the damaged bytes
+            # are actually re-read and re-verified
+            self.write(batch)
             return True
         return False
 
@@ -758,14 +763,14 @@ class HistoricalStore:
         tracer = self.tracer
         traced = tracer is not None and tracer.enabled
         with tracer.span("history.reconstruct") if traced else nullcontext():
+            segment = _SEGMENT[object_kind]
+            content, topology = self._delta_lists(segment, gid, entry)
             if base_view is not None:
                 base = base_view.fork()
             else:
-                base = self._blank_base(object_kind, gid)
+                base = self._blank_base(object_kind, gid, entry)
                 if base is None:
                     return _Built(None, [], 0, generation, (0, 0))
-            segment = _SEGMENT[object_kind]
-            content, topology = self._delta_lists(segment, gid, entry)
             below = _count_below(content, topology, base.tt_start)
             sig = _base_sig(base_view)
             replays = below[0] + len(topology)
@@ -864,17 +869,11 @@ class HistoricalStore:
         if base is None:
             return
         # A current-store or blank base holds the adjacency left by
-        # every migrated structural change, whatever its content start:
-        # undo each one newer than t1 that it has not undone itself.  An
-        # anchor holds no adjacency, so its replay stays bounded like
-        # its content.
+        # every migrated structural change, whatever its content start,
+        # and an anchor view carries that base's adjacency: undo each
+        # one newer than t1 that the base has not undone itself.
         records = self._collect_records(
-            segment,
-            gid,
-            cond.t1,
-            base.tt_start,
-            base.tt_start if include_base else _topology_boundary(base_view),
-            entry,
+            segment, gid, cond.t1, base.tt_start, _topology_boundary(base_view), entry
         )
         if cond.is_point:
             # State-at-t semantics: undo *every* change that happened
@@ -898,8 +897,21 @@ class HistoricalStore:
         # are applied silently — structural changes do not create
         # content versions (the separate structural transaction-time
         # field exists precisely for this, section 4.1).
-        if include_base and base.exists and cond.matches(base.tt_start, base.tt_end):
-            yield base.fork()
+        if include_base:
+            # The anchor's version has the adjacency of its end: undo
+            # the structural changes after it (only topology records end
+            # there) before surfacing it.
+            content_tt = (base.tt_start, base.tt_end)
+            # records run newest first: count those ending after it
+            newer = bisect.bisect_left(records, -base.tt_end, key=lambda row: -row[1])
+            for tt_start, tt_end, seg, payload in records[:newer]:
+                self.reconstructions += 1
+                self.read_metrics.deltas_replayed += 1
+                self._apply(base, seg, payload, tt_start, tt_end)
+            del records[:newer]
+            base.tt_start, base.tt_end = content_tt
+            if base.exists and cond.matches(base.tt_start, base.tt_end):
+                yield base.fork()
         for tt_start, tt_end, seg, payload in records:
             self.reconstructions += 1
             self.read_metrics.deltas_replayed += 1
@@ -944,12 +956,21 @@ class HistoricalStore:
                 )
                 if object_kind == "vertex":
                     view = vertex_view_from_anchor(gid, payload, tt_start, tt_end)
+                    if base_view is not None:
+                        # An anchor holds no adjacency: share the base's
+                        # (a blank base has none), which the replay then
+                        # undoes down to t.
+                        source = base_view.fork()
+                        view._out_edges = source._out_edges
+                        view._in_edges = source._in_edges
+                        view._pending = source._pending
+                        view._owns_edges = False
                 else:
                     view = edge_view_from_anchor(gid, payload, tt_start, tt_end)
                 return view, True
         if base_view is not None:
             return base_view.fork(), False
-        return self._blank_base(object_kind, gid), False
+        return self._blank_base(object_kind, gid, entry), False
 
     def _containing_version(
         self, segment: bytes, gid: int, tt_start: int, tt_end: int, entry: _Entry
@@ -987,14 +1008,9 @@ class HistoricalStore:
         epoch = self._epoch
         prefix = history_keys.object_prefix(segment, kind, gid)
         if records is None:
-            index = self._gid_index
-            # The index is authoritative about absence: skip the KV
+            # The counts are authoritative about absence: skip the KV
             # seek entirely for record-less objects.
-            rows = (
-                self.kv.scan_prefix(prefix)
-                if index is None or gid in (index.get(stream) or ())
-                else ()
-            )
+            rows = self.kv.scan_prefix(prefix) if gid in self._counts[stream] else ()
             records = []
         else:
             start = prefix
@@ -1028,7 +1044,7 @@ class HistoricalStore:
         batch ``held`` or else the cache's.
 
         Skips objects with no history or already-cached records.  When
-        the key index shows the gid range is mostly other objects'
+        the record counts show the gid range is mostly other objects'
         records (sparse candidates over a dense keyspace), the range
         scan would read more than it saves, so the call backs off and
         leaves the per-object lazy loads to do the work.  Returns the
@@ -1037,8 +1053,8 @@ class HistoricalStore:
         if held is None and self.reconstruction_cache_size <= 0:
             return 0  # nothing would keep what the scan read
         segment = _SEGMENT[object_kind]
-        known = self._known[object_kind]
-        wanted = {gid for gid in gids if gid in known}
+        has_history = self.has_history
+        wanted = {gid for gid in gids if has_history(object_kind, gid)}
         if held is None:
             held = self._entries(object_kind, wanted)
         return max(
@@ -1054,9 +1070,9 @@ class HistoricalStore:
         wanted = sorted(gid for gid in gids if stream not in held[gid].records)
         if len(wanted) < 2:
             return 0  # a single object's lazy prefix scan is already one seek
-        per_gid = self._ensure_index().get(stream) or {}
+        counts = self._counts[stream]
         low_gid, high_gid = wanted[0], wanted[-1]
-        goal = sum(len(per_gid.get(gid, ())) for gid in wanted)
+        goal = sum(counts.get(gid, 0) for gid in wanted)
         if self._span_exceeds(segment, kind, low_gid, high_gid, 4 * goal + 16):
             self.read_metrics.preload_backoffs += 1
             return 0
@@ -1081,16 +1097,17 @@ class HistoricalStore:
         self, segment: bytes, kind: bytes, low_gid: int, high_gid: int, limit: int
     ) -> bool:
         """Whether gids in ``[low_gid, high_gid]`` hold more than
-        ``limit`` index rows.  Two bisects bound the gids in range;
-        each holds at least one row, so more than ``limit`` gids settle
-        it unsummed — O(log N + limit) however large the store."""
-        per_gid = self._ensure_index().get((segment, kind)) or {}
-        gids = self._sorted_gids((segment, kind), per_gid)
+        ``limit`` records of one stream.  Two bisects bound the gids in
+        range; each holds at least one record, so more than ``limit``
+        gids settle it unsummed — O(log N + limit) however large the
+        store."""
+        counts = self._counts[(segment, kind)]
+        gids = self._sorted_gids((segment, kind))
         start = bisect.bisect_left(gids, low_gid)
         stop = bisect.bisect_right(gids, high_gid, lo=start)
         if stop - start > limit:
             return True
-        return sum(len(per_gid.get(gid, ())) for gid in gids[start:stop]) > limit
+        return sum(counts.get(gid, 0) for gid in gids[start:stop]) > limit
 
     def _seek_anchor(self, segment: bytes, gid: int, t: int, entry: _Entry):
         """First anchor of ``gid`` with ``tt_end > t`` (nearest newer)."""
@@ -1130,32 +1147,20 @@ class HistoricalStore:
         collected.sort(key=_END, reverse=True)
         return collected
 
-    def _blank_base(self, object_kind: str, gid: int):
+    def _blank_base(self, object_kind: str, gid: int, entry: _Entry):
         """A non-existence placeholder ending at the object's newest
-        record (across the content and topology segments for vertices),
-        or ``None`` for an object with no records.  Answered from the
-        key index — no payload is decoded and no KV seek is paid."""
-        index = self._ensure_index()
-        newest: Optional[int] = None
-        for seg in _STREAMS[_SEGMENT[object_kind]]:
-            per_gid = index.get((seg, history_keys.KIND_DELTA))
-            rows = per_gid.get(gid) if per_gid else None
-            if rows and (newest is None or rows[-1][1] > newest):
-                newest = rows[-1][1]
-        if newest is None:
+        delta record (across the content and topology segments for
+        vertices), or ``None`` for an object with none.  Read from the
+        record lists the reconstruction replays next."""
+        ends = [
+            records[-1][1]
+            for records in self._delta_lists(_SEGMENT[object_kind], gid, entry)
+            if records
+        ]
+        if not ends:
             return None
         blank = VertexView.blank if object_kind == "vertex" else EdgeView.blank
-        return blank(gid, newest, MAX_TIMESTAMP)
-
-    # -- enumeration (for scans over reclaimed-only objects) ---------------
-
-    def iter_gids(self, object_kind: str) -> Iterator[int]:
-        """Distinct gids present in the store for one object kind,
-        ascending — served from the key index (the skip scan this used
-        to run now happens at most once, inside the index rebuild)."""
-        segment = _SEGMENT[object_kind]
-        key = (segment, history_keys.KIND_DELTA)
-        yield from self._sorted_gids(key, self._ensure_index().get(key, ()))
+        return blank(gid, max(ends), MAX_TIMESTAMP)
 
     def vertex_mentions(self, gid: int) -> tuple[set, dict]:
         """Aggregated pruning data for one vertex's reclaimed history:
@@ -1210,23 +1215,17 @@ class HistoricalStore:
                 in_refs.extend(payload.get(field, ()))
         return out_refs, in_refs
 
-    def has_history(self, object_kind: str, gid: int) -> bool:
-        """Whether any reclaimed record exists for the object."""
-        return gid in self._known[object_kind]
-
     def invalidate_caches(self) -> None:
-        """Drop every derived read structure (rebuilt lazily from the
-        KV store) and advance the invalidation epoch.
+        """Drop the history cache and the staged rows, and advance the
+        invalidation epoch (the record counts stay: they describe what
+        the store holds, not what was read from it).
 
-        Called after a failed migration epoch (its staged rows are
-        dropped, so a retry of the same drafts cannot duplicate them)
-        and by integrity repairs that rewrite records in place — both
-        mean anything memoized about the record set may be wrong.
+        Called after a failed migration epoch: its staged rows are
+        dropped, so a retry of the same drafts cannot duplicate them.
         """
         with self._cache_lock:
             self._staged = []
             self._cache.clear()
-            self._gid_index = None
             self._bump_epoch()
 
     # -- retention ---------------------------------------------------------------
@@ -1241,25 +1240,17 @@ class HistoricalStore:
         the pruned region — they only ever replay records newer than
         the target version) is unaffected.
         """
-        doomed: list[bytes] = []
-        for key, _value in self.kv.scan_all():
-            decoded = history_keys.decode_key(key)
-            if decoded.tt_end <= before_ts:
-                doomed.append(key)
-        if not doomed:
-            return 0
         batch = WriteBatch()
-        for key in doomed:
-            batch.delete(key)
-        self.kv.write(batch)
+        for key, _value in self.kv.scan_all():
+            if history_keys.decode_key(key).tt_end <= before_ts:
+                batch.delete(key)
+        if not batch:
+            return 0
+        # One recount under the lock; every pruned object's cache entry
+        # goes with it, so not one stale version can be served.
+        self.write(batch)
         self.kv.compact()
-        # Every derived structure — the history cache, the key index
-        # and the known-object set — is rebuilt from scratch; pruning
-        # is a rare administrative operation and serving even one stale
-        # version would violate the retention contract.
-        self.invalidate_caches()
-        self._rebuild_index()
-        return len(doomed)
+        return len(batch)
 
     # -- accounting --------------------------------------------------------------
 

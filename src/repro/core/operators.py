@@ -352,12 +352,12 @@ class TemporalOperators:
         records cannot be decoded (the gid then stays a candidate, and
         a read that needs the damaged record fails there, exactly as a
         direct read would)."""
-        known = self.history.known_gids("vertex")
+        has_history = self.history.has_history
         mentions = self.history.vertex_mentions
         nothing = (frozenset(), {})
 
         def read(gid: int):
-            if gid not in known:
+            if not has_history("vertex", gid):
                 return nothing
             try:
                 return mentions(gid)

@@ -1020,7 +1020,7 @@ class Scrubber:
                         finding.key,
                         encode_record_payload(anchor_payload_from_view(state)),
                     )
-                    self._kv.write(batch)
+                    self.history.write(batch)
                     report.repairs_applied += 1
                     finding.repair = "re-anchored from delta replay"
                 else:
@@ -1047,8 +1047,6 @@ class Scrubber:
             report.records_dropped += dropped
             if dropped:
                 report.repairs_applied += 1
-        self.history.invalidate_caches()
-        self._refresh_known(object_kind, gid)
 
     def _rewrite_delta(
         self, object_kind: str, gid: int, finding: Finding
@@ -1084,7 +1082,7 @@ class Scrubber:
         payload = backward_content_diff(newer, older)
         batch = WriteBatch()
         batch.put(finding.key, encode_record_payload(payload))
-        self._kv.write(batch)
+        self.history.write(batch)
         return True
 
     def _drop_current_overlap(self, object_kind: str, gid: int) -> list[bytes]:
@@ -1135,28 +1133,10 @@ class Scrubber:
         return len(doomed)
 
     def _delete_keys(self, doomed: list[bytes]) -> None:
-        if not doomed:
-            return
         batch = WriteBatch()
         for key in doomed:
             batch.delete(key)
-        self._kv.write(batch)
-
-    def _refresh_known(self, object_kind: str, gid: int) -> None:
-        """Drop the object from the known-gid set if repairs emptied it."""
-        segments = (
-            [history_keys.SEGMENT_VERTEX, history_keys.SEGMENT_TOPOLOGY]
-            if object_kind == "vertex"
-            else [history_keys.SEGMENT_EDGE]
-        )
-        for segment in segments:
-            for kind in (history_keys.KIND_ANCHOR, history_keys.KIND_DELTA):
-                prefix = history_keys.object_prefix(segment, kind, gid)
-                for _key, _value in self._kv.scan_prefix(prefix):
-                    return
-        # Route through the store so its memoized scan list and cached
-        # reconstructions for the object are dropped with the gid.
-        self.history.discard_known(object_kind, gid)
+        self.history.write(batch)
 
     def _insert_spacing_anchors(self, object_kind: str, gid: int) -> int:
         """Heal anchor-spacing warnings by inserting synthetic anchors.
@@ -1209,7 +1189,5 @@ class Scrubber:
                 )
                 existing.add(key)
                 inserted += 1
-        if inserted:
-            self._kv.write(batch)
-            self.history.invalidate_caches()
+        self.history.write(batch)
         return inserted

@@ -46,12 +46,6 @@ class TestHistoricalStoreInternals:
         assert db.history.has_history("vertex", gid)
         assert gid in db.history.known_gids("vertex")
 
-    def test_iter_gids_skip_scan(self):
-        db = _engine()
-        gids = [_versioned_vertex(db, [0, 1]) for _ in range(5)]
-        db.collect_garbage()
-        assert sorted(db.history.iter_gids("vertex")) == sorted(gids)
-
     @pytest.mark.read_path
     def test_reread_decodes_nothing(self):
         db = _engine()

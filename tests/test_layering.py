@@ -53,3 +53,40 @@ def test_core_module_imports_no_satellite(parts):
         top = name.split(".")
         if top[0] == "repro" and len(top) > 1 and top[1] in WATCHED:
             assert (module, top[1]) in ALLOWED, f"{module} imports {name}"
+
+
+#: the history KV store's writers: the history store and the KV store
+#: itself
+KV_OWNERS = (("repro", "core", "history_store"), ("repro", "kvstore"))
+#: module -> why it may still write a ``kv`` attribute
+KV_ALLOWED = {
+    "repro.baselines.clockg": "the Clock-G baseline writes its own KVStore, "
+    "not the history store's",
+}
+ALL_MODULES = sorted(
+    path.relative_to(SRC).with_suffix("").parts
+    for path in (SRC / "repro").rglob("*.py")
+)
+
+
+@pytest.mark.parametrize("parts", ALL_MODULES, ids=".".join)
+def test_only_the_history_store_writes_its_kv_store(parts):
+    """Every write to the history KV store goes through
+    ``HistoricalStore``, which keeps its record counts and cache in step
+    with what it writes."""
+    if any(parts[: len(owner)] == owner for owner in KV_OWNERS):
+        return
+    module = ".".join(p for p in parts if p != "__init__")
+    tree = ast.parse((SRC.joinpath(*parts).with_suffix(".py")).read_text())
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("write", "put", "delete")
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr in ("kv", "_kv")
+        ):
+            assert module in KV_ALLOWED, (
+                f"{module}:{node.lineno} calls .{node.func.value.attr}."
+                f"{node.func.attr}() outside the history store"
+            )

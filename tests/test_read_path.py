@@ -1,4 +1,4 @@
-"""Read-path performance layer (reconstruction cache, key index,
+"""Read-path performance layer (reconstruction cache, record counts,
 preload) and its correctness contract.
 
 Covers: cached-vs-uncached output equality over the full (t1, t2)
@@ -34,7 +34,7 @@ from repro.cli import run as cli_run
 from repro.common.timeutil import MAX_TIMESTAMP
 from repro.core import keys as hk
 from repro.core import operators
-from repro.core.deltas import RecordDraft
+from repro.core.deltas import RecordDraft, encode_record_payload
 from repro.core.history_store import HistoricalStore, _base_sig, _Entry
 from repro.faults import FAILPOINTS, corrupt_bytes
 from repro.graph.vertex import EdgeRef
@@ -1762,14 +1762,24 @@ class TestReclaimedAdjacency:
             tl, gids, life = _random_links_db(seed, 4096, anchor_interval=2)
             assert _reclaimed_adjacency_errors(tl, gids, life) == [], seed
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="an anchor holds no adjacency (anchors.historical_state), so "
-        "the uncached replay from one cannot rebuild a version's edges",
-    )
     def test_uncached_reads_from_an_anchor_match_edge_lifetimes(self):
         tl, gids, life = _random_links_db(0, 0, anchor_interval=2)
         assert _reclaimed_adjacency_errors(tl, gids, life) == []
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_uncached_slices_from_an_anchor_match_cached_adjacency(self, seed):
+        # A slice surfaces the anchor's own version with the adjacency
+        # of its end, like the cached version list.
+        uncached, gids, _life = _random_links_db(seed, 0, anchor_interval=2)
+        cached, _gids, _life = _random_links_db(seed, 4096, anchor_interval=2)
+        for gid in gids:
+            end = uncached.db.storage.vertex_record(gid).tt_start
+            for t1 in range(0, end, 3):
+                for t2 in range(t1, end + 3, 4):
+                    cond = TemporalCondition.between(t1, t2)
+                    assert _adjacency_versions(uncached.db, gid, cond) == (
+                        _adjacency_versions(cached.db, gid, cond)
+                    ), (gid, t1, t2)
 
 
 # -- aliasing: served views share the cache's containers -----------------------
@@ -2028,17 +2038,215 @@ class TestKnownGidMemoization:
         assert c in set(refreshed)
         assert refreshed == sorted(db.history.known_gids("vertex"))
 
-    def test_discard_known_also_drops_cached_versions(self):
+    def test_emptying_repair_drops_counts_gids_and_cached_versions(self):
         db, a, _b, _e = _history_rich_db()
         hi = db.now()
         full = _versions(db, "vertex", a, TemporalCondition.between(0, hi))
         assert full
-        db.history.discard_known("vertex", a)
+        assert ("vertex", a) in db.history._cache
+        before = db.history.sorted_known_gids("vertex")
+        assert a in before
+        # truncation at the newest record end removes every record
+        assert Scrubber(db)._truncate_below("vertex", a, MAX_TIMESTAMP) > 0
         assert not db.history.has_history("vertex", a)
+        assert all(a not in counts for counts in db.history._counts.values())
         assert a not in set(db.history.sorted_known_gids("vertex"))
+        assert ("vertex", a) not in db.history._cache
+        _assert_counts_match(db.history)
 
 
-# -- the range-addressable key index and the preload density guard -------------
+# -- the per-stream record counts against the KV store ------------------------
+
+
+def _reports_repair(report, code, wording):
+    return any(f.code == code and wording in (f.repair or "") for f in report.errors())
+
+
+class TestRecordCounts:
+    """After every step that writes the history KV store, each stream's
+    record counts equal a brute-force count of its keys."""
+
+    def test_counts_follow_every_writer(self, tmp_path):
+        from repro.errors import FaultInjected
+
+        home = tmp_path / "home"
+        db = AeonG.open(home, anchor_interval=4, gc_interval_transactions=0)
+        store = db.history
+        scrubber = Scrubber(db)
+        gids = []
+        for _ in range(7):
+            with db.transaction() as txn:
+                gids.append(db.create_vertex(txn, ["P"], {"n": 0}))
+        with db.transaction() as txn:
+            edge = db.create_edge(txn, gids[0], gids[1], "L", {"w": 0})
+        for i in range(1, 12):
+            with db.transaction() as txn:
+                for gid in gids:
+                    db.set_vertex_property(txn, gid, "n", i)
+                db.set_edge_property(txn, edge, "w", i)
+        db.collect_garbage()  # a migration epoch
+        _assert_counts_match(store)
+        assert store.has_history("edge", edge)
+
+        with db.transaction() as txn:
+            db.set_vertex_property(txn, gids[0], "n", 12)
+        with db.transaction() as txn:
+            db.set_vertex_property(txn, gids[0], "n", 13)
+        with FAILPOINTS.active("migration.commit_batch", "error"):
+            with pytest.raises(FaultInjected):
+                db.collect_garbage()  # a failed epoch
+        _assert_counts_match(store)
+        db.collect_garbage()
+        _assert_counts_match(store)
+
+        def stream(gid, kind):
+            prefix = hk.object_prefix(hk.SEGMENT_VERTEX, kind, gid)
+            return list(store.kv.scan_prefix(prefix))
+
+        def damage(puts=(), deletes=()):
+            batch = WriteBatch()
+            for key, value in puts:
+                batch.put(key, value)
+            for key in deletes:
+                batch.delete(key)
+            store.write(batch)
+            _assert_counts_match(store)
+
+        def anchored_delta(gid):
+            anchor = hk.decode_key(stream(gid, hk.KIND_ANCHOR)[0][0])
+            key = hk.encode_key(
+                hk.SEGMENT_VERTEX, hk.KIND_DELTA, gid, anchor.tt_start, anchor.tt_end
+            )
+            return key, dict(stream(gid, hk.KIND_DELTA))[key]
+
+        # checksum rewrite: a corrupt delta sharing an anchor's interval
+        key, value = anchored_delta(gids[1])
+        damage(puts=[(key, corrupt_bytes(value))])
+        # truncation: a corrupt delta with no companion anchor
+        anchor_ends = {hk.decode_key(k).tt_end for k, _ in stream(gids[2], hk.KIND_ANCHOR)}
+        key, value = next(
+            (k, v)
+            for k, v in stream(gids[2], hk.KIND_DELTA)
+            if hk.decode_key(k).tt_end not in anchor_ends
+        )
+        damage(puts=[(key, corrupt_bytes(value))])
+        # re-anchor: a well-checksummed but wrong anchor
+        key, _value = stream(gids[3], hk.KIND_ANCHOR)[0]
+        damage(puts=[(key, encode_record_payload({"l": ["P"], "p": {"n": 999}}))])
+        # anchor drop: an orphaned anchor past the last delta
+        last = hk.decode_key(stream(gids[4], hk.KIND_DELTA)[-1][0])
+        orphan = hk.encode_key(
+            hk.SEGMENT_VERTEX, hk.KIND_ANCHOR, gids[4], last.tt_end + 101,
+            last.tt_end + 103,
+        )
+        damage(puts=[(orphan, encode_record_payload({"l": [], "p": {}}))])
+        # current-overlap drop: a delta claiming time the current store owns
+        bogus = hk.encode_key(
+            hk.SEGMENT_VERTEX, hk.KIND_DELTA, gids[5], db.now() + 5, db.now() + 9
+        )
+        damage(puts=[(bogus, encode_record_payload({"p": {"n": -1}}))])
+        # spacing-anchor insert: every anchor of an object gone
+        damage(deletes=[key for key, _value in stream(gids[6], hk.KIND_ANCHOR)])
+
+        report = scrubber.scrub_full()
+        _assert_counts_match(store)
+        assert _reports_repair(report, "checksum-mismatch", "rewritten")
+        assert _reports_repair(report, "checksum-mismatch", "truncated")
+        assert _reports_repair(report, "anchor-replay-mismatch", "re-anchored")
+        assert _reports_repair(report, "anchor-orphaned", "dropped anchor")
+        assert _reports_repair(report, "current-overlap", "dropped")
+        assert report.anchors_inserted >= 1
+        assert scrubber.scrub_full().ok
+        _assert_counts_match(store)
+
+        with FAILPOINTS.active("history.fetch", "corrupt"):
+            with pytest.raises(IntegrityError):
+                _versions(db, "vertex", gids[0], TemporalCondition.between(0, db.now()))
+        _assert_counts_match(store)
+        scrubber.scrub_full()  # truncates below the damage
+        _assert_counts_match(store)
+
+        assert store.prune(db.now() // 2) > 0
+        _assert_counts_match(store)
+        counts = {s: dict(c) for s, c in store._counts.items()}
+
+        db.checkpoint()
+        db.close()
+        reopened = AeonG.open(home, anchor_interval=4, gc_interval_transactions=0)
+        try:
+            _assert_counts_match(reopened.history)
+            assert reopened.history._counts == counts
+        finally:
+            reopened.close()
+
+
+    def test_writes_racing_epochs_lose_no_count(self):
+        """A write() recounting an object while an epoch publishes rows
+        to it must not install a count from before the epoch: under the
+        store's lock the counts always equal the KV store."""
+        db = AeonG(anchor_interval=4, gc_interval_transactions=0)
+        store = db.history
+        with db.transaction() as txn:
+            gids = [db.create_vertex(txn, ["P"], {"n": 0}) for _ in range(2)]
+        prefixes = {
+            gid: hk.object_prefix(hk.SEGMENT_VERTEX, hk.KIND_DELTA, gid) for gid in gids
+        }
+        stream = store._counts[(hk.SEGMENT_VERTEX, hk.KIND_DELTA)]
+        done = threading.Event()
+        errors = []
+        mismatches = []
+
+        def epochs():
+            try:
+                for i in range(1, 1000):
+                    with db.transaction() as txn:
+                        db.set_vertex_property(txn, gids[i % 2], "n", i)
+                    db.collect_garbage()
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def rewrites():
+            try:
+                while not done.is_set():
+                    for prefix in prefixes.values():
+                        rows = list(store.kv.scan_prefix(prefix))
+                        if rows:
+                            batch = WriteBatch()
+                            batch.put(*rows[-1])
+                            store.write(batch)
+            except BaseException as exc:
+                errors.append(exc)
+
+        def checks():
+            while not done.is_set():
+                with store._cache_lock:
+                    for gid, prefix in prefixes.items():
+                        stored = len(list(store.kv.scan_prefix(prefix)))
+                        if stream.get(gid, 0) != stored:
+                            mismatches.append((gid, stream.get(gid, 0), stored))
+
+        threads = [
+            threading.Thread(target=f)
+            for f in (epochs, rewrites, rewrites, rewrites, checks)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert mismatches == []
+        _assert_counts_match(store)
+
+
+# -- the range-addressable record counts and the preload density guard --------
 
 
 def _stage_rows(store, rows, first_tt=0):
@@ -2059,8 +2267,47 @@ def _assert_enumerators_sorted(store):
     """The memoized gid lists equal a fresh sort of their sources."""
     for kind, segment in (("vertex", hk.SEGMENT_VERTEX), ("edge", hk.SEGMENT_EDGE)):
         assert store.sorted_known_gids(kind) == sorted(store.known_gids(kind))
-        per_gid = store._ensure_index().get((segment, hk.KIND_DELTA), {})
-        assert list(store.iter_gids(kind)) == sorted(per_gid)
+        stream = (segment, hk.KIND_DELTA)
+        assert store._sorted_gids(stream) == sorted(store._counts[stream])
+
+
+def _assert_counts_match(store):
+    """Every stream's record counts equal a brute-force count of the
+    KV store's keys."""
+    expected: dict = {}
+    for key, _value in store.kv.scan_all():
+        decoded = hk.decode_key(key)
+        per_gid = expected.setdefault((decoded.segment, decoded.kind), {})
+        per_gid[decoded.gid] = per_gid.get(decoded.gid, 0) + 1
+    assert {stream: counts for stream, counts in store._counts.items() if counts} == (
+        expected
+    )
+    for kind, segments in (
+        ("vertex", (hk.SEGMENT_VERTEX, hk.SEGMENT_TOPOLOGY)),
+        ("edge", (hk.SEGMENT_EDGE,)),
+    ):
+        known = {
+            gid
+            for (segment, _kind), counts in expected.items()
+            if segment in segments
+            for gid in counts
+        }
+        assert store.sorted_known_gids(kind) == sorted(known)
+
+
+def _delete_object(store, object_kind, gid):
+    """Delete every record of one object through the store's writer."""
+    segments = (
+        (hk.SEGMENT_VERTEX, hk.SEGMENT_TOPOLOGY)
+        if object_kind == "vertex"
+        else (hk.SEGMENT_EDGE,)
+    )
+    batch = WriteBatch()
+    for segment in segments:
+        for kind in (hk.KIND_ANCHOR, hk.KIND_DELTA):
+            for key, _value in store.kv.scan_prefix(hk.object_prefix(segment, kind, gid)):
+                batch.delete(key)
+    store.write(batch)
 
 
 def _reference_declines(store, segment, gids):
@@ -2178,14 +2425,15 @@ class TestPreloadGuardIndex:
         for kind in ("vertex", "edge"):
             known = store.sorted_known_gids(kind)
             if known:
-                store.discard_known(kind, known[victim % len(known)])
+                _delete_object(store, kind, known[victim % len(known)])
         _assert_guard_matches_reference(store, candidate_sets)
         _assert_enumerators_sorted(store)
+        _assert_counts_match(store)
 
     def test_sparse_expand_never_walks_the_per_gid_index(self):
         """An expand over four neighbours scattered across a 20k-object
         store must size its preload from the sorted gid lists — the
-        per-gid mappings refuse every form of iteration."""
+        per-gid count maps refuse every form of iteration."""
         db = AeonG(anchor_interval=3, gc_interval_transactions=0)
         with db.transaction() as txn:
             filler = [
@@ -2224,20 +2472,20 @@ class TestPreloadGuardIndex:
 
         class NoWalk(dict):
             def _refuse(self, *_args):
-                raise AssertionError("store-wide walk of the per-gid index")
+                raise AssertionError("store-wide walk of a per-gid count map")
 
             __iter__ = items = values = keys = _refuse
 
-        index = db.history._gid_index
-        for key in list(index):
-            index[key] = NoWalk(index[key])
+        counts = db.history._counts
+        for key in list(counts):
+            counts[key] = NoWalk(counts[key])
         db.history._cache.clear()
         before = db.history.read_path_metrics()
         cold = expand_all(hubs[1])
         after = db.history.read_path_metrics()
         assert [pair[1] for pair in cold] == [pair[1] for pair in warm]
         # the scattered neighbours were declined (vertex segment) and the
-        # adjacent edge gids batched, both without touching the mappings
+        # adjacent edge gids batched, both without walking the count maps
         assert after["preload_backoffs"] > before["preload_backoffs"]
         assert after["preload_batches"] > before["preload_batches"]
 
@@ -2272,7 +2520,7 @@ class TestPreloadGuardIndex:
                     )
                 )
         metrics = db.history.read_path_metrics()
-        assert kv.seeks - seeks == 6
+        assert kv.seeks - seeks == 5  # two prefix reads, three range reads
         assert kv.range_scans - range_scans == 3
         assert metrics["preload_batches"] == 3
         assert metrics["preload_objects"] == 24
