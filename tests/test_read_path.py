@@ -2046,7 +2046,7 @@ class TestKnownGidMemoization:
         assert ("vertex", a) in db.history._cache
         before = db.history.sorted_known_gids("vertex")
         assert a in before
-        # truncation at the newest record end removes every record
+        # truncating below MAX_TIMESTAMP removes every record
         assert Scrubber(db)._truncate_below("vertex", a, MAX_TIMESTAMP) > 0
         assert not db.history.has_history("vertex", a)
         assert all(a not in counts for counts in db.history._counts.values())
