@@ -85,9 +85,12 @@ class Maintenance:
 
     def unschedule(self, task: Task) -> bool:
         """End ``task``'s periodic runs, waiting out one in progress;
-        False if it was not periodic."""
+        False if it was not periodic.  Wakes the thread, so once the
+        last periodic task is stopped it exits at once, not after the
+        cancelled interval."""
         with self._cond:
             was_periodic, task.interval = task.interval is not None, None
+            self._cond.notify_all()
             self._wait_while(lambda: self._running is task)
         return was_periodic
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import pytest
 
 from repro import AeonG
@@ -11,15 +13,20 @@ from repro.workloads.driver import WorkloadDriver
 
 
 @pytest.fixture
-def db() -> AeonG:
-    """A temporal engine with manual garbage collection."""
-    return AeonG(anchor_interval=4, gc_interval_transactions=0)
+def db() -> Iterator[AeonG]:
+    """A temporal engine with manual garbage collection, closed after
+    the test (with any background task the test started)."""
+    engine = AeonG(anchor_interval=4, gc_interval_transactions=0)
+    yield engine
+    engine.close()
 
 
 @pytest.fixture
-def db_no_temporal() -> AeonG:
-    """The vanilla configuration (TGDB-noT)."""
-    return AeonG(temporal=False, gc_interval_transactions=0)
+def db_no_temporal() -> Iterator[AeonG]:
+    """The vanilla configuration (TGDB-noT), closed after the test."""
+    engine = AeonG(temporal=False, gc_interval_transactions=0)
+    yield engine
+    engine.close()
 
 
 @pytest.fixture(scope="session")

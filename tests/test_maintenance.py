@@ -13,8 +13,9 @@
   watermark, ``close()`` during a slow epoch, no thread leaked by a
   replica resync, scrub and watchdog running while an epoch is always
   requested, ``metrics()`` waiting only for epochs requested before it,
-  and a request or registration racing the thread's idle exit still
-  served;
+  a request or registration racing the thread's idle exit still
+  served, and the thread exiting at once when the last periodic task
+  is unscheduled;
 - **regressions**: ``stop_background_gc()`` leaves the commit trigger
   on; an epoch truncates undo chains at the watermark it took, so a
   commit landing mid-epoch keeps its versions readable.
@@ -598,13 +599,30 @@ class TestScheduler:
     def test_replica_resync_leaks_no_thread(self, tmp_path):
         from tests.test_backup import TestResyncSelfHeal
 
-        before = threading.active_count()
+        # Only threads started during the resync count: an earlier
+        # test's thread may be alive, or exit, meanwhile.
+        before = set(threading.enumerate())
         TestResyncSelfHeal().test_diverged_replica_self_heals(tmp_path)
         deadline = time.time() + 5.0
-        while threading.active_count() > before and time.time() < deadline:
+        left = [t for t in threading.enumerate() if t not in before]
+        while left and time.time() < deadline:
             time.sleep(0.01)
-        assert threading.active_count() == before
-        assert not any(t.name == THREAD_NAME for t in threading.enumerate())
+            left = [t for t in threading.enumerate() if t not in before]
+        maintenance = [t for t in left if t.name == THREAD_NAME]
+        assert not left, f"left running: {left}; maintenance: {maintenance}"
+
+    def test_unscheduling_the_last_periodic_task_lets_the_thread_exit(self):
+        m = Maintenance(lambda: None, lambda: None)
+        m.schedule(m.gc, 60.0)
+        assert m.alive
+        time.sleep(0.1)  # let the thread reach its 60 s timed wait
+        assert m.unschedule(m.gc)
+        deadline = time.time() + 5.0
+        while m.alive and time.time() < deadline:
+            time.sleep(0.005)
+        alive = m.alive
+        m.stop()
+        assert not alive, "the thread sleeps out the cancelled interval"
 
 
 def test_stop_background_gc_leaves_the_commit_trigger_on():
