@@ -421,6 +421,21 @@ class _ExitGap(threading.Condition):
             hook()
 
 
+class _TimedWait(threading.Condition):
+    """Sets ``entered`` as the maintenance thread enters a timed wait;
+    the waiter releases the lock inside ``wait``, so a caller that takes
+    the lock after ``entered`` is set finds the thread waiting."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+
+    def wait(self, timeout=None):
+        if timeout is not None and threading.current_thread().name == THREAD_NAME:
+            self.entered.set()
+        return super().wait(timeout)
+
+
 class TestScheduler:
     def test_one_engine_thread_runs_gc_scrub_and_watchdog(self):
         before = set(threading.enumerate())
@@ -599,23 +614,19 @@ class TestScheduler:
     def test_replica_resync_leaks_no_thread(self, tmp_path):
         from tests.test_backup import TestResyncSelfHeal
 
-        # Only threads started during the resync count: an earlier
-        # test's thread may be alive, or exit, meanwhile.
-        before = set(threading.enumerate())
+        before = threading.active_count()
         TestResyncSelfHeal().test_diverged_replica_self_heals(tmp_path)
         deadline = time.time() + 5.0
-        left = [t for t in threading.enumerate() if t not in before]
-        while left and time.time() < deadline:
+        while threading.active_count() > before and time.time() < deadline:
             time.sleep(0.01)
-            left = [t for t in threading.enumerate() if t not in before]
-        maintenance = [t for t in left if t.name == THREAD_NAME]
-        assert not left, f"left running: {left}; maintenance: {maintenance}"
+        assert threading.active_count() == before
+        assert not any(t.name == THREAD_NAME for t in threading.enumerate())
 
     def test_unscheduling_the_last_periodic_task_lets_the_thread_exit(self):
         m = Maintenance(lambda: None, lambda: None)
+        m._cond = cond = _TimedWait()
         m.schedule(m.gc, 60.0)
-        assert m.alive
-        time.sleep(0.1)  # let the thread reach its 60 s timed wait
+        assert cond.entered.wait(5.0), "the thread never reached its timed wait"
         assert m.unschedule(m.gc)
         deadline = time.time() + 5.0
         while m.alive and time.time() < deadline:
