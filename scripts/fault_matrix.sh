@@ -4,7 +4,11 @@
 # contract — storage sites crash-and-recover through AeonG.open (the
 # engine log's engine.wal.append / .sync / .truncate are the only WAL
 # sites; the kv.* sites crash inside an engine whose history store
-# flushes every GC epoch), serving-layer socket
+# flushes every GC epoch), migration.commit_batch also fires inside
+# AeonG.open's replay, which runs a GC epoch every gc_interval replayed
+# commits (TestReplayMigrationFaults: crash mode — a clean reopen lands
+# where a clean open does; error mode — open succeeds and the epoch's
+# transactions stay queued for the next), serving-layer socket
 # sites (server.conn.read / server.conn.write) fault under error,
 # delay, disconnect, short-read and torn-write modes with a live
 # server and a retrying client; backup sites (backup.copy,

@@ -64,7 +64,6 @@ from repro.common.serde import decode_value
 from repro.core.durability import (
     CHECKPOINT_DIRNAME,
     WAL_FILENAME,
-    flatten,
     parse_wal,
     txn_frame,
 )
@@ -290,12 +289,12 @@ def _capture_source(source: Path) -> tuple[list, int, bytes, list]:
         except FileNotFoundError:
             continue  # a file vanished mid-swap; retry
         try:
-            scan = parse_wal(wal_bytes, strict=True)
+            records, scan = parse_wal(wal_bytes, strict=True)
         except CorruptionError as exc:
             raise CorruptionError(
                 f"refusing to back up {wal_file}: {exc}"
             ) from exc
-        return files, fence, wal_bytes[:scan.valid_bytes], flatten(scan)
+        return files, fence, wal_bytes[:scan.valid_bytes], records
     raise StorageError(
         f"source checkpoint at {ckpt} kept changing across "
         f"{CAPTURE_ATTEMPTS} capture attempts; is a checkpoint loop "
@@ -575,8 +574,7 @@ def verify_backup(directory) -> tuple[dict[str, Any], list[dict[str, Any]]]:
         path = directory / seg["name"]
         if not path.exists():
             continue
-        scan = parse_wal(path.read_bytes())
-        parsed = flatten(scan)
+        parsed, scan = parse_wal(path.read_bytes())
         # A torn tail is a short parse; only interior damage is
         # corruption — the classification recovery applies to the log.
         if scan.corruption:
@@ -708,7 +706,7 @@ def restore_backup(
         with open(staging / WAL_FILENAME, "ab") as handle:
             for seg in manifest["segments"]:
                 data = (backup_dir / seg["name"]).read_bytes()
-                for ts, ops in flatten(parse_wal(data, strict=True)):
+                for ts, ops in parse_wal(data, strict=True)[0]:
                     if ts > as_of:
                         beyond += 1
                         continue

@@ -4,12 +4,13 @@
 
     u32 length (BE) | u32 crc32(payload) (BE) | payload
 
-:func:`scan_frames` is the only reader.  A partial header, a payload
-running past the end, or a checksum failure on the *final* frame is a
-**torn tail** — crash residue: the scan cuts there.  A checksum failure
-with bytes after it, or a checksum-valid payload that does not decode,
-is **corruption** — no crash of an append-only writer produces it: the
-scan flags it, or with ``strict=True`` raises
+:func:`read_frames` is the only reader: a generator that yields one
+decoded frame at a time and keeps none.  A partial header, a
+payload running past the end, or a checksum failure on the *final*
+frame is a **torn tail** — crash residue: the scan cuts there.  A
+checksum failure with bytes after it, or a checksum-valid payload that
+does not decode, is **corruption** — no crash of an append-only writer
+produces it: the scan flags it, or with ``strict=True`` raises
 :class:`~repro.errors.CorruptionError`.  (Damage to an interior
 *length* field reads as a torn tail — inherent to length prefixes.)
 
@@ -23,8 +24,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any, BinaryIO, Callable, Iterator, Optional
 
 from repro.errors import CorruptionError
 
@@ -43,16 +44,13 @@ def frame(payload: bytes) -> bytes:
 
 @dataclass
 class FrameScan:
-    """What one pass of :func:`scan_frames` found.
+    """What a pass of :func:`read_frames` has found so far.
 
-    ``payloads`` and ``extents`` cover the intact prefix only: the
-    decoded payload and the byte extent ``(start, end)`` of every frame
-    before the cut.  ``valid_bytes`` is the offset of the cut, the
-    length a repair truncates the log back to.
+    ``valid_bytes`` is the end offset of the last intact frame read:
+    once the pass is over, the offset of the cut, the length a repair
+    truncates the log back to.
     """
 
-    payloads: list = field(default_factory=list)
-    extents: list = field(default_factory=list)
     bytes_scanned: int = 0
     valid_bytes: int = 0
     torn_tail: bool = False
@@ -63,34 +61,43 @@ class FrameScan:
         return self.bytes_scanned - self.valid_bytes
 
 
-def scan_frames(
-    data: bytes, decode: Callable[[bytes], Any], strict: bool = False
-) -> FrameScan:
-    """Parse back-to-back frames, classifying where and why they stop.
+def read_frames(
+    stream: BinaryIO,
+    size: int,
+    decode: Callable[[bytes], Any],
+    strict: bool = False,
+    scan: Optional[FrameScan] = None,
+) -> Iterator[Any]:
+    """Yield the decoded payload of each intact frame among the first
+    ``size`` bytes of ``stream``, keeping none, and classify where and
+    why the frames stop.
 
-    ``decode`` turns each checksum-valid payload into what lands in
-    ``payloads``; it raises :class:`CorruptionError` for a payload that
-    does not decode, which marks that frame as corruption.
+    ``decode`` turns each checksum-valid payload into what is yielded;
+    it raises :class:`CorruptionError` for a payload that does not
+    decode, which marks that frame as corruption.  ``scan`` (if given)
+    is filled as the pass goes: ``valid_bytes`` covers the frame just
+    yielded, and the flags are set once the pass ends.
     """
-    scan = FrameScan(bytes_scanned=len(data))
-    size = len(data)
+    if scan is None:
+        scan = FrameScan()
+    scan.bytes_scanned = size
     pos = 0
     while pos < size:
         start = pos + _HEADER.size
         if start > size:
             scan.torn_tail = True  # torn header: crash mid-write
-            break
-        length, crc = _HEADER.unpack_from(data, pos)
+            return
+        length, crc = _HEADER.unpack(stream.read(_HEADER.size))
         end = start + length
         if end > size:
             scan.torn_tail = True  # torn payload
-            break
-        payload = data[start:end]
+            return
+        payload = stream.read(length)
         if zlib.crc32(payload) != crc:
             if end == size:
                 # Garbage final frame: expected crash residue.
                 scan.torn_tail = True
-                break
+                return
             # Damaged frame with bytes *after* it: an append-only
             # crash cannot produce this.
             if strict:
@@ -100,7 +107,7 @@ def scan_frames(
                     "not a torn tail"
                 )
             scan.corruption = True
-            break
+            return
         try:
             decoded = decode(payload)
         except CorruptionError as exc:
@@ -112,12 +119,9 @@ def scan_frames(
                     f"an undecodable payload: {exc}"
                 ) from exc
             scan.corruption = True
-            break
-        scan.payloads.append(decoded)
-        scan.extents.append((pos, end))
-        pos = end
-        scan.valid_bytes = pos
-    return scan
+            return
+        pos = scan.valid_bytes = end
+        yield decoded
 
 
 def seal(body: bytes) -> bytes:

@@ -9,6 +9,9 @@ containing its commit timestamp and its logical operations.  Recovery
 the WAL — *forcing the original commit timestamps and gids*, so the
 recovered engine's transaction-time history is bit-for-bit the
 original, including versions that were migrated to the history store.
+Replay streams the log one frame at a time and runs a GC epoch every
+``gc_interval_transactions`` replayed commits, as live commits do, so
+recovery holds one frame plus one GC interval of transactions.
 
 :func:`install_checkpoint` snapshots the engine (see
 :mod:`repro.core.persistence`) into ``checkpoint/``: ``checkpoint()``
@@ -55,14 +58,15 @@ record body, sealed.
 
 from __future__ import annotations
 
+import io
 import os
 import shutil
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
-from repro.common.framing import FrameScan, frame, scan_frames
+from repro.common.framing import FrameScan, frame, read_frames
 from repro.common.serde import decode_value, encode_value
 from repro.errors import CorruptionError, StorageError
 from repro.core.persistence import load_engine, save_engine
@@ -152,20 +156,18 @@ def _decode_frame(payload: bytes) -> list[Record]:
     ]
 
 
-def parse_wal(data: bytes, strict: bool = False) -> FrameScan:
-    """Classify raw engine-WAL bytes with the shared frame scanner.
+def parse_wal(
+    data: bytes, strict: bool = False
+) -> tuple[list[Record], FrameScan]:
+    """Every record of raw engine-WAL bytes, in log order, and the
+    :class:`~repro.common.framing.FrameScan` of the pass.
 
-    ``payloads[i]`` is frame *i*'s ``[(commit_ts, ops), ...]`` (more
-    than one record for a group-commit frame).  A frame whose checksum
-    passes but whose records do not decode is corruption, exactly like
-    interior checksum damage.
+    A frame whose checksum passes but whose records do not decode is
+    corruption, exactly like interior checksum damage.
     """
-    return scan_frames(data, _decode_frame, strict)
-
-
-def flatten(scan: FrameScan) -> list[Record]:
-    """Every record of a :func:`parse_wal` scan, in log order."""
-    return [record for records in scan.payloads for record in records]
+    scan = FrameScan()
+    frames = read_frames(io.BytesIO(data), len(data), _decode_frame, strict, scan)
+    return [record for records in frames for record in records], scan
 
 
 @dataclass
@@ -272,21 +274,36 @@ class EngineWal:
                 self.fsyncs += 1
             self.records_appended += len(records)
 
-    def _scan_frames(self, strict: bool = False) -> FrameScan:
-        """The live log through :func:`parse_wal`."""
+    def _scan_frames(
+        self, strict: bool = False, scan: Optional[FrameScan] = None
+    ) -> Iterator[list[Record]]:
+        """Stream the live log through :func:`read_frames`: each intact
+        frame's records, one frame at a time, classified as
+        :func:`parse_wal` classifies them, with ``scan`` (if given)
+        filled as the pass goes.
+
+        The pass reads the bytes flushed when it starts, from its own
+        handle, without the log's lock: appends after that are not
+        seen, and a truncation renames a new file over the log, which
+        leaves the open handle reading the old one.
+        """
         with self._lock:
             self._file.flush()
-            return parse_wal(self._path.read_bytes(), strict)
+            handle = open(self._path, "rb")
+            size = os.fstat(handle.fileno()).st_size
+        with handle:
+            yield from read_frames(handle, size, _decode_frame, strict, scan)
 
     def scan(self, strict: bool = False) -> tuple[list[Record], FrameScan]:
-        """Parse the log into ``[(commit_ts, ops), ...]`` plus the raw
-        :class:`~repro.common.framing.FrameScan`.
+        """The whole log as ``[(commit_ts, ops), ...]`` plus the
+        :class:`~repro.common.framing.FrameScan` of the pass.
 
         ``strict=True`` raises :class:`CorruptionError` on corruption;
         otherwise the records stop there and the scan is flagged.
         """
-        scan = self._scan_frames(strict=strict)
-        return flatten(scan), scan
+        scan = FrameScan()
+        frames = self._scan_frames(strict, scan)
+        return [record for records in frames for record in records], scan
 
     def repair(self, scan: FrameScan) -> bool:
         """Crash-safely cut the log back to ``scan``'s intact prefix.
@@ -301,11 +318,19 @@ class EngineWal:
             self._rewrite(0, scan.valid_bytes)
         return True
 
-    def records_from(self, from_ts: int) -> list[Record]:
-        """Records with ``commit_ts >= from_ts``, oldest first — the
-        replication stream's catch-up path for ranges that have left
-        the primary's in-memory ring (e.g. after a primary restart)."""
-        return [(ts, ops) for ts, ops in self.scan()[0] if ts >= from_ts]
+    def records_from(
+        self, from_ts: int, limit: Optional[int] = None
+    ) -> list[Record]:
+        """At most ``limit`` records with ``commit_ts >= from_ts``,
+        oldest first — the replication stream's catch-up path for
+        ranges that have left the primary's in-memory ring (e.g. after
+        a primary restart).  Decoding stops at the ``limit``-th."""
+        out: list[Record] = []
+        for records in self._scan_frames():
+            out.extend(record for record in records if record[0] >= from_ts)
+            if limit is not None and len(out) >= limit:
+                return out[:limit]
+        return out
 
     def truncate(self) -> None:
         """Discard every record (called after a successful checkpoint)."""
@@ -326,14 +351,15 @@ class EngineWal:
         the latter is the new truncation fence.
         """
         with self._lock:
-            scan = self._scan_frames()
+            scan = FrameScan()
             drop_bytes = 0
             dropped = 0
             fence = 0
-            for records, (_start, end) in zip(scan.payloads, scan.extents):
+            # Stops decoding at the first frame it keeps.
+            for records in self._scan_frames(scan=scan):
                 if any(ts >= retain_ts for ts, _ops in records):
                     break
-                drop_bytes = end
+                drop_bytes = scan.valid_bytes
                 dropped += len(records)
                 fence = max([fence] + [ts for ts, _ops in records])
             if drop_bytes:
@@ -370,40 +396,64 @@ class EngineWal:
             self._file.close()
 
 
-def replay_into(engine, wal: EngineWal, min_commit_ts: int = 0,
-                strict: bool = False) -> tuple[int, int, FrameScan]:
+def replay_into(
+    engine, wal: EngineWal, min_commit_ts: int = 0, strict: bool = False
+) -> tuple[int, int, FrameScan, Optional[int]]:
     """Re-execute WAL transactions against ``engine``.
 
     Records with ``commit_ts < min_commit_ts`` are skipped: they are
     already materialised in the checkpoint the engine was loaded from
     (the crash window between checkpoint install and WAL truncation
-    leaves them in the log).  Returns ``(replayed, skipped, scan)``.
+    leaves them in the log).  Returns ``(replayed, skipped, scan,
+    oldest)``: ``scan`` holds the pass's counters and cut, ``oldest``
+    the first record's commit timestamp (None for an empty log).
     The engine must not journal during replay (the caller suspends
     logging), and replay forces the recorded gids and commit
     timestamps.
+
+    The log streams: each frame is applied, then dropped.  Replayed
+    commits tick the engine's GC cadence like live ones, but each due
+    epoch runs here, inline — the engine is not shared yet, so a crash
+    in one stays a crash of the replay.
     """
     replayed = 0
     skipped = 0
-    records, scan = wal.scan(strict=strict)
-    for commit_ts, ops in records:
-        if commit_ts < min_commit_ts:
-            skipped += 1
-            continue
-        # begin_replay, not begin(): a live begin consumes an oracle
-        # timestamp, and concurrent committers pack WAL commit
-        # timestamps one apart — replay's own begins would overrun
-        # the next record's forced commit timestamp.
-        txn = engine.manager.begin_replay()
-        try:
-            for op in ops:
-                _apply_op(engine, txn, op)
-        except BaseException:
-            if txn.is_active:
-                engine.abort(txn)
-            raise
-        engine.manager.commit(txn, commit_ts=commit_ts)
-        replayed += 1
-    return replayed, skipped, scan
+    oldest = None
+    scan = FrameScan()
+    for records in wal._scan_frames(strict, scan):
+        for commit_ts, ops in records:
+            if oldest is None:
+                oldest = commit_ts
+            if commit_ts < min_commit_ts:
+                skipped += 1
+                continue
+            apply_record(engine, commit_ts, ops)
+            replayed += 1
+            engine._gc_tick(inline=True)
+    return replayed, skipped, scan, oldest
+
+
+def apply_record(engine, commit_ts: int, ops: list, journal: bool = False):
+    """Re-execute one record's ops in a replay transaction and commit
+    it at its recorded ``commit_ts``; returns the transaction.  With
+    ``journal``, the transaction carries the ops as its journal (a
+    replica logs what it applies).  A failing op aborts it."""
+    # begin_replay, not begin(): a live begin consumes an oracle
+    # timestamp, and concurrent committers pack WAL commit timestamps
+    # one apart — replay's own begins would overrun the next record's
+    # forced commit timestamp.
+    txn = engine.manager.begin_replay()
+    try:
+        for op in ops:
+            _apply_op(engine, txn, op)
+    except BaseException:
+        if txn.is_active:
+            engine.manager.abort(txn)
+        raise
+    if journal:
+        txn.journal = [tuple(op) for op in ops]
+    engine.manager.commit(txn, commit_ts=commit_ts)
+    return txn
 
 
 def _apply_op(engine, txn, op: tuple) -> None:
@@ -526,7 +576,7 @@ def open_engine(directory, strict_recovery: bool = False, **engine_kwargs):
     if engine is None:
         engine = AeonG(durability_mode=durability_mode, **engine_kwargs)
     wal = EngineWal(directory, durability_mode=durability_mode)
-    replayed, skipped, scan = replay_into(
+    replayed, skipped, scan, oldest = replay_into(
         engine, wal, min_commit_ts=fence_ts, strict=strict_recovery
     )
     repaired = wal.repair(scan)
@@ -537,10 +587,8 @@ def open_engine(directory, strict_recovery: bool = False, **engine_kwargs):
         # must resync.  (A replication-fenced checkpoint keeps records
         # below the checkpoint fence, so key off the log itself: the
         # repair kept exactly the replay scan's intact frames.)
-        oldest = next(
-            (ts for records in scan.payloads for ts, _ops in records),
-            fence_ts,
-        )
+        if oldest is None:
+            oldest = fence_ts
         engine._wal_truncation_fence = max(
             engine._wal_truncation_fence, oldest - 1
         )

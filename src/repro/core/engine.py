@@ -321,11 +321,18 @@ class AeonG:
                         f"no replica acknowledged applying it within "
                         f"{repl.config.sync_timeout}s"
                     )
-        if self._gc_interval > 0:
-            # Migrate() runs on the maintenance thread; this waits only
-            # if the epoch requested one interval ago is still running.
-            self.maintenance.request(self.maintenance.gc, self._gc_interval)
+        self._gc_tick()
         return commit_ts
+
+    def _gc_tick(self, inline: bool = False) -> None:
+        """Count one commit towards the GC cadence: every
+        ``gc_interval_transactions`` commits, one epoch.  It runs on the
+        maintenance thread, and this waits only if the epoch requested
+        one interval ago is still running; ``inline`` runs it on the
+        caller (recovery's replay, which owns the engine alone)."""
+        if self._gc_interval > 0:
+            m = self.maintenance
+            (m.run_due if inline else m.request)(m.gc, self._gc_interval)
 
     def abort(self, txn: Transaction) -> None:
         """Roll back all of the transaction's changes."""
@@ -905,23 +912,17 @@ class AeonG:
             if commit_ts < self.manager.oracle.peek():
                 return False
             with self.observability.tracer.span("repl.apply"):
-                txn = self.manager.begin_replay()
-                try:
-                    from repro.core.durability import _apply_op
+                from repro.core.durability import apply_record
 
-                    for op in ops:
-                        _apply_op(self, txn, op)
-                except BaseException:
-                    if txn.is_active:
-                        self.manager.abort(txn)
-                    raise
-                txn.journal = [tuple(op) for op in ops]
-                self.manager.commit(txn, commit_ts=commit_ts)
+                txn = apply_record(self, commit_ts, ops, journal=True)
                 if self._wal_writer is not None:
                     self._wal_writer.submit(commit_ts, txn.journal).wait()
                 else:
                     self.replication.note_commit(commit_ts, list(txn.journal))
         self.replication.note_applied()
+        # The live cadence, outside the close lock as in commit(): a
+        # replica reclaims, and reads through anchors, like its primary.
+        self._gc_tick()
         return True
 
     def adopt_snapshot_state(self, donor: "AeonG") -> None:
@@ -985,13 +986,14 @@ class AeonG:
         self.replication.reset_after_bootstrap()
         self.replication.note_applied()
 
-    def wal_records_from(self, from_ts: int):
-        """WAL records with ``commit_ts >= from_ts`` for the shipping
-        stream's catch-up path; ``None`` when no WAL is attached."""
+    def wal_records_from(self, from_ts: int, limit: Optional[int] = None):
+        """At most ``limit`` WAL records with ``commit_ts >= from_ts``
+        for the shipping stream's catch-up path; ``None`` when no WAL
+        is attached."""
         wal = self._wal
         if wal is None:
             return None
-        return wal.records_from(from_ts)
+        return wal.records_from(from_ts, limit)
 
     def wal_truncation_fence(self) -> int:
         """Highest commit timestamp truncated out of the WAL (0 when

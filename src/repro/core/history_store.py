@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.common.timeutil import MAX_TIMESTAMP
 from repro.core import keys as history_keys
-from repro.errors import IntegrityError, StorageError
+from repro.errors import CorruptionError, IntegrityError, StorageError
 from repro.faults import FAILPOINTS, MODE_CORRUPT, corrupt_bytes
 from repro.core.deltas import (
     RecordDraft,
@@ -321,8 +321,10 @@ class HistoricalStore:
         self._counts: dict[tuple[bytes, bytes], dict[int, int]] = {
             stream: {} for streams in _KIND_STREAMS.values() for stream in streams
         }
-        for key, _value in self.kv.scan_all():
-            decoded = history_keys.decode_key(key)
+        #: stored keys that do not decode, skipped by the count pass
+        #: and by :meth:`prune` (the scrubber reports and drops them)
+        self.undecodable_keys = 0
+        for _key, decoded in self._decoded_keys():
             counts = self._counts[(decoded.segment, decoded.kind)]
             counts[decoded.gid] = counts.get(decoded.gid, 0) + 1
         # The counts' range side: ``(segment, kind)`` -> its ascending
@@ -331,6 +333,22 @@ class HistoricalStore:
         # the gids in a range are two bisects away, never a pass over
         # a count map.
         self._sorted: dict[object, list[int]] = {}
+
+    def _decoded_keys(
+        self,
+    ) -> Iterator[tuple[bytes, history_keys.HistoryKey]]:
+        """Every stored key with its decoded form, in key order; a key
+        that does not decode is counted in ``undecodable_keys`` and
+        skipped, so one damaged key cannot make the store unloadable."""
+        undecodable = 0
+        for key, _value in self.kv.scan_all():
+            try:
+                decoded = history_keys.decode_key(key)
+            except CorruptionError:
+                undecodable += 1
+                continue
+            yield key, decoded
+        self.undecodable_keys = undecodable
 
     def _decode(self, key: bytes, value: bytes, entry: _Entry):
         """The record's payload, or a :class:`_CorruptPayload` that flags
@@ -1241,8 +1259,8 @@ class HistoricalStore:
         the target version) is unaffected.
         """
         batch = WriteBatch()
-        for key, _value in self.kv.scan_all():
-            if history_keys.decode_key(key).tt_end <= before_ts:
+        for key, decoded in self._decoded_keys():
+            if decoded.tt_end <= before_ts:
                 batch.delete(key)
         if not batch:
             return 0
@@ -1263,6 +1281,7 @@ class HistoricalStore:
         report["cache_capacity"] = self.reconstruction_cache_size
         report["checksums_verified"] = self.checksums_verified
         report["legacy_records"] = self.legacy_records
+        report["undecodable_keys"] = self.undecodable_keys
         report["quarantined_objects"] = self.quarantine.count()
         return report
 

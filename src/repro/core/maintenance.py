@@ -2,10 +2,12 @@
 asynchronously to user transactions", and the engine's other
 background work: a lazily started daemon (``aeong-maintenance``) runs
 the watchdog, GC epochs and any task a satellite adds (the integrity
-scrubber's passes), each when requested (commit asks for an epoch
-every ``gc_interval`` commits) or periodic and due; overdue periodic
-tasks go first, so GC requests cannot starve the rest.  A failed
-periodic run retries with doubling delay, capped.  A request waits
+scrubber's passes), each when requested (commit, and a replica's
+apply, ask for an epoch every ``gc_interval`` commits; recovery's
+replay runs that epoch on itself, :meth:`Maintenance.run_due`) or
+periodic and due; overdue periodic tasks go first, so GC requests
+cannot starve the rest.  A failed periodic run retries with doubling
+delay, capped.  A request waits
 only while the one before it is unfinished: at most two intervals of
 commits wait unmigrated.  The thread exits when idle."""
 
@@ -109,6 +111,18 @@ class Maintenance:
             if task.completed < previous:
                 self.backlog_waits += 1
                 self._wait_while(lambda: task.completed < previous)
+
+    def run_due(self, task: Task, every: int) -> None:
+        """Count one event as :meth:`request` does, but run every
+        ``every``-th on the caller, recording a failure as a thread run
+        would; for a caller that owns the engine alone."""
+        with self._cond:
+            task.ticks += 1
+            if task.ticks < every:
+                return
+            task.ticks = 0
+            covers = task.completed
+        self._run(task, covers)
 
     def settle(self) -> None:
         """Wait until every run requested before this call has finished."""

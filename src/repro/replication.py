@@ -470,12 +470,12 @@ class ReplicationState:
                 # far behind, or primary freshly restarted with an
                 # empty ring): fall back to a WAL-file scan.
                 wal_records = (
-                    self.engine.wal_records_from(from_ts)
+                    self.engine.wal_records_from(from_ts, limit)
                     if self.engine is not None
                     else None
                 )
                 if wal_records:
-                    return wal_records[:limit]
+                    return wal_records
                 out = [(ts, ops) for ts, ops in ring if ts >= from_ts]
                 if out:
                     return out[:limit]

@@ -223,6 +223,89 @@ class TestEngineCrashMatrix:
         )
 
 
+# -- migration inside recovery's replay -------------------------------------
+
+#: Replay runs one GC epoch every this many replayed commits.
+_REPLAY_INTERVAL = 4
+
+
+def _replay_state(db: AeonG) -> tuple:
+    db.collect_garbage()
+    return (
+        _recovered_vertices(db),
+        list(db.history.kv.scan_all()),
+        db.last_recovery.as_dict(),
+    )
+
+
+class TestReplayMigrationFaults:
+    """``migration.commit_batch`` during :meth:`AeonG.open`'s replay,
+    which runs a GC epoch every ``gc_interval_transactions`` replayed
+    commits: a crash is a crash of ``open`` (the next open lands where
+    a clean one does), an error leaves the epoch's transactions queued
+    for the next epoch."""
+
+    @staticmethod
+    def _wal_only(path) -> None:
+        """Ten commits (two vertices, eight updates) in the log alone:
+        replay runs epochs after its 4th and 8th commit."""
+        db = AeonG.open(path, **_ENGINE_SETTINGS)
+        gids = [_commit_one(db, i) for i in range(2)]
+        for i in range(8):
+            with db.transaction() as txn:
+                db.set_vertex_property(txn, gids[i % 2], "j", i)
+        db.close()
+
+    @staticmethod
+    def _open(path) -> AeonG:
+        return AeonG.open(
+            path,
+            **dict(_ENGINE_SETTINGS, gc_interval_transactions=_REPLAY_INTERVAL),
+        )
+
+    def test_crash_in_replay_epoch_then_clean_reopen(self, tmp_path):
+        path, clean = tmp_path / "data", tmp_path / "clean"
+        self._wal_only(path)
+        self._wal_only(clean)
+        fired = FAILPOINTS.stats("migration.commit_batch").fired
+        FAILPOINTS.activate("migration.commit_batch", "crash", nth=2)
+        with pytest.raises(SimulatedCrash):
+            self._open(path)
+        assert FAILPOINTS.stats("migration.commit_batch").fired == fired + 1
+        FAILPOINTS.clear()
+        db, reference = self._open(path), self._open(clean)
+        try:
+            assert db.last_recovery.transactions_replayed == 10
+            assert _replay_state(db) == _replay_state(reference)
+        finally:
+            db.close()
+            reference.close()
+
+    def test_error_in_replay_epoch_leaves_its_transactions_queued(
+        self, tmp_path
+    ):
+        path, clean = tmp_path / "data", tmp_path / "clean"
+        self._wal_only(path)
+        self._wal_only(clean)
+        FAILPOINTS.activate("migration.commit_batch", "error", nth=2)
+        db = self._open(path)  # the failed epoch does not fail open
+        FAILPOINTS.clear()
+        reference = self._open(clean)
+        try:
+            assert db.migrator.failed_epochs == 1
+            assert db.migrator.migrations == 1
+            assert "FaultInjected" in db.metrics()["gc"]["background_last_error"]
+            # The second epoch's four commits stay queued, with the two
+            # replayed after it; the clean open left only those two.
+            assert len(db.manager.committed_pending_gc) == 6
+            assert len(reference.manager.committed_pending_gc) == 2
+            assert _replay_state(db) == _replay_state(reference)
+            assert db.manager.committed_pending_gc == []
+        finally:
+            db.close()
+            reference.close()
+
+
 # -- kv.* storage sites, crashed inside an engine ---------------------------
 
 #: The history store's own maintenance sites.  Every GC epoch's

@@ -707,6 +707,42 @@ class TestOfflineVerify:
             ] == [0, 1, 2]
         db.close()
 
+    def test_undecodable_key_is_a_finding_not_an_unopenable_directory(
+        self, tmp_path, capsys
+    ):
+        """One 15-byte key in a checkpointed history store: the store
+        loads (the key skipped and counted), ``verify`` reports
+        ``bad-key`` instead of exiting 2, and its repair drops the key."""
+        home = tmp_path / "data"
+        db = AeonG.open(home, anchor_interval=4, gc_interval_transactions=0)
+        gid = _build_versioned_vertex(db)
+        stored = len(_content_deltas(db, gid))
+        prefix = hk.object_prefix(hk.SEGMENT_VERTEX, hk.KIND_DELTA, gid)
+        batch = WriteBatch()
+        batch.put(prefix + b"\x00" * 5, b"junk")
+        db.history.write(batch)
+        db.checkpoint()
+        db.close()
+
+        db = AeonG.open(home, gc_interval_transactions=0)
+        assert db.metrics()["read_path"]["undecodable_keys"] == 1
+        db.close()
+        assert cli_main(["verify", str(home), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [f["code"] for f in report["findings"]] == ["bad-key"]
+        assert cli_main(["verify", str(home), "--repair"]) == 1
+        capsys.readouterr()
+        assert cli_main(["verify", str(home), "--json"]) == 0
+        db = AeonG.open(home, gc_interval_transactions=0)
+        try:
+            assert db.metrics()["read_path"]["undecodable_keys"] == 0
+            assert len(_content_deltas(db, gid)) == stored
+            assert [v.properties["n"] for v in _all_versions(db, gid)] == list(
+                range(11, -1, -1)
+            )
+        finally:
+            db.close()
+
     def test_verify_unreadable_exit_2(self, tmp_path, capsys):
         assert cli_main(["verify", str(tmp_path / "nowhere")]) == 2
 
