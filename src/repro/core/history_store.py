@@ -4,10 +4,10 @@ Wraps the key-value store with the AeonG record layout: merged backward
 deltas under ``D`` keys, full-state anchors under ``A`` keys, topology
 records in their own segment.  The central read operation,
 :meth:`HistoricalStore.fetch_many`, is the paper's ``FetchFromKV`` over
-a batch of objects: per object, seek the nearest anchor newer than the
-queried time, then walk the younger-to-older delta records applying
-each backward diff, returning every reconstructed version that
-satisfies the temporal condition.
+a batch of objects, per object: seek the nearest anchor newer than the
+queried time and replay its *segment* (the at most ``u`` delta records
+back to the previous anchor; above the newest anchor, the records below
+the current-store base), applying each backward diff younger to older.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ _END = itemgetter(1)
 
 def _base_sig(base_view) -> Optional[tuple[int, int]]:
     """The reconstruction base's content interval (``None`` for a fully
-    reclaimed object): what a cache entry was built from."""
+    reclaimed object): what a head segment was built from."""
     return None if base_view is None else (base_view.tt_start, base_view.tt_end)
 
 
@@ -88,6 +88,23 @@ def _topology_boundary(base_view) -> int:
     return MAX_TIMESTAMP if end is None else end - 1
 
 
+def _current_head(entry, base_view):
+    """The entry's head if built from its records as they are and from
+    this base, else None."""
+    head = entry.head
+    if head is None or (head.generation, head.base_sig) != (
+        entry.generation, _base_sig(base_view)
+    ):
+        return None
+    return head
+
+
+def _span(ends: list, t1: int, t2: int) -> range:
+    """The segments holding the versions of ``t1`` to ``t2``, by the
+    anchor segments' tops ``ends`` (the head is index ``len(ends)``)."""
+    return range(bisect.bisect_right(ends, t1), bisect.bisect_right(ends, t2) + 1)
+
+
 def _count_below(content: list, topology: Sequence, t: int) -> tuple[int, int]:
     """How many content and topology records end at or before ``t``."""
     return (
@@ -96,16 +113,24 @@ def _count_below(content: list, topology: Sequence, t: int) -> tuple[int, int]:
     )
 
 
-class _CorruptPayload:
-    """Cache placeholder for a record value that failed its checksum.
+def _from_anchor(view, payload: dict, tt_start: int, tt_end: int):
+    """The anchor's version, keeping ``view``'s adjacency (an anchor
+    holds content only; the replay so far has undone the structural
+    changes newer than it)."""
+    if isinstance(view, VertexView):
+        anchored = vertex_view_from_anchor(view.gid, payload, tt_start, tt_end)
+        anchored._out_edges, anchored._in_edges = view._out_edges, view._in_edges
+        anchored._pending, anchored._owns_edges = view._pending, view._owns_edges
+        return anchored
+    return edge_view_from_anchor(view.gid, payload, tt_start, tt_end)
 
-    Decode failures are deferred to the point a replay actually *needs*
-    the payload: a read whose range stops above the damaged record must
-    still succeed (the record's key intervals stay trustworthy, so
-    range filtering works), while any reconstruction that would step
-    through the damage raises the original
-    :class:`~repro.errors.IntegrityError`.
-    """
+
+class _CorruptPayload:
+    """What a record value that failed its checksum decodes to.  It
+    surfaces only where a replay *needs* the payload: the record's key
+    stays sound, so a read whose range stops above it succeeds, while
+    one stepping through it raises the original
+    :class:`~repro.errors.IntegrityError`."""
 
     __slots__ = ("key", "error")
 
@@ -119,54 +144,65 @@ class _CorruptPayload:
         )
 
 
-class _Built(NamedTuple):
-    """A version list and what it was built from: the base's content
-    interval, the object's ``generation`` (the delta rows published to
-    it), and how many content and topology records ended at or before
-    the base's start (the splice's proof that nothing older arrived)."""
+class _Segment(NamedTuple):
+    """One segment's versions, ``[(tt_start, tt_end, frozen view or
+    None)]`` ascending by tt_end (None where the object did not exist).
+    When a damaged record stopped its build, ``error`` is that record's
+    and every version ending at or before ``stop`` is missing."""
+
+    versions: list
+    error: Optional[_CorruptPayload] = None
+    stop: int = -1
+
+
+class _Head(NamedTuple):
+    """The head segment (the versions above the newest anchor its base
+    can use) and what it was built from: the base's content interval,
+    the object's ``generation``, how many content and topology records
+    ended at or before the base's start (the splice's proof that nothing
+    older arrived), and the anchor segments' tops below it, ascending."""
 
     base_sig: Optional[tuple[int, int]]
-    #: ``[(tt_start, tt_end, frozen view or None)]`` ascending by tt_end;
-    #: None where the chain failed to decode
-    versions: Optional[list]
-    #: records a full build replays: what a hit saves
-    replays: int
     generation: int
     below_base: tuple[int, int]
+    ends: list
+    segment: _Segment
 
 
 class _Entry:
     """Everything the history cache holds about one object: its record
-    lists by ``(segment, kind)``, each ``[(tt_start, tt_end, payload)]``
-    ascending by tt_end (immutable: a list grows by replacement, and
-    consumers must not mutate the decoded dicts); ``fresh``, per cached
-    list, the newest ``(tt_end, tt_start)`` published after it was read
-    (the next reader fetches only the rows after its tail); ``damaged``,
-    set once any list was read with an undecodable payload; the scan's
+    lists by ``(segment, kind)``, each ``[[tt_start, tt_end, value]]``
+    ascending by tt_end, ``value`` the stored bytes until decoded in
+    place (a list grows by replacement); ``fresh``, per cached list, the
+    newest ``(tt_end, tt_start)`` published after it was read (the next
+    reader fetches only the rows after its tail); the scan's
     ``mentions``; ``generation``, advanced by every delta row published
-    to the object; and ``built``, its stamped version list."""
+    to the object; ``cuts`` (see _cuts); the built anchor ``segments``
+    by their top's tt_end; and the ``head``."""
 
-    __slots__ = ("records", "fresh", "damaged", "mentions", "generation", "built")
+    __slots__ = (
+        "records", "fresh", "mentions", "generation", "cuts", "segments", "head"
+    )
 
     def __init__(self) -> None:
         self.records: dict[tuple[bytes, bytes], list] = {}
         self.fresh: dict[tuple[bytes, bytes], tuple[int, int]] = {}
-        self.damaged = False
         self.mentions: Optional[tuple[set, dict]] = None
         self.generation = 0
-        self.built: Optional[_Built] = None
+        self.cuts: Optional[tuple] = None
+        self.segments: dict[int, _Segment] = {}
+        self.head: Optional[_Head] = None
 
 
 class ReadMetrics:
     """Read-path performance counters (``metrics()["read_path"]``).
 
     ``deltas_replayed`` counts backward-record applications actually
-    paid; ``reconstructions_avoided`` counts the applications a cache
-    hit saved (the hit entry's build cost — what serving the same fetch
-    cold would have replayed).  ``versions_extended`` counts the misses
-    served by growing the object's stale version list by the records
-    published since, instead of replaying its whole history.
-    ``versions_served`` counts reclaimed
+    paid; ``reconstructions_avoided`` counts the versions cache hits
+    served without a replay.  ``anchor_seeks`` counts the misses that
+    bisected an object's anchors for a segment to build, and
+    ``versions_extended`` those served by growing a stale head segment
+    by the records published since.  ``versions_served`` counts reclaimed
     versions materialized for callers — the history-store side of the
     current-vs-reclaimed split whose current-store half is
     ``metrics()["operators"]["current_hits"]``.
@@ -321,9 +357,9 @@ class HistoricalStore:
         self._counts: dict[tuple[bytes, bytes], dict[int, int]] = {
             stream: {} for streams in _KIND_STREAMS.values() for stream in streams
         }
-        #: stored keys that do not decode, skipped by the count pass
-        #: and by :meth:`prune` (the scrubber reports and drops them)
-        self.undecodable_keys = 0
+        #: stored keys that do not decode, skipped by the count pass,
+        #: prune() and reads (the scrubber reports and drops them)
+        self._bad_keys: set[bytes] = set()
         for _key, decoded in self._decoded_keys():
             counts = self._counts[(decoded.segment, decoded.kind)]
             counts[decoded.gid] = counts.get(decoded.gid, 0) + 1
@@ -340,38 +376,72 @@ class HistoricalStore:
         """Every stored key with its decoded form, in key order; a key
         that does not decode is counted in ``undecodable_keys`` and
         skipped, so one damaged key cannot make the store unloadable."""
-        undecodable = 0
+        bad: set[bytes] = set()
         for key, _value in self.kv.scan_all():
             try:
                 decoded = history_keys.decode_key(key)
             except CorruptionError:
-                undecodable += 1
+                bad.add(key)
                 continue
             yield key, decoded
-        self.undecodable_keys = undecodable
+        self._bad_keys = bad
 
-    def _decode(self, key: bytes, value: bytes, entry: _Entry):
-        """The record's payload, or a :class:`_CorruptPayload` that flags
-        ``entry`` damaged: keys stay sound, so reads that never replay
-        through the record may proceed."""
-        try:
-            payload, checksummed = decode_record_payload(value)
-        except IntegrityError as exc:
-            entry.damaged = True
-            return _CorruptPayload(key, exc)
-        if checksummed:
-            self.checksums_verified += 1
-        else:
-            self.legacy_records += 1
-        return payload
+    @property
+    def undecodable_keys(self) -> int:
+        """Stored keys known not to decode."""
+        return len(self._bad_keys)
+
+    def _key_only(self, rows, object_kind: str, lists: dict[int, list]) -> None:
+        """Append each stored row to its gid's list in ``lists`` as
+        ``[tt_start, tt_end, stored value]``, decoding the key alone.  A
+        key that does not decode is counted, and quarantines its object
+        whole when it sits under the prefix of one in ``lists``: no
+        reconstruction lacking its record can be trusted until the
+        scrubber drops the key (``bad-key``) and clears it."""
+        for key, value in rows:
+            try:
+                decoded = history_keys.decode_key(key)
+            except CorruptionError:
+                self._bad_keys.add(key)
+                gid = int.from_bytes(key[2:10], "big")
+                if len(key) >= 10 and gid in lists:
+                    self.quarantine.add(object_kind, gid, 0, MAX_TIMESTAMP)
+                continue
+            records = lists.get(decoded.gid)
+            if records is not None:
+                records.append([decoded.tt_start, decoded.tt_end, value])
+
+    def _payload(self, stream: tuple[bytes, bytes], gid: int, row: list) -> dict:
+        """The row's payload, decoded on first use in place of its stored
+        bytes; a damaged one is replaced by a :class:`_CorruptPayload`
+        and raises its :class:`~repro.errors.IntegrityError`."""
+        value = row[2]
+        if value.__class__ is dict:
+            return value
+        if not isinstance(value, _CorruptPayload):
+            # Unlocked: two readers decoding one row store equal payloads.
+            try:
+                payload, checksummed = decode_record_payload(value)
+            except IntegrityError as exc:
+                key = history_keys.encode_key(*stream, gid, row[0], row[1])
+                value = row[2] = _CorruptPayload(key, exc)
+            else:
+                if checksummed:
+                    self.checksums_verified += 1
+                else:
+                    self.legacy_records += 1
+                row[2] = payload
+                return payload
+        value.raise_()
 
     def _publish(self, segment, kind, gid, tt_start, tt_end) -> None:
         """(Under ``_cache_lock``.)  Count one committed record and tell
         the object's cache entry: a row newer than its cached list's
         tail is noted for the next reader to fetch; an older one (a
-        record staged out of order) drops the list and the version
-        list.  A delta row advances the entry's generation, which makes
-        its version list stale, and a content row drops its mentions."""
+        record staged out of order) drops the list and every built
+        segment.  A delta row advances the entry's generation, which
+        makes its head segment stale, and a content row drops its
+        mentions."""
         counts = self._counts[(segment, kind)]
         counts[gid] = counts.get(gid, 0) + 1
         object_kind = _OBJECT_KIND[segment]
@@ -389,7 +459,7 @@ class HistoricalStore:
             else:
                 del entry.records[stream]
                 entry.fresh.pop(stream, None)
-                entry.built = None
+                entry.head, entry.segments = None, {}
         if kind == history_keys.KIND_DELTA:
             entry.generation += 1
             if segment == history_keys.SEGMENT_VERTEX:
@@ -510,7 +580,9 @@ class HistoricalStore:
         if not batch:
             return
         touched = set()
-        for key, _value in batch.items():
+        for key, value in batch.items():
+            if value is None:
+                self._bad_keys.discard(key)
             stream = (key[:1], key[1:2])
             if stream in self._counts:
                 touched.add((stream, int.from_bytes(key[2:10], "big")))
@@ -559,8 +631,8 @@ class HistoricalStore:
         Paid once per batch: the ``history.fetch`` span (when a tracer
         is attached; reconstruction work runs inside it), the
         history-store circuit breaker's gate and its success or failure
-        record, one locked history-cache lookup and one locked fill, and
-        one preload of the records the cache misses replay.  While the
+        record, one locked entry lookup and one locked fill, and one
+        preload of the records the cache misses replay.  While the
         breaker is open the batch degrades per the ``degraded_reads``
         policy (raise :class:`~repro.errors.DegradedModeError`, or serve
         every object current-only).  Checked per object: the ``history.fetch``
@@ -586,72 +658,48 @@ class HistoricalStore:
         if ctrl is not None and not ctrl.allow_history_read():
             return [[] for _ in requests]
         segment = _SEGMENT[object_kind]
-        held, cached, uncached, epoch = self._cache_lookup(object_kind, requests)
-        caching = self.reconstruction_cache_size > 0
+        epoch = self._epoch
+        held = self._entries(object_kind, [gid for gid, _ in requests])
+        t1, t2 = cond.t1, cond.t2
         check = FAILPOINTS.check
         blocks = self.quarantine.blocks
-        t1, t2, is_point = cond.t1, cond.t2, cond.is_point
-        built: list[tuple[_Entry, _Built]] = []
+        heads = [_current_head(held[gid], base_view) for gid, base_view in requests]
+        fills: list = []
         out: list[list] = []
         # Counted per object, added to the shared counters once.
         fetches = hits = misses = avoided = served = 0
         try:
-            if len(uncached) > 1:
-                self.preload_objects(object_kind, uncached, held=uncached)
-            for (gid, base_view), stamped in zip(requests, cached):
+            stale = [gid for (gid, _), head in zip(requests, heads) if head is None]
+            if len(stale) > 1:
+                self.preload_objects(object_kind, stale, held=held)
+            for (gid, base_view), head in zip(requests, heads):
                 entry = held[gid]
                 if check("history.fetch") == MODE_CORRUPT:
                     # At-rest bit rot: damage the stored value itself, so
                     # the failure surfaces where it would in production —
                     # the record's checksum verification at decode time.
                     self._corrupt_stored_record(object_kind, gid)
-                    entry, stamped = _Entry(), None
+                    entry, head = _Entry(), None
                 if blocks(object_kind, gid, t1, t2):
-                    if ctrl is None or ctrl.quarantined_read_raises():
-                        raise IntegrityError(
-                            f"{object_kind} gid={gid}: temporal read over a "
-                            "quarantined transaction-time range (awaiting "
-                            "scrub repair)"
-                        )
-                    # degraded_reads="current-only": serve no historical
-                    # versions of this object rather than possibly-wrong ones
-                    out.append([])
+                    out.append(self._refuse(object_kind, gid))
                     continue
-                fetches += 1
-                versions = None if stamped is None else stamped.versions
-                if stamped is None and caching:
+                filled = len(fills)
+                segments = self._segments(
+                    object_kind, gid, base_view, entry, head, t1, t2, fills
+                )
+                # (the key-only pass quarantines an object it finds an
+                # undecodable key under)
+                if blocks(object_kind, gid, t1, t2):
+                    out.append(self._refuse(object_kind, gid))
+                    continue
+                if len(fills) > filled:
                     misses += 1
-                    generation = entry.generation
-                    try:
-                        stamped = self._build_versions(
-                            object_kind, gid, base_view, entry
-                        )
-                    except IntegrityError:
-                        # Unbuildable until the object changes: the bounded
-                        # per-query replay below may still avoid the
-                        # damaged record.
-                        stamped = _Built(
-                            _base_sig(base_view), None, 0, generation, (0, 0)
-                        )
-                    versions = stamped.versions
-                    built.append((entry, stamped))
-                elif versions is not None:
-                    hits += 1
-                    avoided += stamped.replays
-                if versions is None:
-                    found = list(
-                        self._fetch_versions_uncached(
-                            object_kind, segment, gid, cond, base_view, entry
-                        )
-                    )
-                elif is_point:
-                    found = self._serve_cached_point(entry, segment, gid, versions, t1)
                 else:
-                    found = [
-                        frozen.fork()
-                        for tt_start, tt_end, frozen in reversed(versions)
-                        if frozen is not None and cond.matches(tt_start, tt_end)
-                    ]
+                    hits += 1
+                    for built in segments:
+                        avoided += len(built.versions)
+                fetches += 1
+                found = self._serve(entry, segment, gid, segments, cond)
                 served += len(found)
                 out.append(found)
         except StorageError:
@@ -665,17 +713,33 @@ class HistoricalStore:
             metrics.cache_misses += misses
             metrics.reconstructions_avoided += avoided
             metrics.versions_served += served
-            if built:
+            if fills:
                 with self._cache_lock:
                     # A migration installed mid-build has bumped the epoch:
-                    # a list built from a record set it was changing must
-                    # not be kept, nor replace one a reader built since.
+                    # a segment built from a record set it was changing
+                    # must not be kept, nor replace one built since.
                     if epoch == self._epoch:
-                        for entry, stamped in built:
-                            entry.built = stamped
+                        for entry, top, built in fills:
+                            if top is None:
+                                entry.head = built
+                            else:
+                                entry.segments[top] = built
         if ctrl is not None and fetches:
             ctrl.history_ok()
         return out
+
+    def _refuse(self, object_kind: str, gid: int) -> list:
+        """A read over a quarantined range: it raises, or under
+        ``degraded_reads="current-only"`` serves no historical version of
+        the object."""
+        ctrl = self.resilience
+        if ctrl is None or ctrl.quarantined_read_raises():
+            raise IntegrityError(
+                f"{object_kind} gid={gid}: temporal read over a "
+                "quarantined transaction-time range (awaiting "
+                "scrub repair)"
+            )
+        return []
 
     def _corrupt_stored_record(self, object_kind: str, gid: int) -> bool:
         """Flip one bit in the object's first stored record value (the
@@ -697,17 +761,14 @@ class HistoricalStore:
     #
     # One LRU of at most ``reconstruction_cache_size`` objects keeps
     # what ``FetchFromKV`` derives from each object's records: the
-    # record lists (the RocksDB block cache's role), the scan's
-    # mentions, and the *complete* version list, built once from the
-    # topmost base down so any later condition is a bisect, not a
-    # replay.  Publishing a record newer than a list's tail keeps the
-    # list: the next reader reads and decodes only the rows after the
-    # tail.  A version list is stale once its object's generation (the
-    # delta rows published to it) or its base moves; the next reader
-    # replays only the records newer than the old base and splices
-    # their versions on (see _build_versions).  A reader holds its
-    # entries, so a batch reads each object once even when the cache
-    # cannot keep it (capacity 0 keeps nothing).
+    # record lists (the RocksDB block cache's role; a payload is decoded
+    # in place when a replay first needs it), the scan's mentions, and
+    # the built segments.  An anchor segment's versions depend on its
+    # own records alone, so it serves until they are rewritten; the head
+    # is stamped with its base and extended by a GC epoch's records (see
+    # _head_segment).  A reader holds its entries, so a batch reads each
+    # object once even when the cache cannot keep it (capacity 0 builds
+    # each segment and drops it).
 
     def _entries(self, object_kind: str, gids: Iterable[int]) -> dict[int, _Entry]:
         """Each gid's entry under one lock, created if missing and moved
@@ -732,293 +793,249 @@ class HistoricalStore:
                 self.read_metrics.cache_evictions += 1
         return held
 
-    def _cache_lookup(
-        self, object_kind: str, requests: Sequence[tuple[int, object]]
-    ) -> tuple[dict[int, _Entry], list, dict[int, _Entry], int]:
-        """The requests' entries by gid; each request's stamped version
-        list if one was built from the object's current records and its
-        base, else ``None`` (a miss); the entries whose versions must be
-        replayed (misses, and objects that failed to build); and the
-        epoch, read first, so a fill straddling an epoch is dropped."""
-        epoch = self._epoch
-        held = self._entries(object_kind, [gid for gid, _ in requests])
-        cached = []
-        uncached: dict[int, _Entry] = {}
-        for gid, base_view in requests:
-            entry = held[gid]
-            stamped = entry.built
-            if stamped is not None and (
-                stamped.generation != entry.generation
-                or stamped.base_sig != _base_sig(base_view)
-            ):
-                stamped = None
-            if stamped is None or stamped.versions is None:
-                uncached[gid] = entry
-            cached.append(stamped)
-        return held, cached, uncached, epoch
+    def _segments(
+        self,
+        object_kind: str,
+        gid: int,
+        base_view,
+        entry: _Entry,
+        head: Optional[_Head],
+        t1: int,
+        t2: int,
+        fills: list,
+    ) -> list[_Segment]:
+        """The segments a read over ``[t1, t2]`` needs, ascending, each
+        build appended to ``fills`` as ``(entry, top tt_end or None for
+        the head, segment)``.  The entry's current ``head`` holds the
+        anchor segments' tops, so a hit is a bisect; a miss bisects the
+        anchors' key-only list, up to the base's start (an anchor above
+        it snapshots a version that the base or the caller's chain walk
+        serves)."""
+        if head is not None:
+            ends = head.ends
+            found = [
+                head.segment if index == len(ends) else entry.segments.get(ends[index])
+                for index in _span(ends, t1, t2)
+            ]
+            if None not in found:
+                return found
+        segment = _SEGMENT[object_kind]
+        content = self._records_for(segment, history_keys.KIND_DELTA, gid, entry)
+        topology = () if segment != history_keys.SEGMENT_VERTEX else self._records_for(
+            history_keys.SEGMENT_TOPOLOGY, history_keys.KIND_DELTA, gid, entry
+        )
+        anchors = self._records_for(segment, history_keys.KIND_ANCHOR, gid, entry)
+        base = base_view
+        if base is None:
+            base = self._blank_base(object_kind, gid, content, topology)
+            if base is None:
+                return []
+        ends, tops = self._cuts(entry, segment, content, anchors)
+        ends = ends[: bisect.bisect_right(ends, base.tt_start)]
+        boundary = _topology_boundary(base_view)
+        filled = len(fills)
+        found = []
+        for index in _span(ends, t1, t2):
+            if index == len(ends):
+                built = head.segment if head is not None else self._head_segment(
+                    object_kind, gid, base_view, base, entry,
+                    (content, topology, ends, boundary), fills,
+                )
+            else:
+                built = entry.segments.get(ends[index])
+                if built is None:
+                    # The anchor's version, then the content records
+                    # below it, back to the previous anchor's.
+                    rows = self._collect_records(
+                        segment, gid, ends[index - 1] if index else -1,
+                        ends[index] - 1, boundary, entry, tops[index],
+                    )
+                    built = self._replay(gid, base.fork(), rows)
+                    fills.append((entry, ends[index], built))
+            found.append(built)
+        if anchors and len(fills) > filled:
+            self.read_metrics.anchor_seeks += 1
+        return found
 
-    def _build_versions(
-        self, object_kind: str, gid: int, base_view, entry: _Entry
-    ) -> _Built:
-        """The object's version list: every content state, frozen.  The
-        list excludes the base itself (a current-store base is surfaced
-        by the caller's chain walk) and keeps non-existence states as
-        ``None`` placeholders so point lookups can distinguish "deleted
-        at t" from "version at t".
+    def _cuts(
+        self, entry: _Entry, segment: bytes, content: list, anchors: list
+    ) -> tuple[list, list]:
+        """The anchor segments' tops, ascending: their ends, and each as
+        a replay row ``(tt_start, tt_end, stream, anchor row)``.
 
-        The entry's stale list, if built from an older current-store
-        base, is extended rather than rebuilt when the records ending
-        at or before that base are still exactly the ones it replayed:
-        only the records newer than the old base are replayed, from the
-        new base, and their versions are appended to a copy of it.  Its
-        versions stay valid because GC moves an object's oldest undo
-        deltas into the store in commit order, so the new base with the
-        new records undone is the old base.  A blank base, a list that
-        failed to build and a base that moved back rebuild from
-        scratch."""
+        An anchor staged at a structural commit ends mid-way through the
+        content version containing it; its top is that version, widened
+        to the interval of the content record that ends it, so a
+        version's reported identity never depends on the anchor it was
+        replayed from.  Memoized on the entry with the lists it read."""
+        cuts = entry.cuts
+        if cuts is None or cuts[0] is not anchors or cuts[1] is not content:
+            stream = (segment, history_keys.KIND_ANCHOR)
+            ends: list[int] = []
+            tops: list[tuple] = []
+            for row in anchors:
+                tt_start, tt_end = row[0], row[1]
+                index = bisect.bisect_right(content, tt_start, key=_END)
+                if index < len(content):
+                    rec_start, rec_end, _value = content[index]
+                    if rec_start <= tt_start and rec_end >= tt_end:
+                        tt_start, tt_end = rec_start, rec_end
+                if not ends or tt_end > ends[-1]:
+                    ends.append(tt_end)
+                    tops.append((tt_start, tt_end, stream, row))
+            cuts = entry.cuts = (anchors, content, ends, tops)
+        return cuts[2], cuts[3]
+
+    def _head_segment(
+        self, object_kind: str, gid: int, base_view, base, entry: _Entry,
+        lists: tuple, fills: list,
+    ) -> _Segment:
+        """A head segment for ``base``, replayed from it down to the
+        newest usable anchor's top.
+
+        A stale head from an older current-store base is extended when
+        the records ending at or before that base are still exactly the
+        ones it replayed: only the newer records are replayed, from the
+        new base, and their versions appended.  GC moves an object's
+        oldest undo deltas into the store in commit order, so the new
+        base with them undone is the old base.  A blank base, a damaged
+        head and a base that moved back rebuild.  Anchors placed since
+        split it at their tops, the parts below kept as their segments."""
+        content, topology, ends, boundary = lists
+        segment = _SEGMENT[object_kind]
         generation = entry.generation
-        prior = entry.built
+        sig = _base_sig(base_view)
+        below = _count_below(content, topology, base.tt_start)
+        prior = entry.head
+        if (
+            prior is not None
+            and prior.segment.error is None
+            and prior.base_sig is not None
+            and sig is not None
+            and prior.base_sig[0] <= base.tt_start
+            and ends[: len(prior.ends)] == prior.ends
+            and _count_below(content, topology, prior.base_sig[0]) == prior.below_base
+        ):
+            self.read_metrics.versions_extended += 1
+            built = prior.segment
+            # With no content record since, the prior versions are the
+            # whole list (topology resolves at serve time).
+            if below[0] != prior.below_base[0]:
+                rows = self._collect_records(
+                    segment, gid, prior.base_sig[0], base.tt_start, boundary, entry
+                )
+                newer = self._replay(gid, base.fork(), rows)
+                if newer.error is None:
+                    newer = _Segment(built.versions + newer.versions)
+                built = newer
+            floor = len(prior.ends)
+        else:
+            rows = self._collect_records(
+                segment, gid, ends[-1] if ends else -1, base.tt_start, boundary, entry
+            )
+            built, floor = self._replay(gid, base.fork(), rows), len(ends)
+        versions, error = built.versions, built.error
+        for top in ends[floor:]:
+            index = bisect.bisect_right(versions, top, key=_END)
+            if error is None:
+                fills.append((entry, top, _Segment(versions[:index])))
+            elif built.stop <= top:
+                error = None  # the damage lies below this top
+            versions = versions[index:]
+        built = _Segment(versions, error, built.stop)
+        fills.append((entry, None, _Head(sig, generation, below, ends, built)))
+        return built
+
+    def _replay(self, gid: int, view, rows: list) -> _Segment:
+        """Build one segment: apply ``rows`` (newest first) to ``view``,
+        freezing a version after each content record or anchor.  Stops
+        at the first damaged record, keeping the versions above it."""
+        versions: list[tuple[int, int, Optional[object]]] = []
+        replays = 0
+        error, stop = None, -1
         tracer = self.tracer
         traced = tracer is not None and tracer.enabled
         with tracer.span("history.reconstruct") if traced else nullcontext():
-            segment = _SEGMENT[object_kind]
-            content, topology = self._delta_lists(segment, gid, entry)
-            if base_view is not None:
-                base = base_view.fork()
-            else:
-                base = self._blank_base(object_kind, gid, entry)
-                if base is None:
-                    return _Built(None, [], 0, generation, (0, 0))
-            below = _count_below(content, topology, base.tt_start)
-            sig = _base_sig(base_view)
-            replays = below[0] + len(topology)
-            older: list = []
-            floor = -1
-            if (
-                prior is not None
-                and prior.versions is not None
-                and prior.base_sig is not None
-                and base_view is not None
-                and prior.base_sig[0] <= base.tt_start
-                and _count_below(content, topology, prior.base_sig[0])
-                == prior.below_base
-            ):
-                older, floor = prior.versions, prior.base_sig[0]
-                self.read_metrics.versions_extended += 1
-                if below[0] == prior.below_base[0]:
-                    # No content record since: the prior versions are
-                    # the whole list (topology resolves at serve time).
-                    return _Built(sig, older, replays, generation, below)
-            records = self._collect_records(
-                segment, gid, floor, base.tt_start, _topology_boundary(base_view), entry
-            )
-            versions: list[tuple[int, int, Optional[object]]] = []
-            for tt_start, tt_end, seg, payload in records:
-                self.reconstructions += 1
-                self.read_metrics.deltas_replayed += 1
-                self._apply(base, seg, payload, tt_start, tt_end)
-                if seg != history_keys.SEGMENT_TOPOLOGY:
-                    versions.append(
-                        (tt_start, tt_end, base.fork() if base.exists else None)
-                    )
+            for tt_start, tt_end, stream, row in rows:
+                try:
+                    payload = self._payload(stream, gid, row)
+                except IntegrityError:
+                    # content first at equal ends: a topology record's
+                    # own end still has its version
+                    error, stop = row[2], tt_end - (stream == _TD)
+                    break
+                if stream[1] == history_keys.KIND_ANCHOR:
+                    view = _from_anchor(view, payload, tt_start, tt_end)
+                else:
+                    replays += 1
+                    if stream == _TD:
+                        apply_topology_record(view, payload, tt_start, tt_end)
+                        continue
+                    apply_content_record(view, payload, tt_start, tt_end)
+                versions.append(
+                    (tt_start, tt_end, view.fork() if view.exists else None)
+                )
+        self.reconstructions += replays
+        self.read_metrics.deltas_replayed += replays
         versions.reverse()  # ascending by tt_end for bisect serving
-        return _Built(sig, older + versions, replays, generation, below)
+        return _Segment(versions, error, stop)
 
-    def _delta_lists(
-        self, segment: bytes, gid: int, entry: _Entry
-    ) -> tuple[list, Sequence]:
-        """The object's content delta records and (for a vertex) its
-        topology ones."""
-        content = self._records_for(segment, history_keys.KIND_DELTA, gid, entry)
-        if segment != history_keys.SEGMENT_VERTEX:
-            return content, ()
-        return content, self._records_for(
-            history_keys.SEGMENT_TOPOLOGY, history_keys.KIND_DELTA, gid, entry
-        )
-
-    def _serve_cached_point(
-        self, entry: _Entry, segment: bytes, gid: int, versions: list, t: int
+    def _serve(
+        self, entry: _Entry, segment: bytes, gid: int, segments: list, cond
     ) -> list:
-        """State-at-t from the cached list: bisect to the content
-        version containing ``t`` and serve a fork of its frozen view.
+        """The versions matching ``cond`` in the segments a read needs,
+        newest first, each a fork of a frozen view; a read needing one
+        that a damaged record kept out of a segment raises its error.
 
-        The frozen view was captured just after its content record,
-        i.e. with only the structural changes *newer* than the version
-        already undone; the state at ``t`` also undoes the topology
-        records ending in ``(t, version end]``.  The fork carries that
-        slice, newest first, and applies it only if its adjacency is
-        read.  Damaged records in the slice still fail here, at serve
-        time."""
+        A point read bisects to the version containing ``t``.  Its
+        frozen view was captured just after its content record, i.e.
+        with only the structural changes *newer* than the version
+        undone; the fork also carries the topology records ending in
+        ``(t, version end]``, newest first, applied only if its
+        adjacency is read."""
+        t = cond.t1
+        for built in segments:
+            if built.error is not None and t < built.stop:
+                built.error.raise_()
+        if not cond.is_point:
+            return [
+                frozen.fork()
+                for built in reversed(segments)
+                for tt_start, tt_end, frozen in reversed(built.versions)
+                if frozen is not None and cond.matches(tt_start, tt_end)
+            ]
+        versions = segments[0].versions if segments else ()
         index = bisect.bisect_right(versions, t, key=_END)
-        if index >= len(versions):
-            return []
-        tt_start, tt_end, frozen = versions[index]
-        if frozen is None or tt_start > t:
-            return []  # non-existence at t, or t predates every version
+        if index == len(versions) or versions[index][0] > t or not versions[index][2]:
+            return []  # t predates every version, or no object existed at t
+        _tt_start, tt_end, frozen = versions[index]
         view = frozen.fork()
         if segment == history_keys.SEGMENT_VERTEX:
             topo = self._records_for(
                 history_keys.SEGMENT_TOPOLOGY, history_keys.KIND_DELTA, gid, entry
             )
             low = bisect.bisect_right(topo, t, key=_END)
-            high = bisect.bisect_right(topo, tt_end, lo=low, key=_END)
-            if low < high:
-                pending = topo[low:high]
-                if entry.damaged:
-                    for _r_start, _r_end, payload in pending:
-                        if isinstance(payload, _CorruptPayload):
-                            payload.raise_()
+            pending = topo[low : bisect.bisect_right(topo, tt_end, lo=low, key=_END)]
+            for row in pending:
+                self._payload(_TD, gid, row)
+            if pending:
                 pending.reverse()
                 view._pending = pending
         return [view]
-
-    def _fetch_versions_uncached(
-        self,
-        object_kind: str,
-        segment: bytes,
-        gid: int,
-        cond: TemporalCondition,
-        base_view,
-        entry: _Entry,
-    ) -> Iterator:
-        base, include_base = self._reconstruction_base(
-            segment, object_kind, gid, cond, base_view, entry
-        )
-        if base is None:
-            return
-        # A current-store or blank base holds the adjacency left by
-        # every migrated structural change, whatever its content start,
-        # and an anchor view carries that base's adjacency: undo each
-        # one newer than t1 that the base has not undone itself.
-        records = self._collect_records(
-            segment, gid, cond.t1, base.tt_start, _topology_boundary(base_view), entry
-        )
-        if cond.is_point:
-            # State-at-t semantics: undo *every* change that happened
-            # after t (both the content and the topology timeline) and
-            # surface the single resulting state.  The version interval
-            # reported (and checked) is the content timeline's, which
-            # rejects states that began only after t.
-            content_tt = (base.tt_start, base.tt_end)
-            for tt_start, tt_end, seg, payload in records:
-                self.reconstructions += 1
-                self.read_metrics.deltas_replayed += 1
-                self._apply(base, seg, payload, tt_start, tt_end)
-                if seg != history_keys.SEGMENT_TOPOLOGY:
-                    content_tt = (tt_start, tt_end)
-            base.tt_start, base.tt_end = content_tt
-            if base.exists and cond.matches(base.tt_start, base.tt_end):
-                yield base
-            return
-        # Time-slice: enumerate each distinct content state whose
-        # interval touches the range, newest first.  Topology records
-        # are applied silently — structural changes do not create
-        # content versions (the separate structural transaction-time
-        # field exists precisely for this, section 4.1).
-        if include_base:
-            # The anchor's version has the adjacency of its end: undo
-            # the structural changes after it (only topology records end
-            # there) before surfacing it.
-            content_tt = (base.tt_start, base.tt_end)
-            # records run newest first: count those ending after it
-            newer = bisect.bisect_left(records, -base.tt_end, key=lambda row: -row[1])
-            for tt_start, tt_end, seg, payload in records[:newer]:
-                self.reconstructions += 1
-                self.read_metrics.deltas_replayed += 1
-                self._apply(base, seg, payload, tt_start, tt_end)
-            del records[:newer]
-            base.tt_start, base.tt_end = content_tt
-            if base.exists and cond.matches(base.tt_start, base.tt_end):
-                yield base.fork()
-        for tt_start, tt_end, seg, payload in records:
-            self.reconstructions += 1
-            self.read_metrics.deltas_replayed += 1
-            self._apply(base, seg, payload, tt_start, tt_end)
-            if seg == history_keys.SEGMENT_TOPOLOGY:
-                continue
-            if base.exists and cond.matches(base.tt_start, base.tt_end):
-                yield base.fork()
-
-    @staticmethod
-    def _apply(view, segment: bytes, payload: dict, tt_start: int, tt_end: int) -> None:
-        if isinstance(payload, _CorruptPayload):
-            payload.raise_()
-        if segment == history_keys.SEGMENT_TOPOLOGY:
-            apply_topology_record(view, payload, tt_start, tt_end)
-        else:
-            apply_content_record(view, payload, tt_start, tt_end)
-
-    def _reconstruction_base(
-        self, segment: bytes, object_kind: str, gid: int, cond, base_view, entry
-    ):
-        """Pick anchor, current-store base, or blank placeholder.
-
-        Returns ``(view, include_base)``; ``include_base`` marks an
-        anchor whose own version may satisfy the condition (a
-        current-store base was already surfaced by the caller's scan of
-        unreclaimed versions, so it must not be yielded again).
-        """
-        anchor = self._seek_anchor(segment, gid, cond.t2, entry)
-        if anchor is not None:
-            tt_start, tt_end, payload = anchor
-            if isinstance(payload, _CorruptPayload):
-                payload.raise_()
-            if base_view is None or tt_end <= base_view.tt_start:
-                # An anchor staged at a structural commit ends mid-way
-                # through the content version containing it.  Widen to
-                # the containing version's own interval (from its delta
-                # record) so the version's reported identity never
-                # depends on which anchor a query starts from.
-                tt_start, tt_end = self._containing_version(
-                    segment, gid, tt_start, tt_end, entry
-                )
-                if object_kind == "vertex":
-                    view = vertex_view_from_anchor(gid, payload, tt_start, tt_end)
-                    if base_view is not None:
-                        # An anchor holds no adjacency: share the base's
-                        # (a blank base has none), which the replay then
-                        # undoes down to t.
-                        source = base_view.fork()
-                        view._out_edges = source._out_edges
-                        view._in_edges = source._in_edges
-                        view._pending = source._pending
-                        view._owns_edges = False
-                else:
-                    view = edge_view_from_anchor(gid, payload, tt_start, tt_end)
-                return view, True
-        if base_view is not None:
-            return base_view.fork(), False
-        return self._blank_base(object_kind, gid, entry), False
-
-    def _containing_version(
-        self, segment: bytes, gid: int, tt_start: int, tt_end: int, entry: _Entry
-    ) -> tuple[int, int]:
-        """The content version interval containing ``[tt_start, tt_end)``.
-
-        Anchors start where the previous content record ended, so the
-        first content record ending after the anchor's start is the
-        record of the version the anchor snapshots; fall back to the
-        given interval when no such record covers it (e.g. a store
-        whose seam was disturbed)."""
-        records = self._records_for(segment, history_keys.KIND_DELTA, gid, entry)
-        index = bisect.bisect_right(records, tt_start, key=_END)
-        if index < len(records):
-            rec_start, rec_end, _payload = records[index]
-            if rec_start <= tt_start and rec_end >= tt_end:
-                return rec_start, rec_end
-        return tt_start, tt_end
 
     # -- record lists ----------------------------------------------------
 
     def _records_for(
         self, segment: bytes, kind: bytes, gid: int, entry: Optional[_Entry] = None
-    ) -> list[tuple[int, int, dict]]:
-        """The object's records in one stream, ascending by tt_end, from
-        ``entry`` (default: the object's cache entry), read from the KV
-        store on first use.  A cached list with rows published since is
-        grown by one range read of the rows after its tail."""
+    ) -> list[list]:
+        """The object's records in one stream, ``[[tt_start, tt_end,
+        value]]`` ascending by tt_end, from ``entry`` (default: the
+        object's cache entry), read key-only from the KV store on first
+        use (see :meth:`_payload`).  A cached list with rows published
+        since is grown by one range read of the rows after its tail."""
+        object_kind = _OBJECT_KIND[segment]
         if entry is None:
-            entry = self._entries(_OBJECT_KIND[segment], (gid,))[gid]
+            entry = self._entries(object_kind, (gid,))[gid]
         stream = (segment, kind)
         records = entry.records.get(stream)
         if records is not None and stream not in entry.fresh:
@@ -1033,16 +1050,13 @@ class HistoricalStore:
         else:
             start = prefix
             if records:
-                tail_start, tail_end, _payload = records[-1]
+                tail_start, tail_end, _value = records[-1]
                 start = history_keys.encode_key(
                     segment, kind, gid, tail_start, tail_end
                 ) + b"\x00"
             rows = self.kv.scan_range(start, prefix + b"\xff" * 17)
             records = list(records)
-        for key, value in rows:
-            decoded = history_keys.decode_key(key)
-            payload = self._decode(key, value, entry)
-            records.append((decoded.tt_start, decoded.tt_end, payload))
+        self._key_only(rows, object_kind, {gid: records})
         with self._cache_lock:
             if epoch == self._epoch:
                 entry.records[stream] = records
@@ -1055,10 +1069,10 @@ class HistoricalStore:
         gids: Iterable[int],
         held: Optional[dict[int, _Entry]] = None,
     ) -> int:
-        """Bulk-fill many objects' record lists with one bounded range
-        scan per segment (Expand's batched ``FetchFromKV``-VE path: a
-        high-degree vertex preloads every candidate edge in one KV
-        iteration instead of one seek each), into the entries a fetch
+        """Bulk-fill many objects' delta record lists with one bounded
+        range scan per segment (Expand's batched ``FetchFromKV``-VE
+        path: a high-degree vertex preloads every candidate edge in one
+        KV iteration instead of one seek each), into the entries a fetch
         batch ``held`` or else the cache's.
 
         Skips objects with no history or already-cached records.  When
@@ -1097,12 +1111,7 @@ class HistoricalStore:
         start = history_keys.object_prefix(segment, kind, low_gid)
         stop = history_keys.object_prefix(segment, kind, high_gid) + b"\xff" * 17
         rows: dict[int, list] = {gid: [] for gid in wanted}
-        for key, value in self.kv.scan_range(start, stop):
-            decoded = history_keys.decode_key(key)
-            records = rows.get(decoded.gid)
-            if records is not None:
-                payload = self._decode(key, value, held[decoded.gid])
-                records.append((decoded.tt_start, decoded.tt_end, payload))
+        self._key_only(self.kv.scan_range(start, stop), _OBJECT_KIND[segment], rows)
         with self._cache_lock:
             if epoch == self._epoch:
                 for gid, records in rows.items():
@@ -1127,54 +1136,43 @@ class HistoricalStore:
             return True
         return sum(counts.get(gid, 0) for gid in gids[start:stop]) > limit
 
-    def _seek_anchor(self, segment: bytes, gid: int, t: int, entry: _Entry):
-        """First anchor of ``gid`` with ``tt_end > t`` (nearest newer)."""
-        self.read_metrics.anchor_seeks += 1
-        anchors = self._records_for(segment, history_keys.KIND_ANCHOR, gid, entry)
-        index = bisect.bisect_right(anchors, t, key=_END)
-        if index < len(anchors):
-            return anchors[index]
-        return None
-
     def _collect_records(
         self,
         segment: bytes,
         gid: int,
-        t1: int,
+        floor: int,
         boundary: int,
         topology_boundary: int,
         entry: _Entry,
-    ) -> list[tuple[int, int, bytes, dict]]:
-        """All delta records with ``t1 < tt_end``, newest first: content
-        records up to ``boundary`` and (for vertices) topology records
-        up to ``topology_boundary``."""
-        collected: list[tuple[int, int, bytes, dict]] = []
+        top: Optional[tuple] = None,
+    ) -> list[tuple]:
+        """The replay rows ``(tt_start, tt_end, stream, row)`` above
+        ``floor``, newest first: content records up to ``boundary`` and
+        (for vertices) topology records up to ``topology_boundary``,
+        under the segment's ``top`` anchor row if given.  At equal ends
+        the anchor and content rows come first: a version's frozen
+        adjacency has only the structural changes after it undone."""
+        collected: list[tuple] = [] if top is None else [top]
         for seg in _STREAMS[segment]:
+            stream = (seg, history_keys.KIND_DELTA)
             records = self._records_for(seg, history_keys.KIND_DELTA, gid, entry)
-            low = bisect.bisect_right(records, t1, key=_END)
+            low = bisect.bisect_right(records, floor, key=_END)
             high = bisect.bisect_right(
                 records,
                 topology_boundary if seg == history_keys.SEGMENT_TOPOLOGY else boundary,
                 lo=low,
                 key=_END,
             )
-            collected.extend(
-                (tt_start, tt_end, seg, payload)
-                for tt_start, tt_end, payload in records[low:high]
-            )
-        collected.sort(key=_END, reverse=True)
+            collected.extend((row[0], row[1], stream, row) for row in records[low:high])
+        collected.sort(key=_END, reverse=True)  # stable: ties keep that order
         return collected
 
-    def _blank_base(self, object_kind: str, gid: int, entry: _Entry):
+    @staticmethod
+    def _blank_base(object_kind: str, gid: int, content: list, topology: Sequence):
         """A non-existence placeholder ending at the object's newest
         delta record (across the content and topology segments for
-        vertices), or ``None`` for an object with none.  Read from the
-        record lists the reconstruction replays next."""
-        ends = [
-            records[-1][1]
-            for records in self._delta_lists(_SEGMENT[object_kind], gid, entry)
-            if records
-        ]
+        vertices), or ``None`` for an object with none."""
+        ends = [records[-1][1] for records in (content, topology) if records]
         if not ends:
             return None
         blank = VertexView.blank if object_kind == "vertex" else EdgeView.blank
@@ -1197,10 +1195,8 @@ class HistoricalStore:
             records = self._records_for(
                 history_keys.SEGMENT_VERTEX, history_keys.KIND_DELTA, gid, entry
             )
-            for _s, _e, payload in records:
-                if isinstance(payload, _CorruptPayload):
-                    payload.raise_()
-                _merge_mentions(payload, labels, values)
+            for row in records:
+                _merge_mentions(self._payload(_VD, gid, row), labels, values)
             mentions = (labels, values)
             with self._cache_lock:
                 if epoch == self._epoch:
@@ -1224,9 +1220,8 @@ class HistoricalStore:
             history_keys.SEGMENT_TOPOLOGY, history_keys.KIND_DELTA, gid
         )
         low = bisect.bisect_right(records, t1, key=_END)
-        for _tt_start, _tt_end, payload in records[low:]:
-            if isinstance(payload, _CorruptPayload):
-                payload.raise_()
+        for row in records[low:]:
+            payload = self._payload(_TD, gid, row)
             for field in ("oa", "or"):
                 out_refs.extend(payload.get(field, ()))
             for field in ("ia", "ir"):

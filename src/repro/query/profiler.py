@@ -37,6 +37,7 @@ PROFILE_COUNTERS = (
     ("cache_misses", "read_path.cache_misses"),
     ("anchor_seeks", "read_path.anchor_seeks"),
     ("deltas_replayed", "read_path.deltas_replayed"),
+    ("payload_decodes", "read_path.checksums_verified + legacy_records"),
     ("kv_seeks", "history_kv.seeks"),
     ("kv_range_scans", "history_kv.range_scans"),
     ("kv_gets", "history_kv.gets"),
@@ -58,6 +59,7 @@ def _counter_getters(engine) -> list[Callable[[], int]]:
         lambda: read.cache_misses,
         lambda: read.anchor_seeks,
         lambda: read.deltas_replayed,
+        lambda: engine.history.checksums_verified + engine.history.legacy_records,
         lambda: kv.seeks,
         lambda: kv.range_scans,
         lambda: kv.gets,
@@ -181,6 +183,7 @@ class ProfileResult:
                 f"{profile.time * 1e3:.3f}ms, "
                 f"cur={c['current_hits']}, recl={c['reclaimed_hits']}, "
                 f"seeks={c['kv_seeks']}, replays={c['deltas_replayed']}, "
+                f"decodes={c['payload_decodes']}, "
                 f"cache={c['cache_hits']}/{c['cache_misses']}}}"
             )
         return _nest(annotated)

@@ -8,6 +8,7 @@ import pytest
 from repro import AeonG, TemporalCondition
 from repro.core import keys as hk
 from repro.core.anchors import historical_state
+from repro.core.deltas import decode_payload
 from repro.core.history_store import HistoricalStore
 from repro.core.reconstruct import (
     anchor_payload_from_view,
@@ -186,7 +187,8 @@ class TestMigrationMechanics:
             hk.SEGMENT_VERTEX, hk.KIND_ANCHOR, gid
         )
         assert anchors
-        for tt_start, tt_end, payload in anchors:
+        for tt_start, tt_end, stored in anchors:  # read key-only
+            payload = decode_payload(stored)
             assert tt_start < tt_end
             assert "p" in payload and "o" not in payload  # content only
 

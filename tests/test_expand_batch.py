@@ -5,7 +5,8 @@ Clock-G baseline's ``neighbors_at`` and an edge/vertex lifetime model —
 at every commit timestamp ± 1, in every direction, with and without a
 type filter, across re-created edges, GC between steps, the cache on
 and off, and an open transaction holding an uncommitted edge create and
-delete; slice expands cached vs uncached; the batch's fault behaviour
+delete; slice expands at cache sizes 4096 and 0 against each other and
+the lifetime model; the batch's fault behaviour
 (one breaker failure for a failing batch, a quarantined neighbour
 degrading alone, one failpoint hit per object fetched); quarantine and
 breaker changes between two statements; the expand counters; and the
@@ -312,6 +313,10 @@ class TestExpandDifferential:
                                 assert got == want, (t1, t2, src, direction, kind)
 
     def test_slices_cached_equal_uncached(self):
+        """Cache size 0 (each segment built and dropped) against 4096
+        (kept and extended), and both against the lifetime model: the
+        pairs a slice expand yields are those of every edge alive at
+        some instant of the slice."""
         cold, warm = _Script(0), _Script(4096)
         for _stage in zip(_stages(cold), _stages(warm)):
             pass
@@ -333,6 +338,12 @@ class TestExpandDifferential:
                     for types in (None, {"LIKES"}):
                         gid = warm.gid[src]
                         expected = sig(_expand(cold.db, gid, cond, direction, types))
+                        kind = None if types is None else "LIKES"
+                        assert {(row[0], row[4]) for row in expected} == {
+                            pair
+                            for t in range(t1, t2 + 1)
+                            for pair in _model(cold, src, t, direction, kind)
+                        }, (t1, t2, src, direction, types)
                         for _round in ("populate", "hits"):
                             got = sig(_expand(warm.db, gid, cond, direction, types))
                             assert got == expected, (t1, t2, src, direction, types)
@@ -449,8 +460,11 @@ class TestBatchFaults:
 
 
 def _version_lists(store):
-    """Objects holding a version list in the history cache."""
-    return sum(entry.built is not None for entry in store._cache.values())
+    """Objects holding a built segment in the history cache."""
+    return sum(
+        entry.head is not None or bool(entry.segments)
+        for entry in store._cache.values()
+    )
 
 
 class TestBatchCacheFill:
@@ -458,7 +472,7 @@ class TestBatchCacheFill:
         db, hub, spokes, t = _fan()
         store = db.history
         store.invalidate_caches()
-        build = store._build_versions
+        build = store._replay
 
         def racing_build(*args):
             built = build(*args)
@@ -466,10 +480,10 @@ class TestBatchCacheFill:
                 store._bump_epoch()
             return built
 
-        store._build_versions = racing_build
+        store._replay = racing_build
         assert len(_pairs(db, hub, t)) == 4
         assert _version_lists(store) == 0
-        store._build_versions = build
+        store._replay = build
         _pairs(db, hub, t)
         assert _version_lists(store) == 4
 

@@ -22,6 +22,7 @@ COUNTER_KEYS = (
     "cache_misses",
     "anchor_seeks",
     "deltas_replayed",
+    "payload_decodes",
     "kv_seeks",
     "kv_range_scans",
     "kv_gets",
@@ -42,7 +43,7 @@ def seed_reclaimed_history(db, versions=6):
 
 
 def metrics_counters(db):
-    """The profiler's ten counters, read straight from ``metrics()``."""
+    """The profiler's eleven counters, read straight from ``metrics()``."""
     m = db.metrics()
     kv = m["history_kv"]
     rp = m["read_path"]
@@ -54,6 +55,7 @@ def metrics_counters(db):
         "cache_misses": rp["cache_misses"],
         "anchor_seeks": rp["anchor_seeks"],
         "deltas_replayed": rp["deltas_replayed"],
+        "payload_decodes": rp["checksums_verified"] + rp["legacy_records"],
         "kv_seeks": kv["seeks"],
         "kv_range_scans": kv["range_scans"],
         "kv_gets": kv["gets"],
@@ -77,6 +79,10 @@ class TestProfileReconciliation:
         assert profile.totals["reclaimed_hits"] > 0
         assert profile.totals["kv_seeks"] > 0
         assert profile.totals["deltas_replayed"] > 0
+        # the point read decoded one segment: its anchor and the records
+        # it replayed, nothing else
+        assert profile.totals["anchor_seeks"] == 1
+        assert profile.totals["payload_decodes"] == profile.totals["deltas_replayed"] + 1
 
     def test_totals_match_metrics_deltas_warm_cache(self, db):
         _, t_mid = seed_reclaimed_history(db)
@@ -92,6 +98,7 @@ class TestProfileReconciliation:
         }
         assert profile.totals["cache_hits"] > 0
         assert profile.totals["kv_seeks"] == 0
+        assert profile.totals["payload_decodes"] == 0  # decoded once, in place
 
     def test_per_operator_self_counters_sum_to_totals(self, db):
         _, t_mid = seed_reclaimed_history(db)

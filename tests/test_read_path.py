@@ -1,29 +1,33 @@
 """Read-path performance layer (reconstruction cache, record counts,
 preload) and its correctness contract.
 
-Covers: cached-vs-uncached output equality over the full (t1, t2)
-grid, the half-open seam boundary in ``_object_versions`` (the
-``base.tt_start >= cond.t1`` guard), epoch invalidation on migration
+Covers: output equality over the full (t1, t2) grid between a kept
+cache and cache size 0, and against Clock-G's answers, the half-open
+seam boundary in ``_object_versions`` (the ``base.tt_start >=
+cond.t1`` guard), epoch invalidation on migration
 commits / ``prune()`` / integrity repair, quarantine precedence over a
 warm cache, the ``ReadMetrics`` counters (no KV seeks on warm
 re-reads, no double counting), scan-at-t with concurrent and aborted
 writers, the unindexed scan's candidate rosters (differential against
 brute force across the whole maintenance lifecycle, under concurrent
 writers), view isolation from later uncommitted or rolled-back writes,
-reconstructed adjacency on the cached point path against the uncached
-replay, served views sharing the cache's containers without aliasing
-writes, expand's batched preload, and the KV layer's bounded range
-scan.
+reconstructed adjacency on the cached point path against builds at
+cache size 0 and edge lifetimes, served views sharing the cache's
+containers without aliasing writes, expand's batched preload, the KV
+layer's bounded range scan, the anchor segment's bound on a cold read,
+and an undecodable key met by a read.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import random
 import sys
 import threading
 from contextlib import nullcontext
+from functools import partial
 from io import StringIO
 
 import pytest
@@ -32,6 +36,9 @@ from hypothesis import example, given, settings, strategies as st
 from repro import AeonG, IntegrityError, TemporalCondition
 from repro.cli import run as cli_run
 from repro.common.timeutil import MAX_TIMESTAMP
+from repro.baselines import interface
+from repro.baselines.clockg import ClockGBackend
+from repro.baselines.interface import GraphOp
 from repro.core import keys as hk
 from repro.core import operators
 from repro.core.deltas import RecordDraft, encode_record_payload
@@ -42,6 +49,7 @@ from repro.graph.views import VertexView, oldest_unreclaimed_view, version_itera
 from repro.integrity import Scrubber
 from repro.kvstore import KVStore, WriteBatch
 from repro.mvcc.delta import Delta, DeltaAction
+from repro.resilience import ResilienceConfig
 
 pytestmark = pytest.mark.read_path
 
@@ -73,35 +81,57 @@ def _esig(view):
     )
 
 
-def _history_rich_db(cache_size=4096, anchor_interval=3):
+def _history_rich_db(cache_size=4096, anchor_interval=3, clock=None):
     """Two vertices and an edge with reclaimed history on every
     segment: property versions, structural (topology) records, a
     deleted edge, a fully reclaimed vertex, and an anchor staged at a
-    structural commit (the mid-version anchor case)."""
+    structural commit (the mid-version anchor case).  With ``clock``
+    (a :class:`ClockGBackend`), each commit is also applied to it, at
+    its commit timestamp, as ops on ``"a"``, ``"b"`` and ``"e"``."""
     db = AeonG(
         anchor_interval=anchor_interval,
         gc_interval_transactions=0,
         reconstruction_cache_size=cache_size,
     )
+
+    def mirror(txn, *ops):
+        for op in ops if clock is not None else ():
+            clock.apply(GraphOp(ts=txn.commit_ts, **op))
+
     with db.transaction() as txn:
         a = db.create_vertex(txn, labels=["P"], properties={"n": 0})
         b = db.create_vertex(txn, labels=["Q"], properties={"m": 0})
+    mirror(
+        txn,
+        dict(kind=interface.ADD_VERTEX, ext_id="a", label="P", properties={"n": 0}),
+        dict(kind=interface.ADD_VERTEX, ext_id="b", label="Q", properties={"m": 0}),
+    )
     for i in range(1, 9):
         with db.transaction() as txn:
             db.set_vertex_property(txn, a, "n", i)
+        mirror(txn, dict(kind=interface.UPDATE_VERTEX, ext_id="a", prop="n", value=i))
     with db.transaction() as txn:
         e = db.create_edge(txn, a, b, "KNOWS", properties={"w": 0})
+    mirror(
+        txn,
+        dict(kind=interface.ADD_EDGE, ext_id="e", label="KNOWS", src="a", dst="b",
+             properties={"w": 0}),
+    )
     for i in range(1, 5):
         with db.transaction() as txn:
             db.set_edge_property(txn, e, "w", i)
+        mirror(txn, dict(kind=interface.UPDATE_EDGE, ext_id="e", prop="w", value=i))
     with db.transaction() as txn:
         db.delete_edge(txn, e)
+    mirror(txn, dict(kind=interface.DELETE_EDGE, ext_id="e"))
     with db.transaction() as txn:
         db.delete_vertex(txn, b)
+    mirror(txn, dict(kind=interface.DELETE_VERTEX, ext_id="b"))
     db.collect_garbage()
     for i in range(9, 13):
         with db.transaction() as txn:
             db.set_vertex_property(txn, a, "n", i)
+        mirror(txn, dict(kind=interface.UPDATE_VERTEX, ext_id="a", prop="n", value=i))
     db.collect_garbage()
     return db, a, b, e
 
@@ -126,19 +156,62 @@ def _grid(db, kind, gid, hi):
     return out
 
 
-# -- cached vs uncached equality ----------------------------------------------
+def _clock_grid(clock, ext, hi):
+    """What :func:`_grid` reads as properties only, from Clock-G: its
+    own snapshots and log replay, sharing no code with the engine.  An
+    edge's state at ``t`` comes from its source's neighbour list, and
+    its slice lists each distinct state the slice passes through (every
+    edge write here changes its properties)."""
+    if ext == "e":
+        at = {}
+        for t in range(hi + 1):
+            hits = [h for h in clock.neighbors_at("a", t, "out") if h.neighbor_ext_id == "b"]
+            at[t] = hits[0].edge_properties if hits else None
+
+        def between(t1, t2):
+            states = [at[t] for t in range(t1, t2 + 1) if at[t] is not None]
+            distinct = [s for i, s in enumerate(states) if i == 0 or s != states[i - 1]]
+            return distinct[::-1]
+    else:
+        at = {t: clock.vertex_at(ext, t) for t in range(hi + 1)}
+        between = partial(clock.vertex_between, ext)
+    out = []
+    for t in range(hi + 1):
+        out.append(("point", t, [] if at[t] is None else [_props(at[t])]))
+    for t1 in range(hi + 1):
+        for t2 in range(t1, hi + 1):
+            out.append(("slice", t1, t2, [_props(state) for state in between(t1, t2)]))
+    return out
+
+
+def _props(state):
+    return tuple(sorted(state.items()))
+
+
+def _grid_props(grid):
+    """A :func:`_grid` with each version reduced to its properties."""
+    return [(*row[:-1], [sig[-1] for sig in row[-1]]) for row in grid]
+
+
+# -- cache size 0 vs a kept cache, and an independent reference ---------------
 
 
 class TestCachedEqualsUncached:
+    """Cache size 0 builds each segment and drops it; 4096 keeps and
+    extends them.  Both equal each other, and their properties equal
+    Clock-G's answers to the same commits."""
+
     @pytest.mark.parametrize("kind_attr", ["a", "b", "e"])
     def test_full_grid_matches_uncached(self, kind_attr):
-        cold, a0, b0, e0 = _history_rich_db(cache_size=0)
+        clock = ClockGBackend(snapshot_interval=5)
+        cold, a0, b0, e0 = _history_rich_db(cache_size=0, clock=clock)
         warm, a1, b1, e1 = _history_rich_db(cache_size=4096)
         assert (a0, b0, e0) == (a1, b1, e1)  # deterministic timestamps
         kind = "edge" if kind_attr == "e" else "vertex"
         gid = {"a": a0, "b": b0, "e": e0}[kind_attr]
         hi = cold.now()
         truth = _grid(cold, kind, gid, hi)
+        assert _grid_props(truth) == _clock_grid(clock, kind_attr, hi)
         populate = _grid(warm, kind, gid, hi)  # first pass fills the cache
         served = _grid(warm, kind, gid, hi)  # second pass is all hits
         assert populate == truth
@@ -448,7 +521,8 @@ class TestReadMetrics:
         above = _versions(db, "vertex", a, TemporalCondition.as_of(end))
         assert [props for _s, _e, _l, props in above] == [(("n", 6),)]
         assert db.history.kv.stats.seeks > seeks
-        assert db.history._cache[("vertex", a)].damaged
+        # the damage is kept with the segment the read built
+        assert db.history._cache[("vertex", a)].head.segment.error is not None
         with pytest.raises(IntegrityError):  # replays through it
             _versions(db, "vertex", a, TemporalCondition.as_of(start))
         with pytest.raises(IntegrityError):  # the roster kept a as a candidate
@@ -663,7 +737,7 @@ class TestBoundedHistoryCache:
         before = _versions(db, "vertex", a, whole)
         content = (hk.SEGMENT_VERTEX, hk.KIND_DELTA)
         entry = store._cache[("vertex", a)]
-        assert content in entry.records and entry.built is not None
+        assert content in entry.records and entry.head is not None
         (_s, created, _p), (first, end, _q) = entry.records[content][:2]
         assert first == created and end > created + 1
         batch = WriteBatch()  # splits a's first version in two
@@ -671,7 +745,7 @@ class TestBoundedHistoryCache:
             batch, RecordDraft(hk.SEGMENT_VERTEX, a, first, end - 1, {"p": {"n": -1}})
         )
         store.commit_batch(batch)
-        assert content not in entry.records and entry.built is None
+        assert content not in entry.records and entry.head is None
         after = _versions(db, "vertex", a, whole)
         assert after[:-1] == before
         assert after[-1] == (first, end - 1, ("P",), (("n", -1),))
@@ -703,22 +777,33 @@ def _current_base(db, kind, gid):
 
 
 def _assert_lists_equal_full_rebuilds(db):
-    """Every current version list in the cache equals one rebuilt from
-    scratch from the same base; returns how many were checked."""
+    """Every current head segment in the cache, and every anchor
+    segment cached beside it, equals one rebuilt from scratch from the
+    same base; returns how many objects were checked."""
     store = db.history
     checked = 0
     for (kind, gid), entry in list(store._cache.items()):
-        built = entry.built
-        if built is None or built.versions is None:
-            continue
+        head = entry.head
         base = _current_base(db, kind, gid)
-        if built.generation != entry.generation or built.base_sig != _base_sig(base):
+        if (
+            head is None
+            or head.generation != entry.generation
+            or head.base_sig != _base_sig(base)
+        ):
             continue  # stale: the next read extends or rebuilds it
-        full = store._build_versions(kind, gid, base, _Entry())
-        assert [(s, e, _frozen_state(v)) for s, e, v in built.versions] == [
-            (s, e, _frozen_state(v)) for s, e, v in full.versions
-        ], (kind, gid)
-        assert built.replays == full.replays and built.below_base == full.below_base
+        fills = []
+        store._segments(kind, gid, base, _Entry(), None, -1, MAX_TIMESTAMP, fills)
+        fresh = {top: built for _entry, top, built in fills}
+        full = fresh.pop(None)
+        assert head.ends == full.ends and head.below_base == full.below_base
+        assert set(entry.segments) <= set(fresh), (kind, gid)
+        for built, rebuilt in [(head.segment, full.segment)] + [
+            (entry.segments[top], fresh[top]) for top in entry.segments
+        ]:
+            assert [(s, e, _frozen_state(v)) for s, e, v in built.versions] == [
+                (s, e, _frozen_state(v)) for s, e, v in rebuilt.versions
+            ], (kind, gid)
+            assert built.error is rebuilt.error is None
         checked += 1
     return checked
 
@@ -745,8 +830,9 @@ def _answers(db, objects, points, slices):
 
 
 class _Twins:
-    """The same random history applied to a cached engine and an
-    uncached one: the uncached replay is the reference answer."""
+    """The same random history applied to an engine that keeps its
+    history cache and one at cache size 0, which builds the segments
+    each read needs and drops them."""
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
@@ -864,8 +950,9 @@ class _Twins:
 class TestSpliceDifferential:
     """Random interleavings of SET, label and edge writes, GC epochs,
     failed epochs, prunes, cache invalidations and scrub repairs: every
-    extended version list equals a full rebuild from the same base, and
-    the cached engine answers exactly as the uncached one, on a point
+    extended head and every cached segment equals a full rebuild from
+    the same base, and the cached engine answers exactly as the one at
+    cache size 0, on a point
     sweep after every step and over the full TT grid at the end (every
     slice between instants an answer can change at)."""
 
@@ -1491,7 +1578,7 @@ class TestViewIsolation:
             db.abort(reader)
 
 
-# -- reconstructed adjacency: cached point path vs uncached replay -------------
+# -- reconstructed adjacency: a kept cache vs cache size 0 ---------------------
 
 
 def _adjacency_db(cache_size):
@@ -1499,9 +1586,8 @@ def _adjacency_db(cache_size):
     re-created, some of them inside one content version of the hub,
     one in the same transaction as a content change, plus a spoke
     deleted outright; two GC epochs reclaim most of it and the last
-    writes stay on the undo chains.  Anchors are off, so the uncached
-    replay starts from the current store like the cache does (an
-    anchor carries no adjacency).  Returns the timeline, the hub and
+    writes stay on the undo chains.  Anchors are off, so every read
+    replays from the current store.  Returns the timeline, the hub and
     spoke gids, and ``{edge gid: [src, dst, type, created, deleted]}``."""
     tl = _Timeline(
         AeonG(
@@ -1571,6 +1657,11 @@ def _adjacency_versions(db, gid, cond):
         ]
 
 
+def _content_versions(db, gid, cond):
+    with db.transaction() as txn:
+        return [view.properties["x"] for view in db.vertex_versions(txn, gid, cond)]
+
+
 def _alive(life, gid, t):
     """The model's adjacency of ``gid`` at ``t``, sorted."""
     out, inn = [], []
@@ -1583,12 +1674,19 @@ def _alive(life, gid, t):
     return sorted(out), sorted(inn)
 
 
+def _reclaim_seam(db, gid):
+    """The instant below which every version of ``gid`` is reclaimed."""
+    record = db.storage.vertex_record(gid)
+    return MAX_TIMESTAMP if record is None else oldest_unreclaimed_view(record).tt_start
+
+
 class TestCachedAdjacency:
     """No query reads a reconstructed view's adjacency (temporal expand
     takes candidates from the record and the ``VE`` segment), so these
     tests read it directly: a cache hit serves a shared frozen view
-    whose topology records resolve on first read, and it must read
-    exactly what the uncached replay builds."""
+    whose topology records resolve on first read.  It must read exactly
+    what a build at cache size 0 reads, and what the edge lifetimes
+    say."""
 
     def test_point_adjacency_equals_uncached_replay(self):
         cold, gids, cold_life = _adjacency_db(cache_size=0)
@@ -1617,21 +1715,32 @@ class TestCachedAdjacency:
 
     def test_slice_adjacency_equals_uncached_replay(self):
         cold, gids, _life = _adjacency_db(cache_size=0)
-        warm, _gids, _life = _adjacency_db(cache_size=4096)
+        warm, _gids, life = _adjacency_db(cache_size=4096)
         stamps = warm.commits
+        reclaimed = 0
         for gid in gids:
+            seam = _reclaim_seam(warm.db, gid)
             for t1, t2 in list(zip(stamps, stamps[1:])) + [(0, stamps[-1] + 1)]:
                 cond = TemporalCondition.between(t1, t2)
                 expected = _adjacency_versions(cold.db, gid, cond)
                 for _round in ("populate", "all hits"):
                     assert _adjacency_versions(warm.db, gid, cond) == expected
+                # a reclaimed version in a slice has the adjacency of its end
+                for _s, end, out, inn in expected:
+                    if end <= seam:
+                        assert (sorted(out), sorted(inn)) == _alive(life, gid, end)
+                        reclaimed += 1
+        assert reclaimed >= 20
 
 
 def _random_links_db(seed, cache_size, anchor_interval=0, vertices=4, steps=40):
     """Random SETs, edge creates and edge deletes over a few vertices
     with GC epochs in between, ending in one that reclaims every chain:
     structural changes often land after a vertex's last content write.
-    Returns the timeline, the vertex gids and the edge lifetimes."""
+    Returns the timeline, the vertex gids and the edge lifetimes; the
+    timeline's ``clock`` has every vertex write applied at its commit
+    timestamp (vertex ``str(gid)``), except a SET of the value already
+    held, which the engine treats as no change."""
     rng = random.Random(seed)
     tl = _Timeline(
         AeonG(
@@ -1641,9 +1750,15 @@ def _random_links_db(seed, cache_size, anchor_interval=0, vertices=4, steps=40):
         )
     )
     db = tl.db
+    tl.clock = clock = ClockGBackend(snapshot_interval=7)
     gids = tl.run(
         lambda txn: [db.create_vertex(txn, ["P"], {"x": 0}) for _ in range(vertices)]
     )
+    for gid in gids:
+        clock.apply(
+            GraphOp(interface.ADD_VERTEX, tl.commits[-1], str(gid), "P", properties={"x": 0})
+        )
+    held = dict.fromkeys(gids, 0)
     life: dict[int, list] = {}
     for step in range(steps):
         roll = rng.random()
@@ -1659,6 +1774,14 @@ def _random_links_db(seed, cache_size, anchor_interval=0, vertices=4, steps=40):
         else:
             gid = rng.choice(gids)
             tl.run(lambda txn: db.set_vertex_property(txn, gid, "x", step))
+            if held[gid] != step:
+                held[gid] = step
+                clock.apply(
+                    GraphOp(
+                        interface.UPDATE_VERTEX, tl.commits[-1], str(gid),
+                        prop="x", value=step,
+                    )
+                )
         if rng.random() < 0.15:
             db.collect_garbage()
     db.collect_garbage()
@@ -1763,23 +1886,46 @@ class TestReclaimedAdjacency:
             assert _reclaimed_adjacency_errors(tl, gids, life) == [], seed
 
     def test_uncached_reads_from_an_anchor_match_edge_lifetimes(self):
-        tl, gids, life = _random_links_db(0, 0, anchor_interval=2)
-        assert _reclaimed_adjacency_errors(tl, gids, life) == []
+        uncached, gids, life = _random_links_db(0, 0, anchor_interval=2)
+        cached, _gids, _life = _random_links_db(0, 4096, anchor_interval=2)
+        assert _reclaimed_adjacency_errors(uncached, gids, life) == []
+        for gid in gids:
+            for t in range(uncached.db.storage.vertex_record(gid).tt_start):
+                cond = TemporalCondition.as_of(t)
+                got = _adjacency_versions(uncached.db, gid, cond)
+                assert got == _adjacency_versions(cached.db, gid, cond), (gid, t)
+                state = uncached.clock.vertex_at(str(gid), t)
+                assert _content_versions(uncached.db, gid, cond) == (
+                    [] if state is None else [state["x"]]
+                ), (gid, t)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_uncached_slices_from_an_anchor_match_cached_adjacency(self, seed):
-        # A slice surfaces the anchor's own version with the adjacency
-        # of its end, like the cached version list.
-        uncached, gids, _life = _random_links_db(seed, 0, anchor_interval=2)
+        # A slice surfaces each anchor's own version with the adjacency
+        # of its end, as a segment split off a kept head does.
+        uncached, gids, life = _random_links_db(seed, 0, anchor_interval=2)
         cached, _gids, _life = _random_links_db(seed, 4096, anchor_interval=2)
+        reclaimed = 0
         for gid in gids:
             end = uncached.db.storage.vertex_record(gid).tt_start
             for t1 in range(0, end, 3):
                 for t2 in range(t1, end + 3, 4):
                     cond = TemporalCondition.between(t1, t2)
-                    assert _adjacency_versions(uncached.db, gid, cond) == (
-                        _adjacency_versions(cached.db, gid, cond)
-                    ), (gid, t1, t2)
+                    got = _adjacency_versions(uncached.db, gid, cond)
+                    assert got == _adjacency_versions(cached.db, gid, cond), (
+                        gid, t1, t2,
+                    )
+                    for _s, version_end, out, inn in got:
+                        if version_end <= end:
+                            assert (sorted(out), sorted(inn)) == _alive(
+                                life, gid, version_end
+                            ), (gid, t1, t2)
+                            reclaimed += 1
+                    states = uncached.clock.vertex_between(str(gid), t1, t2)
+                    assert _content_versions(uncached.db, gid, cond) == [
+                        state["x"] for state in states
+                    ], (gid, t1, t2)
+        assert reclaimed > 0
 
 
 # -- aliasing: served views share the cache's containers -----------------------
@@ -1799,8 +1945,16 @@ def _state(view):
 
 
 def _frozen_entry(db, gid, t):
-    versions = db.history._cache[("vertex", gid)].built.versions
-    (frozen,) = [view for s, e, view in versions if view is not None and s <= t < e]
+    entry = db.history._cache[("vertex", gid)]
+    built = list(entry.segments.values())
+    if entry.head is not None:
+        built.append(entry.head.segment)
+    (frozen,) = [
+        view
+        for segment in built
+        for s, e, view in segment.versions
+        if view is not None and s <= t < e
+    ]
     return frozen
 
 
@@ -2520,7 +2674,15 @@ class TestPreloadGuardIndex:
                     )
                 )
         metrics = db.history.read_path_metrics()
-        assert kv.seeks - seeks == 5  # two prefix reads, three range reads
+        # two prefix reads, three range reads, and one anchor-list read
+        # per object with anchors (its first miss bisects them)
+        anchored = sum(
+            len(gids)
+            for (_segment, kind), gids in db.history._counts.items()
+            if kind == hk.KIND_ANCHOR
+        )
+        assert anchored == 5
+        assert kv.seeks - seeks == 5 + anchored
         assert kv.range_scans - range_scans == 3
         assert metrics["preload_batches"] == 3
         assert metrics["preload_objects"] == 24
@@ -2534,3 +2696,247 @@ class TestPreloadGuardIndex:
             hashlib.sha256(repr(answers).encode()).hexdigest()
             == "0919c1f535a95fcdb187f76c63e77b20e1fd5c2290b771e4bfb4ffda9187ea2e"
         )
+
+
+# -- the anchor segment bounds a cold read --------------------------------------
+
+
+def _set_history(anchor_interval, cache_size, sets=200):
+    """One vertex with ``sets`` migrated SETs of ``n``; returns the
+    engine, its gid and the commit timestamps of the creation and of
+    each SET (``n`` holds ``i`` from ``stamps[i]`` on)."""
+    db = AeonG(
+        anchor_interval=anchor_interval,
+        gc_interval_transactions=0,
+        reconstruction_cache_size=cache_size,
+    )
+    with db.transaction() as txn:
+        gid = db.create_vertex(txn, ["P"], {"n": 0})
+    stamps = [txn.commit_ts]
+    for n in range(1, sets + 1):
+        with db.transaction() as txn:
+            db.set_vertex_property(txn, gid, "n", n)
+        stamps.append(txn.commit_ts)
+    db.collect_garbage()
+    assert db.storage.vertex_record(gid).delta_head is None
+    return db, gid, stamps
+
+
+def _cold_cost(db, gid, cond):
+    """A read of ``gid`` from an empty history cache: the ``n`` of each
+    version, and the payloads it decoded, deltas it replayed and
+    anchor seeks it made."""
+    store = db.history
+    store.invalidate_caches()
+    metrics = store.read_metrics
+
+    def counters():
+        decoded = store.checksums_verified + store.legacy_records
+        return decoded, metrics.deltas_replayed, metrics.anchor_seeks
+
+    before = counters()
+    with db.transaction() as txn:
+        found = [view.properties["n"] for view in db.vertex_versions(txn, gid, cond)]
+    return found, tuple(now - then for now, then in zip(counters(), before))
+
+
+class TestAnchorSegmentBound:
+    """``FetchFromKV`` reads one anchor and at most ``u`` deltas: a cold
+    point read decodes at most 1 + u payloads, replays at most u deltas
+    and seeks the anchors once, whether the cache keeps what it built
+    or not; a slice pays that once per segment it overlaps."""
+
+    @pytest.mark.parametrize("cache_size", [4096, 0])
+    @pytest.mark.parametrize("u", [1, 10, 100])
+    def test_a_cold_point_read_replays_one_segment(self, u, cache_size):
+        db, gid, stamps = _set_history(u, cache_size)
+        for n, t in enumerate(stamps[:-1]):  # every reclaimed version
+            found, cost = _cold_cost(db, gid, TemporalCondition.as_of(t))
+            assert found == [n]
+            decodes, replays, seeks = cost
+            assert decodes <= 1 + u and replays <= u and seeks == 1, (t, cost)
+
+    @pytest.mark.parametrize("cache_size", [4096, 0])
+    @pytest.mark.parametrize("u", [1, 10, 100])
+    def test_a_cold_slice_pays_per_segment_it_overlaps(self, u, cache_size):
+        db, gid, stamps = _set_history(u, cache_size)
+        prefix = hk.object_prefix(hk.SEGMENT_VERTEX, hk.KIND_ANCHOR, gid)
+        # a SET's anchor snapshots the version its record ends: its end
+        # is the top of its segment
+        tops = [hk.decode_key(key).tt_end for key, _value in db.history.kv.scan_prefix(prefix)]
+        assert len(tops) >= len(stamps) // u - 1
+        rng = random.Random(u)
+        windows = [(stamps[0], stamps[-2])]
+        windows += [sorted(rng.sample(stamps[:-1], 2)) for _ in range(8)]
+        for t1, t2 in windows:
+            found, cost = _cold_cost(db, gid, TemporalCondition.between(t1, t2))
+            assert found == list(range(stamps.index(t2), stamps.index(t1) - 1, -1))
+            overlapped = bisect.bisect_right(tops, t2) - bisect.bisect_right(tops, t1) + 1
+            decodes, _replays, seeks = cost
+            assert decodes <= overlapped * (1 + u) and seeks == 1, (t1, t2, cost)
+
+
+    @pytest.mark.parametrize("cache_size", [4096, 0])
+    def test_damage_stays_in_its_segment(self, cache_size):
+        """A damaged delta stops only its own segment's build, below
+        it: every version above it, and every version of another
+        segment, still serves."""
+        db, gid, stamps = _set_history(5, cache_size, sets=30)
+        store = db.history
+        prefix = hk.object_prefix(hk.SEGMENT_VERTEX, hk.KIND_ANCHOR, gid)
+        tops = [hk.decode_key(key).tt_end for key, _value in store.kv.scan_prefix(prefix)]
+        prefix = hk.object_prefix(hk.SEGMENT_VERTEX, hk.KIND_DELTA, gid)
+        key, value = next(
+            (key, value)
+            for key, value in list(store.kv.scan_prefix(prefix))[16:]
+            if hk.decode_key(key).tt_end not in tops  # an anchor stands in for that one
+        )
+        damaged = hk.decode_key(key).tt_end
+        batch = WriteBatch()
+        batch.put(key, corrupt_bytes(value))
+        store.write(batch)
+        floor = max(top for top in tops if top < damaged)
+        for warm in (False, True):
+            for n, t in enumerate(stamps[:-1]):
+                if not warm:
+                    store.invalidate_caches()
+                cond = TemporalCondition.as_of(t)
+                with db.transaction() as txn:
+                    if floor <= t < damaged:  # replays through the damage
+                        with pytest.raises(IntegrityError):
+                            list(db.vertex_versions(txn, gid, cond))
+                    else:
+                        got = [view.properties["n"] for view in db.vertex_versions(txn, gid, cond)]
+                        assert got == [n], t
+
+    def test_racing_cold_readers_share_the_rows_they_decode(self):
+        """Readers building the same segments at once, each decoding
+        shared rows in place, answer as one reader does."""
+        db, gid, stamps = _set_history(10, 4096, sets=60)
+        reclaimed = stamps[:-1]
+        db.history.invalidate_caches()
+        errors: list = []
+
+        def reader(offset):
+            try:
+                for i in range(len(reclaimed)):
+                    n = (i + offset) % len(reclaimed)
+                    with db.transaction() as txn:
+                        got = [
+                            view.properties["n"]
+                            for view in db.vertex_versions(
+                                txn, gid, TemporalCondition.as_of(reclaimed[n])
+                            )
+                        ]
+                    if got != [n]:
+                        errors.append((n, got))
+            except Exception as exc:  # reported below, with the thread's answer
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(k * 7,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # a row holds its stored bytes or its payload, nothing between
+        entry = db.history._cache[("vertex", gid)]
+        for rows in entry.records.values():
+            assert all(isinstance(row[2], (bytes, dict)) for row in rows)
+
+
+# -- an undecodable key on the read path ----------------------------------------
+
+
+def _two_histories(**resilience):
+    """Vertices ``x`` and ``y``, each with five migrated SETs."""
+    db = AeonG(
+        anchor_interval=3,
+        gc_interval_transactions=0,
+        resilience=ResilienceConfig(**resilience) if resilience else None,
+    )
+    with db.transaction() as txn:
+        x = db.create_vertex(txn, ["P"], {"n": 0})
+        y = db.create_vertex(txn, ["P"], {"n": 0})
+    for n in range(1, 6):
+        with db.transaction() as txn:
+            db.set_vertex_property(txn, x, "n", n)
+            db.set_vertex_property(txn, y, "n", n)
+    db.collect_garbage()
+    return db, x, y
+
+
+def _write_bad_key(db, gid):
+    """A 15-byte key under ``gid``'s content-delta prefix."""
+    batch = WriteBatch()
+    batch.put(hk.object_prefix(hk.SEGMENT_VERTEX, hk.KIND_DELTA, gid) + b"\x00" * 5, b"junk")
+    db.history.write(batch)
+
+
+@pytest.mark.integrity
+class TestUndecodableKeyOnTheReadPath:
+    """The key-only pass counts an undecodable key and quarantines the
+    object whose prefix it sits under, alone: its reads follow the
+    ``degraded_reads`` policy, every other object answers unchanged,
+    and the scrubber's ``bad-key`` repair lifts the quarantine."""
+
+    def test_a_bad_key_quarantines_its_object_alone(self):
+        db, x, y = _two_histories(degraded_reads="current-only")
+        hi = db.now()
+        current = db.storage.vertex_record(x).tt_start
+
+        def versions(gid):
+            conds = [TemporalCondition.as_of(t) for t in range(hi + 1)]
+            with db.transaction() as txn:
+                return [
+                    [view.properties["n"] for view in db.vertex_versions(txn, gid, cond)]
+                    for cond in conds + [TemporalCondition.between(0, hi)]
+                ]
+
+        def matched(gid):
+            return [
+                [
+                    row["n"]
+                    for row in db.execute(
+                        "MATCH (v:P) TT SNAPSHOT $t RETURN id(v) AS gid, v.n AS n",
+                        {"t": t},
+                    )
+                    if row["gid"] == gid
+                ]
+                for t in range(hi + 1)
+            ]
+
+        before = {gid: (versions(gid), matched(gid)) for gid in (x, y)}
+        assert {n for rows in before[y][1] for n in rows} == set(range(6))
+        _write_bad_key(db, x)
+        # x serves its current version only, and raises nothing
+        current_only = [[5] if t >= current else [] for t in range(hi + 1)]
+        assert versions(x) == current_only + [[5]]
+        assert matched(x) == current_only
+        assert (versions(y), matched(y)) == before[y]
+        read = db.metrics()["read_path"]
+        assert (read["undecodable_keys"], read["quarantined_objects"]) == (1, 1)
+        assert db.history.quarantine.ranges("vertex", x) == [(0, MAX_TIMESTAMP)]
+
+        report = Scrubber(db).scrub_full()
+        assert [finding.code for finding in report.errors()] == ["bad-key"]
+        assert db.history.quarantine.count() == 0
+        assert db.metrics()["read_path"]["undecodable_keys"] == 0
+        assert (versions(x), matched(x)) == before[x]
+
+    def test_under_the_raise_policy_the_read_names_the_quarantine(self):
+        db, x, y = _two_histories()
+        _write_bad_key(db, x)
+        with db.transaction() as txn:
+            with pytest.raises(IntegrityError, match="quarantined"):
+                list(db.vertex_versions(txn, x, TemporalCondition.between(0, db.now())))
+            assert [
+                view.properties["n"]
+                for view in db.vertex_versions(txn, y, TemporalCondition.between(0, db.now()))
+            ] == [5, 4, 3, 2, 1, 0]
