@@ -88,21 +88,35 @@ def _topology_boundary(base_view) -> int:
     return MAX_TIMESTAMP if end is None else end - 1
 
 
-def _current_head(entry, base_view):
-    """The entry's head if built from its records as they are and from
-    this base, else None."""
-    head = entry.head
-    if head is None or (head.generation, head.base_sig) != (
-        entry.generation, _base_sig(base_view)
-    ):
-        return None
-    return head
-
-
 def _span(ends: list, t1: int, t2: int) -> range:
     """The segments holding the versions of ``t1`` to ``t2``, by the
     anchor segments' tops ``ends`` (the head is index ``len(ends)``)."""
-    return range(bisect.bisect_right(ends, t1), bisect.bisect_right(ends, t2) + 1)
+    low = bisect.bisect_right(ends, t1)
+    return range(low, (low if t2 == t1 else bisect.bisect_right(ends, t2, lo=low)) + 1)
+
+
+def _cuts(segment: bytes, content: list, anchors: list) -> tuple[list, list]:
+    """The anchor segments' tops, ascending: their ends, and each as a
+    replay row ``(tt_start, tt_end, stream, anchor row)``.
+
+    An anchor staged at a structural commit ends mid-way through the
+    content version containing it; its top is that version, widened to
+    the interval of the content record that ends it, so a version's
+    reported identity never depends on the anchor it was replayed from."""
+    stream = (segment, history_keys.KIND_ANCHOR)
+    ends: list[int] = []
+    tops: list[tuple] = []
+    for row in anchors:
+        tt_start, tt_end = row[0], row[1]
+        index = bisect.bisect_right(content, tt_start, key=_END)
+        if index < len(content):
+            rec_start, rec_end, _value = content[index]
+            if rec_start <= tt_start and rec_end >= tt_end:
+                tt_start, tt_end = rec_start, rec_end
+        if not ends or tt_end > ends[-1]:
+            ends.append(tt_end)
+            tops.append((tt_start, tt_end, stream, row))
+    return ends, tops
 
 
 def _count_below(content: list, topology: Sequence, t: int) -> tuple[int, int]:
@@ -157,16 +171,17 @@ class _Segment(NamedTuple):
 
 class _Head(NamedTuple):
     """The head segment (the versions above the newest anchor its base
-    can use) and what it was built from: the base's content interval,
-    the object's ``generation``, how many content and topology records
-    ended at or before the base's start (the splice's proof that nothing
-    older arrived), and the anchor segments' tops below it, ascending."""
+    can use, or None until a read needs them) and what it was built
+    from: the base's content interval, the object's ``generation``, how
+    many content and topology records ended at or before the base's
+    start (the splice's proof that nothing older arrived), and the
+    anchor segments' tops below it, ascending."""
 
     base_sig: Optional[tuple[int, int]]
     generation: int
     below_base: tuple[int, int]
     ends: list
-    segment: _Segment
+    segment: Optional[_Segment]
 
 
 class _Entry:
@@ -177,19 +192,16 @@ class _Entry:
     newest ``(tt_end, tt_start)`` published after it was read (the next
     reader fetches only the rows after its tail); the scan's
     ``mentions``; ``generation``, advanced by every delta row published
-    to the object; ``cuts`` (see _cuts); the built anchor ``segments``
-    by their top's tt_end; and the ``head``."""
+    to the object; the built anchor ``segments`` by their top's tt_end;
+    and the ``head``."""
 
-    __slots__ = (
-        "records", "fresh", "mentions", "generation", "cuts", "segments", "head"
-    )
+    __slots__ = ("records", "fresh", "mentions", "generation", "segments", "head")
 
     def __init__(self) -> None:
         self.records: dict[tuple[bytes, bytes], list] = {}
         self.fresh: dict[tuple[bytes, bytes], tuple[int, int]] = {}
         self.mentions: Optional[tuple[set, dict]] = None
         self.generation = 0
-        self.cuts: Optional[tuple] = None
         self.segments: dict[int, _Segment] = {}
         self.head: Optional[_Head] = None
 
@@ -660,16 +672,28 @@ class HistoricalStore:
         segment = _SEGMENT[object_kind]
         epoch = self._epoch
         held = self._entries(object_kind, [gid for gid, _ in requests])
-        t1, t2 = cond.t1, cond.t2
+        t1, t2, is_point = cond.t1, cond.t2, cond.is_point
         check = FAILPOINTS.check
         blocks = self.quarantine.blocks
-        heads = [_current_head(held[gid], base_view) for gid, base_view in requests]
+        bisect_right = bisect.bisect_right
+        heads = []
+        stale = []
+        for gid, base_view in requests:
+            entry = held[gid]
+            head = entry.head
+            if head is not None and (
+                head.generation != entry.generation
+                or head.base_sig != _base_sig(base_view)
+            ):
+                head = None
+            if head is None:
+                stale.append(gid)
+            heads.append(head)
         fills: list = []
         out: list[list] = []
         # Counted per object, added to the shared counters once.
         fetches = hits = misses = avoided = served = 0
         try:
-            stale = [gid for (gid, _), head in zip(requests, heads) if head is None]
             if len(stale) > 1:
                 self.preload_objects(object_kind, stale, held=held)
             for (gid, base_view), head in zip(requests, heads):
@@ -683,23 +707,49 @@ class HistoricalStore:
                 if blocks(object_kind, gid, t1, t2):
                     out.append(self._refuse(object_kind, gid))
                     continue
+                if head is not None and is_point:
+                    # a hit is a bisect of the anchor tops
+                    ends = head.ends
+                    index = bisect_right(ends, t1)
+                    built = head.segment if index == len(ends) else entry.segments.get(ends[index])
+                    if built is not None:
+                        fetches += 1
+                        hits += 1
+                        avoided += len(built.versions)
+                        found = self._serve_point(entry, segment, gid, built, t1)
+                        served += len(found)
+                        out.append(found)
+                        continue
                 filled = len(fills)
                 segments = self._segments(
                     object_kind, gid, base_view, entry, head, t1, t2, fills
                 )
-                # (the key-only pass quarantines an object it finds an
-                # undecodable key under)
-                if blocks(object_kind, gid, t1, t2):
-                    out.append(self._refuse(object_kind, gid))
-                    continue
                 if len(fills) > filled:
                     misses += 1
+                    # (the key-only pass quarantines an object it finds
+                    # an undecodable key under)
+                    if blocks(object_kind, gid, t1, t2):
+                        out.append(self._refuse(object_kind, gid))
+                        continue
                 else:
                     hits += 1
                     for built in segments:
                         avoided += len(built.versions)
                 fetches += 1
-                found = self._serve(entry, segment, gid, segments, cond)
+                if is_point:
+                    found = self._serve_point(
+                        entry, segment, gid, segments[0] if segments else None, t1
+                    )
+                else:
+                    for built in segments:
+                        if built.error is not None and t1 < built.stop:
+                            built.error.raise_()
+                    found = [
+                        frozen.fork()
+                        for built in reversed(segments)
+                        for tt_start, tt_end, frozen in reversed(built.versions)
+                        if frozen is not None and cond.matches(tt_start, tt_end)
+                    ]
                 served += len(found)
                 out.append(found)
         except StorageError:
@@ -810,14 +860,21 @@ class HistoricalStore:
         anchor segments' tops, so a hit is a bisect; a miss bisects the
         anchors' key-only list, up to the base's start (an anchor above
         it snapshots a version that the base or the caller's chain walk
-        serves)."""
+        serves).
+
+        Segments build top-down, each going on from the one above it
+        when that one is at hand (see _anchor_segment), so a read
+        decodes at most the anchor of its top segment and replays each
+        record once."""
         if head is not None:
-            ends = head.ends
-            found = [
-                head.segment if index == len(ends) else entry.segments.get(ends[index])
-                for index in _span(ends, t1, t2)
-            ]
-            if None not in found:
+            ends, cached = head.ends, entry.segments
+            found = []
+            for index in _span(ends, t1, t2):
+                built = head.segment if index == len(ends) else cached.get(ends[index])
+                if built is None:
+                    break
+                found.append(built)
+            else:
                 return found
         segment = _SEGMENT[object_kind]
         content = self._records_for(segment, history_keys.KIND_DELTA, gid, entry)
@@ -830,61 +887,76 @@ class HistoricalStore:
             base = self._blank_base(object_kind, gid, content, topology)
             if base is None:
                 return []
-        ends, tops = self._cuts(entry, segment, content, anchors)
-        ends = ends[: bisect.bisect_right(ends, base.tt_start)]
+        ends, tops = _cuts(segment, content, anchors)
+        del ends[bisect.bisect_right(ends, base.tt_start):]
         boundary = _topology_boundary(base_view)
         filled = len(fills)
         found = []
-        for index in _span(ends, t1, t2):
+        span = _span(ends, t1, t2)
+        above = None
+        if span[-1] < len(ends):
+            above = (
+                entry.segments.get(ends[span[-1] + 1]) if span[-1] + 1 < len(ends)
+                else None if head is None else head.segment
+            )
+        for index in reversed(span):
             if index == len(ends):
-                built = head.segment if head is not None else self._head_segment(
-                    object_kind, gid, base_view, base, entry,
-                    (content, topology, ends, boundary), fills,
-                )
+                built = None if head is None else head.segment
+                if built is None:
+                    built = self._head_segment(
+                        object_kind, gid, base_view, base, entry,
+                        (content, topology, ends, boundary), fills,
+                    )
             else:
                 built = entry.segments.get(ends[index])
                 if built is None:
-                    # The anchor's version, then the content records
-                    # below it, back to the previous anchor's.
-                    rows = self._collect_records(
-                        segment, gid, ends[index - 1] if index else -1,
-                        ends[index] - 1, boundary, entry, tops[index],
+                    floor = ends[index - 1] if index else -1
+                    built = self._anchor_segment(
+                        segment, gid, entry, above, floor, tops[index], base, boundary
                     )
-                    built = self._replay(gid, base.fork(), rows)
                     fills.append((entry, ends[index], built))
             found.append(built)
-        if anchors and len(fills) > filled:
-            self.read_metrics.anchor_seeks += 1
+            above = built
+        if len(fills) > filled:
+            if anchors:
+                self.read_metrics.anchor_seeks += 1
+            if head is None and len(ends) not in span and entry.head is None:
+                # the tops alone, for the next read's bisect, until one
+                # needs the head
+                below = _count_below(content, topology, base.tt_start)
+                stub = _Head(_base_sig(base_view), entry.generation, below, ends, None)
+                fills.append((entry, None, stub))
+        found.reverse()
         return found
 
-    def _cuts(
-        self, entry: _Entry, segment: bytes, content: list, anchors: list
-    ) -> tuple[list, list]:
-        """The anchor segments' tops, ascending: their ends, and each as
-        a replay row ``(tt_start, tt_end, stream, anchor row)``.
+    def _anchor_segment(
+        self, segment: bytes, gid: int, entry: _Entry, above: Optional[_Segment],
+        floor: int, top: tuple, base, boundary: int,
+    ) -> _Segment:
+        """One anchor segment: the versions ending in ``(floor, top]``.
 
-        An anchor staged at a structural commit ends mid-way through the
-        content version containing it; its top is that version, widened
-        to the interval of the content record that ends it, so a
-        version's reported identity never depends on the anchor it was
-        replayed from.  Memoized on the entry with the lists it read."""
-        cuts = entry.cuts
-        if cuts is None or cuts[0] is not anchors or cuts[1] is not content:
-            stream = (segment, history_keys.KIND_ANCHOR)
-            ends: list[int] = []
-            tops: list[tuple] = []
-            for row in anchors:
-                tt_start, tt_end = row[0], row[1]
-                index = bisect.bisect_right(content, tt_start, key=_END)
-                if index < len(content):
-                    rec_start, rec_end, _value = content[index]
-                    if rec_start <= tt_start and rec_end >= tt_end:
-                        tt_start, tt_end = rec_start, rec_end
-                if not ends or tt_end > ends[-1]:
-                    ends.append(tt_end)
-                    tops.append((tt_start, tt_end, stream, row))
-            cuts = entry.cuts = (anchors, content, ends, tops)
-        return cuts[2], cuts[3]
+        With the segment ``above`` it at hand, the replay goes on from
+        that one's oldest version through the deltas down to ``floor``,
+        decoding no anchor.  Else it starts at the anchor: the anchor's
+        version, on the base's adjacency with the topology records above
+        it undone, then the content records below it.  A damaged anchor
+        is replayed past as if absent, from the base."""
+        if above is not None and above.error is None and above.versions:
+            _tt_start, tt_end, view = above.versions[0]
+            if view is not None:
+                rows = self._collect_records(
+                    segment, gid, floor, top[1], min(tt_end, boundary), entry
+                )
+                return self._replay(gid, view.fork(), rows)
+        try:
+            self._payload(top[2], gid, top[3])
+        except IntegrityError:
+            rows = self._collect_records(segment, gid, floor, base.tt_start, boundary, entry)
+            built = self._replay(gid, base.fork(), rows)
+            below = bisect.bisect_right(built.versions, top[1], key=_END)
+            return _Segment(built.versions[:below], built.error, built.stop)
+        rows = self._collect_records(segment, gid, floor, top[1] - 1, boundary, entry, top)
+        return self._replay(gid, base.fork(), rows)
 
     def _head_segment(
         self, object_kind: str, gid: int, base_view, base, entry: _Entry,
@@ -909,6 +981,7 @@ class HistoricalStore:
         prior = entry.head
         if (
             prior is not None
+            and prior.segment is not None
             and prior.segment.error is None
             and prior.base_sig is not None
             and sig is not None
@@ -980,45 +1053,42 @@ class HistoricalStore:
         versions.reverse()  # ascending by tt_end for bisect serving
         return _Segment(versions, error, stop)
 
-    def _serve(
-        self, entry: _Entry, segment: bytes, gid: int, segments: list, cond
+    def _serve_point(
+        self, entry: _Entry, segment: bytes, gid: int, built: Optional[_Segment], t: int
     ) -> list:
-        """The versions matching ``cond`` in the segments a read needs,
-        newest first, each a fork of a frozen view; a read needing one
-        that a damaged record kept out of a segment raises its error.
+        """The version containing ``t`` in the segment holding it, as a
+        fork of its frozen view (none if the object did not exist at
+        ``t``); raises if a damaged record kept it out of the segment.
 
-        A point read bisects to the version containing ``t``.  Its
-        frozen view was captured just after its content record, i.e.
+        The frozen view was captured just after its content record, i.e.
         with only the structural changes *newer* than the version
         undone; the fork also carries the topology records ending in
         ``(t, version end]``, newest first, applied only if its
         adjacency is read."""
-        t = cond.t1
-        for built in segments:
-            if built.error is not None and t < built.stop:
-                built.error.raise_()
-        if not cond.is_point:
-            return [
-                frozen.fork()
-                for built in reversed(segments)
-                for tt_start, tt_end, frozen in reversed(built.versions)
-                if frozen is not None and cond.matches(tt_start, tt_end)
-            ]
-        versions = segments[0].versions if segments else ()
+        if built is None:
+            return []
+        if built.error is not None and t < built.stop:
+            built.error.raise_()
+        versions = built.versions
         index = bisect.bisect_right(versions, t, key=_END)
-        if index == len(versions) or versions[index][0] > t or not versions[index][2]:
-            return []  # t predates every version, or no object existed at t
-        _tt_start, tt_end, frozen = versions[index]
+        if index == len(versions):
+            return []
+        tt_start, tt_end, frozen = versions[index]
+        if frozen is None or tt_start > t:
+            return []  # no object existed at t, or t predates every version
         view = frozen.fork()
         if segment == history_keys.SEGMENT_VERTEX:
-            topo = self._records_for(
-                history_keys.SEGMENT_TOPOLOGY, history_keys.KIND_DELTA, gid, entry
-            )
+            # rows published since the segment was built end after it
+            topo = entry.records.get(_TD)
+            if topo is None:
+                topo = self._records_for(*_TD, gid, entry)
             low = bisect.bisect_right(topo, t, key=_END)
-            pending = topo[low : bisect.bisect_right(topo, tt_end, lo=low, key=_END)]
-            for row in pending:
-                self._payload(_TD, gid, row)
-            if pending:
+            high = bisect.bisect_right(topo, tt_end, lo=low, key=_END)
+            if low < high:
+                pending = topo[low:high]
+                for row in pending:
+                    if row[2].__class__ is not dict:
+                        self._payload(_TD, gid, row)
                 pending.reverse()
                 view._pending = pending
         return [view]
@@ -1069,18 +1139,19 @@ class HistoricalStore:
         gids: Iterable[int],
         held: Optional[dict[int, _Entry]] = None,
     ) -> int:
-        """Bulk-fill many objects' delta record lists with one bounded
-        range scan per segment (Expand's batched ``FetchFromKV``-VE
-        path: a high-degree vertex preloads every candidate edge in one
-        KV iteration instead of one seek each), into the entries a fetch
-        batch ``held`` or else the cache's.
+        """Bulk-fill many objects' record lists with one bounded range
+        scan per stream (Expand's batched ``FetchFromKV``-VE path: a
+        high-degree vertex preloads every candidate edge in one KV
+        iteration instead of one seek each), into the entries a fetch
+        batch ``held`` or else the cache's: the delta streams, and the
+        anchors of the objects that have some (a cold read bisects them).
 
         Skips objects with no history or already-cached records.  When
         the record counts show the gid range is mostly other objects'
         records (sparse candidates over a dense keyspace), the range
         scan would read more than it saves, so the call backs off and
         leaves the per-object lazy loads to do the work.  Returns the
-        number of objects actually preloaded.
+        number of objects whose delta lists it preloaded.
         """
         if held is None and self.reconstruction_cache_size <= 0:
             return 0  # nothing would keep what the scan read
@@ -1089,15 +1160,20 @@ class HistoricalStore:
         wanted = {gid for gid in gids if has_history(object_kind, gid)}
         if held is None:
             held = self._entries(object_kind, wanted)
-        return max(
-            self._preload_segment(seg, wanted, held) for seg in _STREAMS[segment]
+        preloaded = max(
+            self._preload_stream((seg, history_keys.KIND_DELTA), wanted, held)
+            for seg in _STREAMS[segment]
         )
+        # the anchor lists a cold read bisects, over the same range
+        anchors = (segment, history_keys.KIND_ANCHOR)
+        counts = self._counts[anchors]
+        self._preload_stream(anchors, [gid for gid in wanted if gid in counts], held)
+        return preloaded
 
-    def _preload_segment(
-        self, segment: bytes, gids: set[int], held: dict[int, _Entry]
+    def _preload_stream(
+        self, stream: tuple[bytes, bytes], gids: set[int], held: dict[int, _Entry]
     ) -> int:
-        kind = history_keys.KIND_DELTA
-        stream = (segment, kind)
+        segment, kind = stream
         epoch = self._epoch
         wanted = sorted(gid for gid in gids if stream not in held[gid].records)
         if len(wanted) < 2:
@@ -1196,7 +1272,10 @@ class HistoricalStore:
                 history_keys.SEGMENT_VERTEX, history_keys.KIND_DELTA, gid, entry
             )
             for row in records:
-                _merge_mentions(self._payload(_VD, gid, row), labels, values)
+                payload = row[2]
+                if payload.__class__ is not dict:
+                    payload = self._payload(_VD, gid, row)
+                _merge_mentions(payload, labels, values)
             mentions = (labels, values)
             with self._cache_lock:
                 if epoch == self._epoch:
@@ -1221,7 +1300,9 @@ class HistoricalStore:
         )
         low = bisect.bisect_right(records, t1, key=_END)
         for row in records[low:]:
-            payload = self._payload(_TD, gid, row)
+            payload = row[2]
+            if payload.__class__ is not dict:
+                payload = self._payload(_TD, gid, row)
             for field in ("oa", "or"):
                 out_refs.extend(payload.get(field, ()))
             for field in ("ia", "ir"):

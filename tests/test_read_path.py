@@ -797,9 +797,10 @@ def _assert_lists_equal_full_rebuilds(db):
         full = fresh.pop(None)
         assert head.ends == full.ends and head.below_base == full.below_base
         assert set(entry.segments) <= set(fresh), (kind, gid)
-        for built, rebuilt in [(head.segment, full.segment)] + [
-            (entry.segments[top], fresh[top]) for top in entry.segments
-        ]:
+        pairs = [(entry.segments[top], fresh[top]) for top in entry.segments]
+        if head.segment is not None:  # else the tops alone, kept for the bisect
+            pairs.append((head.segment, full.segment))
+        for built, rebuilt in pairs:
             assert [(s, e, _frozen_state(v)) for s, e, v in built.versions] == [
                 (s, e, _frozen_state(v)) for s, e, v in rebuilt.versions
             ], (kind, gid)
@@ -2674,18 +2675,20 @@ class TestPreloadGuardIndex:
                     )
                 )
         metrics = db.history.read_path_metrics()
-        # two prefix reads, three range reads, and one anchor-list read
-        # per object with anchors (its first miss bisects them)
         anchored = sum(
             len(gids)
             for (_segment, kind), gids in db.history._counts.items()
             if kind == hk.KIND_ANCHOR
         )
         assert anchored == 5
-        assert kv.seeks - seeks == 5 + anchored
-        assert kv.range_scans - range_scans == 3
-        assert metrics["preload_batches"] == 3
-        assert metrics["preload_objects"] == 24
+        # two prefix reads and three range reads of delta lists; then
+        # the anchor lists a cold read bisects, however many objects
+        # have anchors: the hub's own (a prefix read) and one range read
+        # beside each preloaded kind's deltas (two neighbours', two edges')
+        assert kv.seeks - seeks == 5 + 1 + 2
+        assert kv.range_scans - range_scans == 3 + 2
+        assert metrics["preload_batches"] == 3 + 2
+        assert metrics["preload_objects"] == 24 + 2 + 2
         assert metrics["preload_backoffs"] == 0
         assert [None if a is None else len(a) for a in answers] == (
             [None, None, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7]
@@ -2696,6 +2699,44 @@ class TestPreloadGuardIndex:
             hashlib.sha256(repr(answers).encode()).hexdigest()
             == "0919c1f535a95fcdb187f76c63e77b20e1fd5c2290b771e4bfb4ffda9187ea2e"
         )
+
+
+class TestBatchedAnchorLists:
+    def test_a_batch_reads_its_anchor_lists_in_one_range(self):
+        """A cold expand over anchored edges reads their anchor lists in
+        one range read beside their deltas: its KV seeks do not grow
+        with the number of objects that have anchors."""
+
+        def cold_expand(spokes):
+            db = AeonG(anchor_interval=1, gc_interval_transactions=0)
+            with db.transaction() as txn:
+                hub = db.create_vertex(txn, ["H"], {})
+                edges = [
+                    db.create_edge(txn, hub, db.create_vertex(txn, ["S"], {}), "L", properties={"w": 0})
+                    for _ in range(spokes)
+                ]
+            for w in (1, 2):
+                with db.transaction() as txn:
+                    for edge in edges:
+                        db.set_edge_property(txn, edge, "w", w)
+            db.collect_garbage()
+            anchored = len(db.history._counts[(hk.SEGMENT_EDGE, hk.KIND_ANCHOR)])
+            db.history.invalidate_caches()
+            stats = db.history.kv.stats
+            seeks = stats.seeks
+            cond = TemporalCondition.between(0, db.now())
+            with db.transaction() as txn:
+                found = sorted(
+                    edge.properties["w"]
+                    for vertex in db.vertex_versions(txn, hub, cond)
+                    for edge, _other in db.expand(txn, vertex, cond, "out")
+                )
+            return anchored, stats.seeks - seeks, found
+
+        small, large = cold_expand(4), cold_expand(16)
+        assert small[0] == 4 and large[0] == 16
+        assert large[1] == small[1]
+        assert small[2] == sorted([0, 1, 2] * 4) and large[2] == sorted([0, 1, 2] * 16)
 
 
 # -- the anchor segment bounds a cold read --------------------------------------
@@ -2720,6 +2761,40 @@ def _set_history(anchor_interval, cache_size, sets=200):
     db.collect_garbage()
     assert db.storage.vertex_record(gid).delta_head is None
     return db, gid, stamps
+
+
+def _churn_history(anchor_interval, cache_size, sets=120):
+    """``_set_history`` with edge churn: the SET of ``n`` also adds an
+    edge to a neighbour when ``n % 4 == 0`` and removes it when
+    ``n % 4 == 2``, so version ``n`` has an out-edge iff ``n % 4 < 2``
+    and ``n >= 4``."""
+    db = AeonG(
+        anchor_interval=anchor_interval,
+        gc_interval_transactions=0,
+        reconstruction_cache_size=cache_size,
+    )
+    with db.transaction() as txn:
+        gid = db.create_vertex(txn, ["P"], {"n": 0})
+        other = db.create_vertex(txn, ["Q"], {})
+    stamps = [txn.commit_ts]
+    edge = None
+    for n in range(1, sets + 1):
+        with db.transaction() as txn:
+            db.set_vertex_property(txn, gid, "n", n)
+            if n % 4 == 0:
+                edge = db.create_edge(txn, gid, other, "L")
+            elif n % 4 == 2 and edge is not None:
+                db.delete_edge(txn, edge)
+        stamps.append(txn.commit_ts)
+    db.collect_garbage()
+    assert db.storage.vertex_record(gid).delta_head is None
+    return db, gid, stamps
+
+
+def _stored_ends(db, segment, kind, gid):
+    """The tt_end of each of ``gid``'s stored records in one stream."""
+    prefix = hk.object_prefix(segment, kind, gid)
+    return [hk.decode_key(key).tt_end for key, _value in db.history.kv.scan_prefix(prefix)]
 
 
 def _cold_cost(db, gid, cond):
@@ -2775,6 +2850,83 @@ class TestAnchorSegmentBound:
             decodes, _replays, seeks = cost
             assert decodes <= overlapped * (1 + u) and seeks == 1, (t1, t2, cost)
 
+
+    @pytest.mark.parametrize("cache_size", [4096, 0])
+    @pytest.mark.parametrize("u", [3, 10])
+    def test_topology_records_replay_once_per_read(self, u, cache_size):
+        """An anchor holds content only, so a segment also undoes the
+        structural changes above its anchor.  They lie outside the
+        1 + u bound, but a read replays each of them once: a slice over
+        k segments replays at most k * u content records plus the
+        topology records above its lowest segment."""
+        db, gid, stamps = _churn_history(u, cache_size)
+        tops = _stored_ends(db, hk.SEGMENT_VERTEX, hk.KIND_ANCHOR, gid)
+        topology = _stored_ends(db, hk.SEGMENT_TOPOLOGY, hk.KIND_DELTA, gid)
+        assert len(tops) >= len(stamps) // u - 1 and len(topology) >= len(stamps) // 2 - 2
+
+        def above(floor):
+            return len(topology) - bisect.bisect_right(topology, floor)
+
+        for n, t in enumerate(stamps[:-1]):
+            store = db.history
+            store.invalidate_caches()
+            before = store.checksums_verified, store.read_metrics.deltas_replayed
+            with db.transaction() as txn:
+                views = list(db.vertex_versions(txn, gid, TemporalCondition.as_of(t)))
+                got = [(view.properties["n"], len(view.out_edges)) for view in views]
+            assert got == [(n, int(n >= 4 and n % 4 < 2))], t
+            decodes = store.checksums_verified - before[0]
+            replays = store.read_metrics.deltas_replayed - before[1]
+            floor = max((top for top in tops if top <= t), default=-1)
+            assert decodes <= 1 + u + above(floor) and replays <= u + above(floor), (t, decodes, replays)
+        rng = random.Random(u)
+        windows = [(stamps[0], stamps[-2])]
+        windows += [sorted(rng.sample(stamps[:-1], 2)) for _ in range(8)]
+        for t1, t2 in windows:
+            found, cost = _cold_cost(db, gid, TemporalCondition.between(t1, t2))
+            assert found == list(range(stamps.index(t2), stamps.index(t1) - 1, -1))
+            overlapped = bisect.bisect_right(tops, t2) - bisect.bisect_right(tops, t1) + 1
+            floor = max((top for top in tops if top <= t1), default=-1)
+            decodes, replays, _seeks = cost
+            assert replays <= overlapped * u + above(floor), (t1, t2, cost)
+            assert decodes <= overlapped * (1 + u) + above(floor), (t1, t2, cost)
+
+    @pytest.mark.parametrize("cache_size", [4096, 0])
+    def test_a_damaged_anchor_is_replayed_past(self, cache_size):
+        """A damaged anchor costs its segment the bound, not its
+        answers: the segment's versions replay from the deltas above
+        it."""
+        db, gid, stamps = _churn_history(5, cache_size, sets=40)
+        store = db.history
+        prefix = hk.object_prefix(hk.SEGMENT_VERTEX, hk.KIND_ANCHOR, gid)
+        anchors = list(store.kv.scan_prefix(prefix))
+        key, value = anchors[len(anchors) // 2]
+        batch = WriteBatch()
+        batch.put(key, corrupt_bytes(value))
+        store.write(batch)
+        expected = [(n, int(n >= 4 and n % 4 < 2)) for n in range(len(stamps) - 1)]
+        store.invalidate_caches()
+        for n, t in enumerate(stamps[:-1]):
+            with db.transaction() as txn:
+                got = [
+                    (view.properties["n"], len(view.out_edges))
+                    for view in db.vertex_versions(txn, gid, TemporalCondition.as_of(t))
+                ]
+            assert got == [expected[n]], t
+        # a slice's versions, each with its adjacency at its end, as an
+        # undamaged twin serves them
+        twin = _churn_history(5, cache_size, sets=40)[0]
+        cond = TemporalCondition.between(stamps[0], stamps[-2])
+        store.invalidate_caches()
+        slices = []
+        for engine in (db, twin):
+            with engine.transaction() as txn:
+                slices.append([
+                    (view.properties["n"], len(view.out_edges))
+                    for view in engine.vertex_versions(txn, gid, cond)
+                ])
+        assert slices[0] == slices[1]
+        assert [n for n, _degree in slices[0]] == list(range(len(stamps) - 2, -1, -1))
 
     @pytest.mark.parametrize("cache_size", [4096, 0])
     def test_damage_stays_in_its_segment(self, cache_size):
