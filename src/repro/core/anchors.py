@@ -7,6 +7,14 @@ materialized copy of the object's state — after every ``u`` migrated
 delta records of that object.  Figure 6(a)'s experiment sweeps ``u``:
 small values trade storage for shorter recovery chains.
 
+The cadence is read from the stored history, never kept beside it: an
+anchor is due at the draft that makes the object's delta records
+(content and topology) a multiple of ``u``, counting the records the
+history store holds plus those staged earlier in the same epoch (see
+:meth:`~repro.core.migration.Migrator.migrate`).  So it continues
+unchanged across a reopen and a replica resync; a retention prune
+restarts it from the records left.
+
 The anchor for the version a delta record reconstructs is computed at
 migration time by walking the in-place record's (still intact) delta
 chain from the current state back past every change committed at or
@@ -23,54 +31,6 @@ from repro.mvcc.delta import DeltaAction
 
 _STRUCTURAL = {DeltaAction.ADD_OUT_EDGE, DeltaAction.ADD_IN_EDGE,
                DeltaAction.REMOVE_OUT_EDGE, DeltaAction.REMOVE_IN_EDGE}
-
-
-class AnchorPolicy:
-    """Decides which migrated records get a companion anchor."""
-
-    def __init__(self, interval: int = 10) -> None:
-        if interval < 0:
-            raise ValueError("anchor interval must be >= 0 (0 disables)")
-        self.interval = interval
-        self._counters: dict[tuple[str, int], int] = {}
-
-    @property
-    def enabled(self) -> bool:
-        return self.interval > 0
-
-    def should_anchor(self, object_kind: str, gid: int) -> bool:
-        """Count one migrated record; True when an anchor is due."""
-        if not self.enabled:
-            return False
-        key = (object_kind, gid)
-        count = self._counters.get(key, 0) + 1
-        if count >= self.interval:
-            self._counters[key] = 0
-            return True
-        self._counters[key] = count
-        return False
-
-    def forget(self, object_kind: str, gid: int) -> None:
-        """Drop counter state for a reclaimed object."""
-        self._counters.pop((object_kind, gid), None)
-
-    def count(self, key: tuple[str, int]) -> Optional[int]:
-        """One object's counter (None: unset), as :meth:`restore` takes it."""
-        return self._counters.get(key)
-
-    def restore(self, state: dict) -> None:
-        """Roll ``{key: count}`` back after a failed epoch, so the retry
-        makes identical anchor-placement decisions."""
-        restore_entries(self._counters, state)
-
-
-def restore_entries(table: dict, before: dict) -> None:
-    """Put ``before``'s values back into ``table`` (None: absent)."""
-    for key, value in before.items():
-        if value is None:
-            table.pop(key, None)
-        else:
-            table[key] = value
 
 
 def historical_state(record, version_tt_end: int) -> Optional[object]:

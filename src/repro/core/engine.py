@@ -29,7 +29,6 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
-from repro.core.anchors import AnchorPolicy
 from repro.core.history_store import HistoricalStore
 from repro.core.maintenance import Maintenance
 from repro.core.migration import Migrator
@@ -78,7 +77,9 @@ class AeonG:
     anchor_interval:
         The paper's ``u``: number of migrated delta records between two
         anchors of one object (0 disables anchors; default 10, the
-        value the paper recommends for TPC-DS).
+        value the paper recommends for TPC-DS).  The records are
+        counted in the history store, so the cadence continues across
+        a reopen and a replica resync.
     gc_interval_transactions:
         Request one garbage-collection epoch, run off the committer by
         :mod:`~repro.core.maintenance`, after this many commits; 0
@@ -158,8 +159,10 @@ class AeonG:
         self.history = HistoricalStore(
             kv, reconstruction_cache_size=reconstruction_cache_size
         )
-        self.anchor_policy = AnchorPolicy(anchor_interval)
-        self.migrator = Migrator(self.storage, self.history, self.anchor_policy)
+        if anchor_interval < 0:
+            raise ValueError("anchor interval must be >= 0 (0 disables)")
+        self.anchor_interval = anchor_interval
+        self.migrator = Migrator(self.storage, self.history, anchor_interval)
         self.operators = TemporalOperators(self.storage, self.history)
         #: statement text -> plan (see :meth:`compile`)
         self.plans = PlanCache()
@@ -492,12 +495,8 @@ class AeonG:
         self.gc = GarbageCollector(
             self.manager,
             migrate_hook=self._migrate_guarded if self.temporal else None,
-            reclaim_object_hook=self._reclaim_record,
+            reclaim_object_hook=self.storage.drop_record,
         )
-
-    def _reclaim_record(self, record) -> None:
-        self.storage.drop_record(record)
-        self.migrator.forget_object(record.kind, record.gid)
 
     def _migrate_guarded(self, transactions) -> int:
         """``Migrate(CT)`` behind the history-store circuit breaker.
@@ -957,7 +956,6 @@ class AeonG:
             self.storage = donor.storage
             self.manager = donor.manager
             self.history = donor.history
-            self.anchor_policy = donor.anchor_policy
             self.migrator = donor.migrator
             self.migrator.carry_counts(old_migrator)
             self.operators = donor.operators

@@ -331,6 +331,8 @@ class HistoricalStore:
         #: the owning engine's Tracer (or None): brackets fetch and
         #: reconstruct work with ``history.*`` spans (repro.observability)
         self.tracer = None
+        #: delta records and anchors installed by migration epochs
+        #: (added by Migrate once its batch is committed)
         self.records_written = 0
         self.anchors_written = 0
         self.reconstructions = 0
@@ -527,6 +529,30 @@ class HistoricalStore:
             )
         return gid in counts[_ED] or gid in counts[_EA]
 
+    def delta_records(self, object_kind: str, gid: int) -> int:
+        """The object's stored delta records, content and topology: the
+        count the anchor cadence runs on."""
+        counts = self._counts
+        if object_kind == "vertex":
+            return counts[_VD].get(gid, 0) + counts[_TD].get(gid, 0)
+        return counts[_ED].get(gid, 0)
+
+    def newest_content_end(self, object_kind: str, gid: int) -> Optional[int]:
+        """The end of the object's newest stored content record (None:
+        it has none), by one key-only read of its content stream that
+        leaves the history cache untouched."""
+        segment = _SEGMENT[object_kind]
+        if gid not in self._counts[(segment, history_keys.KIND_DELTA)]:
+            return None
+        end = None
+        prefix = history_keys.object_prefix(segment, history_keys.KIND_DELTA, gid)
+        for key, _value in self.kv.scan_prefix(prefix):
+            try:
+                end = history_keys.decode_key(key).tt_end  # keys sort by end
+            except CorruptionError:
+                continue
+        return end
+
     # -- write side (used by Migrate) ------------------------------------
 
     def stage_record(self, batch: WriteBatch, draft: RecordDraft) -> None:
@@ -543,7 +569,6 @@ class HistoricalStore:
             (draft.segment, history_keys.KIND_DELTA, draft.gid,
              draft.tt_start, draft.tt_end)
         )
-        self.records_written += 1
 
     def stage_anchor(
         self,
@@ -562,7 +587,6 @@ class HistoricalStore:
         self._staged.append(
             (segment, history_keys.KIND_ANCHOR, gid, tt_start, tt_end)
         )
-        self.anchors_written += 1
 
     def commit_batch(self, batch: WriteBatch) -> None:
         """Atomically install a migration epoch (``putMultiples``).

@@ -3,9 +3,17 @@
 Called from the garbage collector with the committed transactions that
 are no longer visible to any snapshot.  Each transaction's undo buffer
 is merged into history records (``encode2KV``), anchors are interleaved
-per the anchor policy, and the whole epoch is installed with one atomic
-batch write (``putMultiples``).  Epochs run on the maintenance thread
-(:mod:`repro.core.maintenance`), off the committing transactions.
+every ``u`` delta records of an object, and the whole epoch is
+installed with one atomic batch write (``putMultiples``).  Epochs run
+on the maintenance thread (:mod:`repro.core.maintenance`), off the
+committing transactions.
+
+Where anchors go is read from the history store, not remembered: the
+cadence from its per-object record counts, an anchor's interval start
+from the newest content record staged earlier in the epoch or, failing
+that, stored.  An epoch keeps its bookkeeping in locals, so a failed
+install leaves nothing to roll back, and a reopened or resynced engine
+places anchors where one that never stopped would.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import time
 from typing import Iterator, Optional
 
-from repro.core.anchors import AnchorPolicy, historical_state, restore_entries
+from repro.core.anchors import historical_state
 from repro.core.deltas import RecordDraft, merge_transaction_deltas
 from repro.core.history_store import HistoricalStore
 from repro.core.keys import SEGMENT_EDGE, SEGMENT_TOPOLOGY, SEGMENT_VERTEX
@@ -26,6 +34,9 @@ from repro.mvcc.transaction import Transaction
 
 FAILPOINTS.register("migration.commit_batch")
 
+#: an object whose newest stored content end has not been read yet
+_UNREAD = object()
+
 
 class Migrator:
     """Encodes expiring undo deltas into the historical store."""
@@ -34,55 +45,47 @@ class Migrator:
         self,
         storage: GraphStorage,
         history: HistoricalStore,
-        anchor_policy: Optional[AnchorPolicy] = None,
+        anchor_interval: int = 10,
     ) -> None:
         self.storage = storage
         self.history = history
-        self.anchor_policy = (
-            anchor_policy if anchor_policy is not None else AnchorPolicy()
-        )
+        #: the paper's ``u`` (0: no anchors)
+        self.anchor_interval = anchor_interval
         self.migrations = 0
         self.transactions_migrated = 0
-        #: epochs whose atomic install failed and was rolled back (the
-        #: transactions were requeued by the GC; nothing was lost)
+        #: epochs whose atomic install failed (the transactions were
+        #: requeued by the GC; nothing was lost)
         self.failed_epochs = 0
         #: callback ``(object_kind, gid)`` invoked once per object
         #: touched by a successfully installed epoch; None unless a
         #: satellite hooks it (an attached scrubber does, to check
         #: freshly written records first)
         self.on_migrated = None
-        #: newest migrated *content* version-end per object.  An
-        #: anchor's interval is its content validity: it starts where
-        #: the previous content record ended.  (Topology records track
-        #: a separate timeline; anchor adjacency may be newer than the
-        #: interval claims, which is safe because Expand re-checks
-        #: every candidate edge's own transaction time.)
-        self._last_content_end: dict[tuple[str, int], int] = {}
 
     def migrate(self, transactions: list[Transaction]) -> int:
         """Migrate the undo buffers of ``transactions``; returns the
         number of history records staged.
 
-        Transactions are processed in commit order so per-object anchor
-        counters and validity frontiers advance monotonically.
+        Transactions are processed in commit order, so each object's
+        drafts are counted, and its content records end, in order.
         """
         batch = WriteBatch()
-        staged = 0
+        staged = anchors = migrated = 0
         ordered = sorted(
             transactions, key=lambda t: t.commit_ts if t.commit_ts else 0
         )
-        # Staging mutates bookkeeping (counters, anchor cadence,
-        # validity frontiers) before the epoch's single atomic install.
-        # Snapshot each object's entries on first touch, so a failed
-        # install — I/O error, injected fault — rolls everything back
-        # and the retried epoch makes byte-identical decisions.
-        counters_before = (
-            self.transactions_migrated,
-            self.history.records_written,
-            self.history.anchors_written,
-        )
-        content_end_before: dict = {}
-        anchor_state_before: dict = {}
+        interval = self.anchor_interval
+        # Per object: its delta records, stored plus staged so far (an
+        # anchor is due when that reaches a multiple of ``u``), and the
+        # newest content end staged by an earlier transaction of this
+        # epoch, else stored (where an anchor's interval starts: an
+        # anchor's interval is its content validity; topology records
+        # track a separate timeline, and anchor adjacency newer than
+        # the interval claims is safe because Expand re-checks every
+        # candidate edge's own transaction time).
+        position: dict[tuple[str, int], int] = {}
+        content_end: dict[tuple[str, int], Optional[int]] = {}
+        history = self.history
         try:
             for txn, drafts in self._encode_epoch(ordered):
                 if not drafts:
@@ -90,36 +93,41 @@ class Migrator:
                 anchored: set[tuple[str, int]] = set()
                 for draft in drafts:
                     key = (self._object_kind(draft), draft.gid)
-                    if key not in content_end_before:
-                        content_end_before[key] = self._last_content_end.get(key)
-                        anchor_state_before[key] = self.anchor_policy.count(key)
-                    self.history.stage_record(batch, draft)
+                    count = position.get(key)
+                    if count is None:
+                        count = history.delta_records(*key)
+                    position[key] = count = count + 1
+                    history.stage_record(batch, draft)
                     staged += 1
-                    self._maybe_stage_anchor(batch, draft, anchored)
+                    # one anchor per object per transaction
+                    if interval and count % interval == 0 and key not in anchored:
+                        valid_from = content_end.get(key, _UNREAD)
+                        if valid_from is _UNREAD:
+                            valid_from = content_end[key] = (
+                                history.newest_content_end(*key)
+                            )
+                        if self._stage_anchor(batch, key, draft, valid_from):
+                            anchored.add(key)
+                            anchors += 1
                 for draft in drafts:
                     if draft.segment != SEGMENT_TOPOLOGY:
-                        key = (self._object_kind(draft), draft.gid)
-                        self._last_content_end[key] = draft.tt_end
-                self.transactions_migrated += 1
+                        content_end[(self._object_kind(draft), draft.gid)] = draft.tt_end
+                migrated += 1
             # The epoch's atomic install (``putMultiples``).
             if FAILPOINTS.check("migration.commit_batch") == MODE_DELAY:
                 time.sleep(faults.FAULT_DELAY_SECONDS)  # a slow store
-            self.history.commit_batch(batch)
+            history.commit_batch(batch)
         except BaseException:
-            (
-                self.transactions_migrated,
-                self.history.records_written,
-                self.history.anchors_written,
-            ) = counters_before
-            restore_entries(self._last_content_end, content_end_before)
-            self.anchor_policy.restore(anchor_state_before)
             # Drops the staged rows, so a retry cannot duplicate them.
-            self.history.invalidate_caches()
+            history.invalidate_caches()
             self.failed_epochs += 1
             raise
         self.migrations += 1
+        self.transactions_migrated += migrated
+        history.records_written += staged
+        history.anchors_written += anchors
         if self.on_migrated is not None:
-            for object_kind, gid in sorted(content_end_before):
+            for object_kind, gid in sorted(position):
                 self.on_migrated(object_kind, gid)
         return staged
 
@@ -157,11 +165,6 @@ class Migrator:
             if txn.undo_buffer
         )
 
-    def forget_object(self, object_kind: str, gid: int) -> None:
-        """Drop per-object migration state (after final reclamation)."""
-        self._last_content_end.pop((object_kind, gid), None)
-        self.anchor_policy.forget(object_kind, gid)
-
     @staticmethod
     def _object_kind(draft: RecordDraft) -> str:
         return "edge" if draft.segment == SEGMENT_EDGE else "vertex"
@@ -178,39 +181,34 @@ class Migrator:
                 )
         return statics
 
-    def _maybe_stage_anchor(
-        self, batch: WriteBatch, draft: RecordDraft, anchored: set
-    ) -> None:
-        object_kind = self._object_kind(draft)
-        anchor_segment = (
-            SEGMENT_EDGE if object_kind == "edge" else SEGMENT_VERTEX
-        )
-        if not self.anchor_policy.should_anchor(object_kind, draft.gid):
-            return
-        if (object_kind, draft.gid) in anchored:
-            return  # one anchor per object per transaction
-        valid_from = self._last_content_end.get((object_kind, draft.gid))
+    def _stage_anchor(
+        self, batch: WriteBatch, key: tuple[str, int], draft: RecordDraft,
+        valid_from: Optional[int],
+    ) -> bool:
+        """Stage the anchor of the version ``draft`` ends, valid from
+        ``valid_from``; False when it is skipped."""
+        object_kind, gid = key
         if valid_from is None or valid_from >= draft.tt_end:
             # No content record migrated yet (nothing older exists in
             # the store, so a full-state copy adds nothing), or a
             # degenerate interval: skip.
-            return
+            return False
         record = (
-            self.storage.vertex_record(draft.gid)
+            self.storage.vertex_record(gid)
             if object_kind == "vertex"
-            else self.storage.edge_record(draft.gid)
+            else self.storage.edge_record(gid)
         )
         if record is None:
-            return  # object already reclaimed; skip the anchor
+            return False  # object already reclaimed; skip the anchor
         state = historical_state(record, draft.tt_end)
         if state is None:
-            return  # the version did not exist (pre-creation)
+            return False  # the version did not exist (pre-creation)
         self.history.stage_anchor(
             batch,
-            anchor_segment,
-            draft.gid,
+            SEGMENT_EDGE if object_kind == "edge" else SEGMENT_VERTEX,
+            gid,
             valid_from,
             draft.tt_end,
             anchor_payload_from_view(state),
         )
-        anchored.add((object_kind, draft.gid))
+        return True

@@ -75,7 +75,7 @@ def save_engine(engine, directory: Path, io: StorageIO) -> None:
         "next_timestamp": engine.manager.oracle.peek(),
         "next_gid": engine.storage._gids.last_allocated + 1,
         "temporal": engine.temporal,
-        "anchor_interval": engine.anchor_policy.interval,
+        "anchor_interval": engine.anchor_interval,
         "model": engine.model.value,
     }
     io.write_file(

@@ -606,7 +606,7 @@ class Scrubber:
                 continue
             if anchor.payload is not None:
                 clean_anchors.append(anchor)
-        if self.engine.anchor_policy.interval:
+        if self.engine.anchor_interval:
             self._check_spacing(
                 content, anchors, object_kind, gid, segment, findings
             )
@@ -739,7 +739,7 @@ class Scrubber:
         exceed ``u``.  A violation is a warning — reads stay correct,
         only slower — and is healed by inserting synthetic anchors.
         """
-        interval = self.engine.anchor_policy.interval
+        interval = self.engine.anchor_interval
         marks = sorted({a.s for a in anchors if a.s < a.e})
         run = 0
         index = 0
@@ -1146,7 +1146,7 @@ class Scrubber:
         delta's interval is recomputed by replay and written as a
         regular anchor — indistinguishable from one Algorithm 1 staged.
         """
-        interval = self.engine.anchor_policy.interval
+        interval = self.engine.anchor_interval
         if not interval:
             return 0
         segment = self._content_segment(object_kind)

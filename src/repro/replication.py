@@ -992,7 +992,7 @@ class ReplicaRunner:
         kwargs = dict(
             temporal=engine.temporal,
             model=engine.model,
-            anchor_interval=engine.anchor_policy.interval,
+            anchor_interval=engine.anchor_interval,
             gc_interval_transactions=engine._gc_interval,
             enforce_vt_constraints=engine.enforce_vt_constraints,
             durability_mode=engine.durability_mode,

@@ -192,15 +192,6 @@ class TestMigrationMechanics:
             assert tt_start < tt_end
             assert "p" in payload and "o" not in payload  # content only
 
-    def test_forget_object_clears_counters(self):
-        db = _engine(anchor_interval=2)
-        gid = _versioned_vertex(db, [0, 1, 2])
-        with db.transaction() as txn:
-            db.delete_vertex(txn, gid)
-        db.collect_garbage()
-        assert (("vertex", gid)) not in db.migrator._last_content_end
-        assert ("vertex", gid) not in db.anchor_policy._counters
-
     def test_migration_counts(self):
         db = _engine()
         _versioned_vertex(db, [0, 1, 2])

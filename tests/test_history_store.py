@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import keys as hk
-from repro.core.anchors import AnchorPolicy
 from repro.core.deltas import (
     OLDER_EXISTS,
     OLDER_MISSING,
@@ -172,32 +171,85 @@ class TestDeltaMerging:
         assert decode_payload(draft.encode_payload()) == draft.payload
 
 
-class TestAnchorPolicy:
-    def test_interval_counting(self):
-        policy = AnchorPolicy(3)
-        hits = [policy.should_anchor("vertex", 1) for _ in range(7)]
-        assert hits == [False, False, True, False, False, True, False]
+class TestAnchorCadence:
+    """An anchor sits at every ``u``-th delta record of each object,
+    content and topology counted alike and across GC epochs, valid from
+    the end of the object's newest content record of an earlier
+    transaction; with no such record it is skipped, and ``u = 0``
+    writes none."""
 
-    def test_objects_counted_independently(self):
-        policy = AnchorPolicy(2)
-        assert not policy.should_anchor("vertex", 1)
-        assert not policy.should_anchor("vertex", 2)
-        assert policy.should_anchor("vertex", 1)
-        assert policy.should_anchor("vertex", 2)
+    @staticmethod
+    def _churn(db):
+        """Two interleaved vertices, ``a`` with edge churn to a third;
+        each transaction touches one vertex's content or one edge, and
+        GC epochs land at irregular points."""
+        with db.transaction() as txn:
+            a = db.create_vertex(txn, ["P"], {"v": 0})
+        with db.transaction() as txn:
+            b = db.create_vertex(txn, ["P"], {"v": 0})
+        with db.transaction() as txn:
+            c = db.create_vertex(txn, ["Q"], {})
+        edges = []
+        for step in range(1, 31):
+            with db.transaction() as txn:
+                if step % 2:
+                    db.set_vertex_property(txn, b, "v", step)
+                elif step % 6 == 2:
+                    db.set_vertex_property(txn, a, "v", step)
+                elif step % 6 == 4 or not edges:
+                    edges.append(db.create_edge(txn, a, c, "K", {}))
+                else:
+                    db.delete_edge(txn, edges.pop(0))
+            if step % 7 == 0:
+                db.collect_garbage()
+        db.collect_garbage()
+        return [("vertex", gid) for gid in (a, b, c)] + [
+            ("edge", gid) for gid in sorted(db.history.known_gids("edge"))
+        ]
 
-    def test_zero_disables(self):
-        policy = AnchorPolicy(0)
-        assert not any(policy.should_anchor("vertex", 1) for _ in range(10))
+    @staticmethod
+    def _expected(db, object_kind, gid, u):
+        content = hk.SEGMENT_VERTEX if object_kind == "vertex" else hk.SEGMENT_EDGE
+        records = sorted(
+            (hk.decode_key(key).tt_end, segment == content)
+            for segment in ((content, hk.SEGMENT_TOPOLOGY) if object_kind == "vertex" else (content,))
+            for key, _value in db.history.kv.scan_prefix(
+                hk.object_prefix(segment, hk.KIND_DELTA, gid)
+            )
+        )
+        expected, newest = set(), None
+        for n, (tt_end, is_content) in enumerate(records, start=1):
+            if u and n % u == 0 and newest is not None:
+                expected.add((newest, tt_end))
+            if is_content:
+                newest = tt_end
+        return content, expected
 
-    def test_forget_resets(self):
-        policy = AnchorPolicy(2)
-        policy.should_anchor("vertex", 1)
-        policy.forget("vertex", 1)
-        assert not policy.should_anchor("vertex", 1)
+    @pytest.mark.parametrize("u", [0, 1, 2, 3])
+    def test_anchors_sit_at_every_uth_delta_record(self, u):
+        from repro import AeonG
+
+        db = AeonG(anchor_interval=u, gc_interval_transactions=0)
+        objects = self._churn(db)
+        for object_kind, gid in objects:
+            content, expected = self._expected(db, object_kind, gid, u)
+            stored = {
+                (key.tt_start, key.tt_end)
+                for key in (
+                    hk.decode_key(k)
+                    for k, _value in db.history.kv.scan_prefix(
+                        hk.object_prefix(content, hk.KIND_ANCHOR, gid)
+                    )
+                )
+            }
+            assert stored == expected, (object_kind, gid)
+        assert (db.history.anchors_written > 0) == (u > 0)
 
     def test_negative_interval_rejected(self):
+        from repro import AeonG
+
         with pytest.raises(ValueError):
-            AnchorPolicy(-1)
+            AeonG(anchor_interval=-1)
 
 
 class TestAnchorIntervalBoundaries:

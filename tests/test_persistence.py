@@ -137,10 +137,10 @@ class TestSaveLoad:
         _build_sample(db)
         db.save(tmp_path / "snap")
         loaded = AeonG.open(tmp_path / "snap")
-        assert loaded.anchor_policy.interval == 7  # persisted default
+        assert loaded.anchor_interval == 7  # persisted default
         loaded.close()
         overridden = AeonG.open(tmp_path / "snap", anchor_interval=3)
-        assert overridden.anchor_policy.interval == 3
+        assert overridden.anchor_interval == 3
 
     def test_double_save_load_cycle(self, tmp_path):
         db = AeonG(gc_interval_transactions=0)

@@ -1033,6 +1033,70 @@ class TestScanWithWriters:
         assert raced == _versions(db, "vertex", gid, whole)
         assert [sig[3] for sig in raced] == [(("x", x),) for x in (5, 4, 3, 2, 1, 0)]
 
+    @pytest.mark.parametrize("cache_size", [0, 4096])
+    def test_a_point_read_racing_an_epoch_undoes_each_structural_change_once(
+        self, cache_size, monkeypatch
+    ):
+        """An epoch that migrates the chain's structural changes after a
+        point read's walk undid them and before its fetch: the version
+        served from the history store carries the adjacency it had at
+        ``t`` (its pending topology records must not undo those changes
+        a second time)."""
+
+        def build():
+            db = AeonG(
+                anchor_interval=3, gc_interval_transactions=0,
+                reconstruction_cache_size=cache_size,
+            )
+            with db.transaction() as txn:
+                a = db.create_vertex(txn, ["P"], {"x": 0})
+                others = [db.create_vertex(txn, ["Q"], {}) for _ in range(3)]
+            edges, lives = [], {}
+            for x in range(1, 13):
+                with db.transaction() as txn:
+                    if x % 3 == 1:
+                        edges.append(db.create_edge(txn, a, others[x % 3], "K", {}))
+                        lives[edges[-1]] = [db.now(), MAX_TIMESTAMP]
+                    elif x % 3 == 2 and len(edges) > 1:
+                        db.delete_edge(txn, edges[0])
+                        lives[edges.pop(0)][1] = db.now()
+                    else:
+                        db.set_vertex_property(txn, a, "x", x)
+                if x == 6:
+                    db.collect_garbage()  # history below, a chain above
+            return db, a, lives
+
+        def adjacency(db, a, t):
+            with db.transaction() as txn:
+                return [
+                    (_vsig(v), sorted(ref.edge_gid for ref in v.out_edges))
+                    for v in db.vertex_versions(txn, a, TemporalCondition.as_of(t))
+                ]
+
+        walk = operators.version_iterator
+        settled, a, lives = build()
+        settled.collect_garbage()
+        raced_points = []
+        for t in range(settled.now() + 1):
+            db, a, _lives = build()
+            bases = []
+
+            def racing(record, txn, oldest):
+                yield from walk(record, txn, oldest)
+                bases.extend(oldest)
+                assert db.collect_garbage() > 0  # after the walk, before the fetch
+
+            monkeypatch.setattr(operators, "version_iterator", racing)
+            raced = adjacency(db, a, t)
+            monkeypatch.undo()
+            if bases:  # t lies below the chain: served by the history store
+                assert bases[0].topology_end is not None
+                live = sorted(e for e, (start, end) in lives.items() if start <= t < end)
+                assert [out for _sig, out in raced] == ([live] if raced else []), t
+                assert raced == adjacency(settled, a, t), t
+                raced_points.append(t)
+        assert raced_points == list(range(14))
+
     def _sweep(self, db, txn):
         hi = db.now()
         for t in range(hi + 1):
@@ -2335,70 +2399,76 @@ class TestRecordCounts:
             reopened.close()
 
 
-    def test_writes_racing_epochs_lose_no_count(self):
-        """A write() recounting an object while an epoch publishes rows
-        to it must not install a count from before the epoch: under the
-        store's lock the counts always equal the KV store."""
+    def test_writes_racing_epochs_lose_no_count(self, monkeypatch):
+        """A write() recounting an object and an epoch publishing rows to
+        it exclude each other, in both orders: two named schedules, each
+        parking one side at its race window (hooks on this store only)
+        while the other runs.  The parked side holds the store's lock,
+        so the other must still be waiting when released, and the counts
+        then equal the KV store."""
         db = AeonG(anchor_interval=4, gc_interval_transactions=0)
         store = db.history
         with db.transaction() as txn:
-            gids = [db.create_vertex(txn, ["P"], {"n": 0}) for _ in range(2)]
-        prefixes = {
-            gid: hk.object_prefix(hk.SEGMENT_VERTEX, hk.KIND_DELTA, gid) for gid in gids
-        }
-        stream = store._counts[(hk.SEGMENT_VERTEX, hk.KIND_DELTA)]
-        done = threading.Event()
-        errors = []
-        mismatches = []
+            gid = db.create_vertex(txn, ["P"], {"n": 0})
+        with db.transaction() as txn:
+            db.set_vertex_property(txn, gid, "n", 1)
+        db.collect_garbage()
+        prefix = hk.object_prefix(hk.SEGMENT_VERTEX, hk.KIND_DELTA, gid)
+        scan_prefix, publish = store.kv.scan_prefix, store._publish
 
-        def epochs():
-            try:
-                for i in range(1, 1000):
-                    with db.transaction() as txn:
-                        db.set_vertex_property(txn, gids[i % 2], "n", i)
-                    db.collect_garbage()
-            except BaseException as exc:
-                errors.append(exc)
-            finally:
-                done.set()
+        def rewrite():
+            batch = WriteBatch()
+            batch.put(*list(scan_prefix(prefix))[-1])
+            store.write(batch)
 
-        def rewrites():
-            try:
-                while not done.is_set():
-                    for prefix in prefixes.values():
-                        rows = list(store.kv.scan_prefix(prefix))
-                        if rows:
-                            batch = WriteBatch()
-                            batch.put(*rows[-1])
-                            store.write(batch)
-            except BaseException as exc:
-                errors.append(exc)
+        def epoch(i):
+            def run():
+                with db.transaction() as txn:
+                    db.set_vertex_property(txn, gid, "n", i)
+                db.collect_garbage()
+            return run
 
-        def checks():
-            while not done.is_set():
-                with store._cache_lock:
-                    for gid, prefix in prefixes.items():
-                        stored = len(list(store.kv.scan_prefix(prefix)))
-                        if stream.get(gid, 0) != stored:
-                            mismatches.append((gid, stream.get(gid, 0), stored))
+        def race(name, parked_side, other_side, park):
+            parked, release = threading.Event(), threading.Event()
+            first = threading.Thread(target=parked_side, name=f"{name}-parked")
+            park(first, parked, release)
+            first.start()
+            assert parked.wait(10), name
+            second = threading.Thread(target=other_side)
+            second.start()
+            second.join(0.2)
+            waited = second.is_alive()
+            release.set()
+            first.join(10)
+            second.join(10)
+            monkeypatch.undo()
+            assert waited, f"{name}: the other side ran inside the window"
+            _assert_counts_match(store)
 
-        threads = [
-            threading.Thread(target=f)
-            for f in (epochs, rewrites, rewrites, rewrites, checks)
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert mismatches == []
-        _assert_counts_match(store)
+        def park_write_recount(thread, parked, release):
+            # write()'s recount has read the stored rows but not yet
+            # installed their count
+            def parking_scan(key):
+                rows = list(scan_prefix(key))
+                if threading.current_thread() is thread and not parked.is_set():
+                    parked.set()
+                    release.wait(10)
+                return iter(rows)
+
+            monkeypatch.setattr(store.kv, "scan_prefix", parking_scan)
+
+        def park_epoch_publish(thread, parked, release):
+            # commit_batch has written its rows but not yet counted them
+            def parking_publish(*row):
+                if not parked.is_set():
+                    parked.set()
+                    release.wait(10)
+                publish(*row)
+
+            monkeypatch.setattr(store, "_publish", parking_publish)
+
+        race("write parked before its recount", rewrite, epoch(2), park_write_recount)
+        race("epoch parked before its publish", epoch(3), rewrite, park_epoch_publish)
 
 
 # -- the range-addressable record counts and the preload density guard --------

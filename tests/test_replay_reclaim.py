@@ -14,6 +14,10 @@ wrote it:
 - **bounded debt**: after an open or an apply of more than four
   intervals of records, fewer than two intervals of transactions wait
   for GC;
+- **anchor cadence**: an engine checkpointed and reopened mid-way
+  places its anchors where a twin that never reopened does (same
+  history KV bytes, no ``anchor-spacing`` finding), the cadence being
+  read from the stored history;
 - **streaming readers**: a catch-up fetch decodes no frame past its
   ``limit``, and a replication-fenced truncation none past the first
   frame it keeps.
@@ -28,6 +32,7 @@ import pytest
 from repro import AeonG
 from repro.core import durability
 from repro.core.temporal import TemporalCondition
+from repro.integrity import Scrubber
 from repro.replication import ReplicationConfig
 
 INTERVAL = 8
@@ -155,6 +160,56 @@ class TestRecovery:
             assert _pending(db) == COMMITS
         finally:
             db.close()
+
+
+def _churn(db, rng, vertices, edges, steps):
+    """Seeded SETs and edge churn, one change per commit, with a GC
+    epoch every fifth commit."""
+    for step in range(steps):
+        gid = rng.choice(vertices)
+        roll = rng.random()
+        with db.transaction() as txn:
+            if roll < 0.6:
+                db.set_vertex_property(txn, gid, "v", step)
+            elif roll < 0.85 or not edges:
+                other = rng.choice([v for v in vertices if v != gid])
+                edges.append(db.create_edge(txn, gid, other, "K", {"w": step}))
+            else:
+                db.delete_edge(txn, edges.pop(rng.randrange(len(edges))))
+        if step % 5 == 4:
+            db.collect_garbage()
+
+
+@pytest.mark.integrity
+class TestAnchorCadenceAcrossReopen:
+    @pytest.mark.parametrize("u", [1, 2, 3])
+    def test_reopened_engine_anchors_like_its_twin(self, tmp_path, u):
+        settings = dict(gc_interval_transactions=0, anchor_interval=u)
+        outcomes = []
+        for reopen in (True, False):
+            home = tmp_path / f"reopen-{reopen}"
+            db = AeonG.open(home, **settings)
+            rng = random.Random(u)
+            with db.transaction() as txn:
+                vertices = [db.create_vertex(txn, ["P"], {"v": 0}) for _ in range(3)]
+            edges = []
+            _churn(db, rng, vertices, edges, 13)
+            db.collect_garbage()
+            if reopen:
+                db.checkpoint()
+                db.close()
+                db = AeonG.open(home, **settings)
+            try:
+                _churn(db, rng, vertices, edges, 24)
+                history = _settled_history(db)
+                report = Scrubber(db).scrub_full()
+            finally:
+                db.close()
+            assert not [f for f in report.findings if f.code == "anchor-spacing"]
+            outcomes.append(history)
+        reopened, twin = outcomes
+        assert any(key[1:2] == b"A" for key, _value in twin)
+        assert reopened == twin
 
 
 @pytest.mark.replication
